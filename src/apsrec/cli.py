@@ -329,11 +329,6 @@ def cmd_recover(args):
 
 def cmd_certify(args):
     config = load_config(args.config)
-    if not config.aps.in_l2:
-        raise ModelError(
-            "certificates require a square-integrable spectrum; "
-            "point-source models violate that assumption"
-        )
     certificate = certify(
         config.aps,
         config.array,
@@ -378,7 +373,7 @@ def cmd_gram(args):
     out = _out_dir(args)
     _write_lines(out / "gram_re.csv", [",".join(_full(v) for v in row) for row in gram.g_re])
     _write_lines(out / "gram_im.csv", [",".join(_full(v) for v in row) for row in gram.g_im])
-    diag_re = float(np.min(np.diag(gram.chol_re))) if gram.cfg.M else 0.0
+    diag_re = float(np.min(np.diag(gram.chol_re)))
     diag_im = float(np.min(np.diag(gram.chol_im))) if gram.cfg.M > 1 else float("nan")
     payload = {
         "schema": "apsrec-gram/1",

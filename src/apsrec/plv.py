@@ -70,9 +70,34 @@ class PlvSolution:
 
 
 def _lags_of_coeffs(cfg, coeffs, nodes):
+    """Lags r_m = sum_j w_j g(x_j) exp(i kappa_m x_j) of the solution by
+    Chebyshev-Gauss quadrature, independent of the closed-form Gram.
+
+    The rule's abscissae ascend and are symmetric about x = 0, and
+    exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so only the
+    upper half of the nodes is visited. With e and o the even and odd
+    parts of g there,
+    r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)).
+    The M-row table of exp(i kappa_m x_j) is built as powers of
+    exp(i gamma pi x_j). For odd ``nodes`` the middle node is x = 0, kept
+    at half weight so that the factor 2 counts it once.
+    """
     points, weights = weighted_quadrature_points(nodes)
-    samples = weights * evaluate_trig(cfg, coeffs, points)
-    return np.exp(1j * np.multiply.outer(cfg.kappas(cfg.M), points)) @ samples
+    half = nodes // 2
+    x = points[half:].copy()
+    w = weights[half:].copy()
+    if nodes % 2:
+        x[0] = 0.0
+        w[0] *= 0.5
+    step = np.exp(1j * cfg.gamma * np.pi * x)
+    powers = np.empty((cfg.M, x.size), dtype=np.complex128)
+    powers[0] = 1.0
+    for m in range(1, cfg.M):
+        np.multiply(powers[m - 1], step, out=powers[m])
+    b = coeffs.b
+    even = (b[:cfg.M] @ powers).real
+    odd = (b[cfg.M:] @ powers[1:]).imag
+    return 2.0 * ((powers @ (w * even)).real + 1j * (powers @ (w * odd)).imag)
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,

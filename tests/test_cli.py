@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apsrec
 from apsrec.cli import main, read_lags_csv
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
@@ -258,10 +261,14 @@ class TestConfigValidation:
 
 def test_console_entry_point(tmp_path):
     config = write_config(tmp_path, UNIFORM_CONFIG)
+    # The child must import the same apsrec as this process, which may
+    # come from pytest's pythonpath setting rather than the environment.
+    package_root = str(Path(apsrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "apsrec.cli", "synthesize",
          "--config", str(config), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "lags.csv").exists()

@@ -12,6 +12,7 @@ from apsrec.gram import (
     solve,
 )
 from apsrec.quad import chebyshev_gauss, weighted_quadrature_points
+from apsrec.specfun import bessel_j0
 
 # Frozen via the Bessel quadrature oracle.
 PI_J0_PI = -0.9558049901987985
@@ -83,6 +84,21 @@ def test_entries_match_quadrature(m, gamma):
     assert np.max(np.abs(cross)) <= 1e-12
 
 
+@pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.0), (1024, 1.21)])
+def test_blocks_bit_identical_to_elementwise_j0(m, gamma):
+    # One J0 vector gathered by |m-n| and m+n must reproduce the
+    # entrywise M^2 evaluation exactly, not merely within a tolerance.
+    idx = np.arange(m)
+    diff = gamma * np.pi * np.abs(idx[:, None] - idx[None, :])
+    total = gamma * np.pi * (idx[:, None] + idx[None, :])
+    ref_re = (np.pi / 2.0) * (bessel_j0(diff) + bessel_j0(total))
+    ref_im = (np.pi / 2.0) * (bessel_j0(diff[1:, 1:]) - bessel_j0(total[1:, 1:]))
+    g_re, g_im = gram_blocks(ArrayConfig(m, gamma))
+    assert np.array_equal(g_re, ref_re)
+    assert np.array_equal(g_im, ref_im)
+    assert g_im.shape == (m - 1, m - 1)
+
+
 def test_blocks_exactly_symmetric():
     for m, gamma in WELL_CONDITIONED:
         g_re, g_im = gram_blocks(ArrayConfig(m, gamma))
@@ -97,6 +113,49 @@ def test_positive_definite_factorization(m, gamma):
     if m > 1:
         assert np.all(np.diag(gram.chol_im) > 0)
     assert gram.cond_estimate >= 1.0
+
+
+def exact_one_norm_cond(gram):
+    def pair(block):
+        if block.shape[0] == 0:
+            return 1.0, 1.0
+        return np.linalg.norm(block, 1), np.linalg.norm(np.linalg.inv(block), 1)
+
+    norm_re, inv_re = pair(gram.g_re)
+    norm_im, inv_im = pair(gram.g_im)
+    return max(norm_re, norm_im) * max(inv_re, inv_im)
+
+
+@pytest.mark.parametrize("m,gamma", [
+    *WELL_CONDITIONED, (64, 1.0), (64, 2.0), (100, 1.25), (257, 1.13),
+])
+def test_cond_estimate_brackets_exact(m, gamma):
+    # The 1-norm estimator never overshoots and stays within a factor 2 of
+    # the explicit-inverse value. That reference itself carries a relative
+    # rounding error of order cond * eps, which the upper bound allows.
+    gram = assemble_gram(ArrayConfig(m, gamma))
+    exact = exact_one_norm_cond(gram)
+    rounding = 64 * np.finfo(float).eps * exact
+    assert 0.5 * exact <= gram.cond_estimate <= exact * (1.0 + rounding)
+
+
+def test_default_ceiling_boundary():
+    # cond is 8.1e11 at M = 9 and 2.8e13 at M = 10 for gamma = 0.5; the
+    # estimate must land on the right side of 1e12 for both, and is exact
+    # there up to the explicit inverse's own rounding (cond * eps ~ 2e-4).
+    gram = assemble_gram(ArrayConfig(9, 0.5))
+    assert gram.cond_estimate == pytest.approx(exact_one_norm_cond(gram), rel=1e-3)
+    with pytest.raises(ConditioningError) as excinfo:
+        assemble_gram(ArrayConfig(10, 0.5))
+    assert excinfo.value.cond_estimate > 1e12
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_gram_arrays_read_only(m):
+    gram = assemble_gram(ArrayConfig(m, 1.0))
+    for name in ("g_re", "g_im", "chol_re", "chol_im"):
+        with pytest.raises(ValueError):
+            getattr(gram, name)[...] = 0.0
 
 
 def test_quadratic_form_matches_norm(rng):

@@ -13,11 +13,14 @@ from apsrec.core import (
     seams_x,
     toeplitz_from_lags,
     transform_aps,
+    trig_basis,
 )
+from apsrec import plv
 from apsrec.errors import DomainError, FeasibilityWarning, StructureError
 from apsrec.forward import SynthesisOptions, synthesize_lags
 from apsrec.gram import assemble_gram, measurement_vector, solve
 from apsrec.plv import (
+    DEFAULT_RESIDUAL_TOL,
     PlvSolution,
     evaluate_solution,
     negativity_summary,
@@ -105,6 +108,39 @@ def test_feasibility_warning_on_zero_tolerance():
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     with pytest.warns(FeasibilityWarning):
         recover(lags, cfg, residual_tol=0.0)
+
+
+@pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21)])
+@pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
+def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng):
+    # The half-node power table must reproduce the plain full-rule sum
+    # sum_j w_j g(x_j) exp(i kappa_m x_j) over every node.
+    cfg = ArrayConfig(m, gamma)
+    nodes = plv._auto_nodes(cfg) + parity
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    points, weights = weighted_quadrature_points(nodes)
+    samples = weights * (trig_basis(cfg, points) @ coeffs.b)
+    direct = np.exp(1j * np.multiply.outer(cfg.kappas(m), points)) @ samples
+    audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
+    assert audit.shape == (m,)
+    assert np.max(np.abs(audit - direct)) <= 1e-11 * (1.0 + np.max(np.abs(direct)))
+
+
+def test_residual_audit_catches_wrong_coefficient(monkeypatch):
+    cfg = ArrayConfig(16, 1.0)
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg, SynthesisOptions(nodes=512))
+    good = recover(lags, cfg).coeffs.b
+    bad = good.copy()
+    bad[cfg.M + 3] += 1e-6
+    scale = DEFAULT_RESIDUAL_TOL * (1.0 + np.max(np.abs(lags.r)))
+    residual = np.max(np.abs(
+        plv._lags_of_coeffs(cfg, TrigCoeffs(bad), plv._auto_nodes(cfg)) - lags.r))
+    assert residual > scale
+
+    monkeypatch.setattr(plv, "solve", lambda gram, y: TrigCoeffs(bad))
+    with pytest.warns(FeasibilityWarning):
+        solution = recover(lags, cfg)
+    assert solution.constraint_residual > scale
 
 
 def test_minimum_norm_orthogonality():
