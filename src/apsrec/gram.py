@@ -24,8 +24,10 @@ def gram_blocks(cfg):
     """Closed-form Gram blocks for the array configuration.
 
     Both blocks are Toeplitz plus Hankel in J0(kappa_k) for
-    k = 0..2M-2, so J0 is evaluated once on those 2M-1 frequencies and
-    the entries are gathered from that vector by |m-n| and m+n.
+    k = 0..2M-2, so J0 is evaluated once on those 2M-1 frequencies. The
+    Toeplitz part J0(kappa_|m-n|) and the Hankel part J0(kappa_{m+n})
+    are strided M-by-M window views of that vector, so no index table
+    is built and only the sums and differences are materialized.
 
     Returns:
         (g_re, g_im): the M-by-M cosine-block matrix with entries
@@ -34,12 +36,15 @@ def gram_blocks(cfg):
         (pi/2)(J0(kappa_|m-n|) - J0(kappa_{m+n})). Assembles entries only;
         no factorization, so this never raises on ill conditioning.
     """
-    j0 = bessel_j0(cfg.gamma * np.pi * np.arange(2 * cfg.M - 1))
-    idx = np.arange(cfg.M)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    total = idx[:, None] + idx[None, :]
-    g_re = (np.pi / 2.0) * (j0[diff] + j0[total])
-    g_im = (np.pi / 2.0) * (j0[diff[1:, 1:]] - j0[total[1:, 1:]])
+    M = cfg.M
+    j0 = bessel_j0(cfg.gamma * np.pi * np.arange(2 * M - 1))
+    windows = np.lib.stride_tricks.sliding_window_view
+    # Row m of the reversed windows over [J0(kappa_{M-1}) .. J0(kappa_1),
+    # J0(kappa_0) .. J0(kappa_{M-1})] starts at J0(kappa_m).
+    toeplitz = windows(np.concatenate((j0[M - 1:0:-1], j0[:M])), M)[::-1]
+    hankel = windows(j0, M)
+    g_re = (np.pi / 2.0) * (toeplitz + hankel)
+    g_im = (np.pi / 2.0) * (toeplitz[1:, 1:] - hankel[1:, 1:])
     return g_re, g_im
 
 

@@ -69,18 +69,20 @@ class PlvSolution:
         return self.g(np.sin(np.asarray(theta, dtype=np.float64)))
 
 
-def _lags_of_coeffs(cfg, coeffs, nodes):
-    """Lags r_m = sum_j w_j g(x_j) exp(i kappa_m x_j) of the solution by
-    Chebyshev-Gauss quadrature, independent of the closed-form Gram.
+def _half_rule(cfg, coeffs, nodes):
+    """Even and odd parts of g on the upper half of the Chebyshev-Gauss rule.
 
-    The rule's abscissae ascend and are symmetric about x = 0, and
-    exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so only the
-    upper half of the nodes is visited. With e and o the even and odd
-    parts of g there,
-    r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)).
-    The M-row table of exp(i kappa_m x_j) is built as powers of
-    exp(i gamma pi x_j). For odd ``nodes`` the middle node is x = 0, kept
-    at half weight so that the factor 2 counts it once.
+    The rule's abscissae ascend and are symmetric about x = 0, so g(x_j)
+    and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
+    odd parts of g on the nodes x_j >= 0. The M-row table of
+    exp(i kappa_m x_j) is built as powers of exp(i gamma pi x_j); then
+    e = b_cos . Re and o = b_sin . Im of that table. For odd ``nodes``
+    the middle node is snapped to x = 0 and kept at half weight, so a sum
+    over both halves counts it once.
+
+    Returns:
+        (w, powers, even, odd): the half-rule weights, the M-by-half
+        complex power table, and the parts e and o.
     """
     points, weights = weighted_quadrature_points(nodes)
     half = nodes // 2
@@ -97,6 +99,18 @@ def _lags_of_coeffs(cfg, coeffs, nodes):
     b = coeffs.b
     even = (b[:cfg.M] @ powers).real
     odd = (b[cfg.M:] @ powers[1:]).imag
+    return w, powers, even, odd
+
+
+def _lags_of_coeffs(cfg, coeffs, nodes):
+    """Lags r_m = sum_j w_j g(x_j) exp(i kappa_m x_j) of the solution by
+    Chebyshev-Gauss quadrature, independent of the closed-form Gram.
+
+    exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so over the
+    half rule of :func:`_half_rule`
+    r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)).
+    """
+    w, powers, even, odd = _half_rule(cfg, coeffs, nodes)
     return 2.0 * ((powers @ (w * even)).real + 1j * (powers @ (w * odd)).imag)
 
 
@@ -202,15 +216,25 @@ class NegativitySummary(NamedTuple):
     negative_fraction: float
 
 
-def negativity_summary(solution, nodes=2048):
+def negativity_summary(solution, nodes=None):
     """Diagnostics for sign violations of a reconstruction: the minimum
     value over a dense x grid, and the weighted mass of the negative part
-    relative to the total absolute mass (0 for a nonnegative solution)."""
-    points, weights = weighted_quadrature_points(nodes)
-    values = solution.g(points)
-    grid_min = float(np.min(values))
-    abs_mass = float(np.sum(weights * np.abs(values)))
+    relative to the total absolute mass (0 for a nonnegative solution).
+
+    The grid is a Chebyshev-Gauss rule of ``nodes`` points, by default
+    max(2048, n) with n the residual audit's count, which follows the top
+    frequency gamma pi (M-1). g is sampled through the audit's half-rule
+    power table: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0, with the
+    middle node of an odd rule counted once.
+    """
+    cfg = solution.cfg
+    if nodes is None:
+        nodes = max(2048, _auto_nodes(cfg))
+    w, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
+    upper, lower = even + odd, even - odd
+    grid_min = float(min(upper.min(), lower.min()))
+    abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))
     if abs_mass == 0.0:
         return NegativitySummary(grid_min, 0.0)
-    neg_mass = float(np.sum(weights * np.maximum(-values, 0.0)))
+    neg_mass = float(w @ (np.maximum(-upper, 0.0) + np.maximum(-lower, 0.0)))
     return NegativitySummary(grid_min, neg_mass / abs_mass)

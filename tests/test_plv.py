@@ -304,6 +304,59 @@ def test_negativity_summary_zero_for_nonnegative():
     assert summary.min_value == pytest.approx(1.0, abs=1e-10)
 
 
+def _dense_negativity(cfg, b, nodes, chunk=1024):
+    # Direct evaluation of g on every node of the full Chebyshev-Gauss
+    # rule, in row chunks so that large rules stay small in memory.
+    points, weights = weighted_quadrature_points(nodes)
+    values = np.concatenate(
+        [trig_basis(cfg, points[i:i + chunk]) @ b for i in range(0, nodes, chunk)])
+    fraction = np.sum(weights * np.maximum(-values, 0.0)) / np.sum(weights * np.abs(values))
+    return values, float(fraction)
+
+
+@pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21)])
+@pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
+def test_negativity_summary_matches_direct_evaluation(m, gamma, parity, rng):
+    # g(+-x_j) from the half-rule power table must reproduce g sampled on
+    # every node of the full rule.
+    cfg = ArrayConfig(m, gamma)
+    nodes = max(2048, plv._auto_nodes(cfg)) + parity
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    values, fraction = _dense_negativity(cfg, coeffs.b, nodes)
+    summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg), nodes)
+    assert abs(summary.min_value - values.min()) <= 1e-12 * (1.0 + np.max(np.abs(values)))
+    assert abs(summary.negative_fraction - fraction) <= 1e-12
+
+
+def test_negativity_summary_single_node(rng):
+    # One node: the rule's middle node x = 0, counted once.
+    cfg = ArrayConfig(64, 1.0)
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    values, fraction = _dense_negativity(cfg, coeffs.b, 1)
+    summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg), 1)
+    assert abs(summary.min_value - values.min()) <= 1e-12 * (1.0 + np.max(np.abs(values)))
+    assert abs(summary.negative_fraction - fraction) <= 1e-12
+
+
+def test_negativity_summary_default_nodes_follow_bandwidth():
+    # Four sources at M = 1024, gamma = 1.25: a fixed 2048-node grid has
+    # under 1.1 nodes per period of the top frequency near x = 0 and
+    # misreads the negative mass fraction by about 3e-3; the default
+    # count follows gamma pi (M-1).
+    cfg = ArrayConfig(1024, 1.25)
+    rng = np.random.default_rng(3)
+    angles = rng.uniform(-1.3, 1.3, 4)
+    powers = rng.uniform(0.5, 2.0, 4)
+    r = np.exp(1j * np.multiply.outer(cfg.kappas(cfg.M), np.sin(angles))) @ powers
+    r += 0.01 * (rng.standard_normal(cfg.M) + 1j * rng.standard_normal(cfg.M))
+    r[0] = r[0].real + 0.3
+    solution = recover(r, cfg)
+    _, fraction = _dense_negativity(cfg, solution.coeffs.b, 16384)
+    summary = negativity_summary(solution)
+    assert summary.min_value < 0.0
+    assert abs(summary.negative_fraction - fraction) <= 1e-3
+
+
 def test_lag_length_mismatch():
     with pytest.raises(ValueError):
         recover(np.zeros(3, dtype=complex), ArrayConfig(4, 1.0))
