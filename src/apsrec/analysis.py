@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import ArrayConfig, evaluate_trig, seams_x, transform_aps
 from .errors import ModelError
 from .forward import SynthesisOptions, synthesize_lags
-from .gram import assemble_gram, gram_blocks, measurement_vector, solve
+from .gram import assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
 
 DEFAULT_ENERGY_NODES = 512
@@ -118,11 +118,14 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
 
 def energy_of_solution(solution):
     """Weighted energy ||g_rec||^2_w of a recovered spectrum, as the Gram
-    quadratic form of its coefficients (no quadrature involved)."""
-    g_re, g_im = gram_blocks(solution.cfg)
-    M = solution.cfg.M
-    b = solution.coeffs.b
-    return float(b[:M] @ g_re @ b[:M] + b[M:] @ g_im @ b[M:])
+    quadratic form of its coefficients (no quadrature involved).
+
+    Raises:
+        ConditioningError: From the shared Gram, when the configuration
+            is past the conditioning ceiling (``recover`` rejects such
+            configurations too).
+    """
+    return assemble_gram(solution.cfg).quadratic_form(solution.coeffs)
 
 
 def resolution_sweep(model, gamma, m_values, **certify_kwargs):

@@ -58,8 +58,9 @@ class GramMatrix:
     Hager/Higham estimator (``dpocon``) on the Cholesky factors. That
     estimate is a lower bound: exact near the default ceiling and within
     about 15 % of the true value for well-conditioned arrays. All arrays
-    are read-only, so concurrent solves against one factorization are
-    safe.
+    are read-only, so one instance is shared by every caller that asks
+    :func:`assemble_gram` for the same configuration, and concurrent
+    solves against it are safe.
     """
 
     cfg: ArrayConfig
@@ -101,22 +102,8 @@ def _one_norm_cond(block, factor):
     return anorm, (np.inf if rcond == 0.0 else 1.0 / (rcond * anorm))
 
 
-def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
-    """Assemble and factorize the Gram matrix for ``cfg``.
-
-    Args:
-        cfg: Array configuration.
-        cond_ceiling: Hard ceiling on the 1-norm condition estimate. The
-            matrix is positive definite in exact arithmetic for every
-            M and gamma, but closely spaced frequencies (gamma << 1) make
-            it numerically singular; past the ceiling the closed-form
-            solve is meaningless and we fail loudly rather than
-            regularize.
-
-    Raises:
-        ConditioningError: If a Cholesky factorization fails or the
-            condition estimate exceeds ``cond_ceiling``.
-    """
+def _factor(cfg):
+    """Assemble, factorize and condition-estimate the Gram for ``cfg``."""
     g_re, g_im = gram_blocks(cfg)
     try:
         chol_re = scipy.linalg.cholesky(g_re, lower=True)
@@ -131,13 +118,56 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
     norm_re, inv_re = _one_norm_cond(g_re, chol_re)
     norm_im, inv_im = _one_norm_cond(g_im, chol_im)
     cond = max(norm_re, norm_im) * max(inv_re, inv_im)
-    if cond > cond_ceiling:
-        raise ConditioningError(
-            f"Gram condition estimate {cond:.3e} exceeds ceiling {cond_ceiling:.3e} "
-            f"for M={cfg.M}, gamma={cfg.gamma:g}",
-            cond_estimate=cond,
-        )
     return GramMatrix(cfg, g_re, g_im, chol_re, chol_im, float(cond))
+
+
+# The last configuration that assembled under its ceiling, as one
+# (ArrayConfig, GramMatrix) pair. It is replaced as a whole, so a reader
+# in another thread sees either the old pair or the new one.
+_cached = None
+
+
+def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
+    """The factorized Gram matrix for ``cfg``, assembled once per
+    configuration.
+
+    The Gram depends on the array alone, so the last one assembled is
+    kept in a single slot keyed on ``cfg`` and the same read-only object
+    is returned while ``cfg`` repeats. A different configuration drops
+    that object before assembling its own, so at most one cached Gram is
+    alive at a time. The ceiling is checked on every call against the
+    stored condition estimate, and a configuration that raises is not
+    cached.
+
+    Args:
+        cfg: Array configuration.
+        cond_ceiling: Hard ceiling on the 1-norm condition estimate. The
+            matrix is positive definite in exact arithmetic for every
+            M and gamma, but closely spaced frequencies (gamma << 1) make
+            it numerically singular; past the ceiling the closed-form
+            solve is meaningless and we fail loudly rather than
+            regularize.
+
+    Raises:
+        ConditioningError: If a Cholesky factorization fails or the
+            condition estimate exceeds ``cond_ceiling``.
+    """
+    global _cached
+    entry = _cached
+    if entry is not None and entry[0] == cfg:
+        gram = entry[1]
+    else:
+        _cached = entry = None
+        gram = _factor(cfg)
+    if gram.cond_estimate > cond_ceiling:
+        raise ConditioningError(
+            f"Gram condition estimate {gram.cond_estimate:.3e} exceeds ceiling "
+            f"{cond_ceiling:.3e} for M={cfg.M}, gamma={cfg.gamma:g}",
+            cond_estimate=gram.cond_estimate,
+        )
+    if entry is None:
+        _cached = (cfg, gram)
+    return gram
 
 
 @dataclass(frozen=True)
@@ -174,7 +204,10 @@ def solve(gram, y):
     """Solve G b = y blockwise from the Cholesky factors.
 
     One step of iterative refinement follows each triangular solve, so the
-    residual stays at the backward-stable floor. Returns TrigCoeffs in the
+    residual stays at the backward-stable floor. The factors were checked
+    finite when they were computed and are read-only, and the right-hand
+    side is a validated MeasurementVector, so the triangular solves skip
+    scipy's finiteness checks. Returns TrigCoeffs in the
     [constant | cosine | sine] layout.
     """
     y_arr = y.y if isinstance(y, MeasurementVector) else MeasurementVector(y).y
@@ -187,8 +220,8 @@ def solve(gram, y):
     def refine(block, factor, rhs):
         if rhs.size == 0:
             return rhs.copy()
-        sol = scipy.linalg.cho_solve((factor, True), rhs)
-        sol += scipy.linalg.cho_solve((factor, True), rhs - block @ sol)
+        sol = scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)
+        sol += scipy.linalg.cho_solve((factor, True), rhs - block @ sol, check_finite=False)
         return sol
 
     cos_part = refine(gram.g_re, gram.chol_re, y_arr[:M])

@@ -1,6 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from apsrec import gram as gram_module
 from apsrec.core import ArrayConfig, CovarianceLags, TrigCoeffs, trig_basis
 from apsrec.errors import ConditioningError
 from apsrec.gram import (
@@ -189,6 +194,66 @@ def test_custom_ceiling():
         assemble_gram(ArrayConfig(8, 1.0), cond_ceiling=5.0)
     assert excinfo.value.cond_estimate is not None
     assert excinfo.value.cond_estimate > 5.0
+
+
+def test_cache_returns_same_object_for_equal_configs():
+    assert assemble_gram(ArrayConfig(64, 1)) is assemble_gram(ArrayConfig(64, 1.0))
+
+
+def test_cache_drops_previous_gram_before_assembly(monkeypatch):
+    # At most one cached Gram may be alive: the old entry must be gone
+    # by the time the next configuration's blocks are built.
+    gram = assemble_gram(ArrayConfig(7, 1.0))
+    ref = weakref.ref(gram)
+    del gram
+    alive_during_assembly = []
+    blocks = gram_module.gram_blocks
+
+    def recording_blocks(cfg):
+        alive_during_assembly.append(ref() is not None)
+        return blocks(cfg)
+
+    monkeypatch.setattr(gram_module, "gram_blocks", recording_blocks)
+    assemble_gram(ArrayConfig(8, 1.0))
+    gc.collect()
+    assert ref() is None
+    assert alive_during_assembly == [False]
+
+
+def test_cache_checks_ceiling_on_every_call():
+    cfg = ArrayConfig(8, 1.0)
+    gram = assemble_gram(cfg)
+    with pytest.raises(ConditioningError) as excinfo:
+        assemble_gram(cfg, cond_ceiling=5.0)
+    assert excinfo.value.cond_estimate > 5.0
+    assert assemble_gram(cfg) is gram
+
+
+def test_cache_never_holds_a_failing_config():
+    for _ in range(2):
+        with pytest.raises(ConditioningError):
+            assemble_gram(ArrayConfig(12, 0.5))
+
+
+@pytest.mark.parametrize("m", [1, 2, 64, 1024])
+def test_solve_bit_identical_to_checked_cho_solve(m, rng):
+    cfg = ArrayConfig(m, 1.0)
+    gram = assemble_gram(cfg)
+    assert assemble_gram(cfg) is gram
+    y = rng.uniform(-1, 1, gram.size)
+
+    def checked(block, factor, rhs):
+        if rhs.size == 0:
+            return rhs.copy()
+        sol = scipy.linalg.cho_solve((factor, True), rhs, check_finite=True)
+        sol += scipy.linalg.cho_solve((factor, True), rhs - block @ sol, check_finite=True)
+        return sol
+
+    expected = np.concatenate([
+        checked(gram.g_re, gram.chol_re, y[:m]),
+        checked(gram.g_im, gram.chol_im, y[m:]),
+    ])
+    assert np.array_equal(solve(gram, y).b, expected)
 
 
 class TestMeasurementVector:

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,20 @@ def test_recovery_deterministic():
     second = recover(lags, cfg)
     assert np.array_equal(first.coeffs.b, second.coeffs.b)
     assert first.constraint_residual == second.constraint_residual
+
+
+def test_recovery_from_threads_matches_serial(rng):
+    # Threads share one cached Gram; each must get the serial answer.
+    cfg = ArrayConfig(64, 1.0)
+    stream = [rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M) for _ in range(8)]
+    for lags in stream:
+        lags[0] = abs(lags[0])
+    serial = [recover(lags, cfg).coeffs.b for lags in stream]
+    assemble_gram(ArrayConfig(5, 1.0))  # start the threads on a cache miss
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda lags: recover(lags, cfg).coeffs.b, stream))
+    for expected, got in zip(serial, threaded):
+        assert np.array_equal(got, expected)
 
 
 def test_linearity_in_lags(rng):
