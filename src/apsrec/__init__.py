@@ -72,16 +72,7 @@ from .plv import (
     recover,
     recover_from_matrix,
 )
-from .quad import (
-    QuadratureRule,
-    chebyshev_gauss,
-    gauss_legendre,
-    integrate_theta,
-    integrate_theta_complex,
-    weighted_inner,
-    weighted_inner_complex,
-    weighted_integral,
-)
+from .quad import QuadratureRule, chebyshev_gauss, gauss_legendre
 from .specfun import bessel_j0, bessel_j0_quadrature_oracle
 
 __version__ = "0.1.0"
@@ -124,8 +115,6 @@ __all__ = [
     "evaluate_trig",
     "gauss_legendre",
     "gram_blocks",
-    "integrate_theta",
-    "integrate_theta_complex",
     "lags_from_toeplitz",
     "measurement_vector",
     "negativity_summary",
@@ -139,7 +128,4 @@ __all__ = [
     "toeplitz_from_lags",
     "transform_aps",
     "trig_basis",
-    "weighted_inner",
-    "weighted_inner_complex",
-    "weighted_integral",
 ]

@@ -8,6 +8,7 @@ parts, so the full (2M-1)-dimensional system decouples into two
 independent symmetric positive-definite blocks.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +122,20 @@ def _factor(cfg):
     return GramMatrix(cfg, g_re, g_im, chol_re, chol_im, float(cond))
 
 
-# The last configuration that assembled under its ceiling, as one
-# (ArrayConfig, GramMatrix) pair. It is replaced as a whole, so a reader
-# in another thread sees either the old pair or the new one.
+# The workspace of the last configuration that assembled under its
+# ceiling: one (ArrayConfig, GramMatrix, tables) entry, with ``tables``
+# mapping a caller's key to a read-only tuple of arrays. An entry is
+# replaced as a whole, never changed in place, so a reader sees the old
+# entry or the new one. ``_lock`` makes adding a table a read-modify-write
+# of the current entry, so it never drops another thread's table or
+# brings back a dropped entry.
 _cached = None
+_lock = threading.Lock()
+
+# A larger table is built per call: the audit's 42 MB table at M = 1024,
+# kept next to the 32 MB Gram, raised the peak resident memory of an
+# M = 1024 stream by 16 MB.
+_MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 
 def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
@@ -132,12 +143,12 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
     configuration.
 
     The Gram depends on the array alone, so the last one assembled is
-    kept in a single slot keyed on ``cfg`` and the same read-only object
-    is returned while ``cfg`` repeats. A different configuration drops
-    that object before assembling its own, so at most one cached Gram is
-    alive at a time. The ceiling is checked on every call against the
-    stored condition estimate, and a configuration that raises is not
-    cached.
+    kept in a single workspace slot keyed on ``cfg``, and the same
+    read-only object is returned while ``cfg`` repeats. A different
+    configuration drops the whole workspace (the Gram and every table
+    kept with it) before assembling its own, so at most one is alive at a
+    time. The ceiling is checked on every call against the stored
+    condition estimate, and a configuration that raises is not cached.
 
     Args:
         cfg: Array configuration.
@@ -153,12 +164,11 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
             condition estimate exceeds ``cond_ceiling``.
     """
     global _cached
-    entry = _cached
-    if entry is not None and entry[0] == cfg:
-        gram = entry[1]
-    else:
-        _cached = entry = None
-        gram = _factor(cfg)
+    with _lock:
+        entry = _cached
+        if entry is None or entry[0] != cfg:
+            _cached = entry = None
+    gram = entry[1] if entry is not None else _factor(cfg)
     if gram.cond_estimate > cond_ceiling:
         raise ConditioningError(
             f"Gram condition estimate {gram.cond_estimate:.3e} exceeds ceiling "
@@ -166,8 +176,29 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
             cond_estimate=gram.cond_estimate,
         )
     if entry is None:
-        _cached = (cfg, gram)
+        with _lock:
+            _cached = (cfg, gram, {})
     return gram
+
+
+def _kept_table(cfg, key):
+    """The table kept under ``key`` in the workspace of ``cfg``, or None."""
+    entry = _cached
+    if entry is None or entry[0] != cfg:
+        return None
+    return entry[2].get(key)
+
+
+def _keep_table(cfg, key, table):
+    """Keep ``table`` under ``key`` if the slot holds ``cfg`` and the
+    table is small enough; a table never evicts or outlives its Gram."""
+    global _cached
+    if sum(array.nbytes for array in table) > _MAX_KEPT_TABLE_BYTES:
+        return
+    with _lock:
+        entry = _cached
+        if entry is not None and entry[0] == cfg:
+            _cached = (cfg, entry[1], {**entry[2], key: table})
 
 
 @dataclass(frozen=True)
@@ -206,9 +237,9 @@ def solve(gram, y):
     One step of iterative refinement follows each triangular solve, so the
     residual stays at the backward-stable floor. The factors were checked
     finite when they were computed and are read-only, and the right-hand
-    side is a validated MeasurementVector, so the triangular solves skip
-    scipy's finiteness checks. Returns TrigCoeffs in the
-    [constant | cosine | sine] layout.
+    side is a validated MeasurementVector, so each solve calls LAPACK's
+    ``dpotrs`` directly, without scipy's checking wrapper. Returns
+    TrigCoeffs in the [constant | cosine | sine] layout.
     """
     y_arr = y.y if isinstance(y, MeasurementVector) else MeasurementVector(y).y
     if y_arr.size != gram.size:
@@ -217,11 +248,17 @@ def solve(gram, y):
         )
     M = gram.cfg.M
 
+    def potrs(factor, rhs):
+        sol, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return sol
+
     def refine(block, factor, rhs):
         if rhs.size == 0:
             return rhs.copy()
-        sol = scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)
-        sol += scipy.linalg.cho_solve((factor, True), rhs - block @ sol, check_finite=False)
+        sol = potrs(factor, rhs)
+        sol += potrs(factor, rhs - block @ sol)
         return sol
 
     cos_part = refine(gram.g_re, gram.chol_re, y_arr[:M])

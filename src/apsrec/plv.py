@@ -27,23 +27,26 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
-    evaluate_trig,
     lags_from_toeplitz,
     seams_x,
     transform_aps,
     trig_basis,
 )
 from .errors import DomainError, FeasibilityWarning
-from .gram import assemble_gram, measurement_vector, solve
+from .gram import _keep_table, _kept_table, assemble_gram, measurement_vector, solve
 from .quad import CHEBYSHEV_GAUSS, chebyshev_gauss, weighted_quadrature_points
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 def _auto_nodes(cfg):
-    # Enough panels to resolve products of basis functions at the top
+    # Enough nodes to resolve products of basis functions at the top
     # frequency 2*kappa_{M-1}; generous floor for small arrays.
     return max(256, int(4 * cfg.gamma * cfg.M) + 64)
+
+
+def _negativity_nodes(cfg):
+    return max(2048, _auto_nodes(cfg))
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,56 @@ class PlvSolution:
 
     def g(self, x):
         """Transformed density g(x) of the reconstruction."""
-        return evaluate_trig(self.cfg, self.coeffs, x)
+        basis = _grid_basis(self.cfg, np.atleast_1d(np.asarray(x, dtype=np.float64)))
+        values = basis @ self.coeffs.b
+        return values[0] if np.ndim(x) == 0 else values
 
     def rho(self, theta):
         """Angular density rho(theta) = g(sin theta) of the reconstruction."""
         return self.g(np.sin(np.asarray(theta, dtype=np.float64)))
+
+
+def _grid_basis(cfg, x):
+    """trig_basis(cfg, x), kept in the configuration's workspace for the
+    last grid evaluated there; the key is a read-only copy of ``x``."""
+    kept = _kept_table(cfg, "grid")
+    if kept is not None and np.array_equal(kept[0], x):
+        return kept[1]
+    basis = trig_basis(cfg, x)
+    grid = x.copy()
+    grid.setflags(write=False)
+    basis.setflags(write=False)
+    _keep_table(cfg, "grid", (grid, basis))
+    return basis
+
+
+def _power_table(cfg, nodes):
+    """Weights and M-by-half complex power table of the half rule.
+
+    Kept in the configuration's workspace (up to its size cap) at the
+    audit's and the negativity summary's default node counts; any other
+    count is built per call.
+    """
+    kept = _kept_table(cfg, nodes)
+    if kept is not None:
+        return kept
+    points, weights = weighted_quadrature_points(nodes)
+    half = nodes // 2
+    x = points[half:].copy()
+    w = weights[half:].copy()
+    if nodes % 2:
+        x[0] = 0.0
+        w[0] *= 0.5
+    step = np.exp(1j * cfg.gamma * np.pi * x)
+    powers = np.empty((cfg.M, x.size), dtype=np.complex128)
+    powers[0] = 1.0
+    for m in range(1, cfg.M):
+        np.multiply(powers[m - 1], step, out=powers[m])
+    w.setflags(write=False)
+    powers.setflags(write=False)
+    if nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
+        _keep_table(cfg, nodes, (w, powers))
+    return w, powers
 
 
 def _half_rule(cfg, coeffs, nodes):
@@ -84,18 +132,7 @@ def _half_rule(cfg, coeffs, nodes):
         (w, powers, even, odd): the half-rule weights, the M-by-half
         complex power table, and the parts e and o.
     """
-    points, weights = weighted_quadrature_points(nodes)
-    half = nodes // 2
-    x = points[half:].copy()
-    w = weights[half:].copy()
-    if nodes % 2:
-        x[0] = 0.0
-        w[0] *= 0.5
-    step = np.exp(1j * cfg.gamma * np.pi * x)
-    powers = np.empty((cfg.M, x.size), dtype=np.complex128)
-    powers[0] = 1.0
-    for m in range(1, cfg.M):
-        np.multiply(powers[m - 1], step, out=powers[m])
+    w, powers = _power_table(cfg, nodes)
     b = coeffs.b
     even = (b[:cfg.M] @ powers).real
     odd = (b[cfg.M:] @ powers[1:]).imag
@@ -229,7 +266,7 @@ def negativity_summary(solution, nodes=None):
     """
     cfg = solution.cfg
     if nodes is None:
-        nodes = max(2048, _auto_nodes(cfg))
+        nodes = _negativity_nodes(cfg)
     w, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))

@@ -16,6 +16,7 @@ from apsrec.gram import (
     measurement_vector,
     solve,
 )
+from apsrec.plv import evaluate_solution, negativity_summary, recover
 from apsrec.quad import chebyshev_gauss, weighted_quadrature_points
 from apsrec.specfun import bessel_j0
 
@@ -233,6 +234,73 @@ def test_cache_never_holds_a_failing_config():
     for _ in range(2):
         with pytest.raises(ConditioningError):
             assemble_gram(ArrayConfig(12, 0.5))
+
+
+def _filled_workspace(cfg, rng):
+    """recover, evaluate and summarize at ``cfg``, so the workspace holds
+    the Gram, both power tables and a grid basis."""
+    lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+    lags[0] = abs(lags[0]) + cfg.M
+    solution = recover(lags, cfg)
+    evaluate_solution(solution, np.linspace(-np.pi / 2, np.pi / 2, 31))
+    negativity_summary(solution)
+    return gram_module._cached
+
+
+def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
+    # One slot: the old Gram and every table kept with it must be gone
+    # by the time the next configuration's blocks are built.
+    entry = _filled_workspace(ArrayConfig(7, 1.0), rng)
+    assert entry[0] == ArrayConfig(7, 1.0)
+    assert len(entry[2]) == 3  # audit and summary power tables, grid basis
+    refs = [weakref.ref(entry[1])]
+    refs += [weakref.ref(array) for table in entry[2].values() for array in table]
+    del entry
+    alive_during_assembly = []
+    blocks = gram_module.gram_blocks
+
+    def recording_blocks(cfg):
+        alive_during_assembly.append([ref() is not None for ref in refs])
+        return blocks(cfg)
+
+    monkeypatch.setattr(gram_module, "gram_blocks", recording_blocks)
+    assemble_gram(ArrayConfig(8, 1.0))
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert alive_during_assembly == [[False] * len(refs)]
+
+
+@pytest.mark.parametrize("failing", [ArrayConfig(12, 0.5), ArrayConfig(8, 1e-6)],
+                         ids=["ceiling", "cholesky"])
+def test_failing_config_leaves_no_workspace(failing, rng):
+    _filled_workspace(ArrayConfig(7, 1.0), rng)
+    with pytest.raises(ConditioningError):
+        assemble_gram(failing)
+    assert gram_module._cached is None
+
+
+def test_workspace_tables_read_only(rng):
+    entry = _filled_workspace(ArrayConfig(9, 1.0), rng)
+    arrays = [array for table in entry[2].values() for array in table]
+    assert len(arrays) == 6
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_workspace_keeps_only_default_counts_and_small_tables(rng):
+    cfg = ArrayConfig(10, 1.0)
+    solution = recover(np.ones(cfg.M, dtype=complex), cfg)
+    negativity_summary(solution, nodes=300)
+    negativity_summary(solution)
+    assert gram_module._cached[0] == cfg
+    assert sorted(gram_module._cached[2]) == [256, 2048]
+    # At M = 1024 the audit's table is 42 MB, above the kept size.
+    big = ArrayConfig(1024, 1.0)
+    recover(np.ones(big.M, dtype=complex), big)
+    assert gram_module._cached[0] == big
+    assert gram_module._cached[2] == {}
 
 
 @pytest.mark.parametrize("m", [1, 2, 64, 1024])

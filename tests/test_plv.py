@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ from apsrec.core import (
     transform_aps,
     trig_basis,
 )
+from apsrec import gram as gram_module
 from apsrec import plv
 from apsrec.errors import DomainError, FeasibilityWarning, StructureError
 from apsrec.forward import SynthesisOptions, synthesize_lags
@@ -81,17 +83,53 @@ def test_recovery_deterministic():
 
 
 def test_recovery_from_threads_matches_serial(rng):
-    # Threads share one cached Gram; each must get the serial answer.
+    # Threads share one workspace (the Gram and its tables); each must get
+    # the serial answer for the whole recover, evaluate, summarize op.
     cfg = ArrayConfig(64, 1.0)
+    theta = np.linspace(-np.pi / 2, np.pi / 2, 181)
     stream = [rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M) for _ in range(8)]
     for lags in stream:
         lags[0] = abs(lags[0])
-    serial = [recover(lags, cfg).coeffs.b for lags in stream]
+
+    def op(lags):
+        solution = recover(lags, cfg)
+        values = evaluate_solution(solution, theta).values
+        return solution.coeffs.b, solution.constraint_residual, values, negativity_summary(solution)
+
+    serial = [op(lags) for lags in stream]
     assemble_gram(ArrayConfig(5, 1.0))  # start the threads on a cache miss
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda lags: recover(lags, cfg).coeffs.b, stream))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(op, stream, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for expected, got in zip(serial, threaded):
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+        assert np.array_equal(got[2], expected[2])
+        assert got[3] == expected[3]
+    # Each op adds its tables after any store of a fresh entry, so a lost
+    # update is the only way one could be missing here.
+    entry = gram_module._cached
+    assert entry[0] == cfg
+    assert sorted(map(str, entry[2])) == ["2048", "320", "grid"]
+
+
+def test_grid_key_is_a_copy(rng):
+    # Changing the caller's grid in place must not leave a stale basis.
+    cfg = ArrayConfig(16, 1.0)
+    lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+    lags[0] = abs(lags[0]) + cfg.M
+    solution = recover(lags, cfg)
+    x = np.linspace(-1, 1, 41)
+    first = evaluate_solution(solution, x, Domain.X).values
+    assert np.array_equal(first, trig_basis(cfg, x) @ solution.coeffs.b)
+    x *= 0.5
+    again = evaluate_solution(solution, x, Domain.X).values
+    assert np.array_equal(again, trig_basis(cfg, x) @ solution.coeffs.b)
+    assert np.array_equal(solution.g(x), trig_basis(cfg, x) @ solution.coeffs.b)
 
 
 def test_linearity_in_lags(rng):

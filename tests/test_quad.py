@@ -8,12 +8,14 @@ from apsrec.quad import (
     GAUSS_LEGENDRE,
     chebyshev_gauss,
     gauss_legendre,
+    weighted_quadrature_points,
+)
+from quad_helpers import (
     integrate_theta,
     integrate_theta_complex,
     weighted_inner,
     weighted_inner_complex,
     weighted_integral,
-    weighted_quadrature_points,
 )
 
 # Frozen through the Bessel quadrature oracle (see test_specfun).
