@@ -53,9 +53,10 @@ def gram_blocks(cfg):
 class GramMatrix:
     """Assembled and factorized Gram matrix for one array configuration.
 
-    ``chol_re`` and ``chol_im`` are lower-triangular Cholesky factors;
-    ``cond_estimate`` is the 1-norm condition number of the full
-    block-diagonal matrix, with ||G^-1||_1 taken from LAPACK's
+    ``chol_re`` and ``chol_im`` are lower-triangular Cholesky factors
+    from LAPACK's ``dpotrf``, in column-major order and zero above the
+    diagonal; ``cond_estimate`` is the 1-norm condition number of the
+    full block-diagonal matrix, with ||G^-1||_1 taken from LAPACK's
     Hager/Higham estimator (``dpocon``) on the Cholesky factors. That
     estimate is a lower bound: exact near the default ceiling and within
     about 15 % of the true value for well-conditioned arrays. All arrays
@@ -106,16 +107,23 @@ def _one_norm_cond(block, factor):
 def _factor(cfg):
     """Assemble, factorize and condition-estimate the Gram for ``cfg``."""
     g_re, g_im = gram_blocks(cfg)
-    try:
-        chol_re = scipy.linalg.cholesky(g_re, lower=True)
-        chol_im = (
-            scipy.linalg.cholesky(g_im, lower=True) if cfg.M > 1 else np.zeros((0, 0))
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"Gram factorization failed for M={cfg.M}, gamma={cfg.gamma:g}: "
-            f"matrix is numerically indefinite ({exc})"
-        ) from exc
+
+    def potrf(block):
+        # The block is exactly symmetric, so its transpose is the same
+        # matrix in column-major order and LAPACK needs no transposing copy.
+        factor, info = scipy.linalg.lapack.dpotrf(block.T, lower=1, clean=1)
+        if info > 0:
+            raise ConditioningError(
+                f"Gram factorization failed for M={cfg.M}, gamma={cfg.gamma:g}: "
+                f"matrix is numerically indefinite (leading minor {info} is "
+                "not positive definite)"
+            )
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        return factor
+
+    chol_re = potrf(g_re)
+    chol_im = potrf(g_im) if cfg.M > 1 else np.zeros((0, 0))
     norm_re, inv_re = _one_norm_cond(g_re, chol_re)
     norm_im, inv_im = _one_norm_cond(g_im, chol_im)
     cond = max(norm_re, norm_im) * max(inv_re, inv_im)
@@ -132,9 +140,10 @@ def _factor(cfg):
 _cached = None
 _lock = threading.Lock()
 
-# A larger table is built per call: the audit's 42 MB table at M = 1024,
-# kept next to the 32 MB Gram, raised the peak resident memory of an
-# M = 1024 stream by 16 MB.
+# A larger table is not kept: the audit's 42 MB table at M = 1024, kept
+# next to the 32 MB Gram, raised the peak resident memory of an M = 1024
+# stream by 16 MB. A larger power table is not even built whole; the
+# half-rule kernel generates it in row blocks.
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 

@@ -33,7 +33,8 @@ from .core import (
     trig_basis,
 )
 from .errors import DomainError, FeasibilityWarning
-from .gram import _keep_table, _kept_table, assemble_gram, measurement_vector, solve
+from .gram import _MAX_KEPT_TABLE_BYTES, _keep_table, _kept_table
+from .gram import assemble_gram, measurement_vector, solve
 from .quad import CHEBYSHEV_GAUSS, chebyshev_gauss, weighted_quadrature_points
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -88,12 +89,22 @@ def _grid_basis(cfg, x):
     return basis
 
 
-def _power_table(cfg, nodes):
-    """Weights and M-by-half complex power table of the half rule.
+# Rows per block of a power table too large to keep: 16 rows of the
+# M = 1024 audit's table take about 0.7 MB, so a block is consumed while
+# it is still in cache.
+_BLOCK_ROWS = 16
 
-    Kept in the configuration's workspace (up to its size cap) at the
-    audit's and the negativity summary's default node counts; any other
-    count is built per call.
+
+def _power_table(cfg, nodes):
+    """Weights and complex power table of the half rule, with rows
+    exp(i kappa_m x_j) = step_j**m for step_j = exp(i gamma pi x_j).
+
+    A table within the workspace's size cap has all M rows, and is kept
+    there at the audit's and the negativity summary's default node
+    counts; any other count is built per call. A larger table is never
+    built whole: only its first ``_BLOCK_ROWS`` rows are, and
+    :func:`_row_blocks` generates all of its blocks from them on each
+    pass.
     """
     kept = _kept_table(cfg, nodes)
     if kept is not None:
@@ -106,15 +117,30 @@ def _power_table(cfg, nodes):
         x[0] = 0.0
         w[0] *= 0.5
     step = np.exp(1j * cfg.gamma * np.pi * x)
-    powers = np.empty((cfg.M, x.size), dtype=np.complex128)
+    whole = w.nbytes + cfg.M * step.nbytes <= _MAX_KEPT_TABLE_BYTES
+    rows = cfg.M if whole else min(_BLOCK_ROWS, cfg.M)
+    powers = np.empty((rows, x.size), dtype=np.complex128)
     powers[0] = 1.0
-    for m in range(1, cfg.M):
+    for m in range(1, len(powers)):
         np.multiply(powers[m - 1], step, out=powers[m])
     w.setflags(write=False)
     powers.setflags(write=False)
-    if nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
+    if whole and nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
         _keep_table(cfg, nodes, (w, powers))
     return w, powers
+
+
+def _row_blocks(powers, M):
+    """Yield (start, rows) blocks of the M-row power table whose first
+    len(powers) rows are ``powers``: each block is ``powers`` times
+    step**start, and is overwritten by the next."""
+    shift, stride = np.ones_like(powers[0]), powers[-1] * powers[1]
+    block = np.empty_like(powers)
+    for start in range(0, M, len(powers)):
+        rows = block[:min(len(powers), M - start)]
+        np.multiply(powers[:len(rows)], shift, out=rows)
+        yield start, rows
+        shift *= stride
 
 
 def _half_rule(cfg, coeffs, nodes):
@@ -122,20 +148,26 @@ def _half_rule(cfg, coeffs, nodes):
 
     The rule's abscissae ascend and are symmetric about x = 0, so g(x_j)
     and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
-    odd parts of g on the nodes x_j >= 0. The M-row table of
-    exp(i kappa_m x_j) is built as powers of exp(i gamma pi x_j); then
-    e = b_cos . Re and o = b_sin . Im of that table. For odd ``nodes``
-    the middle node is snapped to x = 0 and kept at half weight, so a sum
-    over both halves counts it once.
+    odd parts of g on the nodes x_j >= 0. With the M-row table of
+    exp(i kappa_m x_j), e = b_cos . Re and o = b_sin . Im of that table:
+    one product each for a whole table, summed over its row blocks for a
+    table too large to build whole. For odd ``nodes`` the middle node is
+    snapped to x = 0 and kept at half weight, so a sum over both halves
+    counts it once.
 
     Returns:
-        (w, powers, even, odd): the half-rule weights, the M-by-half
-        complex power table, and the parts e and o.
+        (w, powers, even, odd): the half-rule weights, the power table of
+        :func:`_power_table`, and the parts e and o.
     """
     w, powers = _power_table(cfg, nodes)
-    b = coeffs.b
-    even = (b[:cfg.M] @ powers).real
-    odd = (b[cfg.M:] @ powers[1:]).imag
+    b, M = coeffs.b, cfg.M
+    if len(powers) == M:
+        return w, powers, (b[:M] @ powers).real, (b[M:] @ powers[1:]).imag
+    even, odd = np.zeros(w.size), np.zeros(w.size)
+    for start, block in _row_blocks(powers, M):
+        stop, skip = start + len(block), int(start == 0)  # row 0 has no sine
+        even += (b[start:stop] @ block).real
+        odd += (b[M - 1 + start + skip:M - 1 + stop] @ block[skip:]).imag
     return w, powers, even, odd
 
 
@@ -144,11 +176,15 @@ def _lags_of_coeffs(cfg, coeffs, nodes):
     Chebyshev-Gauss quadrature, independent of the closed-form Gram.
 
     exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so over the
-    half rule of :func:`_half_rule`
+    half rule of :func:`_half_rule`, a whole table or block by block,
     r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)).
     """
     w, powers, even, odd = _half_rule(cfg, coeffs, nodes)
-    return 2.0 * ((powers @ (w * even)).real + 1j * (powers @ (w * odd)).imag)
+    w_even, w_odd = w * even, w * odd
+    if len(powers) == cfg.M:
+        return 2.0 * ((powers @ w_even).real + 1j * (powers @ w_odd).imag)
+    return np.concatenate([2.0 * ((block @ w_even).real + 1j * (block @ w_odd).imag)
+                           for _, block in _row_blocks(powers, cfg.M)])
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,

@@ -181,6 +181,29 @@ def test_conditioning_error_for_tiny_gamma():
         assemble_gram(ArrayConfig(8, 1e-6))
 
 
+def test_indefinite_factorization_names_configuration():
+    with pytest.raises(ConditioningError) as excinfo:
+        assemble_gram(ArrayConfig(8, 1e-6))
+    message = str(excinfo.value)
+    assert "M=8" in message
+    assert "gamma=1e-06" in message
+    assert "numerically indefinite" in message
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 1024])
+def test_factors_match_scipy_cholesky(m):
+    # LAPACK factorizes the symmetric blocks in column-major order; the
+    # factors are those of scipy's row-major cholesky, bit for bit.
+    gram = assemble_gram(ArrayConfig(m, 1.13))
+    assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
+    assert gram.chol_re.flags.f_contiguous
+    if m > 1:
+        assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
+        assert gram.chol_im.flags.f_contiguous
+    else:
+        assert gram.chol_im.shape == (0, 0)
+
+
 def test_conditioning_ceiling_reported():
     # gamma = 0.5 at M = 12 is numerically near-singular (cond ~ 1e16):
     # either the factorization fails or the ceiling trips; both must

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,6 +26,7 @@ from apsrec.forward import SynthesisOptions, synthesize_lags
 from apsrec.gram import assemble_gram, measurement_vector, solve
 from apsrec.plv import (
     DEFAULT_RESIDUAL_TOL,
+    NegativitySummary,
     PlvSolution,
     evaluate_solution,
     negativity_summary,
@@ -178,6 +180,85 @@ def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng):
     audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
     assert audit.shape == (m,)
     assert np.max(np.abs(audit - direct)) <= 1e-11 * (1.0 + np.max(np.abs(direct)))
+
+
+def whole_table_half_rule(cfg, b, nodes):
+    # The half-rule kernel with the whole M-row power table built at once.
+    points, weights = weighted_quadrature_points(nodes)
+    half = nodes // 2
+    x = points[half:].copy()
+    w = weights[half:].copy()
+    if nodes % 2:
+        x[0] = 0.0
+        w[0] *= 0.5
+    step = np.exp(1j * cfg.gamma * np.pi * x)
+    powers = np.empty((cfg.M, x.size), dtype=np.complex128)
+    powers[0] = 1.0
+    for m in range(1, cfg.M):
+        powers[m] = powers[m - 1] * step
+    even = (b[:cfg.M] @ powers).real
+    odd = (b[cfg.M:] @ powers[1:]).imag
+    lags = 2.0 * ((powers @ (w * even)).real + 1j * (powers @ (w * odd)).imag)
+    upper, lower = even + odd, even - odd
+    grid_min = float(min(upper.min(), lower.min()))
+    abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))
+    neg_mass = float(w @ (np.maximum(-upper, 0.0) + np.maximum(-lower, 0.0)))
+    return lags, NegativitySummary(grid_min, neg_mass / abs_mass)
+
+
+def test_kept_table_kernel_bit_identical_to_whole_table(rng):
+    # At M = 64 every table is walked as one block, with the arithmetic
+    # of the whole-table formula, whether built per call or kept.
+    cfg = ArrayConfig(64, 1.0)
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    solution = PlvSolution(coeffs, 0.0, cfg)
+    assemble_gram(cfg)
+    audit_nodes, summary_nodes = plv._auto_nodes(cfg), plv._negativity_nodes(cfg)
+    for nodes in (audit_nodes, audit_nodes + 1, summary_nodes, summary_nodes + 1):
+        lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
+        for _ in range(2):  # built, then kept at the default counts
+            assert np.array_equal(plv._lags_of_coeffs(cfg, coeffs, nodes), lags)
+            assert negativity_summary(solution, nodes) == summary
+    assert sorted(gram_module._cached[2]) == [audit_nodes, summary_nodes]
+    assert negativity_summary(solution) == whole_table_half_rule(
+        cfg, coeffs.b, summary_nodes)[1]
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+    recovered = recover(lags, cfg)
+    audit = whole_table_half_rule(cfg, recovered.coeffs.b, audit_nodes)[0]
+    assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.25])
+def test_block_wise_kernel_matches_whole_table(gamma, rng):
+    # At M = 1024 the tables exceed the kept size and are walked in row
+    # blocks; the sums regroup, so agreement is to rounding.
+    cfg = ArrayConfig(1024, gamma)
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    nodes = plv._auto_nodes(cfg)
+    lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
+    audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
+    assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
+    blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg), nodes)
+    assert abs(blocked.min_value - summary.min_value) <= 1e-12 * (
+        1.0 + abs(summary.min_value))
+    assert abs(blocked.negative_fraction - summary.negative_fraction) <= 1e-12
+
+
+def test_block_wise_kernel_builds_no_whole_table(rng):
+    # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB.
+    cfg = ArrayConfig(1024, 1.25)
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    solution = PlvSolution(coeffs, 0.0, cfg)
+    nodes = plv._auto_nodes(cfg)
+    for run in (lambda: plv._lags_of_coeffs(cfg, coeffs, nodes),
+                lambda: negativity_summary(solution)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def test_residual_audit_catches_wrong_coefficient(monkeypatch):

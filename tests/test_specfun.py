@@ -48,8 +48,10 @@ def test_oracle_agreement_sweep():
 
 def test_scipy_cross_check():
     # Third, independent route: guards against correlated errors between
-    # the series/asymptotic coefficients and the quadrature oracle.
-    z = np.linspace(0.0, 200.0, 20001)
+    # the series/asymptotic coefficients and the quadrature oracle. The
+    # range ends at the largest Gram argument, gamma pi (2M-2) at M = 1024
+    # and gamma = 1.25.
+    z = np.linspace(0.0, 1.25 * np.pi * 2046, 400001)
     assert np.max(np.abs(bessel_j0(z) - scipy.special.j0(z))) <= 5e-13
 
 
