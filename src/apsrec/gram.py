@@ -8,11 +8,15 @@ parts, so the full (2M-1)-dimensional system decouples into two
 independent symmetric positive-definite blocks.
 """
 
+import ctypes
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .core import ArrayConfig, CovarianceLags, TrigCoeffs
 from .errors import ConditioningError
@@ -55,8 +59,10 @@ class GramMatrix:
 
     ``chol_re`` and ``chol_im`` are lower-triangular Cholesky factors
     from LAPACK's ``dpotrf``, in column-major order and zero above the
-    diagonal; ``cond_estimate`` is the 1-norm condition number of the
-    full block-diagonal matrix, with ||G^-1||_1 taken from LAPACK's
+    diagonal, bit-identical to ``scipy.linalg.cholesky``'s whether the
+    two blocks were factorized in turn or side by side; ``cond_estimate``
+    is the 1-norm condition number of the full block-diagonal matrix,
+    with ||G||_1 from LAPACK's ``dlange`` and ||G^-1||_1 from LAPACK's
     Hager/Higham estimator (``dpocon``) on the Cholesky factors. That
     estimate is a lower bound: exact near the default ceiling and within
     about 15 % of the true value for well-conditioned arrays. All arrays
@@ -95,37 +101,114 @@ class GramMatrix:
         return float(b[:M] @ self.g_re @ b[:M] + b[M:] @ self.g_im @ b[M:])
 
 
-def _one_norm_cond(block, factor):
-    """(||A||_1, estimated ||A^-1||_1) from the lower Cholesky factor."""
-    if block.shape[0] == 0:
-        return 1.0, 1.0
-    anorm = np.linalg.norm(block, 1)
-    rcond, _ = scipy.linalg.lapack.dpocon(factor, anorm, uplo="L")
-    return anorm, (np.inf if rcond == 0.0 else 1.0 / (rcond * anorm))
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name, restype, *argtypes):
+    """A ctypes binding of one routine of scipy's Cython LAPACK API.
+
+    These are the routines scipy's own wrappers call, but a ctypes foreign
+    call releases the GIL, so two blocks can be factorized at once.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(restype, *argtypes)(address)
+
+
+_int_p = ctypes.POINTER(ctypes.c_int)
+_double_p = ctypes.POINTER(ctypes.c_double)
+_array = ctypes.c_void_p
+_dpotrf = _lapack("dpotrf", None, ctypes.c_char_p, _int_p, _array, _int_p, _int_p)
+_dlange = _lapack("dlange", ctypes.c_double,
+                  ctypes.c_char_p, _int_p, _int_p, _array, _int_p, _array)
+_dlaset = _lapack("dlaset", None, ctypes.c_char_p, _int_p, _int_p,
+                  _double_p, _double_p, _array, _int_p)
+_dpocon = _lapack("dpocon", None, ctypes.c_char_p, _int_p, _array, _int_p,
+                  _double_p, _double_p, _double_p, _int_p, _int_p)
+
+
+def _factor_block(cfg, block):
+    """Cholesky factor, ||A||_1 and estimated ||A^-1||_1 of one block.
+
+    Every LAPACK call here runs without the GIL, so the two blocks can be
+    factorized on two threads. The block is exactly symmetric, so the
+    transpose of its row-major copy is the same matrix in column-major
+    order; ``dpotrf`` factorizes that copy in place, and ``dlaset`` zeroes
+    its strict upper triangle as the upper triangle of the submatrix that
+    starts at column 1.
+
+    Raises:
+        ConditioningError: If ``dpotrf`` finds a leading minor that is
+            not positive definite.
+    """
+    n = block.shape[0]
+    if n == 0:
+        return np.zeros((0, 0)), 1.0, 1.0
+    factor = block.copy().T
+    address = factor.ctypes.data
+    size, info = ctypes.c_int(n), ctypes.c_int(0)
+    anorm = _dlange(b"1", size, size, address, size, None)
+    _dpotrf(b"L", size, address, size, info)
+    if info.value > 0:
+        raise ConditioningError(
+            f"Gram factorization failed for M={cfg.M}, gamma={cfg.gamma:g}: "
+            f"matrix is numerically indefinite (leading minor {info.value} is "
+            "not positive definite)"
+        )
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of dpotrf")
+    zero, upper = ctypes.c_double(0.0), ctypes.c_int(n - 1)
+    column_1 = address + n * factor.itemsize
+    _dlaset(b"U", upper, upper, zero, zero, column_1, size)
+    rcond = ctypes.c_double(0.0)
+    _dpocon(b"L", size, address, size, ctypes.c_double(anorm), rcond,
+            (ctypes.c_double * (3 * n))(), (ctypes.c_int * n)(), info)
+    inverse_norm = np.inf if rcond.value == 0.0 else 1.0 / (rcond.value * anorm)
+    return factor, anorm, inverse_norm
+
+
+# From this M up, ``_factor`` hands the sine block to ``_worker`` while the
+# calling thread factorizes the cosine block; below it the hand-off costs
+# more than it saves (one BLAS thread, two cores: the split was slower at
+# M = 128, even at 192 and faster from 256). A forked child gets a new executor, since the
+# parent's thread does not exist there and its queue would never drain.
+_SPLIT_MIN_M = 192
+
+
+def _new_worker():
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="apsrec-gram")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _factor(cfg):
-    """Assemble, factorize and condition-estimate the Gram for ``cfg``."""
+    """Assemble, factorize and condition-estimate the Gram for ``cfg``.
+
+    The blocks are assembled on the calling thread. From ``_SPLIT_MIN_M``
+    up, the sine block is factorized on one worker thread, shared by the
+    process and started at the first such call, while the calling thread
+    factorizes the cosine block. The worker is always waited for, and if
+    both blocks fail the cosine block's error is raised, as in the serial
+    order.
+    """
     g_re, g_im = gram_blocks(cfg)
-
-    def potrf(block):
-        # The block is exactly symmetric, so its transpose is the same
-        # matrix in column-major order and LAPACK needs no transposing copy.
-        factor, info = scipy.linalg.lapack.dpotrf(block.T, lower=1, clean=1)
-        if info > 0:
-            raise ConditioningError(
-                f"Gram factorization failed for M={cfg.M}, gamma={cfg.gamma:g}: "
-                f"matrix is numerically indefinite (leading minor {info} is "
-                "not positive definite)"
-            )
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrf")
-        return factor
-
-    chol_re = potrf(g_re)
-    chol_im = potrf(g_im) if cfg.M > 1 else np.zeros((0, 0))
-    norm_re, inv_re = _one_norm_cond(g_re, chol_re)
-    norm_im, inv_im = _one_norm_cond(g_im, chol_im)
+    if cfg.M < _SPLIT_MIN_M:
+        chol_re, norm_re, inv_re = _factor_block(cfg, g_re)
+        chol_im, norm_im, inv_im = _factor_block(cfg, g_im)
+    else:
+        sine = _worker.submit(_factor_block, cfg, g_im)
+        try:
+            chol_re, norm_re, inv_re = _factor_block(cfg, g_re)
+        finally:
+            wait([sine])
+        chol_im, norm_im, inv_im = sine.result()
     cond = max(norm_re, norm_im) * max(inv_re, inv_im)
     return GramMatrix(cfg, g_re, g_im, chol_re, chol_im, float(cond))
 

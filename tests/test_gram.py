@@ -1,4 +1,6 @@
 import gc
+import os
+import signal
 import weakref
 
 import numpy as np
@@ -190,18 +192,103 @@ def test_indefinite_factorization_names_configuration():
     assert "numerically indefinite" in message
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 64, 1024])
+SPLIT_MIN_M = gram_module._SPLIT_MIN_M
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, SPLIT_MIN_M - 1, SPLIT_MIN_M, 1024])
 def test_factors_match_scipy_cholesky(m):
-    # LAPACK factorizes the symmetric blocks in column-major order; the
-    # factors are those of scipy's row-major cholesky, bit for bit.
+    # LAPACK factorizes the symmetric blocks in column-major order, in turn
+    # below SPLIT_MIN_M and side by side from it; either way the factors
+    # are those of scipy's row-major cholesky, bit for bit.
     gram = assemble_gram(ArrayConfig(m, 1.13))
     assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
     assert gram.chol_re.flags.f_contiguous
+    assert not np.triu(gram.chol_re, 1).any()
     if m > 1:
         assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
         assert gram.chol_im.flags.f_contiguous
+        assert not np.triu(gram.chol_im, 1).any()
     else:
         assert gram.chol_im.shape == (0, 0)
+
+
+def scipy_one_norm_cond(gram):
+    """The condition estimate through numpy's 1-norm and scipy's checked
+    ``dpocon`` wrapper on the same factors."""
+    def pair(block, factor):
+        if block.shape[0] == 0:
+            return 1.0, 1.0
+        anorm = np.linalg.norm(block, 1)
+        rcond, _ = scipy.linalg.lapack.dpocon(factor, anorm, uplo="L")
+        return anorm, (np.inf if rcond == 0.0 else 1.0 / (rcond * anorm))
+
+    norm_re, inv_re = pair(gram.g_re, gram.chol_re)
+    norm_im, inv_im = pair(gram.g_im, gram.chol_im)
+    return max(norm_re, norm_im) * max(inv_re, inv_im)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, SPLIT_MIN_M, 1024])
+def test_cond_estimate_matches_scipy_wrappers(m):
+    # Not equality: the last bit of dpocon's estimate at M = 1024 can vary
+    # between runs on the same factor.
+    gram = assemble_gram(ArrayConfig(m, 1.13))
+    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(gram), rel=1e-15, abs=0)
+
+
+def _indefinite_message(m, gamma, minor):
+    return (f"Gram factorization failed for M={m}, gamma={gamma:g}: matrix is "
+            f"numerically indefinite (leading minor {minor} is not positive definite)")
+
+
+@pytest.mark.parametrize("split_min_m", [1, SPLIT_MIN_M], ids=["split", "inline"])
+@pytest.mark.parametrize("m,gamma,failing,minor", [
+    (12, 0.5, "cosine", 12),
+    (2, 1e-9, "sine", 1),
+    (8, 1e-6, "both", 3),
+], ids=["cosine", "sine", "both"])
+def test_indefinite_block_errors_on_both_paths(monkeypatch, m, gamma, failing, minor,
+                                               split_min_m):
+    cfg = ArrayConfig(m, gamma)
+    outcomes = []
+    for block in gram_blocks(cfg):
+        try:
+            gram_module._factor_block(cfg, block)
+            outcomes.append(False)
+        except ConditioningError:
+            outcomes.append(True)
+    assert outcomes == {"cosine": [True, False], "sine": [False, True],
+                        "both": [True, True]}[failing]
+    monkeypatch.setattr(gram_module, "_SPLIT_MIN_M", split_min_m)
+    with pytest.raises(ConditioningError) as excinfo:
+        assemble_gram(cfg)
+    # The cosine block's error wins when both fail, as in serial order.
+    assert str(excinfo.value) == _indefinite_message(m, gamma, minor)
+    # The worker is still serving: a new configuration assembles, through
+    # the worker on the split path, to scipy's factors.
+    assert gram_module._worker.submit(int, 7).result(timeout=60) == 7
+    gram = assemble_gram(ArrayConfig(16, 1.07))
+    assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
+    assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_factorizes_on_its_own_worker():
+    # The parent's worker thread does not exist in a forked child, so a
+    # child that kept the parent's executor would wait forever for its
+    # sine block; the alarm turns such a hang into a failed exit.
+    assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.0))
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(60)
+            gram = assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.1))
+            expected = scipy.linalg.cholesky(gram.g_im, lower=True)
+            status = 0 if np.array_equal(gram.chol_im, expected) else 2
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_conditioning_ceiling_reported():

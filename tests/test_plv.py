@@ -119,6 +119,34 @@ def test_recovery_from_threads_matches_serial(rng):
     assert sorted(map(str, entry[2])) == ["2048", "320", "grid"]
 
 
+def test_split_factorization_from_threads_matches_serial(rng):
+    # At the size where each new Gram's sine block goes to the shared
+    # factorization worker, four threads each missing the cache on every
+    # op (a fresh gamma per op) must get the serial answers.
+    m = gram_module._SPLIT_MIN_M
+    stream = []
+    for gamma in np.linspace(1.0, 1.2, 8):
+        lags = rng.normal(size=m) + 1j * rng.normal(size=m)
+        lags[0] = abs(lags[0]) + m
+        stream.append((lags, ArrayConfig(m, float(gamma))))
+
+    def op(case):
+        solution = recover(*case)
+        return solution.coeffs.b, solution.constraint_residual
+
+    serial = [op(case) for case in stream]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(op, stream, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(serial, threaded):
+        assert np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+
+
 def test_grid_key_is_a_copy(rng):
     # Changing the caller's grid in place must not leave a stale basis.
     cfg = ArrayConfig(16, 1.0)
