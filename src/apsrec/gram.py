@@ -9,9 +9,7 @@ independent symmetric positive-definite blocks.
 """
 
 import ctypes
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,45 +168,49 @@ def _factor_block(cfg, block):
     return factor, anorm, inverse_norm
 
 
-# From this M up, ``_factor`` hands the sine block to ``_worker`` while the
-# calling thread factorizes the cosine block; below it the hand-off costs
-# more than it saves (one BLAS thread, two cores: the split was slower at
-# M = 128, even at 192 and faster from 256). A forked child gets a new executor, since the
-# parent's thread does not exist there and its queue would never drain.
+# From this M up, ``_factor`` factorizes the sine block on a thread of
+# its own while the calling thread factorizes the cosine block; below it
+# a thread start costs more than it saves (one BLAS thread, two cores: the
+# split was slower at M = 128, even at 192 and faster from 256).
 _SPLIT_MIN_M = 192
-
-
-def _new_worker():
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="apsrec-gram")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _factor(cfg):
     """Assemble, factorize and condition-estimate the Gram for ``cfg``.
 
     The blocks are assembled on the calling thread. From ``_SPLIT_MIN_M``
-    up, the sine block is factorized on one worker thread, shared by the
-    process and started at the first such call, while the calling thread
-    factorizes the cosine block. The worker is always waited for, and if
-    both blocks fail the cosine block's error is raised, as in the serial
-    order.
+    up, the sine block is factorized on a thread started for this call
+    and joined before it returns, while the calling thread factorizes the
+    cosine block; if no thread can be started, the blocks are factorized
+    in turn. If both blocks fail, the cosine block's error is raised, as
+    in the serial order.
     """
     g_re, g_im = gram_blocks(cfg)
-    if cfg.M < _SPLIT_MIN_M:
-        chol_re, norm_re, inv_re = _factor_block(cfg, g_re)
-        chol_im, norm_im, inv_im = _factor_block(cfg, g_im)
-    else:
-        sine = _worker.submit(_factor_block, cfg, g_im)
+    sine = []
+
+    def factor_sine():
         try:
-            chol_re, norm_re, inv_re = _factor_block(cfg, g_re)
-        finally:
-            wait([sine])
-        chol_im, norm_im, inv_im = sine.result()
+            sine.append(_factor_block(cfg, g_im))
+        except Exception as error:
+            sine.append(error)
+
+    worker = None
+    if cfg.M >= _SPLIT_MIN_M:
+        worker = threading.Thread(target=factor_sine, name="apsrec-gram")
+        try:
+            worker.start()
+        except RuntimeError:
+            worker = None
+    try:
+        chol_re, norm_re, inv_re = _factor_block(cfg, g_re)
+    finally:
+        if worker is not None:
+            worker.join()
+    if worker is None:
+        factor_sine()
+    if isinstance(sine[0], Exception):
+        raise sine[0]
+    chol_im, norm_im, inv_im = sine[0]
     cond = max(norm_re, norm_im) * max(inv_re, inv_im)
     return GramMatrix(cfg, g_re, g_im, chol_re, chol_im, float(cond))
 

@@ -1,7 +1,11 @@
 import gc
 import os
-import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,32 +267,55 @@ def test_indefinite_block_errors_on_both_paths(monkeypatch, m, gamma, failing, m
         assemble_gram(cfg)
     # The cosine block's error wins when both fail, as in serial order.
     assert str(excinfo.value) == _indefinite_message(m, gamma, minor)
-    # The worker is still serving: a new configuration assembles, through
-    # the worker on the split path, to scipy's factors.
-    assert gram_module._worker.submit(int, 7).result(timeout=60) == 7
+    # The sine block's thread was joined before the error was raised, and
+    # a new configuration still assembles to scipy's factors.
+    assert not [t for t in threading.enumerate() if t.name == "apsrec-gram"]
     gram = assemble_gram(ArrayConfig(16, 1.07))
     assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
     assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_factorizes_on_its_own_worker():
-    # The parent's worker thread does not exist in a forked child, so a
-    # child that kept the parent's executor would wait forever for its
-    # sine block; the alarm turns such a hang into a failed exit.
-    assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.0))
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            signal.alarm(60)
-            gram = assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.1))
-            expected = scipy.linalg.cholesky(gram.g_im, lower=True)
-            status = 0 if np.array_equal(gram.chol_im, expected) else 2
-        finally:
-            os._exit(status)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
+    # Where no thread can be started, the blocks are factorized in turn.
+    refused = []
+
+    def refuse(self):
+        refused.append(self.name)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(gram_module, "_cached", None)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    gram = assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.0))
+    assert refused == ["apsrec-gram"]
+    assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
+    assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
+
+
+def test_split_factorization_after_main_thread_returns():
+    # A non-daemon thread may still assemble a new Gram after the main
+    # thread has returned, while the interpreter waits to join it; by
+    # then concurrent.futures executors refuse new work.
+    script = textwrap.dedent(f"""
+        import os, threading, time, traceback
+        from apsrec.core import ArrayConfig
+        from apsrec.gram import assemble_gram
+
+        def late():
+            threading.main_thread().join()
+            time.sleep(0.2)
+            try:
+                assemble_gram(ArrayConfig({SPLIT_MIN_M}, 1.0))
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+
+        threading.Thread(target=late).start()
+    """)
+    package_root = str(Path(gram_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_conditioning_ceiling_reported():

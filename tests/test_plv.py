@@ -120,9 +120,9 @@ def test_recovery_from_threads_matches_serial(rng):
 
 
 def test_split_factorization_from_threads_matches_serial(rng):
-    # At the size where each new Gram's sine block goes to the shared
-    # factorization worker, four threads each missing the cache on every
-    # op (a fresh gamma per op) must get the serial answers.
+    # At the size where each new Gram's sine block is factorized on a
+    # thread of its own, four threads each missing the cache on every op
+    # (a fresh gamma per op) must get the serial answers.
     m = gram_module._SPLIT_MIN_M
     stream = []
     for gamma in np.linspace(1.0, 1.2, 8):
