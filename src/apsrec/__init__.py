@@ -54,12 +54,11 @@ from .errors import (
     QuadratureError,
     StructureError,
 )
-from .forward import SynthesisOptions, synthesize_covariance, synthesize_lags
+from .forward import SynthesisOptions, synthesize_lags
 from .gram import (
     GramMatrix,
     MeasurementVector,
     assemble_gram,
-    gram_blocks,
     measurement_vector,
     solve,
 )
@@ -70,10 +69,8 @@ from .plv import (
     negativity_summary,
     project_onto_nperp,
     recover,
-    recover_from_matrix,
 )
 from .quad import QuadratureRule, chebyshev_gauss, gauss_legendre
-from .specfun import bessel_j0, bessel_j0_quadrature_oracle
 
 __version__ = "0.1.0"
 
@@ -106,24 +103,19 @@ __all__ = [
     "TrigPolynomial",
     "Uniform",
     "assemble_gram",
-    "bessel_j0",
-    "bessel_j0_quadrature_oracle",
     "certify",
     "chebyshev_gauss",
     "energy_of_solution",
     "evaluate_solution",
     "evaluate_trig",
     "gauss_legendre",
-    "gram_blocks",
     "lags_from_toeplitz",
     "measurement_vector",
     "negativity_summary",
     "project_onto_nperp",
     "recover",
-    "recover_from_matrix",
     "resolution_sweep",
     "solve",
-    "synthesize_covariance",
     "synthesize_lags",
     "toeplitz_from_lags",
     "transform_aps",

@@ -1,5 +1,5 @@
-"""Forward model: synthesize covariance lags (and the full covariance
-matrix) from a ground-truth spectrum model.
+"""Forward model: synthesize covariance lags from a ground-truth
+spectrum model.
 
 The m-th lag is the integral of rho(theta) e^{i kappa_m sin(theta)} over
 the angle interval; equivalently, after x = sin(theta), the weighted
@@ -20,7 +20,6 @@ from .core import (
     PointSources,
     SpectrumSum,
     seams_x,
-    toeplitz_from_lags,
     transform_aps,
 )
 from .quad import theta_quadrature_points, weighted_quadrature_points
@@ -86,9 +85,3 @@ def synthesize_lags(model, cfg, opts=None):
 
     r[0] = r[0].real
     return CovarianceLags(r)
-
-
-def synthesize_covariance(model, cfg, opts=None):
-    """Full M-by-M Hermitian Toeplitz covariance of ``model``; positive
-    semidefinite up to quadrature error for any nonnegative spectrum."""
-    return toeplitz_from_lags(synthesize_lags(model, cfg, opts))

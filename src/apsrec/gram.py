@@ -1,6 +1,7 @@
 """The block-diagonal Gram matrix of the trigonometric basis under the
-weighted inner product, in closed form via J0, plus its Cholesky
-factorization and the linear solve that yields recovery coefficients.
+weighted inner product, in closed form via ``scipy.special.j0``, plus
+its Cholesky factorization and the linear solve that yields recovery
+coefficients.
 
 The basis splits by parity: cosines (with the constant as index 0) pair
 only with the real parts of the lags, sines only with the imaginary
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
+# Bound as a module attribute, not called as scipy.special.j0, so that
+# perfbench's tracer can wrap ``gram.bessel_j0`` as its J0 layer.
+from scipy.special import j0 as bessel_j0
 
 from .core import ArrayConfig, CovarianceLags, TrigCoeffs
 from .errors import ConditioningError
-from .specfun import bessel_j0
 
 DEFAULT_COND_CEILING = 1e12
 
@@ -27,10 +30,11 @@ def gram_blocks(cfg):
     """Closed-form Gram blocks for the array configuration.
 
     Both blocks are Toeplitz plus Hankel in J0(kappa_k) for
-    k = 0..2M-2, so J0 is evaluated once on those 2M-1 frequencies. The
-    Toeplitz part J0(kappa_|m-n|) and the Hankel part J0(kappa_{m+n})
-    are strided M-by-M window views of that vector, so no index table
-    is built and only the sums and differences are materialized.
+    k = 0..2M-2, so ``scipy.special.j0`` is evaluated once on those
+    2M-1 frequencies. The Toeplitz part J0(kappa_|m-n|) and the Hankel
+    part J0(kappa_{m+n}) are strided M-by-M window views of that vector,
+    so no index table is built and only the sums and differences are
+    materialized.
 
     Returns:
         (g_re, g_im): the M-by-M cosine-block matrix with entries

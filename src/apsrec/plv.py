@@ -27,7 +27,6 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
-    lags_from_toeplitz,
     seams_x,
     transform_aps,
     trig_basis,
@@ -221,20 +220,6 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
             stacklevel=2,
         )
     return PlvSolution(coeffs, residual, cfg)
-
-
-def recover_from_matrix(matrix, cfg, tol=1e-10, **kwargs):
-    """Recover from a full covariance matrix, validating its Hermitian
-    Toeplitz structure first.
-
-    Raises:
-        StructureError: If the matrix is not Hermitian Toeplitz within
-            ``tol`` (then it cannot come from a uniform linear array).
-    """
-    lags = lags_from_toeplitz(matrix, tol)
-    if lags.M != cfg.M:
-        raise ValueError(f"matrix size {lags.M} does not match array M = {cfg.M}")
-    return recover(lags, cfg, **kwargs)
 
 
 def project_onto_nperp(g, cfg, rule=None):

@@ -2,13 +2,19 @@
 
 The library integrates through the point/weight tables of
 ``apsrec.quad`` directly; these wrappers turn a callable into a number
-so the tests can check the rules on closed-form integrals.
+so the tests can check the rules on closed-form integrals. The J0
+oracle here is the independent check on the Gram's ``scipy.special.j0``.
 """
 
 import numpy as np
 
 from apsrec.errors import QuadratureError
-from apsrec.quad import CHEBYSHEV_GAUSS, theta_quadrature_points, weighted_quadrature_points
+from apsrec.quad import (
+    CHEBYSHEV_GAUSS,
+    gauss_legendre,
+    theta_quadrature_points,
+    weighted_quadrature_points,
+)
 
 
 def _finite_or_raise(values):
@@ -66,3 +72,26 @@ def weighted_integral(f, nodes, seams=()):
     points, weights = weighted_quadrature_points(nodes, seams)
     total = np.sum(weights * _finite_or_raise(np.asarray(f(points))))
     return complex(total) if np.iscomplexobj(total) else float(total)
+
+
+def bessel_j0_quadrature_oracle(z, nodes=200):
+    """Independent J0 values from the integral identity
+    ``pi*J0(z) = integral_0^pi cos(z cos(t)) dt`` via Gauss-Legendre.
+
+    Used by tests as the ground truth that guards the Gram's J0; not
+    meant for production evaluation.
+
+    Args:
+        z: Scalar or array of arguments.
+        nodes: Gauss-Legendre node count, at least 2. 200 nodes give
+            machine precision for |z| up to ~100.
+    """
+    if nodes < 2:
+        raise ValueError("oracle needs at least 2 nodes")
+    rule = gauss_legendre(int(nodes))
+    theta = (rule.abscissae + 1.0) * (np.pi / 2.0)
+    weights = rule.weights * (np.pi / 2.0)
+    z_arr = np.asarray(z, dtype=np.float64)
+    scalar = z_arr.ndim == 0
+    values = np.cos(np.multiply.outer(np.atleast_1d(z_arr), np.cos(theta))) @ weights / np.pi
+    return float(values[0]) if scalar else values

@@ -27,10 +27,10 @@ from apsrec.core import (
     trig_basis,
 )
 from apsrec.forward import SynthesisOptions, synthesize_lags
-from apsrec.gram import assemble_gram, gram_blocks, measurement_vector, solve
+from apsrec.gram import assemble_gram, bessel_j0, gram_blocks, measurement_vector, solve
 from apsrec.plv import recover
 from apsrec.quad import weighted_quadrature_points
-from apsrec.specfun import bessel_j0, bessel_j0_quadrature_oracle
+from quad_helpers import bessel_j0_quadrature_oracle
 
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
 GAUSS_CFG = ArrayConfig(4, 1.0)

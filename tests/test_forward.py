@@ -10,8 +10,9 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
+    toeplitz_from_lags,
 )
-from apsrec.forward import SynthesisOptions, synthesize_covariance, synthesize_lags
+from apsrec.forward import SynthesisOptions, synthesize_lags
 from apsrec.gram import gram_blocks
 from apsrec.quad import weighted_quadrature_points
 
@@ -126,24 +127,26 @@ def test_imaginary_r0_exactly_zero():
 
 def test_conjugate_symmetry_via_hermitian_covariance():
     cfg = ArrayConfig(5, 1.0)
-    matrix = synthesize_covariance(GaussianMixture(components=((0.4, 0.15, 1.0),)), cfg)
+    lags = synthesize_lags(GaussianMixture(components=((0.4, 0.15, 1.0),)), cfg)
+    matrix = toeplitz_from_lags(lags)
     assert np.array_equal(matrix, matrix.conj().T)
 
 
 def test_covariance_of_uniform_has_pi_diagonal():
-    matrix = synthesize_covariance(FULL_RANGE, ArrayConfig(3, 1.0), SynthesisOptions(nodes=512))
+    lags = synthesize_lags(FULL_RANGE, ArrayConfig(3, 1.0), SynthesisOptions(nodes=512))
+    matrix = toeplitz_from_lags(lags)
     assert np.allclose(np.diag(matrix), np.pi, atol=1e-12)
 
 
 def test_covariance_zero_model():
-    matrix = synthesize_covariance(Uniform(-0.5, 0.5, 0.0), ArrayConfig(3, 1.0))
+    matrix = toeplitz_from_lags(synthesize_lags(Uniform(-0.5, 0.5, 0.0), ArrayConfig(3, 1.0)))
     assert np.array_equal(matrix, np.zeros((3, 3)))
 
 
 def test_point_source_covariance_is_rank_one():
     angle, power = 0.25, 1.7
     cfg = ArrayConfig(4, 1.0)
-    matrix = synthesize_covariance(PointSources(sources=((angle, power),)), cfg)
+    matrix = toeplitz_from_lags(synthesize_lags(PointSources(sources=((angle, power),)), cfg))
     steering = np.exp(1j * cfg.kappas(4) * np.sin(angle))
     assert np.allclose(matrix, power * np.outer(steering, steering.conj()), atol=1e-15)
     eigenvalues = np.linalg.eigvalsh(matrix)
@@ -153,7 +156,7 @@ def test_point_source_covariance_is_rank_one():
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_covariance_positive_semidefinite(model):
-    matrix = synthesize_covariance(model, ArrayConfig(6, 1.0))
+    matrix = toeplitz_from_lags(synthesize_lags(model, ArrayConfig(6, 1.0)))
     eigenvalues = np.linalg.eigvalsh(matrix)
     assert eigenvalues[0] >= -1e-9 * np.trace(matrix).real
 

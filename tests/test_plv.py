@@ -14,6 +14,7 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
+    lags_from_toeplitz,
     seams_x,
     toeplitz_from_lags,
     transform_aps,
@@ -23,7 +24,7 @@ from apsrec import gram as gram_module
 from apsrec import plv
 from apsrec.errors import DomainError, FeasibilityWarning, StructureError
 from apsrec.forward import SynthesisOptions, synthesize_lags
-from apsrec.gram import assemble_gram, measurement_vector, solve
+from apsrec.gram import assemble_gram, bessel_j0, measurement_vector, solve
 from apsrec.plv import (
     DEFAULT_RESIDUAL_TOL,
     NegativitySummary,
@@ -32,10 +33,8 @@ from apsrec.plv import (
     negativity_summary,
     project_onto_nperp,
     recover,
-    recover_from_matrix,
 )
 from apsrec.quad import chebyshev_gauss, weighted_quadrature_points
-from apsrec.specfun import bessel_j0
 
 FULL_RANGE = Uniform(-np.pi / 2, np.pi / 2, 1.0)
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
@@ -385,9 +384,11 @@ class TestProjection:
 
 
 class TestRecoverFromMatrix:
+    """A full covariance matrix is recovered through its validated lags."""
+
     def test_identity_matches_direct_recovery(self):
         cfg = ArrayConfig(2, 1.0)
-        via_matrix = recover_from_matrix(np.eye(2, dtype=complex), cfg)
+        via_matrix = recover(lags_from_toeplitz(np.eye(2, dtype=complex)), cfg)
         direct = recover(np.array([1.0, 0.0], dtype=complex), cfg)
         assert np.array_equal(via_matrix.coeffs.b, direct.coeffs.b)
 
@@ -395,7 +396,7 @@ class TestRecoverFromMatrix:
         cfg = ArrayConfig(3, 1.0)
         lags = synthesize_lags(PointSources(sources=((0.35, 1.0),)), cfg)
         matrix = toeplitz_from_lags(lags)
-        solution = recover_from_matrix(matrix, cfg)
+        solution = recover(lags_from_toeplitz(matrix), cfg)
         # oracle: the plain normal-equations route
         expected = solve(assemble_gram(cfg), measurement_vector(lags))
         assert np.max(np.abs(solution.coeffs.b - expected.b)) <= 1e-14
@@ -403,11 +404,11 @@ class TestRecoverFromMatrix:
 
     def test_non_toeplitz_rejected(self):
         with pytest.raises(StructureError):
-            recover_from_matrix(np.diag([1.0, 2.0]).astype(complex), ArrayConfig(2, 1.0))
+            recover(lags_from_toeplitz(np.diag([1.0, 2.0]).astype(complex)), ArrayConfig(2, 1.0))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            recover_from_matrix(np.eye(3, dtype=complex), ArrayConfig(2, 1.0))
+            recover(lags_from_toeplitz(np.eye(3, dtype=complex)), ArrayConfig(2, 1.0))
 
 
 class TestEvaluateSolution:
