@@ -10,6 +10,7 @@ independent symmetric positive-definite blocks.
 """
 
 import ctypes
+import os
 import threading
 from dataclasses import dataclass
 
@@ -179,15 +180,24 @@ def _factor_block(cfg, block):
 _SPLIT_MIN_M = 192
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _factor(cfg):
     """Assemble, factorize and condition-estimate the Gram for ``cfg``.
 
     The blocks are assembled on the calling thread. From ``_SPLIT_MIN_M``
-    up, the sine block is factorized on a thread started for this call
-    and joined before it returns, while the calling thread factorizes the
-    cosine block; if no thread can be started, the blocks are factorized
-    in turn. If both blocks fail, the cosine block's error is raised, as
-    in the serial order.
+    up, when the process may run on two CPUs or more, the sine block is
+    factorized on a thread started for this call and joined before it
+    returns, while the calling thread factorizes the cosine block; on one
+    CPU, or if no thread can be started, the blocks are factorized in
+    turn. If both blocks fail, the cosine block's error is raised, as in
+    the serial order.
     """
     g_re, g_im = gram_blocks(cfg)
     sine = []
@@ -199,7 +209,7 @@ def _factor(cfg):
             sine.append(error)
 
     worker = None
-    if cfg.M >= _SPLIT_MIN_M:
+    if cfg.M >= _SPLIT_MIN_M and _usable_cpus() >= 2:
         worker = threading.Thread(target=factor_sine, name="apsrec-gram")
         try:
             worker.start()
@@ -232,7 +242,7 @@ _lock = threading.Lock()
 # A larger table is not kept: the audit's 42 MB table at M = 1024, kept
 # next to the 32 MB Gram, raised the peak resident memory of an M = 1024
 # stream by 16 MB. A larger power table is not even built whole; the
-# half-rule kernel generates it in row blocks.
+# half-rule kernel builds sqrt(M) of its rows and the step between them.
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 

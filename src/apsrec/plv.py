@@ -13,6 +13,7 @@ reported verbatim with a negativity summary rather than clipped, since
 clipping would silently break every energy identity downstream.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,26 +89,35 @@ def _grid_basis(cfg, x):
     return basis
 
 
-# Rows per block of a power table too large to keep: 16 rows of the
-# M = 1024 audit's table take about 0.7 MB, so a block is consumed while
-# it is still in cache.
-_BLOCK_ROWS = 16
+def _powers(step, rows):
+    """The read-only table of step**m for m < rows, one row per power."""
+    powers = np.empty((rows, step.size), dtype=np.complex128)
+    powers[0] = 1.0
+    for m in range(1, rows):
+        np.multiply(powers[m - 1], step, out=powers[m])
+    powers.setflags(write=False)
+    return powers
 
 
 def _power_table(cfg, nodes):
-    """Weights and complex power table of the half rule, with rows
+    """Weights and power table of the half rule, whose rows give
     exp(i kappa_m x_j) = step_j**m for step_j = exp(i gamma pi x_j).
 
-    A table within the workspace's size cap has all M rows, and is kept
-    there at the audit's and the negativity summary's default node
-    counts; any other count is built per call. A larger table is never
-    built whole: only its first ``_BLOCK_ROWS`` rows are, and
-    :func:`_row_blocks` generates all of its blocks from them on each
-    pass.
+    A table of all M rows within the workspace's size cap is built whole,
+    and kept there at the audit's and the negativity summary's default
+    node counts; any other count is built per call. A larger table is
+    never built: with B = isqrt(M) and m = B s + r, step**m is the baby
+    row step**r (r < B) times the s-th power of the giant step step**B
+    (s < ceil(M / B)), so B rows and one giant step, built per call,
+    stand for all M rows.
+
+    Returns:
+        (w, baby, giant): the half-rule weights, the power rows, and the
+        giant step, or None when ``baby`` is the whole M-row table.
     """
     kept = _kept_table(cfg, nodes)
     if kept is not None:
-        return kept
+        return (*kept, None)
     points, weights = weighted_quadrature_points(nodes)
     half = nodes // 2
     x = points[half:].copy()
@@ -115,31 +125,42 @@ def _power_table(cfg, nodes):
     if nodes % 2:
         x[0] = 0.0
         w[0] *= 0.5
-    step = np.exp(1j * cfg.gamma * np.pi * x)
-    whole = w.nbytes + cfg.M * step.nbytes <= _MAX_KEPT_TABLE_BYTES
-    rows = cfg.M if whole else min(_BLOCK_ROWS, cfg.M)
-    powers = np.empty((rows, x.size), dtype=np.complex128)
-    powers[0] = 1.0
-    for m in range(1, len(powers)):
-        np.multiply(powers[m - 1], step, out=powers[m])
     w.setflags(write=False)
-    powers.setflags(write=False)
-    if whole and nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
-        _keep_table(cfg, nodes, (w, powers))
-    return w, powers
+    step = np.exp(1j * cfg.gamma * np.pi * x)
+    if w.nbytes + cfg.M * step.nbytes <= _MAX_KEPT_TABLE_BYTES:
+        powers = _powers(step, cfg.M)
+        if nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
+            _keep_table(cfg, nodes, (w, powers))
+        return w, powers, None
+    baby = _powers(step, math.isqrt(cfg.M))
+    return w, baby, baby[-1] * step
 
 
-def _row_blocks(powers, M):
-    """Yield (start, rows) blocks of the M-row power table whose first
-    len(powers) rows are ``powers``: each block is ``powers`` times
-    step**start, and is overwritten by the next."""
-    shift, stride = np.ones_like(powers[0]), powers[-1] * powers[1]
-    block = np.empty_like(powers)
-    for start in range(0, M, len(powers)):
-        rows = block[:min(len(powers), M - start)]
-        np.multiply(powers[:len(rows)], shift, out=rows)
-        yield start, rows
-        shift *= stride
+# The products with baby rows below are real GEMMs on float64 views of
+# the complex tables, whose columns alternate real and imaginary parts.
+# ``work`` holds one row per giant power.
+def _giant_sum(baby, giant, c, work):
+    """sum_m c_m step**m over m < B len(c), for real coefficients c
+    zero-padded to that length and shaped (len(c), B): Horner's rule in
+    the giant step over the rows of c @ baby, formed in ``work``."""
+    np.matmul(c, baby.view(np.float64), out=work.view(np.float64))
+    total = work[-1].copy()
+    for row in work[-2::-1]:
+        total *= giant
+        total += row
+    return total
+
+
+def _giant_lags(baby, giant, v, work, M):
+    """Re sum_j v_j step_j**m for m < M, with v complex. Row s of
+    ``work`` becomes conj(v giant**s), and entry (s, r) of the real
+    product of its float view with baby's is then the sum for
+    m = B s + r."""
+    work[0] = v
+    for s in range(1, len(work)):
+        np.multiply(work[s - 1], giant, out=work[s])
+    np.conjugate(work, out=work)
+    return (work.view(np.float64) @ baby.view(np.float64).T).ravel()[:M]
 
 
 def _half_rule(cfg, coeffs, nodes):
@@ -149,25 +170,28 @@ def _half_rule(cfg, coeffs, nodes):
     and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
     odd parts of g on the nodes x_j >= 0. With the M-row table of
     exp(i kappa_m x_j), e = b_cos . Re and o = b_sin . Im of that table:
-    one product each for a whole table, summed over its row blocks for a
-    table too large to build whole. For odd ``nodes`` the middle node is
-    snapped to x = 0 and kept at half weight, so a sum over both halves
-    counts it once.
+    one product each for a whole table. Over the B baby rows of a larger
+    one, e and o are the real and imaginary parts of one real GEMM each
+    of the coefficients, zero-padded and reshaped to (ceil(M / B), B),
+    with the baby rows, summed over the giant powers by Horner's rule;
+    the sine coefficient of m = 0 is zero. For odd ``nodes`` the middle
+    node is snapped to x = 0 and kept at half weight, so a sum over both
+    halves counts it once.
 
     Returns:
-        (w, powers, even, odd): the half-rule weights, the power table of
-        :func:`_power_table`, and the parts e and o.
+        (w, baby, giant, even, odd): the half-rule weights, table and
+        giant step of :func:`_power_table`, and the parts e and o.
     """
-    w, powers = _power_table(cfg, nodes)
+    w, baby, giant = _power_table(cfg, nodes)
     b, M = coeffs.b, cfg.M
-    if len(powers) == M:
-        return w, powers, (b[:M] @ powers).real, (b[M:] @ powers[1:]).imag
-    even, odd = np.zeros(w.size), np.zeros(w.size)
-    for start, block in _row_blocks(powers, M):
-        stop, skip = start + len(block), int(start == 0)  # row 0 has no sine
-        even += (b[start:stop] @ block).real
-        odd += (b[M - 1 + start + skip:M - 1 + stop] @ block[skip:]).imag
-    return w, powers, even, odd
+    if giant is None:
+        return w, baby, giant, (b[:M] @ baby).real, (b[M:] @ baby[1:]).imag
+    cos, sin = np.zeros((2, -(-M // len(baby)), len(baby)))
+    cos.flat[:M], sin.flat[1:M] = b[:M], b[M:]
+    work = np.empty((len(cos), w.size), dtype=np.complex128)
+    even = _giant_sum(baby, giant, cos, work).real
+    odd = _giant_sum(baby, giant, sin, work).imag
+    return w, baby, giant, even, odd
 
 
 def _lags_of_coeffs(cfg, coeffs, nodes):
@@ -175,15 +199,19 @@ def _lags_of_coeffs(cfg, coeffs, nodes):
     Chebyshev-Gauss quadrature, independent of the closed-form Gram.
 
     exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so over the
-    half rule of :func:`_half_rule`, a whole table or block by block,
-    r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)).
+    half rule of :func:`_half_rule`,
+    r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)):
+    two products with a whole table, or one real GEMM with the baby rows
+    for each part of a larger one, Re(-i z) being Im(z).
     """
-    w, powers, even, odd = _half_rule(cfg, coeffs, nodes)
+    w, baby, giant, even, odd = _half_rule(cfg, coeffs, nodes)
     w_even, w_odd = w * even, w * odd
-    if len(powers) == cfg.M:
-        return 2.0 * ((powers @ w_even).real + 1j * (powers @ w_odd).imag)
-    return np.concatenate([2.0 * ((block @ w_even).real + 1j * (block @ w_odd).imag)
-                           for _, block in _row_blocks(powers, cfg.M)])
+    if giant is None:
+        return 2.0 * ((baby @ w_even).real + 1j * (baby @ w_odd).imag)
+    M = cfg.M
+    work = np.empty((-(-M // len(baby)), w.size), dtype=np.complex128)
+    return 2.0 * (_giant_lags(baby, giant, w_even, work, M)
+                  + 1j * _giant_lags(baby, giant, -1j * w_odd, work, M))
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
@@ -288,7 +316,7 @@ def negativity_summary(solution, nodes=None):
     cfg = solution.cfg
     if nodes is None:
         nodes = _negativity_nodes(cfg)
-    w, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
+    w, _, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))
     abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))

@@ -291,6 +291,38 @@ def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
     assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
 
 
+@pytest.mark.parametrize("affinity,cpu_count,threads", [
+    ({0}, 2, []),
+    ({0, 1}, 1, ["apsrec-gram"]),
+    (None, 1, []),
+    (None, None, []),
+    (None, 2, ["apsrec-gram"]),
+], ids=["affinity-1", "affinity-2", "cpu_count-1", "cpu_count-unknown", "cpu_count-2"])
+def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_count,
+                                                     threads):
+    # A process that may run on one CPU only gains nothing from a second
+    # thread, so the blocks are factorized in turn; the affinity mask
+    # decides where the platform has one, else the CPU count.
+    started = []
+    start = threading.Thread.start
+
+    def record(self):
+        started.append(self.name)
+        start(self)
+
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(gram_module, "_cached", None)
+    monkeypatch.setattr(threading.Thread, "start", record)
+    gram = assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.0))
+    assert started == threads
+    assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
+    assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
+
+
 def test_split_factorization_after_main_thread_returns():
     # A non-daemon thread may still assemble a new Gram after the main
     # thread has returned, while the interpreter waits to join it; by

@@ -118,17 +118,18 @@ def test_recovery_from_threads_matches_serial(rng):
     assert sorted(map(str, entry[2])) == ["2048", "320", "grid"]
 
 
-def test_split_factorization_from_threads_matches_serial(rng):
-    # At the size where each new Gram's sine block is factorized on a
-    # thread of its own, four threads each missing the cache on every op
-    # (a fresh gamma per op) must get the serial answers.
-    m = gram_module._SPLIT_MIN_M
+def fresh_gamma_stream(rng, m, gammas):
     stream = []
-    for gamma in np.linspace(1.0, 1.2, 8):
+    for gamma in gammas:
         lags = rng.normal(size=m) + 1j * rng.normal(size=m)
         lags[0] = abs(lags[0]) + m
         stream.append((lags, ArrayConfig(m, float(gamma))))
+    return stream
 
+
+def assert_threads_match_serial(stream):
+    # Four threads each missing the cache on every op (a fresh gamma per
+    # op) must get the serial answers.
     def op(case):
         solution = recover(*case)
         return solution.coeffs.b, solution.constraint_residual
@@ -144,6 +145,26 @@ def test_split_factorization_from_threads_matches_serial(rng):
     for expected, got in zip(serial, threaded):
         assert np.array_equal(got[0], expected[0])
         assert got[1] == expected[1]
+
+
+def test_split_factorization_from_threads_matches_serial(rng):
+    # At the size where each new Gram's sine block is factorized on a
+    # thread of its own.
+    m = gram_module._SPLIT_MIN_M
+    assert_threads_match_serial(fresh_gamma_stream(rng, m, np.linspace(1.0, 1.2, 8)))
+
+
+def over_cap(cfg, nodes):
+    # Whether the audit's M-row table at ``nodes`` exceeds the kept size,
+    # so that the kernel runs on baby rows and a giant step.
+    return 16 * cfg.M * (nodes - nodes // 2) > gram_module._MAX_KEPT_TABLE_BYTES
+
+
+def test_split_audit_from_threads_matches_serial(rng):
+    # Every audit here runs on baby rows and a giant step built per call.
+    stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
+    assert all(over_cap(cfg, plv._auto_nodes(cfg)) for _, cfg in stream)
+    assert_threads_match_serial(stream)
 
 
 def test_grid_key_is_a_copy(rng):
@@ -193,7 +214,8 @@ def test_feasibility_warning_on_zero_tolerance():
         recover(lags, cfg, residual_tol=0.0)
 
 
-@pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21)])
+@pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21),
+                                     (700, 1.25), (1025, 1.0)])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
 def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng):
     # The half-node power table must reproduce the plain full-rule sum
@@ -255,13 +277,23 @@ def test_kept_table_kernel_bit_identical_to_whole_table(rng):
     assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
 
-@pytest.mark.parametrize("gamma", [1.0, 1.25])
-def test_block_wise_kernel_matches_whole_table(gamma, rng):
-    # At M = 1024 the tables exceed the kept size and are walked in row
-    # blocks; the sums regroup, so agreement is to rounding.
-    cfg = ArrayConfig(1024, gamma)
+@pytest.mark.parametrize("m,gamma,parity", [
+    pytest.param(1024, 1.0, 0, id="1.0"),
+    pytest.param(1024, 1.25, 0, id="1.25"),
+    pytest.param(700, 1.25, 0, id="even_nodes-700-1.25"),
+    pytest.param(700, 1.25, 1, id="odd_nodes-700-1.25"),
+    pytest.param(1025, 1.0, 0, id="even_nodes-1025-1.0"),
+    pytest.param(1025, 1.0, 1, id="odd_nodes-1025-1.0"),
+])
+def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng):
+    # These tables exceed the kept size, and the kernel runs on baby rows
+    # step**r and powers of the giant step step**B, B = isqrt(M), which
+    # at M = 700 and 1025 do not tile the M rows exactly; the sums
+    # regroup, so agreement is to rounding.
+    cfg = ArrayConfig(m, gamma)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
-    nodes = plv._auto_nodes(cfg)
+    nodes = plv._auto_nodes(cfg) + parity
+    assert over_cap(cfg, nodes)
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
     audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
