@@ -176,7 +176,10 @@ def _factor_block(cfg, block):
 # From this M up, ``_factor`` factorizes the sine block on a thread of
 # its own while the calling thread factorizes the cosine block; below it
 # a thread start costs more than it saves (one BLAS thread, two cores: the
-# split was slower at M = 128, even at 192 and faster from 256).
+# split was slower at M = 128, even at 192 and faster from 256). Pinned
+# to one CPU the split was slower at M = 192 to 512 (by 0.4 ms at 192
+# and 1.7 ms at 512) and no faster at 1024, so it also needs two usable
+# CPUs.
 _SPLIT_MIN_M = 192
 
 

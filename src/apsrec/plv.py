@@ -99,6 +99,16 @@ def _powers(step, rows):
     return powers
 
 
+class _SplitTable(NamedTuple):
+    """The stand-in, built per call, for a power table too large to build:
+    the B baby rows step**r, the giant step step**B, and a work table of
+    one row per giant power, shared by the passes of one call."""
+
+    baby: np.ndarray
+    giant: np.ndarray
+    work: np.ndarray
+
+
 def _power_table(cfg, nodes):
     """Weights and power table of the half rule, whose rows give
     exp(i kappa_m x_j) = step_j**m for step_j = exp(i gamma pi x_j).
@@ -108,16 +118,16 @@ def _power_table(cfg, nodes):
     node counts; any other count is built per call. A larger table is
     never built: with B = isqrt(M) and m = B s + r, step**m is the baby
     row step**r (r < B) times the s-th power of the giant step step**B
-    (s < ceil(M / B)), so B rows and one giant step, built per call,
-    stand for all M rows.
+    (s < ceil(M / B)), so a :class:`_SplitTable` of B rows and one giant
+    step, built per call, stands for all M rows.
 
     Returns:
-        (w, baby, giant): the half-rule weights, the power rows, and the
-        giant step, or None when ``baby`` is the whole M-row table.
+        (w, powers): the half-rule weights, and the whole M-row table or
+        its :class:`_SplitTable`.
     """
     kept = _kept_table(cfg, nodes)
     if kept is not None:
-        return (*kept, None)
+        return kept
     points, weights = weighted_quadrature_points(nodes)
     half = nodes // 2
     x = points[half:].copy()
@@ -131,18 +141,20 @@ def _power_table(cfg, nodes):
         powers = _powers(step, cfg.M)
         if nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
             _keep_table(cfg, nodes, (w, powers))
-        return w, powers, None
-    baby = _powers(step, math.isqrt(cfg.M))
-    return w, baby, baby[-1] * step
+        return w, powers
+    rows = math.isqrt(cfg.M)
+    baby = _powers(step, rows)
+    work = np.empty((-(-cfg.M // rows), step.size), dtype=np.complex128)
+    return w, _SplitTable(baby, baby[-1] * step, work)
 
 
 # The products with baby rows below are real GEMMs on float64 views of
 # the complex tables, whose columns alternate real and imaginary parts.
-# ``work`` holds one row per giant power.
-def _giant_sum(baby, giant, c, work):
+def _giant_sum(table, c):
     """sum_m c_m step**m over m < B len(c), for real coefficients c
     zero-padded to that length and shaped (len(c), B): Horner's rule in
-    the giant step over the rows of c @ baby, formed in ``work``."""
+    the giant step over the rows of c @ baby, formed in the work table."""
+    baby, giant, work = table
     np.matmul(c, baby.view(np.float64), out=work.view(np.float64))
     total = work[-1].copy()
     for row in work[-2::-1]:
@@ -151,11 +163,11 @@ def _giant_sum(baby, giant, c, work):
     return total
 
 
-def _giant_lags(baby, giant, v, work, M):
-    """Re sum_j v_j step_j**m for m < M, with v complex. Row s of
-    ``work`` becomes conj(v giant**s), and entry (s, r) of the real
-    product of its float view with baby's is then the sum for
-    m = B s + r."""
+def _giant_lags(table, v, M):
+    """Re sum_j v_j step_j**m for m < M, with v complex. Row s of the work
+    table becomes conj(v giant**s), and entry (s, r) of the real product
+    of its float view with baby's is then the sum for m = B s + r."""
+    baby, giant, work = table
     work[0] = v
     for s in range(1, len(work)):
         np.multiply(work[s - 1], giant, out=work[s])
@@ -179,19 +191,16 @@ def _half_rule(cfg, coeffs, nodes):
     halves counts it once.
 
     Returns:
-        (w, baby, giant, even, odd): the half-rule weights, table and
-        giant step of :func:`_power_table`, and the parts e and o.
+        (w, powers, even, odd): the half-rule weights, the table of
+        :func:`_power_table`, and the parts e and o.
     """
-    w, baby, giant = _power_table(cfg, nodes)
+    w, powers = _power_table(cfg, nodes)
     b, M = coeffs.b, cfg.M
-    if giant is None:
-        return w, baby, giant, (b[:M] @ baby).real, (b[M:] @ baby[1:]).imag
-    cos, sin = np.zeros((2, -(-M // len(baby)), len(baby)))
+    if isinstance(powers, np.ndarray):
+        return w, powers, (b[:M] @ powers).real, (b[M:] @ powers[1:]).imag
+    cos, sin = np.zeros((2, len(powers.work), len(powers.baby)))
     cos.flat[:M], sin.flat[1:M] = b[:M], b[M:]
-    work = np.empty((len(cos), w.size), dtype=np.complex128)
-    even = _giant_sum(baby, giant, cos, work).real
-    odd = _giant_sum(baby, giant, sin, work).imag
-    return w, baby, giant, even, odd
+    return w, powers, _giant_sum(powers, cos).real, _giant_sum(powers, sin).imag
 
 
 def _lags_of_coeffs(cfg, coeffs, nodes):
@@ -204,14 +213,12 @@ def _lags_of_coeffs(cfg, coeffs, nodes):
     two products with a whole table, or one real GEMM with the baby rows
     for each part of a larger one, Re(-i z) being Im(z).
     """
-    w, baby, giant, even, odd = _half_rule(cfg, coeffs, nodes)
+    w, powers, even, odd = _half_rule(cfg, coeffs, nodes)
     w_even, w_odd = w * even, w * odd
-    if giant is None:
-        return 2.0 * ((baby @ w_even).real + 1j * (baby @ w_odd).imag)
-    M = cfg.M
-    work = np.empty((-(-M // len(baby)), w.size), dtype=np.complex128)
-    return 2.0 * (_giant_lags(baby, giant, w_even, work, M)
-                  + 1j * _giant_lags(baby, giant, -1j * w_odd, work, M))
+    if isinstance(powers, np.ndarray):
+        return 2.0 * ((powers @ w_even).real + 1j * (powers @ w_odd).imag)
+    return 2.0 * (_giant_lags(powers, w_even, cfg.M)
+                  + 1j * _giant_lags(powers, -1j * w_odd, cfg.M))
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
@@ -316,7 +323,7 @@ def negativity_summary(solution, nodes=None):
     cfg = solution.cfg
     if nodes is None:
         nodes = _negativity_nodes(cfg)
-    w, _, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
+    w, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))
     abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))

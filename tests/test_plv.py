@@ -256,8 +256,8 @@ def whole_table_half_rule(cfg, b, nodes):
 
 
 def test_kept_table_kernel_bit_identical_to_whole_table(rng):
-    # At M = 64 every table is walked as one block, with the arithmetic
-    # of the whole-table formula, whether built per call or kept.
+    # At M = 64 every table is within the cap and takes the whole-table
+    # products, whether built per call or kept.
     cfg = ArrayConfig(64, 1.0)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     solution = PlvSolution(coeffs, 0.0, cfg)
