@@ -13,7 +13,7 @@ the other.
 
 from dataclasses import dataclass
 
-from .core import ArrayConfig, evaluate_trig, seams_x, transform_aps
+from .core import ArrayConfig, _exp_samples, _exp_table, seams_x, transform_aps
 from .errors import ModelError
 from .forward import SynthesisOptions, synthesize_lags
 from .gram import assemble_gram, measurement_vector, solve
@@ -99,7 +99,8 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
     quadratic_form = float(y.y @ coeffs.b)
     error_sq = energy_truth - quadratic_form
 
-    diff = truth_samples - evaluate_trig(cfg, coeffs, points)
+    even, odd = _exp_samples(_exp_table(cfg, points), coeffs.b)
+    diff = truth_samples - (even + odd)
     diff_energy = float(weights @ (diff * diff))
     pythagoras_gap = abs(energy_truth - energy_plv - diff_energy)
 

@@ -64,12 +64,11 @@ def _report(x):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario: array geometry, ground-truth model, quadrature
-    resolution, output grid, and tolerances."""
+    (None unless it sets nodes or path), output grid, and tolerances."""
 
     array: ArrayConfig
     aps: ApsModel
-    nodes: int
-    domain_path: Domain
+    quadrature: SynthesisOptions | None
     grid_points: int
     output_domain: Domain
     constraint_tol: float
@@ -221,8 +220,8 @@ def load_config(path):
     return ScenarioConfig(
         array=array,
         aps=aps,
-        nodes=int(nodes),
-        domain_path=Domain(path_name),
+        quadrature=(SynthesisOptions(int(nodes), Domain(path_name))
+                    if "nodes" in quad_table or "path" in quad_table else None),
         grid_points=int(grid_points),
         output_domain=Domain(domain_name),
         constraint_tol=constraint_tol,
@@ -284,11 +283,7 @@ def read_lags_csv(path, expected_m, im0_tol=1e-12):
 
 def cmd_synthesize(args):
     config = load_config(args.config)
-    lags = synthesize_lags(
-        config.aps,
-        config.array,
-        SynthesisOptions(nodes=config.nodes, domain_path=config.domain_path),
-    )
+    lags = synthesize_lags(config.aps, config.array, config.quadrature)
     out = _out_dir(args)
     write_lags_csv(out / "lags.csv", lags)
     return EXIT_OK
@@ -329,11 +324,11 @@ def cmd_recover(args):
 
 def cmd_certify(args):
     config = load_config(args.config)
-    certificate = certify(
-        config.aps,
-        config.array,
-        identifiability_tol=config.identifiability_tol,
-    )
+    # A scenario's quadrature gives the energy nodes and the synthesis rule.
+    options = {"identifiability_tol": config.identifiability_tol}
+    if config.quadrature is not None:
+        options.update(nodes=config.quadrature.nodes, opts=config.quadrature)
+    certificate = certify(config.aps, config.array, **options)
     out = _out_dir(args)
     payload = {
         "schema": "apsrec-certificate/1",
@@ -356,10 +351,7 @@ def cmd_certify(args):
         except ValueError as exc:
             raise ConfigError("--sweep", "expected comma-separated integers") from exc
         try:
-            sweep = resolution_sweep(
-                config.aps, config.array.gamma, m_values,
-                identifiability_tol=config.identifiability_tol,
-            )
+            sweep = resolution_sweep(config.aps, config.array.gamma, m_values, **options)
         except ValueError as exc:
             raise ConfigError("--sweep", str(exc)) from exc
         rows = [f"{m},{_full(err)}" for m, err in sweep]

@@ -9,7 +9,9 @@ threads; no operation mutates its inputs.
 
 import abc
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -183,6 +185,94 @@ def evaluate_trig(cfg, coeffs, x):
         )
     values = trig_basis(cfg, x) @ b
     return values[0] if np.isscalar(x) or np.ndim(x) == 0 else values
+
+
+# The exponential-sum kernel: every sum_j v_j exp(i kappa_m x_j) in the
+# package runs on a table of step_j**m, step_j = exp(i gamma pi x_j). One
+# whose M complex rows and one real row of weights exceed this cap is
+# never built whole, nor kept in the Gram's workspace.
+_MAX_KEPT_TABLE_BYTES = 16 * 2**20
+
+
+def _powers(step, rows):
+    """The read-only table of step**m for m < rows, one row per power."""
+    powers = np.empty((rows, step.size), dtype=np.complex128)
+    powers[0] = 1.0
+    for m in range(1, rows):
+        np.multiply(powers[m - 1], step, out=powers[m])
+    powers.setflags(write=False)
+    return powers
+
+
+class _SplitTable(NamedTuple):
+    """The stand-in for a power table over the cap: the B baby rows
+    step**r, the giant step step**B, and a work table of one row per
+    giant power, shared by the passes of one call."""
+
+    baby: np.ndarray
+    giant: np.ndarray
+    work: np.ndarray
+
+
+def _exp_table(cfg, x):
+    """The kernel table of step_j**m, m < M, at the points ``x`` (a theta
+    path passes sin(theta)): the whole M-row table within the cap, else,
+    with B = isqrt(M) and m = B s + r, a :class:`_SplitTable` of the baby
+    rows step**r and the giant step step**B, about 2 sqrt(M) rows."""
+    step = np.exp(1j * cfg.gamma * np.pi * x)
+    if (2 * cfg.M + 1) * 8 * step.size <= _MAX_KEPT_TABLE_BYTES:
+        return _powers(step, cfg.M)
+    rows = math.isqrt(cfg.M)
+    baby = _powers(step, rows)
+    work = np.empty((-(-cfg.M // rows), step.size), dtype=np.complex128)
+    return _SplitTable(baby, baby[-1] * step, work)
+
+
+# The products with baby rows below are real GEMMs on float64 views of
+# the complex tables, whose columns alternate real and imaginary parts.
+def _giant_sum(table, c):
+    """sum_m c_m step**m for real c zero-padded and shaped (rows, B):
+    Horner's rule in the giant step over the rows of c @ baby."""
+    baby, giant, work = table
+    np.matmul(c, baby.view(np.float64), out=work.view(np.float64))
+    total = work[-1].copy()
+    for row in work[-2::-1]:
+        total *= giant
+        total += row
+    return total
+
+
+def _giant_lags(table, v, M):
+    """Re sum_j v_j step_j**m for m < M, with v complex. Row s of the work
+    table becomes conj(v giant**s), and entry (s, r) of the real product
+    of its float view with baby's is then the sum for m = B s + r."""
+    baby, giant, work = table
+    work[0] = v
+    for s in range(1, len(work)):
+        np.multiply(work[s - 1], giant, out=work[s])
+    np.conjugate(work, out=work)
+    return (work.view(np.float64) @ baby.view(np.float64).T).ravel()[:M]
+
+
+def _exp_samples(table, b):
+    """Samples from coefficients ``b`` in the TrigCoeffs layout: the parts
+    (Re sum_m b_m step_j**m, Im sum_m b_{M-1+m} step_j**m), whose sum is
+    the polynomial at the table's points; the sine part of m = 0 is zero."""
+    M = (b.size + 1) // 2
+    if isinstance(table, np.ndarray):
+        return (b[:M] @ table).real, (b[M:] @ table[1:]).imag
+    cos, sin = np.zeros((2, len(table.work), len(table.baby)))
+    cos.flat[:M], sin.flat[1:M] = b[:M], b[M:]
+    return _giant_sum(table, cos).real, _giant_sum(table, sin).imag
+
+
+def _exp_lags(table, a, b, M):
+    """Lags from weighted samples: Re sum_j a_j step_j**m
+    + i Im sum_j b_j step_j**m for m < M and real a, b (with a = b = v,
+    sum_j v_j exp(i kappa_m x_j)); Re(-i z) is Im(z)."""
+    if isinstance(table, np.ndarray):
+        return (table @ a).real + 1j * (table @ b).imag
+    return _giant_lags(table, a, M) + 1j * _giant_lags(table, -1j * b, M)
 
 
 class ApsModel(abc.ABC):

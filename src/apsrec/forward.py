@@ -19,6 +19,8 @@ from .core import (
     Domain,
     PointSources,
     SpectrumSum,
+    _exp_lags,
+    _exp_table,
     seams_x,
     transform_aps,
 )
@@ -57,31 +59,31 @@ def _split_atoms(model):
 def synthesize_lags(model, cfg, opts=None):
     """Covariance lags r_m, m = 0..M-1, of ``model`` under ``cfg``.
 
+    Atoms add exact phasor sums; the densities' weighted samples v_j on
+    one rule give r_m = sum_j v_j exp(i kappa_m x_j) through the
+    exponential-sum kernel, with x_j = sin(theta_j) on the theta path.
+
     The imaginary part of r_0 is forced to exact zero (it vanishes
-    analytically). Sums are synthesized term by term in declaration
-    order, so results are deterministic and linear in the model.
+    analytically). Results are deterministic and linear in the model.
     """
     if not isinstance(model, ApsModel):
         raise TypeError("model must be a spectrum model")
     opts = opts if opts is not None else SynthesisOptions()
-    kappas = cfg.kappas(cfg.M)
     r = np.zeros(cfg.M, dtype=np.complex128)
 
     atoms, densities = _split_atoms(model)
     for angle, power in atoms:
-        r += power * np.exp(1j * kappas * np.sin(angle))
+        r += power * np.exp(1j * cfg.kappas(cfg.M) * np.sin(angle))
 
     if densities:
         density = densities[0] if len(densities) == 1 else SpectrumSum(tuple(densities))
         if opts.domain_path is Domain.THETA:
             points, weights = theta_quadrature_points(opts.nodes, density.seams_theta())
-            samples = weights * density.rho(points)
-            r += np.exp(1j * np.multiply.outer(kappas, np.sin(points))) @ samples
+            x, samples = np.sin(points), weights * density.rho(points)
         else:
-            g = transform_aps(density)
             points, weights = weighted_quadrature_points(opts.nodes, seams_x(density))
-            samples = weights * g(points)
-            r += np.exp(1j * np.multiply.outer(kappas, points)) @ samples
+            x, samples = points, weights * transform_aps(density)(points)
+        r += _exp_lags(_exp_table(cfg, x), samples, samples, cfg.M)
 
     r[0] = r[0].real
     return CovarianceLags(r)

@@ -21,7 +21,7 @@ import scipy.linalg.cython_lapack
 # perfbench's tracer can wrap ``gram.bessel_j0`` as its J0 layer.
 from scipy.special import j0 as bessel_j0
 
-from .core import ArrayConfig, CovarianceLags, TrigCoeffs
+from .core import _MAX_KEPT_TABLE_BYTES, ArrayConfig, CovarianceLags, TrigCoeffs
 from .errors import ConditioningError
 
 DEFAULT_COND_CEILING = 1e12
@@ -241,12 +241,6 @@ def _factor(cfg):
 # brings back a dropped entry.
 _cached = None
 _lock = threading.Lock()
-
-# A larger table is not kept: the audit's 42 MB table at M = 1024, kept
-# next to the 32 MB Gram, raised the peak resident memory of an M = 1024
-# stream by 16 MB. A larger power table is not even built whole; the
-# half-rule kernel builds sqrt(M) of its rows and the step between them.
-_MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 
 def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):

@@ -13,7 +13,6 @@ reported verbatim with a negativity summary rather than clipped, since
 clipping would silently break every energy identity downstream.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,12 +27,15 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
+    _exp_lags,
+    _exp_samples,
+    _exp_table,
     seams_x,
     transform_aps,
     trig_basis,
 )
 from .errors import DomainError, FeasibilityWarning
-from .gram import _MAX_KEPT_TABLE_BYTES, _keep_table, _kept_table
+from .gram import _keep_table, _kept_table
 from .gram import assemble_gram, measurement_vector, solve
 from .quad import CHEBYSHEV_GAUSS, chebyshev_gauss, weighted_quadrature_points
 
@@ -89,41 +91,19 @@ def _grid_basis(cfg, x):
     return basis
 
 
-def _powers(step, rows):
-    """The read-only table of step**m for m < rows, one row per power."""
-    powers = np.empty((rows, step.size), dtype=np.complex128)
-    powers[0] = 1.0
-    for m in range(1, rows):
-        np.multiply(powers[m - 1], step, out=powers[m])
-    powers.setflags(write=False)
-    return powers
+def _half_rule(cfg, nodes):
+    """Weights and kernel table of the upper half of the Chebyshev-Gauss
+    rule, the nodes x_j >= 0.
 
-
-class _SplitTable(NamedTuple):
-    """The stand-in, built per call, for a power table too large to build:
-    the B baby rows step**r, the giant step step**B, and a work table of
-    one row per giant power, shared by the passes of one call."""
-
-    baby: np.ndarray
-    giant: np.ndarray
-    work: np.ndarray
-
-
-def _power_table(cfg, nodes):
-    """Weights and power table of the half rule, whose rows give
-    exp(i kappa_m x_j) = step_j**m for step_j = exp(i gamma pi x_j).
-
-    A table of all M rows within the workspace's size cap is built whole,
-    and kept there at the audit's and the negativity summary's default
-    node counts; any other count is built per call. A larger table is
-    never built: with B = isqrt(M) and m = B s + r, step**m is the baby
-    row step**r (r < B) times the s-th power of the giant step step**B
-    (s < ceil(M / B)), so a :class:`_SplitTable` of B rows and one giant
-    step, built per call, stands for all M rows.
+    The rule's abscissae ascend and are symmetric about x = 0, so g(x_j)
+    and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
+    odd parts of g on those nodes, the kernel's two sample parts. For odd
+    ``nodes`` the middle node is snapped to x = 0 and kept at half weight,
+    so a sum over both halves counts it once. A whole table is kept in the
+    workspace at the audit's and the summary's default node counts.
 
     Returns:
-        (w, powers): the half-rule weights, and the whole M-row table or
-        its :class:`_SplitTable`.
+        (w, powers): the half-rule weights and the table.
     """
     kept = _kept_table(cfg, nodes)
     if kept is not None:
@@ -136,71 +116,10 @@ def _power_table(cfg, nodes):
         x[0] = 0.0
         w[0] *= 0.5
     w.setflags(write=False)
-    step = np.exp(1j * cfg.gamma * np.pi * x)
-    if w.nbytes + cfg.M * step.nbytes <= _MAX_KEPT_TABLE_BYTES:
-        powers = _powers(step, cfg.M)
-        if nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
-            _keep_table(cfg, nodes, (w, powers))
-        return w, powers
-    rows = math.isqrt(cfg.M)
-    baby = _powers(step, rows)
-    work = np.empty((-(-cfg.M // rows), step.size), dtype=np.complex128)
-    return w, _SplitTable(baby, baby[-1] * step, work)
-
-
-# The products with baby rows below are real GEMMs on float64 views of
-# the complex tables, whose columns alternate real and imaginary parts.
-def _giant_sum(table, c):
-    """sum_m c_m step**m over m < B len(c), for real coefficients c
-    zero-padded to that length and shaped (len(c), B): Horner's rule in
-    the giant step over the rows of c @ baby, formed in the work table."""
-    baby, giant, work = table
-    np.matmul(c, baby.view(np.float64), out=work.view(np.float64))
-    total = work[-1].copy()
-    for row in work[-2::-1]:
-        total *= giant
-        total += row
-    return total
-
-
-def _giant_lags(table, v, M):
-    """Re sum_j v_j step_j**m for m < M, with v complex. Row s of the work
-    table becomes conj(v giant**s), and entry (s, r) of the real product
-    of its float view with baby's is then the sum for m = B s + r."""
-    baby, giant, work = table
-    work[0] = v
-    for s in range(1, len(work)):
-        np.multiply(work[s - 1], giant, out=work[s])
-    np.conjugate(work, out=work)
-    return (work.view(np.float64) @ baby.view(np.float64).T).ravel()[:M]
-
-
-def _half_rule(cfg, coeffs, nodes):
-    """Even and odd parts of g on the upper half of the Chebyshev-Gauss rule.
-
-    The rule's abscissae ascend and are symmetric about x = 0, so g(x_j)
-    and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
-    odd parts of g on the nodes x_j >= 0. With the M-row table of
-    exp(i kappa_m x_j), e = b_cos . Re and o = b_sin . Im of that table:
-    one product each for a whole table. Over the B baby rows of a larger
-    one, e and o are the real and imaginary parts of one real GEMM each
-    of the coefficients, zero-padded and reshaped to (ceil(M / B), B),
-    with the baby rows, summed over the giant powers by Horner's rule;
-    the sine coefficient of m = 0 is zero. For odd ``nodes`` the middle
-    node is snapped to x = 0 and kept at half weight, so a sum over both
-    halves counts it once.
-
-    Returns:
-        (w, powers, even, odd): the half-rule weights, the table of
-        :func:`_power_table`, and the parts e and o.
-    """
-    w, powers = _power_table(cfg, nodes)
-    b, M = coeffs.b, cfg.M
-    if isinstance(powers, np.ndarray):
-        return w, powers, (b[:M] @ powers).real, (b[M:] @ powers[1:]).imag
-    cos, sin = np.zeros((2, len(powers.work), len(powers.baby)))
-    cos.flat[:M], sin.flat[1:M] = b[:M], b[M:]
-    return w, powers, _giant_sum(powers, cos).real, _giant_sum(powers, sin).imag
+    powers = _exp_table(cfg, x)
+    if isinstance(powers, np.ndarray) and nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
+        _keep_table(cfg, nodes, (w, powers))
+    return w, powers
 
 
 def _lags_of_coeffs(cfg, coeffs, nodes):
@@ -210,15 +129,11 @@ def _lags_of_coeffs(cfg, coeffs, nodes):
     exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so over the
     half rule of :func:`_half_rule`,
     r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)):
-    two products with a whole table, or one real GEMM with the baby rows
-    for each part of a larger one, Re(-i z) being Im(z).
+    the kernel's lags of the weighted parts.
     """
-    w, powers, even, odd = _half_rule(cfg, coeffs, nodes)
-    w_even, w_odd = w * even, w * odd
-    if isinstance(powers, np.ndarray):
-        return 2.0 * ((powers @ w_even).real + 1j * (powers @ w_odd).imag)
-    return 2.0 * (_giant_lags(powers, w_even, cfg.M)
-                  + 1j * _giant_lags(powers, -1j * w_odd, cfg.M))
+    w, powers = _half_rule(cfg, nodes)
+    even, odd = _exp_samples(powers, coeffs.b)
+    return 2.0 * _exp_lags(powers, w * even, w * odd, cfg.M)
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
@@ -261,28 +176,33 @@ def project_onto_nperp(g, cfg, rule=None):
     """Project a function (or an L2 spectrum model) orthogonally onto the
     trigonometric subspace spanned by the array's basis.
 
-    The projection coefficients solve G c = v with v the vector of
-    weighted moments of ``g`` against the basis. For a density synthesized
-    into lags this coincides with :func:`recover`, which is the identity
-    the test suite checks.
+    The projection coefficients solve G c = v with v the weighted moments
+    of ``g`` against the basis: the kernel's lags of its samples, which
+    for a model are its x-path synthesized lags, bit for bit. So the
+    projection coincides with :func:`recover` of those lags.
 
     Args:
         g: Vectorized callable on [-1, 1], or an ApsModel with a density
             (models integrate seam-aware).
         rule: Chebyshev-Gauss rule for the moments; defaults to 512 nodes.
+            A model takes only its node count.
+
+    Raises:
+        ModelError: For a model without a density (point sources).
+        ValueError: For a rule of another kind.
     """
     if rule is not None and rule.kind != CHEBYSHEV_GAUSS:
         raise ValueError("projection moments require a Chebyshev-Gauss rule")
     nodes = rule.nodes if rule is not None else 512
     if isinstance(g, ApsModel):
         points, weights = weighted_quadrature_points(nodes, seams_x(g))
-        samples = transform_aps(g)(points)
+        g = transform_aps(g)
     else:
         moment_rule = rule if rule is not None else chebyshev_gauss(nodes)
         points, weights = moment_rule.abscissae, moment_rule.weights
-        samples = np.asarray(g(points), dtype=np.float64)
-    moments = trig_basis(cfg, points).T @ (weights * samples)
-    return solve(assemble_gram(cfg), moments)
+    samples = weights * np.asarray(g(points), dtype=np.float64)
+    lags = _exp_lags(_exp_table(cfg, points), samples, samples, cfg.M)
+    return solve(assemble_gram(cfg), np.concatenate([lags.real, lags[1:].imag]))
 
 
 def evaluate_solution(solution, grid, domain=Domain.THETA):
@@ -323,7 +243,8 @@ def negativity_summary(solution, nodes=None):
     cfg = solution.cfg
     if nodes is None:
         nodes = _negativity_nodes(cfg)
-    w, _, even, odd = _half_rule(cfg, solution.coeffs, nodes)
+    w, powers = _half_rule(cfg, nodes)
+    even, odd = _exp_samples(powers, solution.coeffs.b)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))
     abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))

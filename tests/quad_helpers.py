@@ -8,6 +8,7 @@ oracle here is the independent check on the Gram's ``scipy.special.j0``.
 
 import numpy as np
 
+from apsrec.core import CovarianceLags, Domain, seams_x, transform_aps
 from apsrec.errors import QuadratureError
 from apsrec.quad import (
     CHEBYSHEV_GAUSS,
@@ -95,3 +96,26 @@ def bessel_j0_quadrature_oracle(z, nodes=200):
     scalar = z_arr.ndim == 0
     values = np.cos(np.multiply.outer(np.atleast_1d(z_arr), np.cos(theta))) @ weights / np.pi
     return float(values[0]) if scalar else values
+
+
+def dense_exp_sum(cfg, x, v, chunk=4096):
+    """sum_j v_j exp(i kappa_m x_j) for m < M from dense ``np.exp`` tables
+    of at most ``chunk`` points each: the reference for the library's
+    exponential-sum kernel, which builds powers of exp(i gamma pi x_j)."""
+    kappas = cfg.kappas(cfg.M)
+    return sum(np.exp(1j * np.multiply.outer(kappas, x[i:i + chunk])) @ v[i:i + chunk]
+               for i in range(0, x.size, chunk))
+
+
+def dense_synthesis(model, cfg, nodes=256, path=Domain.THETA):
+    """Lags of an L2 model on the rule ``synthesize_lags`` uses, summed
+    by :func:`dense_exp_sum`."""
+    if Domain(path) is Domain.THETA:
+        points, weights = theta_quadrature_points(nodes, model.seams_theta())
+        x, samples = np.sin(points), weights * model.rho(points)
+    else:
+        points, weights = weighted_quadrature_points(nodes, seams_x(model))
+        x, samples = points, weights * transform_aps(model)(points)
+    r = dense_exp_sum(cfg, x, samples)
+    r[0] = r[0].real
+    return CovarianceLags(r)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from quad_helpers import dense_synthesis
 
 from apsrec.analysis import certify, energy_of_solution, resolution_sweep
 from apsrec.core import (
@@ -10,11 +11,13 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
+    evaluate_trig,
     seams_x,
     transform_aps,
 )
 from apsrec.errors import ModelError
 from apsrec.forward import SynthesisOptions, synthesize_lags
+from apsrec.gram import assemble_gram, measurement_vector, solve
 from apsrec.plv import PlvSolution, project_onto_nperp, recover
 from apsrec.quad import weighted_quadrature_points
 
@@ -86,6 +89,36 @@ def test_laplacian_certificate_seam_handling():
 def test_certify_rejects_point_sources():
     with pytest.raises(ModelError):
         certify(PointSources(sources=((0.0, 1.0),)), ArrayConfig(3, 1.0))
+
+
+CERTIFIED_TRUTHS = [
+    Uniform(-0.6, 0.2, 1.4),
+    GAUSS_CLUSTER,
+    LaplacianMixture(components=((0.25, 0.08, 1.0),)),
+    TrigPolynomial(ArrayConfig(3, 1.0), TrigCoeffs(np.array([1.0, 0.4, -0.2, 0.3, 0.1]))),
+    Uniform(-0.3, 0.3, 0.5) + GaussianMixture(components=((0.5, 0.1, 1.0),)),
+]
+
+
+@pytest.mark.parametrize("m", [1, 8, 64, 256])
+@pytest.mark.parametrize("model", CERTIFIED_TRUTHS, ids=lambda m: type(m).__name__)
+def test_certificate_matches_dense_forms(model, m):
+    # Synthesis by a dense exp table and the Pythagoras term by
+    # evaluate_trig's dense basis give the same certificate to rounding.
+    cfg = ArrayConfig(m, 1.0)
+    certificate = certify(model, cfg)
+    gram = assemble_gram(cfg)
+    y = measurement_vector(dense_synthesis(model, cfg, nodes=512))
+    coeffs = solve(gram, y)
+    points, weights = weighted_quadrature_points(512, seams_x(model))
+    truth = transform_aps(model)(points)
+    energy = float(weights @ (truth * truth))
+    diff = truth - evaluate_trig(cfg, coeffs, points)
+    gap = abs(energy - gram.quadratic_form(coeffs) - float(weights @ (diff * diff)))
+    assert certificate.energy_truth == energy
+    assert abs(certificate.quadratic_form - float(y.y @ coeffs.b)) <= 1e-12 * energy
+    assert abs(certificate.energy_plv - gram.quadratic_form(coeffs)) <= 1e-12 * energy
+    assert abs(certificate.pythagoras_gap - gap) <= 1e-12 * energy
 
 
 def test_error_nonnegative_up_to_noise(rng):

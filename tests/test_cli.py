@@ -185,6 +185,27 @@ class TestCertify:
         assert [int(row[0]) for row in rows] == [2, 4, 8]
         assert errors[0] >= errors[1] >= errors[2]
 
+    def test_quadrature_block_sets_certificate_rule(self, tmp_path):
+        # At M = 256 the default 512-node theta rule under-resolves these
+        # lags, and the certificate read error_sq -13.9 with a gap of 27.9.
+        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0},
+                       quadrature={"nodes": 2048, "path": "x"})
+        payload["aps"] = {"kind": "gaussian_mixture", "components": [
+            {"mean": 0.3, "std": 0.05, "weight": 1.0},
+            {"mean": -0.4, "std": 0.1, "weight": 0.7}]}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     "--sweep", "64,128,256"]) == 0
+        report = json.loads((out / "certificate.json").read_text())
+        floor = 1e-10 * report["energy_truth"]
+        assert report["reconstruction_error_sq"] >= -floor
+        assert report["pythagoras_gap"] <= floor
+        _, rows = read_rows(out / "sweep.csv")
+        assert float(rows[-1][1]) == pytest.approx(report["reconstruction_error_sq"], rel=1e-11)
+        errors = [float(row[1]) for row in rows]
+        assert all(error >= -floor for error in errors)
+
     def test_bad_sweep_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, GAUSS_CONFIG)
         assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--sweep", "4,x"]) == 2

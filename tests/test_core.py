@@ -21,7 +21,9 @@ from apsrec.core import (
     transform_aps,
     trig_basis,
 )
+from apsrec import core
 from apsrec.errors import DomainError, ModelError, StructureError
+from apsrec.quad import theta_quadrature_points
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
 
@@ -259,6 +261,38 @@ class TestModels:
 
     def test_full_range_uniform_has_no_seams(self):
         assert Uniform(-np.pi / 2, np.pi / 2, 1.0).seams_theta() == ()
+
+
+@pytest.mark.parametrize("m,gamma", [(1, 1.0), (64, 1.0), (700, 1.25), (1025, 1.0)])
+def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
+    # Theta-path Gauss-Legendre panels split at a segment's seams are not
+    # symmetric about x = 0. Their 3 x 768 points keep M = 1 and 64 within
+    # the cap and put M = 700 and 1025 over it, where B = isqrt(M) does
+    # not divide M.
+    cfg = ArrayConfig(m, gamma)
+    theta, _ = theta_quadrature_points(768, Uniform(-0.6, 0.2, 1.4).seams_theta())
+    x = np.sin(theta)
+    table = core._exp_table(cfg, x)
+    assert isinstance(table, core._SplitTable) == (m >= 700)
+    dense = np.exp(1j * np.multiply.outer(cfg.kappas(m), x))
+    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    even, odd = core._exp_samples(table, b)
+    for part, expected in ((even, (b[:m] @ dense).real), (odd, (b[m:] @ dense[1:]).imag)):
+        assert np.max(np.abs(part - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1.0)
+    a, c = rng.uniform(-1.0, 1.0, (2, x.size))
+    lags = core._exp_lags(table, a, c, m)
+    expected = (dense @ a).real + 1j * (dense @ c).imag
+    assert lags.shape == (m,)
+    assert np.max(np.abs(lags - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_exp_kernel_cap_counts_one_weight_row():
+    # A table is built whole exactly when its M complex rows and one real
+    # row of weights fit the cap, the size the Gram's workspace keeps.
+    cfg = ArrayConfig(1024, 1.0)
+    fits = core._MAX_KEPT_TABLE_BYTES // (8 * (2 * cfg.M + 1))
+    assert isinstance(core._exp_table(cfg, np.zeros(fits)), np.ndarray)
+    assert isinstance(core._exp_table(cfg, np.zeros(fits + 1)), core._SplitTable)
 
 
 class TestSampledFunction:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from quad_helpers import dense_exp_sum, dense_synthesis
 
 from apsrec.core import (
     ArrayConfig,
+    Domain,
     GaussianMixture,
     LaplacianMixture,
     PointSources,
@@ -98,6 +102,36 @@ def test_convergence_to_dense_reference(model):
     lags = synthesize_lags(model, cfg, SynthesisOptions(nodes=512))
     reference = lags_by_dense_quadrature(model, cfg)
     assert np.max(np.abs(lags.r - reference)) <= 1e-9 * max(1.0, np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("m", [1, 8, 64, 256])
+@pytest.mark.parametrize("path", ["theta", "x"])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_kernel_synthesis_matches_dense_exp_table(model, path, m):
+    # The same sums as one dense np.exp table per rule, to rounding.
+    cfg = ArrayConfig(m, 1.0)
+    lags = synthesize_lags(model, cfg, SynthesisOptions(domain_path=path))
+    dense = dense_synthesis(model, cfg, path=path)
+    assert lags.r[0].imag == 0.0
+    assert np.max(np.abs(lags.r - dense.r)) <= 1e-12 * np.max(np.abs(dense.r))
+
+
+def test_large_x_path_synthesis_builds_no_dense_table():
+    # A dense 1024 x 16384 exp table takes 256 MB; the kernel's baby rows
+    # and work table take about 8 MB each.
+    model = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
+    cfg = ArrayConfig(1024, 1.0)
+    opts = SynthesisOptions(nodes=16384, domain_path=Domain.X)
+    points, weights = weighted_quadrature_points(opts.nodes)
+    tracemalloc.start()
+    try:
+        lags = synthesize_lags(model, cfg, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    dense = dense_exp_sum(cfg, points, weights * model.rho(np.arcsin(points)), chunk=2048)
+    assert np.max(np.abs(lags.r - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_linearity_of_sum():

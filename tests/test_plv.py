@@ -10,6 +10,7 @@ from apsrec.core import (
     CovarianceLags,
     Domain,
     GaussianMixture,
+    LaplacianMixture,
     PointSources,
     TrigCoeffs,
     TrigPolynomial,
@@ -22,7 +23,7 @@ from apsrec.core import (
 )
 from apsrec import gram as gram_module
 from apsrec import plv
-from apsrec.errors import DomainError, FeasibilityWarning, StructureError
+from apsrec.errors import DomainError, FeasibilityWarning, ModelError, StructureError
 from apsrec.forward import SynthesisOptions, synthesize_lags
 from apsrec.gram import assemble_gram, bessel_j0, measurement_vector, solve
 from apsrec.plv import (
@@ -366,6 +367,30 @@ def test_projection_consistency(model):
     assert np.max(np.abs(projected.b - recovered.coeffs.b)) <= 1e-8
 
 
+PROJECTION_TRUTHS = [
+    Uniform(-0.6, 0.2, 1.4),
+    GAUSS_CLUSTER,
+    LaplacianMixture(components=((0.25, 0.08, 1.0),)),
+    TrigPolynomial(ArrayConfig(5, 1.0), TrigCoeffs(np.array([1.0, 0.3, -0.2, 0.1, 0.05, -0.4, 0.2, 0.0, 0.15]))),
+    Uniform(-0.3, 0.3, 0.5) + GaussianMixture(components=((0.5, 0.1, 1.0),)),
+]
+
+
+@pytest.mark.parametrize("m", [1, 8, 64, 256])
+@pytest.mark.parametrize("model", PROJECTION_TRUTHS, ids=lambda m: type(m).__name__)
+def test_projection_matches_dense_basis_moments(model, m):
+    # The kernel's moments against the dense N x (2M-1) basis.
+    cfg = ArrayConfig(m, 1.0)
+    points, weights = weighted_quadrature_points(512, seams_x(model))
+    samples = weights * transform_aps(model)(points)
+    dense = solve(assemble_gram(cfg), trig_basis(cfg, points).T @ samples).b
+    projected = project_onto_nperp(model, cfg).b
+    assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # A model's moments are its x-path synthesized lags, bit for bit.
+    lags = synthesize_lags(model, cfg, SynthesisOptions(512, Domain.X))
+    assert np.array_equal(projected, solve(assemble_gram(cfg), measurement_vector(lags)).b)
+
+
 class TestProjection:
     def test_identity_on_subspace(self):
         cfg = ArrayConfig(4, 1.0)
@@ -408,6 +433,26 @@ class TestProjection:
 
         again = project_onto_nperp(residual, cfg, chebyshev_gauss(512))
         assert np.max(np.abs(again.b)) <= 1e-8
+
+    def test_rejects_models_without_density(self):
+        # Atoms have lags but no density to project.
+        cfg = ArrayConfig(3, 1.0)
+        atoms = PointSources(sources=((0.3, 1.0),))
+        for model in (atoms, atoms + GAUSS_CLUSTER):
+            with pytest.raises(ModelError):
+                project_onto_nperp(model, cfg)
+
+    @pytest.mark.parametrize("nodes", [1, 8, 64])
+    def test_small_rules(self, nodes):
+        # Rules under the synthesis floor of 16 nodes project as before.
+        cfg = ArrayConfig(4, 1.0)
+        rule = chebyshev_gauss(nodes)
+        g = transform_aps(GAUSS_CLUSTER)
+        moments = trig_basis(cfg, rule.abscissae).T @ (rule.weights * g(rule.abscissae))
+        dense = solve(assemble_gram(cfg), moments).b
+        for model in (GAUSS_CLUSTER, g):
+            projected = project_onto_nperp(model, cfg, rule).b
+            assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_rejects_legendre_rule(self):
         from apsrec.quad import gauss_legendre
