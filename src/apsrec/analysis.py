@@ -14,7 +14,7 @@ the other.
 from dataclasses import dataclass
 
 from .core import ArrayConfig, _exp_samples, _exp_table, seams_x, transform_aps
-from .errors import ModelError
+from .errors import ModelError, QuadratureError
 from .forward import SynthesisOptions, synthesize_lags
 from .gram import assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
@@ -76,6 +76,9 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
     Raises:
         ModelError: For models without a density.
         ConditioningError: Propagated from Gram assembly.
+        QuadratureError: When the squared error is below, or the
+            Pythagoras gap above, +-identifiability_tol * energy_truth: the
+            quadrature does not resolve the truth, so no verdict is issued.
     """
     if not model.in_l2:
         raise ModelError("certificates need a square-integrable ground truth")
@@ -104,7 +107,13 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
     diff_energy = float(weights @ (diff * diff))
     pythagoras_gap = abs(energy_truth - energy_plv - diff_energy)
 
-    margin = identifiability_tol * energy_truth - error_sq
+    floor = identifiability_tol * energy_truth
+    if error_sq < -floor or pythagoras_gap > floor:
+        raise QuadratureError(
+            f"certificate self-check failed for M={cfg.M}, gamma={cfg.gamma:g}: "
+            f"reconstruction_error_sq {error_sq:.3e}, pythagoras_gap "
+            f"{pythagoras_gap:.3e}, tolerance {floor:.3e}")
+    margin = floor - error_sq
     return ErrorCertificate(
         energy_truth=energy_truth,
         energy_plv=energy_plv,
@@ -112,7 +121,7 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
         reconstruction_error_sq=error_sq,
         pythagoras_gap=pythagoras_gap,
         energy_truth_refinement=energy_refined - energy_truth,
-        identifiable=bool(error_sq <= identifiability_tol * energy_truth),
+        identifiable=bool(error_sq <= floor),
         margin=margin,
     )
 
@@ -134,7 +143,8 @@ def resolution_sweep(model, gamma, m_values, **certify_kwargs):
 
     For fixed gamma the representable subspaces are nested in M, so the
     returned errors are non-increasing; a model representable at order
-    M0 drops to quadrature floor for every M >= M0.
+    M0 drops to quadrature floor for every M >= M0. Each entry is gated
+    like :func:`certify`.
 
     Args:
         model: L2 spectrum model.

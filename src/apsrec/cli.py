@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .analysis import DEFAULT_IDENTIFIABILITY_TOL, certify, resolution_sweep
 from .core import (
@@ -39,7 +40,7 @@ from .errors import (
     QuadratureError,
 )
 from .forward import SynthesisOptions, synthesize_lags
-from .gram import assemble_gram
+from .gram import assemble_gram, gram_blocks
 from .plv import DEFAULT_RESIDUAL_TOL, evaluate_solution, negativity_summary, recover
 
 SCHEMA = "apsrec-scenario/1"
@@ -362,11 +363,13 @@ def cmd_certify(args):
 def cmd_gram(args):
     config = load_config(args.config)
     gram = assemble_gram(config.array)
+    g_re, g_im = gram_blocks(config.array)
     out = _out_dir(args)
-    _write_lines(out / "gram_re.csv", [",".join(_full(v) for v in row) for row in gram.g_re])
-    _write_lines(out / "gram_im.csv", [",".join(_full(v) for v in row) for row in gram.g_im])
-    diag_re = float(np.min(np.diag(gram.chol_re)))
-    diag_im = float(np.min(np.diag(gram.chol_im))) if gram.cfg.M > 1 else float("nan")
+    _write_lines(out / "gram_re.csv", [",".join(_full(v) for v in row) for row in g_re])
+    _write_lines(out / "gram_im.csv", [",".join(_full(v) for v in row) for row in g_im])
+    diag_re = float(np.min(np.diag(scipy.linalg.cholesky(g_re, lower=True))))
+    if config.array.M > 1:
+        diag_im = float(np.min(np.diag(scipy.linalg.cholesky(g_im, lower=True))))
     payload = {
         "schema": "apsrec-gram/1",
         "M": config.array.M,

@@ -271,6 +271,8 @@ def _exp_lags(table, a, b, M):
     + i Im sum_j b_j step_j**m for m < M and real a, b (with a = b = v,
     sum_j v_j exp(i kappa_m x_j)); Re(-i z) is Im(z)."""
     if isinstance(table, np.ndarray):
+        if a is b:
+            return table @ a
         return (table @ a).real + 1j * (table @ b).imag
     return _giant_lags(table, a, M) + 1j * _giant_lags(table, -1j * b, M)
 

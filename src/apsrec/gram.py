@@ -1,22 +1,24 @@
-"""The block-diagonal Gram matrix of the trigonometric basis under the
-weighted inner product, in closed form via ``scipy.special.j0``, plus
-its Cholesky factorization and the linear solve that yields recovery
-coefficients.
+"""The Gram matrix of the trigonometric basis under the weighted inner
+product, in closed form via ``scipy.special.j0``, plus its factorization
+and the linear solve that yields recovery coefficients.
 
 The basis splits by parity: cosines (with the constant as index 0) pair
 only with the real parts of the lags, sines only with the imaginary
 parts, so the full (2M-1)-dimensional system decouples into two
-independent symmetric positive-definite blocks.
+independent symmetric positive-definite blocks. In the exponential basis
+exp(i kappa_k x), k = -(M-1)..M-1, the same Gram is one real symmetric
+Toeplitz matrix T of order 2M-1 with first column pi J0(kappa_k), and the
+two blocks are its even and odd halves. Small arrays factorize the dense
+blocks by Cholesky; large ones keep O(M) numbers of T and solve with the
+Gohberg-Semencul formula for T^-1 (Levinson 1947, Durbin 1960, Gohberg and
+Semencul 1972, Cybenko 1980).
 """
 
-import ctypes
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.cython_lapack
 # Bound as a module attribute, not called as scipy.special.j0, so that
 # perfbench's tracer can wrap ``gram.bessel_j0`` as its J0 layer.
 from scipy.special import j0 as bessel_j0
@@ -25,6 +27,21 @@ from .core import _MAX_KEPT_TABLE_BYTES, ArrayConfig, CovarianceLags, TrigCoeffs
 from .errors import ConditioningError
 
 DEFAULT_COND_CEILING = 1e12
+
+# From this M up the Gram is factorized as a Toeplitz operator, below it
+# as two dense Cholesky blocks: the smallest M from which the Toeplitz
+# path was no slower, on a cache miss (factorization, condition estimate
+# and one solve) and on a cached solve. Milliseconds, median of 21
+# alternating runs, gamma = 1.13, one BLAS thread, 2-vCPU x86-64 host:
+#
+#     M                 64    128   192   224   240   256   512   1024
+#     miss, dense      0.66  1.61  3.19  4.15  4.76  5.48  26.5   131
+#     miss, Toeplitz   2.63  3.53  4.27  4.28  4.59  4.58  10.6   22.7
+#     solve, dense     .072  .133  .258  .363  .409  .472  2.05  9.76
+#     solve, Toeplitz  .143  .178  .229  .225  .231  .233  .400  .734
+#
+# At 224 and 240 the misses were within 3 % either way over repeated runs.
+_TOEPLITZ_MIN_M = 256
 
 
 def gram_blocks(cfg):
@@ -58,32 +75,37 @@ def gram_blocks(cfg):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Assembled and factorized Gram matrix for one array configuration.
+    """Factorized Gram matrix for one array configuration.
 
-    ``chol_re`` and ``chol_im`` are lower-triangular Cholesky factors
-    from LAPACK's ``dpotrf``, in column-major order and zero above the
-    diagonal, bit-identical to ``scipy.linalg.cholesky``'s whether the
-    two blocks were factorized in turn or side by side; ``cond_estimate``
-    is the 1-norm condition number of the full block-diagonal matrix,
-    with ||G||_1 from LAPACK's ``dlange`` and ||G^-1||_1 from LAPACK's
-    Hager/Higham estimator (``dpocon``) on the Cholesky factors. That
-    estimate is a lower bound: exact near the default ceiling and within
-    about 15 % of the true value for well-conditioned arrays. All arrays
-    are read-only, so one instance is shared by every caller that asks
-    :func:`assemble_gram` for the same configuration, and concurrent
-    solves against it are safe.
+    Below ``_TOEPLITZ_MIN_M`` it holds the dense blocks ``g_re``, ``g_im``
+    and their lower Cholesky factors ``chol_re``, ``chol_im`` from LAPACK's
+    ``dpotrf``, bit-identical to ``scipy.linalg.cholesky``'s. From it up
+    those are None, and it holds ``column``, the first column of T, and
+    ``generators``, the real FFTs of the Gohberg-Semencul generators of
+    T^-1. ``cond_estimate`` is the 1-norm condition number of the full
+    matrix: ||G||_1 (LAPACK's ``dlange``) times the Hager/Higham estimate
+    of ||G^-1||_1 (``dpocon``), or on the Toeplitz path the same estimator
+    run for both over the FFT product and solve. It is a deterministic
+    lower bound, exact near the default ceiling and within about 15 % for
+    well-conditioned arrays. All arrays are read-only, so one instance is
+    shared by every caller of :func:`assemble_gram` for the same
+    configuration, and concurrent solves against it are safe.
     """
 
     cfg: ArrayConfig
-    g_re: np.ndarray
-    g_im: np.ndarray
-    chol_re: np.ndarray
-    chol_im: np.ndarray
     cond_estimate: float
+    g_re: np.ndarray | None = None
+    g_im: np.ndarray | None = None
+    chol_re: np.ndarray | None = None
+    chol_im: np.ndarray | None = None
+    column: np.ndarray | None = None
+    generators: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("g_re", "g_im", "chol_re", "chol_im"):
-            getattr(self, name).setflags(write=False)
+        for array in (self.g_re, self.g_im, self.chol_re, self.chol_im, self.column,
+                      self.generators):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def size(self):
@@ -91,145 +113,166 @@ class GramMatrix:
 
     def full_matrix(self):
         """The dense (2M-1)-by-(2M-1) block-diagonal matrix."""
-        M = self.cfg.M
-        full = np.zeros((self.size, self.size))
-        full[:M, :M] = self.g_re
-        full[M:, M:] = self.g_im
-        return full
+        return scipy.linalg.block_diag(*gram_blocks(self.cfg))
 
     def quadratic_form(self, b):
         """b^T G b for a TrigCoeffs or raw coefficient vector."""
         b = b.b if isinstance(b, TrigCoeffs) else np.asarray(b, dtype=np.float64)
+        if self.column is not None:
+            return float(b @ _toeplitz_product(_spectrum(self.column), b))
         M = self.cfg.M
         return float(b[:M] @ self.g_re @ b[:M] + b[M:] @ self.g_im @ b[M:])
 
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
+def _indefinite(cfg, detail):
+    return ConditioningError(f"Gram factorization failed for M={cfg.M}, "
+                             f"gamma={cfg.gamma:g}: matrix is numerically indefinite ({detail})")
 
 
-def _lapack(name, restype, *argtypes):
-    """A ctypes binding of one routine of scipy's Cython LAPACK API.
-
-    These are the routines scipy's own wrappers call, but a ctypes foreign
-    call releases the GIL, so two blocks can be factorized at once.
-    """
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    address = _capsule_pointer(capsule, _capsule_name(capsule))
-    return ctypes.CFUNCTYPE(restype, *argtypes)(address)
-
-
-_int_p = ctypes.POINTER(ctypes.c_int)
-_double_p = ctypes.POINTER(ctypes.c_double)
-_array = ctypes.c_void_p
-_dpotrf = _lapack("dpotrf", None, ctypes.c_char_p, _int_p, _array, _int_p, _int_p)
-_dlange = _lapack("dlange", ctypes.c_double,
-                  ctypes.c_char_p, _int_p, _int_p, _array, _int_p, _array)
-_dlaset = _lapack("dlaset", None, ctypes.c_char_p, _int_p, _int_p,
-                  _double_p, _double_p, _array, _int_p)
-_dpocon = _lapack("dpocon", None, ctypes.c_char_p, _int_p, _array, _int_p,
-                  _double_p, _double_p, _double_p, _int_p, _int_p)
-
-
-def _factor_block(cfg, block):
-    """Cholesky factor, ||A||_1 and estimated ||A^-1||_1 of one block.
-
-    Every LAPACK call here runs without the GIL, so the two blocks can be
-    factorized on two threads. The block is exactly symmetric, so the
-    transpose of its row-major copy is the same matrix in column-major
-    order; ``dpotrf`` factorizes that copy in place, and ``dlaset`` zeroes
-    its strict upper triangle as the upper triangle of the submatrix that
-    starts at column 1.
-
-    Raises:
-        ConditioningError: If ``dpotrf`` finds a leading minor that is
-            not positive definite.
-    """
-    n = block.shape[0]
-    if n == 0:
+def _cholesky(cfg, block):
+    """Cholesky factor, ||A||_1 and estimated ||A^-1||_1 of one block."""
+    if block.shape[0] == 0:
         return np.zeros((0, 0)), 1.0, 1.0
-    factor = block.copy().T
-    address = factor.ctypes.data
-    size, info = ctypes.c_int(n), ctypes.c_int(0)
-    anorm = _dlange(b"1", size, size, address, size, None)
-    _dpotrf(b"L", size, address, size, info)
-    if info.value > 0:
-        raise ConditioningError(
-            f"Gram factorization failed for M={cfg.M}, gamma={cfg.gamma:g}: "
-            f"matrix is numerically indefinite (leading minor {info.value} is "
-            "not positive definite)"
-        )
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of dpotrf")
-    zero, upper = ctypes.c_double(0.0), ctypes.c_int(n - 1)
-    column_1 = address + n * factor.itemsize
-    _dlaset(b"U", upper, upper, zero, zero, column_1, size)
-    rcond = ctypes.c_double(0.0)
-    _dpocon(b"L", size, address, size, ctypes.c_double(anorm), rcond,
-            (ctypes.c_double * (3 * n))(), (ctypes.c_int * n)(), info)
-    inverse_norm = np.inf if rcond.value == 0.0 else 1.0 / (rcond.value * anorm)
-    return factor, anorm, inverse_norm
+    anorm = scipy.linalg.lapack.dlange("1", block)
+    factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, clean=1)
+    if info > 0:
+        raise _indefinite(cfg, f"leading minor {info} is not positive definite")
+    rcond, _ = scipy.linalg.lapack.dpocon(factor, anorm, uplo="L")
+    return factor, anorm, (np.inf if rcond == 0.0 else 1.0 / (rcond * anorm))
 
 
-# From this M up, ``_factor`` factorizes the sine block on a thread of
-# its own while the calling thread factorizes the cosine block; below it
-# a thread start costs more than it saves (one BLAS thread, two cores: the
-# split was slower at M = 128, even at 192 and faster from 256). Pinned
-# to one CPU the split was slower at M = 192 to 512 (by 0.4 ms at 192
-# and 1.7 ms at 512) and no faster at 1024, so it also needs two usable
-# CPUs.
-_SPLIT_MIN_M = 192
+def _fft_size(n):
+    """A power of two at least 2n - 1, so that a circular convolution of
+    that length holds the linear one of two length-n sequences."""
+    return 1 << (2 * n - 2).bit_length()
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on: its affinity mask where
-    the platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _spectrum(column):
+    """Real FFT of the circulant that embeds the symmetric Toeplitz T."""
+    n = column.size
+    return np.fft.rfft(np.concatenate([column, np.zeros(_fft_size(n) - 2 * n + 1),
+                                       column[:0:-1]]))
+
+
+def _to_exponential(y):
+    """Rows Re s and Im s of s_k, k = -(M-1)..M-1, with s_{-l} = r_l for
+    y = [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}]: symmetric and
+    antisymmetric. Its inverse is [Re s_0 .. Re s_{M-1}, -Im s_1 ..]."""
+    M = (y.size + 1) // 2
+    parts = np.stack([y[:M], np.concatenate([[0.0], y[M:]])])
+    return np.concatenate([parts[:, :0:-1], parts * [[1.0], [-1.0]]], axis=1)
+
+
+def _toeplitz_product(spectrum, b):
+    """G b through T: the exponential-basis coefficients u + i v of b
+    (b_0 = u_0, cosine 2 u_m, sine -2 v_m) give G b = [(T u)_{-l},
+    (T v)_{-l}], so b^T G b = u^T T u + v^T T v."""
+    n, M, size = b.size, (b.size + 1) // 2, _fft_size(b.size)
+    s = _to_exponential(np.concatenate([b[:1], 0.5 * b[1:]]))
+    t = np.fft.irfft(spectrum * np.fft.rfft(s, size), size)
+    return np.concatenate([t[0, M - 1:n], -t[1, M:n]])
+
+
+def _toeplitz_solve(generators, y):
+    """G^-1 y by the Gohberg-Semencul formula T^-1 = L(a) L(a)^T -
+    L(c) L(c)^T, with x = T^-1 e_1, a = x / sqrt(x_0),
+    c = [0, x_{n-1} .. x_1] / sqrt(x_0) and L(g) lower triangular
+    Toeplitz with first column g. Re s and Im s go through the four
+    triangular FFT products together. No refinement step follows, so near
+    the ceiling (M = 512, gamma = 0.993) the residual is up to 3x refined
+    Cholesky's on lag-shaped right-hand sides and up to 20x on uniform
+    random ones; ``recover``'s quadrature audit checks every solution. The
+    solution c maps back to b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m.
+    """
+    n, M, size = y.size, (y.size + 1) // 2, _fft_size(y.size)
+    spectrum = np.fft.rfft(_to_exponential(y), size)
+    # L(g)^T v is the correlation of v with g: conj(FFT g) FFT v.
+    upper = np.fft.irfft(generators.conj()[:, None] * spectrum, size)[..., :n]
+    lower = generators[:, None] * np.fft.rfft(upper, size)
+    c = np.fft.irfft(lower[0] - lower[1], size)
+    return np.concatenate([c[0, M - 1:M], 2.0 * c[0, M:n], -2.0 * c[1, M:n]])
+
+
+def _hager_higham(n):
+    """||A||_1 of a symmetric n-by-n A by the Hager/Higham scheme of
+    LAPACK's ``dlacn2``, as ``dpocon`` runs it, with its reverse
+    communication: yields each x it needs A x for and is sent A x. A
+    fixed start, at most five steps and a last alternating-sign test make
+    the estimate deterministic and a lower bound, exact in most cases."""
+    def signs(v):
+        return np.where(v >= 0.0, 1.0, -1.0)
+
+    v = yield np.full(n, 1.0 / n)
+    estimate, sign = np.abs(v).sum(), signs(v)
+    j = int(np.argmax(np.abs((yield sign))))
+    for _ in range(4):
+        v = yield np.eye(1, n, j)[0]
+        previous, estimate = estimate, np.abs(v).sum()
+        if np.array_equal(signs(v), sign) or estimate <= previous:
+            break
+        sign = signs(v)
+        z = yield sign
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    alternating = np.linspace(1.0, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(estimate, 2.0 * np.abs((yield alternating)).sum() / (3 * n))
+
+
+def _block_norms(apply, M):
+    """||A_re||_1 and ||A_im||_1 of a symmetric A with diagonal blocks of
+    order M and M-1, known through ``apply``: one :func:`_hager_higham`
+    run per block, as ``dpocon`` runs one per factor, in lockstep so that
+    each product serves both; a finished run's block is fed zeros."""
+    runs = [_hager_higham(M), _hager_higham(M - 1)]
+    wanted, norms = [next(run) for run in runs], [None, None]
+    while None in norms:
+        x = np.concatenate([w if norm is None else 0.0 * w for w, norm in zip(wanted, norms)])
+        for i, product in enumerate(np.split(apply(x), [M])):
+            if norms[i] is None:
+                try:
+                    wanted[i] = runs[i].send(product)
+                except StopIteration as done:
+                    norms[i] = done.value
+    return norms
+
+
+def _toeplitz(cfg):
+    """The Gohberg-Semencul factorization of the Gram for ``cfg``.
+
+    Levinson recursion (``scipy.linalg.solve_toeplitz``) is only weakly
+    stable: on a numerically indefinite T it can break down or return
+    x = T^-1 e_1 with x_0 <= 0. Either is raised, never solved through.
+    """
+    n = 2 * cfg.M - 1
+    column = np.pi * bessel_j0(cfg.gamma * np.pi * np.arange(n))
+    try:
+        x = scipy.linalg.solve_toeplitz(column, np.eye(1, n)[0], check_finite=False)
+    except np.linalg.LinAlgError as error:
+        raise _indefinite(cfg, f"Levinson recursion failed: {error}") from error
+    if not (np.all(np.isfinite(x)) and x[0] > 0.0):
+        raise _indefinite(cfg, f"Levinson recursion gave (T^-1)_00 = {x[0]:.3g}")
+    generators = np.zeros((2, _fft_size(n)))
+    generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
+    generators = np.fft.rfft(generators / np.sqrt(x[0]))
+    spectrum = _spectrum(column)
+    norms = _block_norms(lambda b: _toeplitz_product(spectrum, b), cfg.M)
+    inverse_norms = _block_norms(lambda y: _toeplitz_solve(generators, y), cfg.M)
+    return GramMatrix(cfg, float(max(norms) * max(inverse_norms)), column=column,
+                      generators=generators)
 
 
 def _factor(cfg):
     """Assemble, factorize and condition-estimate the Gram for ``cfg``.
-
-    The blocks are assembled on the calling thread. From ``_SPLIT_MIN_M``
-    up, when the process may run on two CPUs or more, the sine block is
-    factorized on a thread started for this call and joined before it
-    returns, while the calling thread factorizes the cosine block; on one
-    CPU, or if no thread can be started, the blocks are factorized in
-    turn. If both blocks fail, the cosine block's error is raised, as in
-    the serial order.
-    """
+    The cosine block is factorized first, so its error wins when both
+    blocks fail."""
+    if cfg.M >= _TOEPLITZ_MIN_M:
+        return _toeplitz(cfg)
     g_re, g_im = gram_blocks(cfg)
-    sine = []
-
-    def factor_sine():
-        try:
-            sine.append(_factor_block(cfg, g_im))
-        except Exception as error:
-            sine.append(error)
-
-    worker = None
-    if cfg.M >= _SPLIT_MIN_M and _usable_cpus() >= 2:
-        worker = threading.Thread(target=factor_sine, name="apsrec-gram")
-        try:
-            worker.start()
-        except RuntimeError:
-            worker = None
-    try:
-        chol_re, norm_re, inv_re = _factor_block(cfg, g_re)
-    finally:
-        if worker is not None:
-            worker.join()
-    if worker is None:
-        factor_sine()
-    if isinstance(sine[0], Exception):
-        raise sine[0]
-    chol_im, norm_im, inv_im = sine[0]
-    cond = max(norm_re, norm_im) * max(inv_re, inv_im)
-    return GramMatrix(cfg, g_re, g_im, chol_re, chol_im, float(cond))
+    chol_re, norm_re, inv_re = _cholesky(cfg, g_re)
+    chol_im, norm_im, inv_im = _cholesky(cfg, g_im)
+    return GramMatrix(cfg, float(max(norm_re, norm_im) * max(inv_re, inv_im)), g_re=g_re,
+                      g_im=g_im, chol_re=chol_re, chol_im=chol_im)
 
 
 # The workspace of the last configuration that assembled under its
@@ -265,8 +308,9 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
             regularize.
 
     Raises:
-        ConditioningError: If a Cholesky factorization fails or the
-            condition estimate exceeds ``cond_ceiling``.
+        ConditioningError: If the factorization finds the matrix
+            numerically indefinite or the condition estimate exceeds
+            ``cond_ceiling``.
     """
     global _cached
     with _lock:
@@ -337,20 +381,21 @@ def measurement_vector(lags):
 
 
 def solve(gram, y):
-    """Solve G b = y blockwise from the Cholesky factors.
-
-    One step of iterative refinement follows each triangular solve, so the
+    """Solve G b = y for TrigCoeffs in the [constant | cosine | sine]
+    layout: by :func:`_toeplitz_solve`, or on Cholesky factors with one
+    step of iterative refinement after each triangular solve, so the
     residual stays at the backward-stable floor. The factors were checked
     finite when they were computed and are read-only, and the right-hand
     side is a validated MeasurementVector, so each solve calls LAPACK's
-    ``dpotrs`` directly, without scipy's checking wrapper. Returns
-    TrigCoeffs in the [constant | cosine | sine] layout.
+    ``dpotrs`` directly, without scipy's checking wrapper.
     """
     y_arr = y.y if isinstance(y, MeasurementVector) else MeasurementVector(y).y
     if y_arr.size != gram.size:
         raise ValueError(
             f"measurement length {y_arr.size} does not match Gram size {gram.size}"
         )
+    if gram.generators is not None:
+        return TrigCoeffs(_toeplitz_solve(gram.generators, y_arr))
     M = gram.cfg.M
 
     def potrs(factor, rhs):

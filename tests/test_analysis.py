@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from quad_helpers import dense_synthesis
 
-from apsrec.analysis import certify, energy_of_solution, resolution_sweep
+from apsrec.analysis import (
+    DEFAULT_IDENTIFIABILITY_TOL,
+    certify,
+    energy_of_solution,
+    resolution_sweep,
+)
 from apsrec.core import (
     ArrayConfig,
     GaussianMixture,
@@ -15,7 +20,7 @@ from apsrec.core import (
     seams_x,
     transform_aps,
 )
-from apsrec.errors import ModelError
+from apsrec.errors import ModelError, QuadratureError
 from apsrec.forward import SynthesisOptions, synthesize_lags
 from apsrec.gram import assemble_gram, measurement_vector, solve
 from apsrec.plv import PlvSolution, project_onto_nperp, recover
@@ -104,9 +109,10 @@ CERTIFIED_TRUTHS = [
 @pytest.mark.parametrize("model", CERTIFIED_TRUTHS, ids=lambda m: type(m).__name__)
 def test_certificate_matches_dense_forms(model, m):
     # Synthesis by a dense exp table and the Pythagoras term by
-    # evaluate_trig's dense basis give the same certificate to rounding.
+    # evaluate_trig's dense basis give the same certificate to rounding,
+    # and certify refuses one exactly where those dense forms fail its
+    # self-checks (at M = 256 the 512-node rule under-resolves the lags).
     cfg = ArrayConfig(m, 1.0)
-    certificate = certify(model, cfg)
     gram = assemble_gram(cfg)
     y = measurement_vector(dense_synthesis(model, cfg, nodes=512))
     coeffs = solve(gram, y)
@@ -115,10 +121,39 @@ def test_certificate_matches_dense_forms(model, m):
     energy = float(weights @ (truth * truth))
     diff = truth - evaluate_trig(cfg, coeffs, points)
     gap = abs(energy - gram.quadratic_form(coeffs) - float(weights @ (diff * diff)))
+    floor = DEFAULT_IDENTIFIABILITY_TOL * energy
+    if energy - float(y.y @ coeffs.b) < -floor or gap > floor:
+        with pytest.raises(QuadratureError):
+            certify(model, cfg)
+        return
+    certificate = certify(model, cfg)
     assert certificate.energy_truth == energy
     assert abs(certificate.quadratic_form - float(y.y @ coeffs.b)) <= 1e-12 * energy
     assert abs(certificate.energy_plv - gram.quadratic_form(coeffs)) <= 1e-12 * energy
     assert abs(certificate.pythagoras_gap - gap) <= 1e-12 * energy
+
+
+TWO_GAUSSIANS = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
+
+
+def test_unresolved_certificate_raises():
+    # Under the default 512-node theta rule the two-Gaussian lags at
+    # M = 256 are under-resolved: the certificate read error_sq -13.9 with
+    # a Pythagoras gap of 27.9 and still said identifiable. It now raises,
+    # and so does a sweep that reaches M = 256.
+    cfg = ArrayConfig(256, 1.0)
+    with pytest.raises(QuadratureError, match="M=256"):
+        certify(TWO_GAUSSIANS, cfg)
+    with pytest.raises(QuadratureError):
+        resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256])
+    # A rule that resolves them certifies.
+    opts = SynthesisOptions(nodes=2048, domain_path="x")
+    certificate = certify(TWO_GAUSSIANS, cfg, nodes=2048, opts=opts)
+    floor = DEFAULT_IDENTIFIABILITY_TOL * certificate.energy_truth
+    assert certificate.reconstruction_error_sq >= -floor
+    assert certificate.pythagoras_gap <= floor
+    sweep = resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256], nodes=2048, opts=opts)
+    assert sweep[-1][1] == certificate.reconstruction_error_sq
 
 
 def test_error_nonnegative_up_to_noise(rng):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import apsrec
+from apsrec import gram
 from apsrec.cli import main, read_lags_csv
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
@@ -206,6 +208,19 @@ class TestCertify:
         errors = [float(row[1]) for row in rows]
         assert all(error >= -floor for error in errors)
 
+    def test_unresolved_certificate_exit_3(self, tmp_path, capsys):
+        # The default rule under-resolves these lags at M = 256: the
+        # certificate's self-checks fail, so no verdict is written.
+        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0})
+        payload["aps"] = {"kind": "gaussian_mixture", "components": [
+            {"mean": 0.3, "std": 0.05, "weight": 1.0},
+            {"mean": -0.4, "std": 0.1, "weight": 0.7}]}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
+        assert "pythagoras_gap" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
     def test_bad_sweep_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, GAUSS_CONFIG)
         assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--sweep", "4,x"]) == 2
@@ -235,6 +250,26 @@ class TestGram:
         assert float(im_rows[0]) == pytest.approx(1.2247861679826595, abs=1e-12)
         report = json.loads((out / "gram.json").read_text())
         assert report["cond_estimate"] > 1.0
+
+    def test_toeplitz_size_writes_dense_blocks_and_pivots(self, tmp_path):
+        # From the Toeplitz crossover up the Gram keeps no dense blocks; the
+        # CLI writes them, and their Cholesky pivots, all the same.
+        m = gram._TOEPLITZ_MIN_M
+        payload = dict(UNIFORM_CONFIG, array={"M": m, "gamma": 1.13})
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["gram", "--config", str(config), "--out", str(out)]) == 0
+        g_re, g_im = gram.gram_blocks(apsrec.ArrayConfig(m, 1.13))
+        for name, block in (("gram_re.csv", g_re), ("gram_im.csv", g_im)):
+            rows = [[float(v) for v in line.split(",")]
+                    for line in (out / name).read_text().splitlines()]
+            assert np.array_equal(np.array(rows), block)
+        report = json.loads((out / "gram.json").read_text())
+        for key, block in (("chol_re_min_pivot", g_re), ("chol_im_min_pivot", g_im)):
+            pivot = np.min(np.diag(scipy.linalg.cholesky(block, lower=True)))
+            assert report[key] == float(f"{pivot:.12g}")
+        cond = gram.assemble_gram(apsrec.ArrayConfig(m, 1.13)).cond_estimate
+        assert report["cond_estimate"] == float(f"{cond:.12g}")
 
     def test_degenerate_spacing_exit_4(self, tmp_path, capsys):
         payload = dict(UNIFORM_CONFIG, array={"M": 8, "gamma": 1e-6})

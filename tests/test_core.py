@@ -286,6 +286,20 @@ def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     assert np.max(np.abs(lags - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("m", [1, 64, 1024])
+def test_exp_lags_of_one_vector_is_one_product(m, rng):
+    # Synthesis and projection pass one vector as both parts; on a whole
+    # table its lags are the single product table @ v, equal to the
+    # two-product form.
+    cfg = ArrayConfig(m, 1.13)
+    x = np.sort(rng.uniform(-1.0, 1.0, 256))
+    table = core._exp_table(cfg, x)
+    assert isinstance(table, np.ndarray)
+    v = rng.uniform(-1.0, 1.0, x.size)
+    lags = core._exp_lags(table, v, v, m)
+    assert np.array_equal(lags, (table @ v).real + 1j * (table @ v.copy()).imag)
+
+
 def test_exp_kernel_cap_counts_one_weight_row():
     # A table is built whole exactly when its M complex rows and one real
     # row of weights fit the cap, the size the Gram's workspace keeps.

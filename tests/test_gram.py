@@ -31,6 +31,8 @@ PI_J0_PI = -0.9558049901987985
 COS1_COS1 = 1.9168064856071338   # (pi/2)(1 + J0(2pi))
 SIN1_SIN1 = 1.2247861679826595   # (pi/2)(1 - J0(2pi))
 
+TOEPLITZ_MIN_M = gram_module._TOEPLITZ_MIN_M
+
 # Configurations whose condition estimate stays well under the ceiling;
 # tightly spaced arrays (gamma = 0.5) degrade fast with M.
 WELL_CONDITIONED = [
@@ -133,18 +135,22 @@ def exact_one_norm_cond(gram):
             return 1.0, 1.0
         return np.linalg.norm(block, 1), np.linalg.norm(np.linalg.inv(block), 1)
 
-    norm_re, inv_re = pair(gram.g_re)
-    norm_im, inv_im = pair(gram.g_im)
+    g_re, g_im = gram_blocks(gram.cfg)
+    norm_re, inv_re = pair(g_re)
+    norm_im, inv_im = pair(g_im)
     return max(norm_re, norm_im) * max(inv_re, inv_im)
 
 
 @pytest.mark.parametrize("m,gamma", [
-    *WELL_CONDITIONED, (64, 1.0), (64, 2.0), (100, 1.25), (257, 1.13),
+    *WELL_CONDITIONED, (64, 1.0), (64, 2.0), (100, 1.25), (257, 1.13), (300, 1.13),
+    (1024, 1.13),
 ])
 def test_cond_estimate_brackets_exact(m, gamma):
     # The 1-norm estimator never overshoots and stays within a factor 2 of
-    # the explicit-inverse value. That reference itself carries a relative
-    # rounding error of order cond * eps, which the upper bound allows.
+    # the explicit-inverse value, on the Cholesky path and from
+    # TOEPLITZ_MIN_M up on the Toeplitz path. That reference itself
+    # carries a relative rounding error of order cond * eps, which the
+    # upper bound allows.
     gram = assemble_gram(ArrayConfig(m, gamma))
     exact = exact_one_norm_cond(gram)
     rounding = 64 * np.finfo(float).eps * exact
@@ -162,10 +168,12 @@ def test_default_ceiling_boundary():
     assert excinfo.value.cond_estimate > 1e12
 
 
-@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("m", [1, 2, 5, TOEPLITZ_MIN_M])
 def test_gram_arrays_read_only(m):
     gram = assemble_gram(ArrayConfig(m, 1.0))
-    for name in ("g_re", "g_im", "chol_re", "chol_im"):
+    names = ("column", "generators") if m >= TOEPLITZ_MIN_M else (
+        "g_re", "g_im", "chol_re", "chol_im")
+    for name in names:
         with pytest.raises(ValueError):
             getattr(gram, name)[...] = 0.0
 
@@ -196,14 +204,11 @@ def test_indefinite_factorization_names_configuration():
     assert "numerically indefinite" in message
 
 
-SPLIT_MIN_M = gram_module._SPLIT_MIN_M
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 64, SPLIT_MIN_M - 1, SPLIT_MIN_M, 1024])
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 191, 192, TOEPLITZ_MIN_M - 1])
 def test_factors_match_scipy_cholesky(m):
-    # LAPACK factorizes the symmetric blocks in column-major order, in turn
-    # below SPLIT_MIN_M and side by side from it; either way the factors
-    # are those of scipy's row-major cholesky, bit for bit.
+    # Below TOEPLITZ_MIN_M LAPACK factorizes the symmetric blocks in
+    # column-major order, and the factors are those of scipy's row-major
+    # cholesky, bit for bit.
     gram = assemble_gram(ArrayConfig(m, 1.13))
     assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
     assert gram.chol_re.flags.f_contiguous
@@ -231,12 +236,42 @@ def scipy_one_norm_cond(gram):
     return max(norm_re, norm_im) * max(inv_re, inv_im)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 64, SPLIT_MIN_M, 1024])
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 192, TOEPLITZ_MIN_M - 1])
 def test_cond_estimate_matches_scipy_wrappers(m):
-    # Not equality: the last bit of dpocon's estimate at M = 1024 can vary
+    # Not equality: the last bit of dpocon's estimate at large M can vary
     # between runs on the same factor.
     gram = assemble_gram(ArrayConfig(m, 1.13))
     assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(gram), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (300, 1.13), (1024, 1.13)])
+def test_toeplitz_cond_estimate_matches_dpocon(m, gamma):
+    # The Toeplitz solve is G^-1 in the measurement layout, so the same
+    # Hager/Higham steps over it estimate the same ||G^-1||_1 as dpocon
+    # on the Cholesky factors, up to the two solves' rounding.
+    cfg = ArrayConfig(m, gamma)
+    g_re, g_im = gram_blocks(cfg)
+    chol_re = scipy.linalg.cholesky(g_re, lower=True)
+    chol_im = scipy.linalg.cholesky(g_im, lower=True)
+    dense = GramMatrix(cfg, 0.0, g_re=g_re, g_im=g_im, chol_re=chol_re, chol_im=chol_im)
+    gram = assemble_gram(cfg)
+    assert gram.chol_re is None
+    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-12, abs=0)
+
+
+def test_cond_estimate_is_deterministic(monkeypatch):
+    # Two assemblies of one configuration give the same estimate bit for
+    # bit, and leave numpy's global random state alone.
+    cfg = ArrayConfig(512, 1.07)
+    state = np.random.get_state()
+    estimates = []
+    for _ in range(2):
+        monkeypatch.setattr(gram_module, "_cached", None)
+        estimates.append(assemble_gram(cfg).cond_estimate)
+    assert estimates[0] == estimates[1]
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1])
+    assert after[2:] == state[2:]
 
 
 def _indefinite_message(m, gamma, minor):
@@ -244,65 +279,88 @@ def _indefinite_message(m, gamma, minor):
             f"numerically indefinite (leading minor {minor} is not positive definite)")
 
 
-@pytest.mark.parametrize("split_min_m", [1, SPLIT_MIN_M], ids=["split", "inline"])
 @pytest.mark.parametrize("m,gamma,failing,minor", [
     (10, 0.4, "cosine", 10),
     (2, 1e-9, "sine", 1),
     (8, 1e-6, "both", 3),
 ], ids=["cosine", "sine", "both"])
-def test_indefinite_block_errors_on_both_paths(monkeypatch, m, gamma, failing, minor,
-                                               split_min_m):
+def test_indefinite_block_errors(m, gamma, failing, minor):
     cfg = ArrayConfig(m, gamma)
     outcomes = []
     for block in gram_blocks(cfg):
         try:
-            gram_module._factor_block(cfg, block)
+            scipy.linalg.cholesky(block, lower=True)
             outcomes.append(False)
-        except ConditioningError:
+        except np.linalg.LinAlgError:
             outcomes.append(True)
     assert outcomes == {"cosine": [True, False], "sine": [False, True],
                         "both": [True, True]}[failing]
-    monkeypatch.setattr(gram_module, "_SPLIT_MIN_M", split_min_m)
     with pytest.raises(ConditioningError) as excinfo:
         assemble_gram(cfg)
-    # The cosine block's error wins when both fail, as in serial order.
+    # The cosine block's error wins when both fail: it is factorized first.
     assert str(excinfo.value) == _indefinite_message(m, gamma, minor)
-    # The sine block's thread was joined before the error was raised, and
-    # a new configuration still assembles to scipy's factors.
-    assert not [t for t in threading.enumerate() if t.name == "apsrec-gram"]
     gram = assemble_gram(ArrayConfig(16, 1.07))
     assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
     assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
 
 
-def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
-    # Where no thread can be started, the blocks are factorized in turn.
-    refused = []
+@pytest.mark.parametrize("m,gamma,indefinite", [
+    (512, 0.9, True),
+    (512, 0.95, False),
+    (256, 0.8, True),
+    (512, 1e-6, True),
+])
+def test_toeplitz_conditioning_fails_loudly(m, gamma, indefinite):
+    # Levinson recursion is only weakly stable: at (512, 0.9) and
+    # (256, 0.8) it returns T^-1 e_1 with a non-positive first entry, and
+    # at (512, 1e-6) it breaks down. Each is raised as an indefinite
+    # matrix, as the Cholesky path raises them; (512, 0.95) passes
+    # Levinson and trips the ceiling.
+    with pytest.raises(ConditioningError) as excinfo:
+        assemble_gram(ArrayConfig(m, gamma))
+    message = str(excinfo.value)
+    assert f"M={m}, gamma={gamma:g}" in message
+    if indefinite:
+        assert "numerically indefinite" in message
+        assert excinfo.value.cond_estimate is None
+    else:
+        assert excinfo.value.cond_estimate > 1e12
+    assert gram_module._cached is None
 
+
+def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
+    # Assembly starts no thread on either path, so it works where none
+    # can be started.
     def refuse(self):
-        refused.append(self.name)
         raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(gram_module, "_cached", None)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    gram = assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.0))
-    assert refused == ["apsrec-gram"]
-    assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
-    assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
+    for m in (TOEPLITZ_MIN_M - 1, TOEPLITZ_MIN_M):
+        monkeypatch.setattr(gram_module, "_cached", None)
+        gram = assemble_gram(ArrayConfig(m, 1.0))
+        y = np.ones(gram.size)
+        assert np.max(np.abs(gram.full_matrix() @ solve(gram, y).b - y)) <= 1e-10
 
 
-@pytest.mark.parametrize("affinity,cpu_count,threads", [
-    ({0}, 2, []),
-    ({0, 1}, 1, ["apsrec-gram"]),
-    (None, 1, []),
-    (None, None, []),
-    (None, 2, ["apsrec-gram"]),
+@pytest.mark.parametrize("affinity,cpu_count", [
+    ({0}, 2),
+    ({0, 1}, 1),
+    (None, 1),
+    (None, None),
+    (None, 2),
 ], ids=["affinity-1", "affinity-2", "cpu_count-1", "cpu_count-unknown", "cpu_count-2"])
-def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_count,
-                                                     threads):
-    # A process that may run on one CPU only gains nothing from a second
-    # thread, so the blocks are factorized in turn; the affinity mask
-    # decides where the platform has one, else the CPU count.
+def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_count):
+    # Assembly depends on neither the affinity mask nor the CPU count: it
+    # starts no thread and gives the same Gram on either path.
+    expected = {}
+    for m in (TOEPLITZ_MIN_M - 1, TOEPLITZ_MIN_M):
+        monkeypatch.setattr(gram_module, "_cached", None)
+        expected[m] = assemble_gram(ArrayConfig(m, 1.0)).cond_estimate
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     started = []
     start = threading.Thread.start
 
@@ -310,17 +368,11 @@ def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_
         started.append(self.name)
         start(self)
 
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    monkeypatch.setattr(gram_module, "_cached", None)
     monkeypatch.setattr(threading.Thread, "start", record)
-    gram = assemble_gram(ArrayConfig(SPLIT_MIN_M, 1.0))
-    assert started == threads
-    assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
-    assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
+    for m in (TOEPLITZ_MIN_M - 1, TOEPLITZ_MIN_M):
+        monkeypatch.setattr(gram_module, "_cached", None)
+        assert assemble_gram(ArrayConfig(m, 1.0)).cond_estimate == expected[m]
+    assert started == []
 
 
 def test_split_factorization_after_main_thread_returns():
@@ -336,7 +388,7 @@ def test_split_factorization_after_main_thread_returns():
             threading.main_thread().join()
             time.sleep(0.2)
             try:
-                assemble_gram(ArrayConfig({SPLIT_MIN_M}, 1.0))
+                assemble_gram(ArrayConfig({TOEPLITZ_MIN_M}, 1.0))
             except BaseException:
                 traceback.print_exc()
                 os._exit(1)
@@ -472,7 +524,7 @@ def test_workspace_keeps_only_default_counts_and_small_tables(rng):
     assert gram_module._cached[2] == {}
 
 
-@pytest.mark.parametrize("m", [1, 2, 64, 1024])
+@pytest.mark.parametrize("m", [1, 2, 64, TOEPLITZ_MIN_M - 1])
 def test_solve_bit_identical_to_checked_cho_solve(m, rng):
     cfg = ArrayConfig(m, 1.0)
     gram = assemble_gram(cfg)
@@ -491,6 +543,51 @@ def test_solve_bit_identical_to_checked_cho_solve(m, rng):
         checked(gram.g_im, gram.chol_im, y[m:]),
     ])
     assert np.array_equal(solve(gram, y).b, expected)
+
+
+def _cholesky_solve(cfg, y):
+    """Reference solve: scipy's Cholesky of each dense block, refined once."""
+    M = cfg.M
+    parts = []
+    for block, rhs in zip(gram_blocks(cfg), (y[:M], y[M:])):
+        factor = scipy.linalg.cho_factor(block, lower=True)
+        sol = scipy.linalg.cho_solve(factor, rhs)
+        parts.append(sol + scipy.linalg.cho_solve(factor, rhs - block @ sol))
+    return np.concatenate(parts)
+
+
+def _lag_measurements(rng, m):
+    lags = rng.normal(size=m) + 1j * rng.normal(size=m)
+    lags[0] = abs(lags[0]) + m
+    return measurement_vector(lags).y
+
+
+@pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (513, 1.13), (1024, 1.25)])
+def test_toeplitz_solve_matches_cholesky(m, gamma, rng):
+    cfg = ArrayConfig(m, gamma)
+    gram = assemble_gram(cfg)
+    assert gram.g_re is None and gram.chol_re is None
+    assert gram.column.shape == (2 * m - 1,)
+    for y in (_lag_measurements(rng, m), rng.uniform(-1, 1, gram.size)):
+        expected = _cholesky_solve(cfg, y)
+        b = solve(gram, y).b
+        assert np.max(np.abs(b - expected)) <= 1e-12 * np.max(np.abs(expected))
+        form = float(b @ gram.full_matrix() @ b)
+        assert gram.quadratic_form(b) == pytest.approx(form, rel=1e-13)
+
+
+def test_toeplitz_solve_residual_near_ceiling(rng):
+    # cond ~ 9e8 at (512, 0.993). The Gohberg-Semencul solve is not
+    # refined, and on lag-shaped right-hand sides its residual stays
+    # within 4x of refined Cholesky's.
+    cfg = ArrayConfig(512, 0.993)
+    gram = assemble_gram(cfg)
+    full = gram.full_matrix()
+    for _ in range(3):
+        y = _lag_measurements(rng, cfg.M)
+        reference = np.linalg.norm(full @ _cholesky_solve(cfg, y) - y)
+        residual = np.linalg.norm(full @ solve(gram, y).b - y)
+        assert residual <= 4.0 * reference
 
 
 class TestMeasurementVector:

@@ -149,9 +149,9 @@ def assert_threads_match_serial(stream):
 
 
 def test_split_factorization_from_threads_matches_serial(rng):
-    # At the size where each new Gram's sine block is factorized on a
-    # thread of its own.
-    m = gram_module._SPLIT_MIN_M
+    # At the size where each new Gram is a Toeplitz factorization, solved
+    # through FFT products.
+    m = gram_module._TOEPLITZ_MIN_M
     assert_threads_match_serial(fresh_gamma_stream(rng, m, np.linspace(1.0, 1.2, 8)))
 
 
