@@ -279,12 +279,34 @@ def _indefinite_message(m, gamma, minor):
             f"numerically indefinite (leading minor {minor} is not positive definite)")
 
 
+def _assemble_on_a_thread(cfg):
+    """``assemble_gram(cfg)`` run on a worker thread; its exception is
+    re-raised on the caller's."""
+    raised = []
+
+    def run():
+        try:
+            assemble_gram(cfg)
+        except BaseException as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, name="apsrec-gram")
+    worker.start()
+    worker.join()
+    if raised:
+        raise raised[0]
+
+
+@pytest.mark.parametrize("on_thread", [True, False], ids=["split", "inline"])
 @pytest.mark.parametrize("m,gamma,failing,minor", [
     (10, 0.4, "cosine", 10),
     (2, 1e-9, "sine", 1),
     (8, 1e-6, "both", 3),
 ], ids=["cosine", "sine", "both"])
-def test_indefinite_block_errors(m, gamma, failing, minor):
+def test_indefinite_block_errors_on_both_paths(monkeypatch, m, gamma, failing, minor,
+                                               on_thread):
+    # Assembly is serial; "split" runs it on a worker thread, "inline" on
+    # the calling thread, and both raise the same error.
     cfg = ArrayConfig(m, gamma)
     outcomes = []
     for block in gram_blocks(cfg):
@@ -295,10 +317,14 @@ def test_indefinite_block_errors(m, gamma, failing, minor):
             outcomes.append(True)
     assert outcomes == {"cosine": [True, False], "sine": [False, True],
                         "both": [True, True]}[failing]
+    monkeypatch.setattr(gram_module, "_cached", None)
     with pytest.raises(ConditioningError) as excinfo:
-        assemble_gram(cfg)
+        (_assemble_on_a_thread if on_thread else assemble_gram)(cfg)
     # The cosine block's error wins when both fail: it is factorized first.
     assert str(excinfo.value) == _indefinite_message(m, gamma, minor)
+    # The worker was joined, and a new configuration still assembles to
+    # scipy's factors.
+    assert not [t for t in threading.enumerate() if t.name == "apsrec-gram"]
     gram = assemble_gram(ArrayConfig(16, 1.07))
     assert np.array_equal(gram.chol_re, scipy.linalg.cholesky(gram.g_re, lower=True))
     assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
