@@ -16,6 +16,7 @@ Semencul 1972, Cybenko 1980).
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -80,36 +81,54 @@ class GramMatrix:
     Below ``_TOEPLITZ_MIN_M`` it holds the dense blocks ``g_re``, ``g_im``
     and their lower Cholesky factors ``chol_re``, ``chol_im`` from LAPACK's
     ``dpotrf``, bit-identical to ``scipy.linalg.cholesky``'s. From it up
-    those are None, and it holds ``column``, the first column of T, and
-    ``generators``, the real FFTs of the Gohberg-Semencul generators of
-    T^-1. ``cond_estimate`` is the 1-norm condition number of the full
-    matrix: ||G||_1 (LAPACK's ``dlange``) times the Hager/Higham estimate
-    of ||G^-1||_1 (``dpocon``), or on the Toeplitz path the same estimator
-    run for both over the FFT product and solve. It is a deterministic
-    lower bound, exact near the default ceiling and within about 15 % for
+    those are None, and it holds ``column``, the first column of T, its
+    circulant ``spectrum`` and ``generators``, the real FFTs of the
+    Gohberg-Semencul generators of T^-1, plus ``_cond_bound``, a rigorous
+    O(M) upper bound on the condition number that settles the ceiling
+    without an estimate while it lies below it (infinite on the dense
+    path).
+
+    ``cond_estimate`` is the 1-norm condition number of the full matrix:
+    ||G||_1 (LAPACK's ``dlange``) times the Hager/Higham estimate of
+    ||G^-1||_1 (``dpocon``), or on the Toeplitz path the same estimator
+    run for both over the FFT product and the unrefined solve. It is
+    computed on first read and cached. It is a deterministic lower bound,
+    exact near the default ceiling and within about 15 % for
     well-conditioned arrays. All arrays are read-only, so one instance is
     shared by every caller of :func:`assemble_gram` for the same
-    configuration, and concurrent solves against it are safe.
+    configuration, and concurrent solves and reads against it are safe.
     """
 
     cfg: ArrayConfig
-    cond_estimate: float
     g_re: np.ndarray | None = None
     g_im: np.ndarray | None = None
     chol_re: np.ndarray | None = None
     chol_im: np.ndarray | None = None
     column: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
     generators: np.ndarray | None = None
+    _cond_bound: float = np.inf
 
     def __post_init__(self):
         for array in (self.g_re, self.g_im, self.chol_re, self.chol_im, self.column,
-                      self.generators):
+                      self.spectrum, self.generators):
             if array is not None:
                 array.setflags(write=False)
 
     @property
     def size(self):
         return 2 * self.cfg.M - 1
+
+    @cached_property
+    def cond_estimate(self):
+        M = self.cfg.M
+        if self.generators is not None:
+            norms = _block_norms(lambda b: _toeplitz_product(self.spectrum, b), M)
+            inverse_norms = _block_norms(lambda y: _toeplitz_solve(self.generators, y), M)
+        else:
+            norms, inverse_norms = zip(_dense_norms(self.g_re, self.chol_re),
+                                       _dense_norms(self.g_im, self.chol_im))
+        return float(max(norms) * max(inverse_norms))
 
     def full_matrix(self):
         """The dense (2M-1)-by-(2M-1) block-diagonal matrix."""
@@ -118,8 +137,8 @@ class GramMatrix:
     def quadratic_form(self, b):
         """b^T G b for a TrigCoeffs or raw coefficient vector."""
         b = b.b if isinstance(b, TrigCoeffs) else np.asarray(b, dtype=np.float64)
-        if self.column is not None:
-            return float(b @ _toeplitz_product(_spectrum(self.column), b))
+        if self.spectrum is not None:
+            return float(b @ _toeplitz_product(self.spectrum, b))
         M = self.cfg.M
         return float(b[:M] @ self.g_re @ b[:M] + b[M:] @ self.g_im @ b[M:])
 
@@ -130,15 +149,22 @@ def _indefinite(cfg, detail):
 
 
 def _cholesky(cfg, block):
-    """Cholesky factor, ||A||_1 and estimated ||A^-1||_1 of one block."""
+    """Lower Cholesky factor of one block."""
     if block.shape[0] == 0:
-        return np.zeros((0, 0)), 1.0, 1.0
-    anorm = scipy.linalg.lapack.dlange("1", block)
+        return np.zeros((0, 0))
     factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, clean=1)
     if info > 0:
         raise _indefinite(cfg, f"leading minor {info} is not positive definite")
+    return factor
+
+
+def _dense_norms(block, factor):
+    """||A||_1 and estimated ||A^-1||_1 of one block from its factor."""
+    if block.shape[0] == 0:
+        return 1.0, 1.0
+    anorm = scipy.linalg.lapack.dlange("1", block)
     rcond, _ = scipy.linalg.lapack.dpocon(factor, anorm, uplo="L")
-    return factor, anorm, (np.inf if rcond == 0.0 else 1.0 / (rcond * anorm))
+    return anorm, (np.inf if rcond == 0.0 else 1.0 / (rcond * anorm))
 
 
 def _fft_size(n):
@@ -178,11 +204,12 @@ def _toeplitz_solve(generators, y):
     L(c) L(c)^T, with x = T^-1 e_1, a = x / sqrt(x_0),
     c = [0, x_{n-1} .. x_1] / sqrt(x_0) and L(g) lower triangular
     Toeplitz with first column g. Re s and Im s go through the four
-    triangular FFT products together. No refinement step follows, so near
-    the ceiling (M = 512, gamma = 0.993) the residual is up to 3x refined
-    Cholesky's on lag-shaped right-hand sides and up to 20x on uniform
-    random ones; ``recover``'s quadrature audit checks every solution. The
-    solution c maps back to b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m.
+    triangular FFT products together, and the solution c maps back to
+    b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m. Alone, near the
+    ceiling (M = 512, gamma = 0.993), its residual was up to 8e6x refined
+    Cholesky's for y = G b and 30x for uniform y, so :func:`solve` follows
+    it with one refinement step. The condition estimate runs on it
+    unrefined, as ``dpocon`` runs on the bare factors.
     """
     n, M, size = y.size, (y.size + 1) // 2, _fft_size(y.size)
     spectrum = np.fft.rfft(_to_exponential(y), size)
@@ -243,6 +270,13 @@ def _toeplitz(cfg):
     Levinson recursion (``scipy.linalg.solve_toeplitz``) is only weakly
     stable: on a numerically indefinite T it can break down or return
     x = T^-1 e_1 with x_0 <= 0. Either is raised, never solved through.
+    Otherwise the numbers at hand bound cond_1(G) from above in O(M):
+    each block column is (pi/2)(Toeplitz + Hankel) in J0, so
+    ||G||_1 <= 1.5 sum_k |column_k|; the maps y -> s and c -> b give
+    ||G^-1||_1 <= 4 ||T^-1||_1, and ||L(g)||_1 = ||L(g)^T||_1 = ||g||_1
+    in the Gohberg-Semencul formula gives ||T^-1||_1 <= ||a||_1^2 +
+    ||c||_1^2 = (||x||_1^2 + (||x||_1 - x_0)^2) / x_0. A factor 2 covers
+    rounding. For gamma in [1, 1.3] it is 16-43x the condition number.
     """
     n = 2 * cfg.M - 1
     column = np.pi * bessel_j0(cfg.gamma * np.pi * np.arange(n))
@@ -252,27 +286,23 @@ def _toeplitz(cfg):
         raise _indefinite(cfg, f"Levinson recursion failed: {error}") from error
     if not (np.all(np.isfinite(x)) and x[0] > 0.0):
         raise _indefinite(cfg, f"Levinson recursion gave (T^-1)_00 = {x[0]:.3g}")
+    x_norm = np.abs(x).sum()
+    bound = 2.0 * 1.5 * np.abs(column).sum() * 4.0 * (x_norm**2 + (x_norm - x[0])**2) / x[0]
     generators = np.zeros((2, _fft_size(n)))
     generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
     generators = np.fft.rfft(generators / np.sqrt(x[0]))
-    spectrum = _spectrum(column)
-    norms = _block_norms(lambda b: _toeplitz_product(spectrum, b), cfg.M)
-    inverse_norms = _block_norms(lambda y: _toeplitz_solve(generators, y), cfg.M)
-    return GramMatrix(cfg, float(max(norms) * max(inverse_norms)), column=column,
-                      generators=generators)
+    return GramMatrix(cfg, column=column, spectrum=_spectrum(column), generators=generators,
+                      _cond_bound=float(bound))
 
 
 def _factor(cfg):
-    """Assemble, factorize and condition-estimate the Gram for ``cfg``.
-    The cosine block is factorized first, so its error wins when both
-    blocks fail."""
+    """Assemble and factorize the Gram for ``cfg``. The cosine block is
+    factorized first, so its error wins when both blocks fail."""
     if cfg.M >= _TOEPLITZ_MIN_M:
         return _toeplitz(cfg)
     g_re, g_im = gram_blocks(cfg)
-    chol_re, norm_re, inv_re = _cholesky(cfg, g_re)
-    chol_im, norm_im, inv_im = _cholesky(cfg, g_im)
-    return GramMatrix(cfg, float(max(norm_re, norm_im) * max(inv_re, inv_im)), g_re=g_re,
-                      g_im=g_im, chol_re=chol_re, chol_im=chol_im)
+    return GramMatrix(cfg, g_re=g_re, g_im=g_im, chol_re=_cholesky(cfg, g_re),
+                      chol_im=_cholesky(cfg, g_im))
 
 
 # The workspace of the last configuration that assembled under its
@@ -295,8 +325,11 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
     read-only object is returned while ``cfg`` repeats. A different
     configuration drops the whole workspace (the Gram and every table
     kept with it) before assembling its own, so at most one is alive at a
-    time. The ceiling is checked on every call against the stored
-    condition estimate, and a configuration that raises is not cached.
+    time. The ceiling is checked on every call, and a configuration that
+    raises is not cached. A Toeplitz Gram whose O(M) condition bound lies
+    under the ceiling passes without its condition estimate, which runs
+    only where the bound does not settle the check, or when read; the
+    estimate never exceeds the bound, so the outcome is the estimate's.
 
     Args:
         cfg: Array configuration.
@@ -318,7 +351,7 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
         if entry is None or entry[0] != cfg:
             _cached = entry = None
     gram = entry[1] if entry is not None else _factor(cfg)
-    if gram.cond_estimate > cond_ceiling:
+    if gram._cond_bound > cond_ceiling and gram.cond_estimate > cond_ceiling:
         raise ConditioningError(
             f"Gram condition estimate {gram.cond_estimate:.3e} exceeds ceiling "
             f"{cond_ceiling:.3e} for M={cfg.M}, gamma={cfg.gamma:g}",
@@ -382,8 +415,9 @@ def measurement_vector(lags):
 
 def solve(gram, y):
     """Solve G b = y for TrigCoeffs in the [constant | cosine | sine]
-    layout: by :func:`_toeplitz_solve`, or on Cholesky factors with one
-    step of iterative refinement after each triangular solve, so the
+    layout, by :func:`_toeplitz_solve` with the residual through the FFT
+    product, or on Cholesky factors with the residual through the dense
+    block; either way one step of iterative refinement follows, so the
     residual stays at the backward-stable floor. The factors were checked
     finite when they were computed and are read-only, and the right-hand
     side is a validated MeasurementVector, so each solve calls LAPACK's
@@ -395,7 +429,9 @@ def solve(gram, y):
             f"measurement length {y_arr.size} does not match Gram size {gram.size}"
         )
     if gram.generators is not None:
-        return TrigCoeffs(_toeplitz_solve(gram.generators, y_arr))
+        b = _toeplitz_solve(gram.generators, y_arr)
+        b += _toeplitz_solve(gram.generators, y_arr - _toeplitz_product(gram.spectrum, b))
+        return TrigCoeffs(b)
     M = gram.cfg.M
 
     def potrs(factor, rhs):

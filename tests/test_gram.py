@@ -157,6 +157,11 @@ def test_cond_estimate_brackets_exact(m, gamma):
     assert 0.5 * exact <= gram.cond_estimate <= exact * (1.0 + rounding)
 
 
+def _ceiling_message(m, gamma, estimate, ceiling):
+    return (f"Gram condition estimate {estimate:.3e} exceeds ceiling {ceiling:.3e} "
+            f"for M={m}, gamma={gamma:g}")
+
+
 def test_default_ceiling_boundary():
     # cond is 8.1e11 at M = 9 and 2.8e13 at M = 10 for gamma = 0.5; the
     # estimate must land on the right side of 1e12 for both, and is exact
@@ -166,6 +171,7 @@ def test_default_ceiling_boundary():
     with pytest.raises(ConditioningError) as excinfo:
         assemble_gram(ArrayConfig(10, 0.5))
     assert excinfo.value.cond_estimate > 1e12
+    assert str(excinfo.value) == _ceiling_message(10, 0.5, excinfo.value.cond_estimate, 1e12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, TOEPLITZ_MIN_M])
@@ -253,7 +259,7 @@ def test_toeplitz_cond_estimate_matches_dpocon(m, gamma):
     g_re, g_im = gram_blocks(cfg)
     chol_re = scipy.linalg.cholesky(g_re, lower=True)
     chol_im = scipy.linalg.cholesky(g_im, lower=True)
-    dense = GramMatrix(cfg, 0.0, g_re=g_re, g_im=g_im, chol_re=chol_re, chol_im=chol_im)
+    dense = GramMatrix(cfg, g_re=g_re, g_im=g_im, chol_re=chol_re, chol_im=chol_im)
     gram = assemble_gram(cfg)
     assert gram.chol_re is None
     assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-12, abs=0)
@@ -348,10 +354,101 @@ def test_toeplitz_conditioning_fails_loudly(m, gamma, indefinite):
     assert f"M={m}, gamma={gamma:g}" in message
     if indefinite:
         assert "numerically indefinite" in message
+        assert message.startswith(f"Gram factorization failed for M={m}, gamma={gamma:g}: "
+                                  "matrix is numerically indefinite (Levinson recursion ")
         assert excinfo.value.cond_estimate is None
     else:
         assert excinfo.value.cond_estimate > 1e12
+        # The error carries the Hager/Higham estimate, not the O(M) bound.
+        estimate = gram_module._factor(ArrayConfig(m, gamma)).cond_estimate
+        assert excinfo.value.cond_estimate == estimate
+        assert message == _ceiling_message(m, gamma, estimate, 1e12)
     assert gram_module._cached is None
+
+
+@pytest.mark.parametrize("m", [TOEPLITZ_MIN_M, 300, 513, 1024])
+def test_toeplitz_cond_bound_covers_estimate(m):
+    # The O(M) bound from the column and T^-1 e_1 never undercuts the
+    # estimate, so a ceiling it clears is one the estimate clears too; up
+    # to M = 513 it also covers the explicit-inverse condition number.
+    for gamma in np.linspace(0.99, 1.3, 8):
+        gram = gram_module._factor(ArrayConfig(m, float(gamma)))
+        assert gram._cond_bound >= gram.cond_estimate
+        if m <= 513:
+            assert gram._cond_bound >= exact_one_norm_cond(gram)
+
+
+@pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (1024, 1.13)])
+def test_ceiling_between_estimate_and_bound(monkeypatch, m, gamma):
+    # Past the bound the estimate decides: a ceiling above it passes, one
+    # below it raises with the estimate, fresh or cached.
+    cfg = ArrayConfig(m, gamma)
+    estimate = gram_module._factor(cfg).cond_estimate
+    monkeypatch.setattr(gram_module, "_cached", None)
+    gram = assemble_gram(cfg, cond_ceiling=1.5 * estimate)
+    assert gram._cond_bound > 1.5 * estimate
+    assert gram.cond_estimate == estimate
+    for cached in (True, False):
+        if not cached:
+            monkeypatch.setattr(gram_module, "_cached", None)
+        with pytest.raises(ConditioningError) as excinfo:
+            assemble_gram(cfg, cond_ceiling=estimate / 1.5)
+        assert excinfo.value.cond_estimate == estimate
+        assert str(excinfo.value) == _ceiling_message(m, gamma, estimate, estimate / 1.5)
+
+
+def test_recover_runs_no_condition_estimate(monkeypatch, rng):
+    # Under the default ceiling the bound settles a large Gram, so a
+    # recovery never runs the Hager/Higham estimator; read afterwards, the
+    # estimate is dpocon's.
+    cfg = ArrayConfig(1024, 1.13)
+    block_norms = gram_module._block_norms
+
+    def refuse(apply, m):
+        raise RuntimeError("condition estimate run during recover")
+
+    monkeypatch.setattr(gram_module, "_cached", None)
+    monkeypatch.setattr(gram_module, "_block_norms", refuse)
+    lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+    lags[0] = abs(lags[0]) + cfg.M
+    solution = recover(lags, cfg)
+    gram = assemble_gram(cfg)
+    assert "cond_estimate" not in vars(gram)
+    monkeypatch.setattr(gram_module, "_block_norms", block_norms)
+    assert np.all(np.isfinite(solution.coeffs.b))
+    g_re, g_im = gram_blocks(cfg)
+    dense = GramMatrix(cfg, g_re=g_re, g_im=g_im, chol_re=scipy.linalg.cholesky(g_re, lower=True),
+                       chol_im=scipy.linalg.cholesky(g_im, lower=True))
+    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-12, abs=0)
+
+
+def test_cond_estimate_read_from_threads_matches_serial(monkeypatch):
+    # Four threads read the estimate of one freshly assembled Gram at
+    # once; each sees the serial value bit for bit.
+    cfg = ArrayConfig(1024, 1.13)
+    serial = gram_module._factor(cfg).cond_estimate
+    monkeypatch.setattr(gram_module, "_cached", None)
+    gram = assemble_gram(cfg)
+    assert "cond_estimate" not in vars(gram)
+    barrier = threading.Barrier(4)
+    values = [None] * 4
+
+    def read(i):
+        barrier.wait()
+        values[i] = gram.cond_estimate
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [np.float64(v).tobytes() for v in values] == [np.float64(serial).tobytes()] * 4
 
 
 def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
@@ -603,9 +700,9 @@ def test_toeplitz_solve_matches_cholesky(m, gamma, rng):
 
 
 def test_toeplitz_solve_residual_near_ceiling(rng):
-    # cond ~ 9e8 at (512, 0.993). The Gohberg-Semencul solve is not
-    # refined, and on lag-shaped right-hand sides its residual stays
-    # within 4x of refined Cholesky's.
+    # cond ~ 9e8 at (512, 0.993). On lag-shaped right-hand sides the
+    # Gohberg-Semencul solve's residual stays within 4x of refined
+    # Cholesky's.
     cfg = ArrayConfig(512, 0.993)
     gram = assemble_gram(cfg)
     full = gram.full_matrix()
@@ -614,6 +711,24 @@ def test_toeplitz_solve_residual_near_ceiling(rng):
         reference = np.linalg.norm(full @ _cholesky_solve(cfg, y) - y)
         residual = np.linalg.norm(full @ solve(gram, y).b - y)
         assert residual <= 4.0 * reference
+
+
+@pytest.mark.parametrize("gamma", [0.993, 0.995])
+@pytest.mark.parametrize("rhs", ["image", "uniform"])
+def test_refined_toeplitz_solve_residual_near_ceiling(gamma, rhs, rng):
+    # One refinement step with an FFT residual brings the Gohberg-Semencul
+    # solve to refined Cholesky's residual near the ceiling, for y = G b
+    # and for uniform y; unrefined it was up to 1e7x and 200x worse.
+    cfg = ArrayConfig(512, gamma)
+    gram = assemble_gram(cfg)
+    full = gram.full_matrix()
+    for _ in range(4):
+        y = rng.uniform(-1, 1, gram.size)
+        if rhs == "image":
+            y = full @ y
+        reference = np.linalg.norm(full @ _cholesky_solve(cfg, y) - y)
+        residual = np.linalg.norm(full @ solve(gram, y).b - y)
+        assert residual <= 2.0 * reference
 
 
 class TestMeasurementVector:
