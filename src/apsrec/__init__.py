@@ -17,6 +17,9 @@ Typical use::
     lags = synthesize_lags(truth, cfg)
     solution = recover(lags, cfg)
     report = certify(truth, cfg)
+
+Quadrature is set by one node count per call: ``SynthesisOptions.nodes``
+for synthesis and ``certify``'s energies, ``nodes`` for ``project_onto_nperp``.
 """
 
 from .analysis import (
@@ -57,7 +60,6 @@ from .errors import (
 from .forward import SynthesisOptions, synthesize_lags
 from .gram import (
     GramMatrix,
-    MeasurementVector,
     assemble_gram,
     measurement_vector,
     solve,
@@ -70,7 +72,6 @@ from .plv import (
     project_onto_nperp,
     recover,
 )
-from .quad import QuadratureRule, chebyshev_gauss, gauss_legendre
 
 __version__ = "0.1.0"
 
@@ -88,13 +89,11 @@ __all__ = [
     "GaussianMixture",
     "GramMatrix",
     "LaplacianMixture",
-    "MeasurementVector",
     "ModelError",
     "NegativitySummary",
     "PlvSolution",
     "PointSources",
     "QuadratureError",
-    "QuadratureRule",
     "SampledFunction",
     "SpectrumSum",
     "StructureError",
@@ -104,11 +103,9 @@ __all__ = [
     "Uniform",
     "assemble_gram",
     "certify",
-    "chebyshev_gauss",
     "energy_of_solution",
     "evaluate_solution",
     "evaluate_trig",
-    "gauss_legendre",
     "lags_from_toeplitz",
     "measurement_vector",
     "negativity_summary",

@@ -55,8 +55,7 @@ class ErrorCertificate:
     margin: float
 
 
-def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
-            identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL, opts=None):
+def certify(model, cfg, opts=None, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     """Run the full pipeline on a ground-truth model and certify the
     reconstruction.
 
@@ -64,14 +63,13 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
         model: L2 spectrum model (point sources carry no energy density
             and raise ModelError).
         cfg: Array configuration.
-        nodes: Quadrature resolution for the energies (the closed-form
-            side needs none).
+        opts: Synthesis options; their node count is also the energy
+            rule's (the closed-form side needs none). Defaults to
+            theta-path synthesis at DEFAULT_ENERGY_NODES.
         identifiability_tol: Relative threshold on error/energy for the
             identifiability verdict. The underlying condition is exact
             subspace membership; the default sits far above quadrature
             noise and far below any genuine model mismatch.
-        opts: Synthesis options; defaults to theta-path synthesis at
-            ``nodes`` resolution.
 
     Raises:
         ModelError: For models without a density.
@@ -82,7 +80,7 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
     """
     if not model.in_l2:
         raise ModelError("certificates need a square-integrable ground truth")
-    opts = opts if opts is not None else SynthesisOptions(nodes=nodes)
+    opts = opts if opts is not None else SynthesisOptions(DEFAULT_ENERGY_NODES)
 
     lags = synthesize_lags(model, cfg, opts)
     gram = assemble_gram(cfg)
@@ -91,15 +89,15 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
 
     g_true = transform_aps(model)
     seams = seams_x(model)
-    points, weights = weighted_quadrature_points(nodes, seams)
-    points2, weights2 = weighted_quadrature_points(2 * nodes, seams)
+    points, weights = weighted_quadrature_points(opts.nodes, seams)
+    points2, weights2 = weighted_quadrature_points(2 * opts.nodes, seams)
     truth_samples = g_true(points)
     energy_truth = float(weights @ (truth_samples * truth_samples))
     truth_samples2 = g_true(points2)
     energy_refined = float(weights2 @ (truth_samples2 * truth_samples2))
 
     energy_plv = gram.quadratic_form(coeffs)
-    quadratic_form = float(y.y @ coeffs.b)
+    quadratic_form = float(y @ coeffs.b)
     error_sq = energy_truth - quadratic_form
 
     even, odd = _exp_samples(_exp_table(cfg, points), coeffs.b)

@@ -325,10 +325,9 @@ def cmd_recover(args):
 
 def cmd_certify(args):
     config = load_config(args.config)
-    # A scenario's quadrature gives the energy nodes and the synthesis rule.
-    options = {"identifiability_tol": config.identifiability_tol}
-    if config.quadrature is not None:
-        options.update(nodes=config.quadrature.nodes, opts=config.quadrature)
+    # A scenario's quadrature gives the synthesis and energy rule; without
+    # one, certify keeps its defaults.
+    options = {"opts": config.quadrature, "identifiability_tol": config.identifiability_tol}
     certificate = certify(config.aps, config.array, **options)
     out = _out_dir(args)
     payload = {

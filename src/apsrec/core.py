@@ -33,6 +33,16 @@ def _readonly(obj, name, arr):
     object.__setattr__(obj, name, arr)
 
 
+def _count(value, minimum, name):
+    """``value`` as an int, if it is an integer (not a bool) of at least
+    ``minimum``; ValueError naming ``name`` otherwise."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array geometry.
@@ -51,11 +61,7 @@ class ArrayConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool):
-            raise ValueError("M must be an integer")
-        if self.M < 1:
-            raise ValueError("M must be at least 1")
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _count(self.M, 1, "M"))
         gamma = float(self.gamma)
         if not np.isfinite(gamma) or gamma <= 0.0:
             raise ValueError("gamma must be positive and finite")

@@ -19,6 +19,7 @@ from .core import (
     Domain,
     PointSources,
     SpectrumSum,
+    _count,
     _exp_lags,
     _exp_table,
     seams_x,
@@ -37,8 +38,7 @@ class SynthesisOptions:
     domain_path: Domain = Domain.THETA
 
     def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError("synthesis needs at least 16 quadrature nodes")
+        object.__setattr__(self, "nodes", _count(self.nodes, 16, "synthesis node count"))
         object.__setattr__(self, "domain_path", Domain(self.domain_path))
 
 

@@ -383,34 +383,12 @@ def _keep_table(cfg, key, table):
             _cached = (cfg, entry[1], {**entry[2], key: table})
 
 
-@dataclass(frozen=True)
-class MeasurementVector:
-    """Stacked real measurements [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}]."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.array(self.y, dtype=np.float64, copy=True).reshape(-1)
-        if y.size % 2 == 0:
-            raise ValueError("measurement vector must have odd length 2M-1")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("measurements must be finite")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def M(self):
-        return (self.y.size + 1) // 2
-
-    def __len__(self):
-        return self.y.size
-
-
 def measurement_vector(lags):
-    """Stack the real and imaginary lag parts into the solver layout."""
+    """Stack the real and imaginary lag parts into the solver layout
+    [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}]."""
     if not isinstance(lags, CovarianceLags):
         lags = CovarianceLags(lags)
-    return MeasurementVector(np.concatenate([lags.r.real, lags.r[1:].imag]))
+    return np.concatenate([lags.r.real, lags.r[1:].imag])
 
 
 def solve(gram, y):
@@ -419,15 +397,17 @@ def solve(gram, y):
     product, or on Cholesky factors with the residual through the dense
     block; either way one step of iterative refinement follows, so the
     residual stays at the backward-stable floor. The factors were checked
-    finite when they were computed and are read-only, and the right-hand
-    side is a validated MeasurementVector, so each solve calls LAPACK's
-    ``dpotrs`` directly, without scipy's checking wrapper.
+    finite when they were computed and are read-only, and ``y`` is checked
+    here, so each solve calls LAPACK's ``dpotrs`` directly, without
+    scipy's checking wrapper.
     """
-    y_arr = y.y if isinstance(y, MeasurementVector) else MeasurementVector(y).y
+    y_arr = np.asarray(y, dtype=np.float64).reshape(-1)
     if y_arr.size != gram.size:
         raise ValueError(
             f"measurement length {y_arr.size} does not match Gram size {gram.size}"
         )
+    if not np.all(np.isfinite(y_arr)):
+        raise ValueError("measurements must be finite")
     if gram.generators is not None:
         b = _toeplitz_solve(gram.generators, y_arr)
         b += _toeplitz_solve(gram.generators, y_arr - _toeplitz_product(gram.spectrum, b))

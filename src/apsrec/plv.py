@@ -37,7 +37,7 @@ from .core import (
 from .errors import DomainError, FeasibilityWarning
 from .gram import _keep_table, _kept_table
 from .gram import assemble_gram, measurement_vector, solve
-from .quad import CHEBYSHEV_GAUSS, chebyshev_gauss, weighted_quadrature_points
+from .quad import weighted_quadrature_points
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -172,7 +172,7 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
     return PlvSolution(coeffs, residual, cfg)
 
 
-def project_onto_nperp(g, cfg, rule=None):
+def project_onto_nperp(g, cfg, nodes=512):
     """Project a function (or an L2 spectrum model) orthogonally onto the
     trigonometric subspace spanned by the array's basis.
 
@@ -184,22 +184,17 @@ def project_onto_nperp(g, cfg, rule=None):
     Args:
         g: Vectorized callable on [-1, 1], or an ApsModel with a density
             (models integrate seam-aware).
-        rule: Chebyshev-Gauss rule for the moments; defaults to 512 nodes.
-            A model takes only its node count.
+        nodes: Node count of the moment rule: a Chebyshev-Gauss rule, or
+            for a model with seams one Gauss-Legendre panel per piece.
 
     Raises:
         ModelError: For a model without a density (point sources).
-        ValueError: For a rule of another kind.
+        ValueError: Unless ``nodes`` is an integer of at least 1.
     """
-    if rule is not None and rule.kind != CHEBYSHEV_GAUSS:
-        raise ValueError("projection moments require a Chebyshev-Gauss rule")
-    nodes = rule.nodes if rule is not None else 512
-    if isinstance(g, ApsModel):
-        points, weights = weighted_quadrature_points(nodes, seams_x(g))
+    model = isinstance(g, ApsModel)
+    points, weights = weighted_quadrature_points(nodes, seams_x(g) if model else ())
+    if model:
         g = transform_aps(g)
-    else:
-        moment_rule = rule if rule is not None else chebyshev_gauss(nodes)
-        points, weights = moment_rule.abscissae, moment_rule.weights
     samples = weights * np.asarray(g(points), dtype=np.float64)
     lags = _exp_lags(_exp_table(cfg, points), samples, samples, cfg.M)
     return solve(assemble_gram(cfg), np.concatenate([lags.real, lags[1:].imag]))

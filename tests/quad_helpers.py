@@ -1,6 +1,6 @@
 """Quadrature conveniences over apsrec's rule tables, used by the tests.
 
-The library integrates through the point/weight tables of
+The library integrates through the (points, weights) tables of
 ``apsrec.quad`` directly; these wrappers turn a callable into a number
 so the tests can check the rules on closed-form integrals. The J0
 oracle here is the independent check on the Gram's ``scipy.special.j0``.
@@ -10,12 +10,7 @@ import numpy as np
 
 from apsrec.core import CovarianceLags, Domain, seams_x, transform_aps
 from apsrec.errors import QuadratureError
-from apsrec.quad import (
-    CHEBYSHEV_GAUSS,
-    gauss_legendre,
-    theta_quadrature_points,
-    weighted_quadrature_points,
-)
+from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 
 def _finite_or_raise(values):
@@ -24,33 +19,39 @@ def _finite_or_raise(values):
     return values
 
 
-def weighted_inner(f, g, rule):
+def _weighted_table(table):
+    """(points, weights) of a table for the weight w(x) = 1/sqrt(1 - x^2).
+    Such a table integrates 1 to pi; an unweighted Gauss-Legendre table on
+    [-1, 1] gives 2 and is rejected."""
+    points, weights = table
+    if abs(np.sum(weights) - np.pi) > 1e-12:
+        raise ValueError("weighted inner products require a table for the weight w")
+    return points, weights
+
+
+def weighted_inner(f, g, table):
     """Weighted inner product <f, g>_w = integral of f(x) g(x) w(x) dx on
     [-1, 1], with w(x) = 1/sqrt(1 - x^2).
 
     Args:
-        f, g: Vectorized callables, finite on the rule's abscissae.
-        rule: A Chebyshev-Gauss rule (the only family whose weight matches w).
+        f, g: Vectorized callables, finite on the table's points.
+        table: (points, weights) from ``weighted_quadrature_points``.
     """
-    if rule.kind != CHEBYSHEV_GAUSS:
-        raise ValueError("weighted inner products require a Chebyshev-Gauss rule")
-    x = rule.abscissae
-    return float(np.sum(rule.weights * _finite_or_raise(np.asarray(f(x)) * np.asarray(g(x)))))
+    x, weights = _weighted_table(table)
+    return float(np.sum(weights * _finite_or_raise(np.asarray(f(x)) * np.asarray(g(x)))))
 
 
-def weighted_inner_complex(f, m, cfg, rule):
+def weighted_inner_complex(f, m, cfg, table):
     """Weighted Fourier measurement <f, e^{i kappa_m x}>_w of a real
     function f: real part pairs f with cos(kappa_m x), imaginary part with
     sin(kappa_m x) (the inner product is bilinear, no conjugation), so for
     a density g this is exactly the covariance lag r_m. Negative m yields
     the conjugate lag.
     """
-    if rule.kind != CHEBYSHEV_GAUSS:
-        raise ValueError("weighted inner products require a Chebyshev-Gauss rule")
-    x = rule.abscissae
+    x, weights = _weighted_table(table)
     kappa = cfg.gamma * np.pi * m
     fx = _finite_or_raise(np.asarray(f(x), dtype=np.float64))
-    wf = rule.weights * fx
+    wf = weights * fx
     return complex(np.sum(wf * np.cos(kappa * x)), np.sum(wf * np.sin(kappa * x)))
 
 
@@ -89,9 +90,9 @@ def bessel_j0_quadrature_oracle(z, nodes=200):
     """
     if nodes < 2:
         raise ValueError("oracle needs at least 2 nodes")
-    rule = gauss_legendre(int(nodes))
-    theta = (rule.abscissae + 1.0) * (np.pi / 2.0)
-    weights = rule.weights * (np.pi / 2.0)
+    abscissae, weights = np.polynomial.legendre.leggauss(int(nodes))
+    theta = (abscissae + 1.0) * (np.pi / 2.0)
+    weights = weights * (np.pi / 2.0)
     z_arr = np.asarray(z, dtype=np.float64)
     scalar = z_arr.ndim == 0
     values = np.cos(np.multiply.outer(np.atleast_1d(z_arr), np.cos(theta))) @ weights / np.pi

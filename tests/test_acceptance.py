@@ -133,7 +133,7 @@ def test_criterion_5_energy_identity():
             gram = assemble_gram(cfg)
             y = measurement_vector(lags)
             quad_form = gram.quadratic_form(solution.coeffs)
-            cross = float(y.y @ solution.coeffs.b)
+            cross = float(y @ solution.coeffs.b)
             assert abs(quad_form - cross) <= 1e-10 * (1.0 + quad_form)
 
 

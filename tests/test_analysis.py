@@ -122,13 +122,13 @@ def test_certificate_matches_dense_forms(model, m):
     diff = truth - evaluate_trig(cfg, coeffs, points)
     gap = abs(energy - gram.quadratic_form(coeffs) - float(weights @ (diff * diff)))
     floor = DEFAULT_IDENTIFIABILITY_TOL * energy
-    if energy - float(y.y @ coeffs.b) < -floor or gap > floor:
+    if energy - float(y @ coeffs.b) < -floor or gap > floor:
         with pytest.raises(QuadratureError):
             certify(model, cfg)
         return
     certificate = certify(model, cfg)
     assert certificate.energy_truth == energy
-    assert abs(certificate.quadratic_form - float(y.y @ coeffs.b)) <= 1e-12 * energy
+    assert abs(certificate.quadratic_form - float(y @ coeffs.b)) <= 1e-12 * energy
     assert abs(certificate.energy_plv - gram.quadratic_form(coeffs)) <= 1e-12 * energy
     assert abs(certificate.pythagoras_gap - gap) <= 1e-12 * energy
 
@@ -148,12 +148,22 @@ def test_unresolved_certificate_raises():
         resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256])
     # A rule that resolves them certifies.
     opts = SynthesisOptions(nodes=2048, domain_path="x")
-    certificate = certify(TWO_GAUSSIANS, cfg, nodes=2048, opts=opts)
+    certificate = certify(TWO_GAUSSIANS, cfg, opts=opts)
     floor = DEFAULT_IDENTIFIABILITY_TOL * certificate.energy_truth
     assert certificate.reconstruction_error_sq >= -floor
     assert certificate.pythagoras_gap <= floor
-    sweep = resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256], nodes=2048, opts=opts)
+    sweep = resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256], opts=opts)
     assert sweep[-1][1] == certificate.reconstruction_error_sq
+
+
+def test_certify_takes_energy_nodes_from_opts():
+    # One node count per call: the energy rule is the synthesis rule's.
+    model, cfg = LaplacianMixture(components=((0.25, 0.08, 1.0),)), ArrayConfig(4, 1.0)
+    g = transform_aps(model)
+    for opts in (None, SynthesisOptions(300, "x"), SynthesisOptions(1024)):
+        certificate = certify(model, cfg, opts=opts)
+        nodes = 512 if opts is None else opts.nodes
+        assert certificate.energy_truth == weighted_norm_sq(g, seams_x(model), nodes)
 
 
 def test_error_nonnegative_up_to_noise(rng):
@@ -192,7 +202,7 @@ def test_energy_identity_for_recovered_solutions(rng):
         y = measurement_vector(lags)
         b = solve(gram, y)
         quad_form = gram.quadratic_form(b)
-        cross = float(y.y @ b.b)
+        cross = float(y @ b.b)
         assert abs(quad_form - cross) <= 1e-10 * (1.0 + quad_form)
 
 

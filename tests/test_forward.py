@@ -195,6 +195,19 @@ def test_covariance_positive_semidefinite(model):
     assert eigenvalues[0] >= -1e-9 * np.trace(matrix).real
 
 
+@pytest.mark.parametrize("nodes", [100.5, np.float64(256.0), True, "256"])
+def test_options_reject_non_integer_nodes(nodes):
+    # A fractional count must not truncate silently on one path and fail
+    # inside numpy on the other.
+    with pytest.raises(ValueError, match="synthesis node count must be an integer"):
+        SynthesisOptions(nodes=nodes)
+
+
+def test_options_store_numpy_node_counts_as_int():
+    opts = SynthesisOptions(np.int64(256), Domain.X)
+    assert type(opts.nodes) is int and opts == SynthesisOptions(256, Domain.X)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SynthesisOptions(nodes=8)

@@ -16,7 +16,6 @@ from apsrec.core import ArrayConfig, CovarianceLags, TrigCoeffs, trig_basis
 from apsrec.errors import ConditioningError
 from apsrec.gram import (
     GramMatrix,
-    MeasurementVector,
     assemble_gram,
     bessel_j0,
     gram_blocks,
@@ -24,7 +23,7 @@ from apsrec.gram import (
     solve,
 )
 from apsrec.plv import evaluate_solution, negativity_summary, recover
-from apsrec.quad import chebyshev_gauss, weighted_quadrature_points
+from apsrec.quad import weighted_quadrature_points
 
 # Frozen via the Bessel quadrature oracle.
 PI_J0_PI = -0.9558049901987985
@@ -682,7 +681,7 @@ def _cholesky_solve(cfg, y):
 def _lag_measurements(rng, m):
     lags = rng.normal(size=m) + 1j * rng.normal(size=m)
     lags[0] = abs(lags[0]) + m
-    return measurement_vector(lags).y
+    return measurement_vector(lags)
 
 
 @pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (513, 1.13), (1024, 1.25)])
@@ -734,24 +733,24 @@ def test_refined_toeplitz_solve_residual_near_ceiling(gamma, rhs, rng):
 class TestMeasurementVector:
     def test_uniform_spectrum_layout(self):
         lags = CovarianceLags(np.array([np.pi, PI_J0_PI], dtype=complex))
-        assert np.allclose(measurement_vector(lags).y, [np.pi, PI_J0_PI, 0.0], atol=0)
+        assert np.allclose(measurement_vector(lags), [np.pi, PI_J0_PI, 0.0], atol=0)
 
     def test_layout_orders_real_then_imag(self):
-        assert np.array_equal(measurement_vector(np.array([1.0, 1.0j])).y, [1.0, 0.0, 1.0])
+        assert np.array_equal(measurement_vector(np.array([1.0, 1.0j])), [1.0, 0.0, 1.0])
 
     def test_zero(self):
-        assert np.array_equal(measurement_vector(np.zeros(3, dtype=complex)).y, np.zeros(5))
+        assert np.array_equal(measurement_vector(np.zeros(3, dtype=complex)), np.zeros(5))
 
     def test_single_antenna(self):
-        y = measurement_vector(np.array([2.5 + 0j]))
-        assert np.array_equal(y.y, [2.5])
-        assert y.M == 1
+        assert np.array_equal(measurement_vector(np.array([2.5 + 0j])), [2.5])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementVector(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            MeasurementVector(np.array([1.0, np.inf, 0.0]))
+        # solve checks the stacked layout: length 2M-1 and finite entries.
+        gram = assemble_gram(ArrayConfig(2, 1.0))
+        with pytest.raises(ValueError, match="does not match Gram size"):
+            solve(gram, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="measurements must be finite"):
+            solve(gram, np.array([1.0, np.inf, 0.0]))
 
 
 class TestSolve:

@@ -35,7 +35,7 @@ from apsrec.plv import (
     project_onto_nperp,
     recover,
 )
-from apsrec.quad import chebyshev_gauss, weighted_quadrature_points
+from apsrec.quad import weighted_quadrature_points
 
 FULL_RANGE = Uniform(-np.pi / 2, np.pi / 2, 1.0)
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
@@ -409,7 +409,7 @@ class TestProjection:
         # for the cosine block, with closed-form moments via J0.
         cfg = ArrayConfig(2, 1.0)
         g = lambda x: np.cos(np.pi * x / 2.0)
-        projected = project_onto_nperp(g, cfg, chebyshev_gauss(256))
+        projected = project_onto_nperp(g, cfg, nodes=256)
         moment_const = np.pi * bessel_j0(np.pi / 2)
         moment_cos = (np.pi / 2) * (bessel_j0(np.pi / 2) + bessel_j0(3 * np.pi / 2))
         g_re = np.array([
@@ -431,7 +431,7 @@ class TestProjection:
             from apsrec.core import evaluate_trig
             return g_true(x) - evaluate_trig(cfg, coeffs, x)
 
-        again = project_onto_nperp(residual, cfg, chebyshev_gauss(512))
+        again = project_onto_nperp(residual, cfg, nodes=512)
         assert np.max(np.abs(again.b)) <= 1e-8
 
     def test_rejects_models_without_density(self):
@@ -446,18 +446,20 @@ class TestProjection:
     def test_small_rules(self, nodes):
         # Rules under the synthesis floor of 16 nodes project as before.
         cfg = ArrayConfig(4, 1.0)
-        rule = chebyshev_gauss(nodes)
+        points, weights = weighted_quadrature_points(nodes)
         g = transform_aps(GAUSS_CLUSTER)
-        moments = trig_basis(cfg, rule.abscissae).T @ (rule.weights * g(rule.abscissae))
+        moments = trig_basis(cfg, points).T @ (weights * g(points))
         dense = solve(assemble_gram(cfg), moments).b
         for model in (GAUSS_CLUSTER, g):
-            projected = project_onto_nperp(model, cfg, rule).b
+            projected = project_onto_nperp(model, cfg, nodes).b
             assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    def test_rejects_legendre_rule(self):
-        from apsrec.quad import gauss_legendre
-        with pytest.raises(ValueError):
-            project_onto_nperp(lambda x: np.ones_like(x), ArrayConfig(2, 1.0), gauss_legendre(64))
+    @pytest.mark.parametrize("nodes", [0, 100.5, np.float64(64.0), True, "64"])
+    def test_rejects_bad_node_counts(self, nodes):
+        # Only integers of at least 1, for callables and models alike.
+        for g in (GAUSS_CLUSTER, transform_aps(GAUSS_CLUSTER)):
+            with pytest.raises(ValueError, match="node count"):
+                project_onto_nperp(g, ArrayConfig(2, 1.0), nodes)
 
 
 class TestRecoverFromMatrix:
