@@ -22,7 +22,7 @@ from apsrec.gram import (
     measurement_vector,
     solve,
 )
-from apsrec.plv import evaluate_solution, negativity_summary, recover
+from apsrec.plv import DEFAULT_RESIDUAL_TOL, evaluate_solution, negativity_summary, recover
 from apsrec.quad import weighted_quadrature_points
 
 # Frozen via the Bessel quadrature oracle.
@@ -31,6 +31,7 @@ COS1_COS1 = 1.9168064856071338   # (pi/2)(1 + J0(2pi))
 SIN1_SIN1 = 1.2247861679826595   # (pi/2)(1 - J0(2pi))
 
 TOEPLITZ_MIN_M = gram_module._TOEPLITZ_MIN_M
+PCG_MIN_M = gram_module._PCG_MIN_M
 
 # Configurations whose condition estimate stays well under the ceiling;
 # tightly spaced arrays (gamma = 0.5) degrade fast with M.
@@ -394,6 +395,185 @@ def test_ceiling_between_estimate_and_bound(monkeypatch, m, gamma):
             assemble_gram(cfg, cond_ceiling=estimate / 1.5)
         assert excinfo.value.cond_estimate == estimate
         assert str(excinfo.value) == _ceiling_message(m, gamma, estimate, estimate / 1.5)
+
+
+def _toeplitz_column(m, gamma):
+    return np.pi * bessel_j0(gamma * np.pi * np.arange(2 * m - 1))
+
+
+def _levinson(column):
+    return scipy.linalg.solve_toeplitz(column, np.eye(1, column.size)[0])
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.0001, 1.13, 1.25, 2.0])
+@pytest.mark.parametrize("m", [PCG_MIN_M, 1024, 1025, 2048])
+def test_pcg_matches_levinson(monkeypatch, m, gamma):
+    # Preconditioned CG gives Levinson's T^-1 e_1 to rounding, within 37
+    # steps, well under its cap.
+    column = _toeplitz_column(m, gamma)
+    spectrum = gram_module._spectrum(column)
+    x = gram_module._pcg(column, spectrum)
+    expected = _levinson(column)
+    assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+    monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 37)
+    assert np.array_equal(gram_module._pcg(column, spectrum), x)
+
+
+def _large_array_lags(rng, cfg):
+    """Lags shaped as the benchmark's large-array inputs: a few sources
+    plus noise, with a raised zero lag."""
+    count = int(rng.integers(3, 8))
+    angles, powers = rng.uniform(-1.3, 1.3, count), rng.uniform(0.5, 2.0, count)
+    kappas = cfg.gamma * np.pi * np.arange(cfg.M)
+    lags = np.exp(1j * np.multiply.outer(kappas, np.sin(angles))) @ powers
+    lags += 0.01 * (rng.standard_normal(cfg.M) + 1j * rng.standard_normal(cfg.M))
+    lags[0] = lags[0].real + 0.3
+    return lags
+
+
+def test_pcg_recovery_matches_levinson(monkeypatch, rng):
+    # A recovery through the CG generators gives the Levinson build's
+    # coefficients to rounding, and meets the same feasibility tolerance.
+    for _ in range(20):
+        cfg = ArrayConfig(1024, float(rng.uniform(1.0, 1.25)))
+        lags = _large_array_lags(rng, cfg)
+        monkeypatch.setattr(gram_module, "_cached", None)
+        solution = recover(lags, cfg)
+        with monkeypatch.context() as levinson:
+            levinson.setattr(gram_module, "_pcg", lambda column, spectrum: None)
+            levinson.setattr(gram_module, "_cached", None)
+            expected = recover(lags, cfg).coeffs.b
+        b = solution.coeffs.b
+        assert np.max(np.abs(b - expected)) <= 1e-13 * np.max(np.abs(expected))
+        tolerance = DEFAULT_RESIDUAL_TOL * (1.0 + np.max(np.abs(lags)))
+        assert solution.constraint_residual <= tolerance
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.13, 1.25, 1.5, 2.0])
+@pytest.mark.parametrize("m", [8, 64, 128, 256])
+def test_symbol_bounds_toeplitz_spectrum(m, gamma):
+    # For gamma >= 1 the symbol of T is at least 1 on [-pi, pi], so every
+    # eigenvalue exceeds 2/gamma, and T. Chan's circulant, whose
+    # eigenvalues are T's Rayleigh quotients at the Fourier vectors, is
+    # positive definite.
+    column = _toeplitz_column(m, gamma)
+    n = column.size
+    full = scipy.linalg.toeplitz(column)
+    assert scipy.linalg.eigvalsh(full)[0] >= (2.0 / gamma) * (1.0 - 1e-12)
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    chan = np.sum(fourier.conj() * (full @ fourier), axis=0).real
+    k = np.arange(n)
+    assert np.allclose(chan, np.fft.fft(((n - k) * column + k * np.roll(column[::-1], 1)) / n),
+                       rtol=0, atol=1e-12 * np.max(np.abs(chan)))
+    assert np.all(chan > 0.0)
+
+
+def test_symbol_bound_fails_below_unit_spacing():
+    # Below gamma = 1 the symbol vanishes on part of the circle, and the
+    # smallest eigenvalue falls far below 2/gamma (0.12 at (128, 0.99)),
+    # which is why those arrays stay on Levinson recursion.
+    full = scipy.linalg.toeplitz(_toeplitz_column(128, 0.99))
+    assert scipy.linalg.eigvalsh(full)[0] < 2.0 / 0.99 / 10.0
+    for m, gamma in [(512, 0.9), (1024, 0.99)]:
+        column = _toeplitz_column(m, gamma)
+        assert gram_module._pcg(column, gram_module._spectrum(column)) is None
+
+
+def _levinson_gram(cfg):
+    """The Toeplitz Gram's generators and condition bound, built from
+    Levinson recursion alone."""
+    column = _toeplitz_column(cfg.M, cfg.gamma)
+    n = column.size
+    x = _levinson(column)
+    x_norm = np.abs(x).sum()
+    bound = 2.0 * 1.5 * np.abs(column).sum() * 4.0 * (x_norm**2 + (x_norm - x[0])**2) / x[0]
+    generators = np.zeros((2, gram_module._fft_size(n)))
+    generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
+    return np.fft.rfft(generators / np.sqrt(x[0])), float(bound)
+
+
+@pytest.mark.parametrize("failure", ["reported", "step cap"])
+def test_failed_pcg_falls_back_to_levinson(monkeypatch, failure):
+    # A CG run that fails, whether reported so or cut off by its step
+    # cap, leaves the Gram to Levinson recursion, bit for bit.
+    cfg = ArrayConfig(1024, 1.13)
+    if failure == "reported":
+        monkeypatch.setattr(gram_module, "_pcg", lambda column, spectrum: None)
+    else:
+        monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 3)
+    gram = gram_module._factor(cfg)
+    generators, bound = _levinson_gram(cfg)
+    assert np.array_equal(gram.generators, generators)
+    assert gram._cond_bound == bound
+
+
+@pytest.mark.parametrize("m,gamma,levinson", [
+    (PCG_MIN_M - 1, 1.13, True), (PCG_MIN_M, 0.999, True), (PCG_MIN_M, 1.0, False),
+])
+def test_pcg_runs_only_from_crossover_at_unit_spacing(monkeypatch, m, gamma, levinson):
+    # Levinson recursion builds x below the crossover and below gamma = 1.
+    runs = []
+    pcg = gram_module._pcg
+    monkeypatch.setattr(gram_module, "_pcg", lambda *args: runs.append(args) or pcg(*args))
+    gram = gram_module._factor(ArrayConfig(m, gamma))
+    assert len(runs) == (0 if levinson else 1)
+    if levinson:
+        assert np.array_equal(gram.generators, _levinson_gram(gram.cfg)[0])
+
+
+def test_pcg_generators_independent_of_alignment(monkeypatch):
+    # The CG generators do not depend on where the J0 column lies in
+    # memory: the same bytes from eight 8-byte offsets.
+    j0 = gram_module.bessel_j0
+    digests = set()
+    for offset in range(8):
+        def shifted(values, offset=offset):
+            out = j0(values)
+            buffer = np.empty(out.size + 8)[offset:offset + out.size]
+            buffer[...] = out
+            return buffer
+
+        monkeypatch.setattr(gram_module, "bessel_j0", shifted)
+        for m in (1024, 2048):
+            gram = gram_module._factor(ArrayConfig(m, 1.13))
+            digests.add((m, gram.generators.tobytes(), gram._cond_bound))
+    assert len(digests) == 2
+
+
+def test_pcg_generators_independent_of_blas_threads():
+    # One and two BLAS threads build the same CG generators, bit for bit.
+    script = textwrap.dedent("""
+        import hashlib
+        from apsrec.core import ArrayConfig
+        from apsrec.gram import _factor
+
+        digest = hashlib.sha256()
+        for m in (1024, 2048):
+            for gamma in (1.0, 1.13):
+                digest.update(_factor(ArrayConfig(m, gamma)).generators.tobytes())
+        print(digest.hexdigest())
+    """)
+    package_root = str(Path(gram_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.13])
+def test_pcg_keeps_reported_condition_estimate(monkeypatch, gamma):
+    # gram.json's 12-digit condition estimate is the same whichever
+    # method built x.
+    cfg = ArrayConfig(1024, gamma)
+    estimate = gram_module._factor(cfg).cond_estimate
+    monkeypatch.setattr(gram_module, "_pcg", lambda column, spectrum: None)
+    assert f"{gram_module._factor(cfg).cond_estimate:.12g}" == f"{estimate:.12g}"
 
 
 def test_recover_runs_no_condition_estimate(monkeypatch, rng):
