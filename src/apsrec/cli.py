@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import DEFAULT_IDENTIFIABILITY_TOL, certify, resolution_sweep
 from .core import (
@@ -40,7 +39,7 @@ from .errors import (
     QuadratureError,
 )
 from .forward import SynthesisOptions, synthesize_lags
-from .gram import assemble_gram, gram_blocks
+from .gram import _dense, assemble_gram
 from .plv import DEFAULT_RESIDUAL_TOL, evaluate_solution, negativity_summary, recover
 
 SCHEMA = "apsrec-scenario/1"
@@ -362,22 +361,21 @@ def cmd_certify(args):
 def cmd_gram(args):
     config = load_config(args.config)
     gram = assemble_gram(config.array)
-    g_re, g_im = gram_blocks(config.array)
+    # A Toeplitz Gram keeps no blocks: factorize them once, densely.
+    if gram.chol_re is None:
+        gram = _dense(config.array)
     out = _out_dir(args)
-    _write_lines(out / "gram_re.csv", [",".join(_full(v) for v in row) for row in g_re])
-    _write_lines(out / "gram_im.csv", [",".join(_full(v) for v in row) for row in g_im])
-    diag_re = float(np.min(np.diag(scipy.linalg.cholesky(g_re, lower=True))))
-    if config.array.M > 1:
-        diag_im = float(np.min(np.diag(scipy.linalg.cholesky(g_im, lower=True))))
+    _write_lines(out / "gram_re.csv", [",".join(_full(v) for v in row) for row in gram.g_re])
+    _write_lines(out / "gram_im.csv", [",".join(_full(v) for v in row) for row in gram.g_im])
     payload = {
         "schema": "apsrec-gram/1",
         "M": config.array.M,
         "gamma": _report(config.array.gamma),
         "cond_estimate": _report(gram.cond_estimate),
-        "chol_re_min_pivot": _report(diag_re),
+        "chol_re_min_pivot": _report(np.min(np.diag(gram.chol_re))),
     }
     if config.array.M > 1:
-        payload["chol_im_min_pivot"] = _report(diag_im)
+        payload["chol_im_min_pivot"] = _report(np.min(np.diag(gram.chol_im)))
     _write_json(out / "gram.json", payload)
     return EXIT_OK
 

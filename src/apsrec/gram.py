@@ -14,7 +14,8 @@ Gohberg-Semencul formula for T^-1 (Levinson 1947, Durbin 1960, Gohberg and
 Semencul 1972, Cybenko 1980), whose generator T^-1 e_1 comes from
 conjugate gradients with T. Chan's circulant preconditioner (T. Chan 1988)
 where the symbol bounds T's spectrum away from zero (Grenander and Szego
-1958).
+1958). The condition ceiling is settled by an O(M) bound where it can be,
+and otherwise by LAPACK's ``dpocon`` estimate on dense Cholesky factors.
 """
 
 import threading
@@ -115,18 +116,20 @@ class GramMatrix:
     circulant ``spectrum`` and ``generators``, the real FFTs of the
     Gohberg-Semencul generators of T^-1, plus ``_cond_bound``, a rigorous
     O(M) upper bound on the condition number that settles the ceiling
-    without an estimate while it lies below it (infinite on the dense
-    path).
+    without an estimate while below it (infinite on the dense path).
 
-    ``cond_estimate`` is the 1-norm condition number of the full matrix:
-    ||G||_1 (LAPACK's ``dlange``) times the Hager/Higham estimate of
-    ||G^-1||_1 (``dpocon``), or on the Toeplitz path the same estimator
-    run for both over the FFT product and the unrefined solve. It is
-    computed on first read and cached. It is a deterministic lower bound,
-    exact near the default ceiling and within about 15 % for
-    well-conditioned arrays. All arrays are read-only, so one instance is
-    shared by every caller of :func:`assemble_gram` for the same
-    configuration, and concurrent solves and reads against it are safe.
+    ``cond_estimate`` is the 1-norm condition number of the full matrix,
+    ||G||_1 (``dlange``) times ``dpocon``'s lower-bound estimate of
+    ||G^-1||_1 from the Cholesky factors (exact near the default ceiling,
+    within about 15 % for well-conditioned arrays), computed and cached on
+    first read. A Toeplitz Gram factorizes its dense blocks for it (0.1 s
+    at M = 1024) and raises ``ConditioningError`` if they are numerically
+    indefinite. ``dpocon``'s last bit can vary between runs, so two Grams
+    of one configuration may differ there; on Python 3.10 and 3.11
+    ``cached_property`` gives all readers of one Gram one value. All
+    arrays are read-only, so one instance is shared by every caller of
+    :func:`assemble_gram` for the same configuration, and concurrent
+    solves and reads against it are safe.
     """
 
     cfg: ArrayConfig
@@ -151,13 +154,10 @@ class GramMatrix:
 
     @cached_property
     def cond_estimate(self):
-        M = self.cfg.M
-        if self.generators is not None:
-            norms = _block_norms(lambda b: _toeplitz_product(self.spectrum, b), M)
-            inverse_norms = _block_norms(lambda y: _toeplitz_solve(self.generators, y), M)
-        else:
-            norms, inverse_norms = zip(_dense_norms(self.g_re, self.chol_re),
-                                       _dense_norms(self.g_im, self.chol_im))
+        if self.chol_re is None:
+            return _dense(self.cfg).cond_estimate
+        norms, inverse_norms = zip(_dense_norms(self.g_re, self.chol_re),
+                                   _dense_norms(self.g_im, self.chol_im))
         return float(max(norms) * max(inverse_norms))
 
     def full_matrix(self):
@@ -238,8 +238,7 @@ def _toeplitz_solve(generators, y):
     b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m. Alone, near the
     ceiling (M = 512, gamma = 0.993), its residual was up to 8e6x refined
     Cholesky's for y = G b and 30x for uniform y, so :func:`solve` follows
-    it with one refinement step. The condition estimate runs on it
-    unrefined, as ``dpocon`` runs on the bare factors.
+    it with one refinement step.
     """
     n, M, size = y.size, (y.size + 1) // 2, _fft_size(y.size)
     spectrum = np.fft.rfft(_to_exponential(y), size)
@@ -248,50 +247,6 @@ def _toeplitz_solve(generators, y):
     lower = generators[:, None] * np.fft.rfft(upper, size)
     c = np.fft.irfft(lower[0] - lower[1], size)
     return np.concatenate([c[0, M - 1:M], 2.0 * c[0, M:n], -2.0 * c[1, M:n]])
-
-
-def _hager_higham(n):
-    """||A||_1 of a symmetric n-by-n A by the Hager/Higham scheme of
-    LAPACK's ``dlacn2``, as ``dpocon`` runs it, with its reverse
-    communication: yields each x it needs A x for and is sent A x. A
-    fixed start, at most five steps and a last alternating-sign test make
-    the estimate deterministic and a lower bound, exact in most cases."""
-    def signs(v):
-        return np.where(v >= 0.0, 1.0, -1.0)
-
-    v = yield np.full(n, 1.0 / n)
-    estimate, sign = np.abs(v).sum(), signs(v)
-    j = int(np.argmax(np.abs((yield sign))))
-    for _ in range(4):
-        v = yield np.eye(1, n, j)[0]
-        previous, estimate = estimate, np.abs(v).sum()
-        if np.array_equal(signs(v), sign) or estimate <= previous:
-            break
-        sign = signs(v)
-        z = yield sign
-        last, j = j, int(np.argmax(np.abs(z)))
-        if z[last] == abs(z[j]):
-            break
-    alternating = np.linspace(1.0, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    return max(estimate, 2.0 * np.abs((yield alternating)).sum() / (3 * n))
-
-
-def _block_norms(apply, M):
-    """||A_re||_1 and ||A_im||_1 of a symmetric A with diagonal blocks of
-    order M and M-1, known through ``apply``: one :func:`_hager_higham`
-    run per block, as ``dpocon`` runs one per factor, in lockstep so that
-    each product serves both; a finished run's block is fed zeros."""
-    runs = [_hager_higham(M), _hager_higham(M - 1)]
-    wanted, norms = [next(run) for run in runs], [None, None]
-    while None in norms:
-        x = np.concatenate([w if norm is None else 0.0 * w for w, norm in zip(wanted, norms)])
-        for i, product in enumerate(np.split(apply(x), [M])):
-            if norms[i] is None:
-                try:
-                    wanted[i] = runs[i].send(product)
-                except StopIteration as done:
-                    norms[i] = done.value
-    return norms
 
 
 def _pcg(column, spectrum):
@@ -379,7 +334,9 @@ def _toeplitz(cfg):
     if not (np.all(np.isfinite(x)) and x[0] > 0.0):
         raise _indefinite(cfg, f"Levinson recursion gave (T^-1)_00 = {x[0]:.3g}")
     x_norm = np.abs(x).sum()
-    bound = 2.0 * 1.5 * np.abs(column).sum() * 4.0 * (x_norm**2 + (x_norm - x[0])**2) / x[0]
+    # A bound past the float range is inf, and the estimate decides.
+    with np.errstate(over="ignore"):
+        bound = 2.0 * 1.5 * np.abs(column).sum() * 4.0 * (x_norm**2 + (x_norm - x[0])**2) / x[0]
     generators = np.zeros((2, _fft_size(n)))
     generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
     generators = np.fft.rfft(generators / np.sqrt(x[0]))
@@ -387,14 +344,18 @@ def _toeplitz(cfg):
                       _cond_bound=float(bound))
 
 
-def _factor(cfg):
-    """Assemble and factorize the Gram for ``cfg``. The cosine block is
-    factorized first, so its error wins when both blocks fail."""
-    if cfg.M >= _TOEPLITZ_MIN_M:
-        return _toeplitz(cfg)
+def _dense(cfg):
+    """The Gram for ``cfg`` as two dense blocks and their Cholesky factors.
+    The cosine block is factorized first, so its error wins when both
+    blocks fail."""
     g_re, g_im = gram_blocks(cfg)
     return GramMatrix(cfg, g_re=g_re, g_im=g_im, chol_re=_cholesky(cfg, g_re),
                       chol_im=_cholesky(cfg, g_im))
+
+
+def _factor(cfg):
+    """Assemble and factorize the Gram for ``cfg``."""
+    return _toeplitz(cfg) if cfg.M >= _TOEPLITZ_MIN_M else _dense(cfg)
 
 
 # The workspace of the last configuration that assembled under its
@@ -419,9 +380,10 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
     kept with it) before assembling its own, so at most one is alive at a
     time. The ceiling is checked on every call, and a configuration that
     raises is not cached. A Toeplitz Gram whose O(M) condition bound lies
-    under the ceiling passes without its condition estimate, which runs
-    only where the bound does not settle the check, or when read; the
-    estimate never exceeds the bound, so the outcome is the estimate's.
+    under the ceiling passes without its condition estimate. Otherwise the
+    estimate decides, which on a Toeplitz Gram costs a dense Cholesky
+    factorization (O(M^3)); it never exceeds the bound, so the outcome is
+    the estimate's. A NaN bound or estimate counts as over the ceiling.
 
     Args:
         cfg: Array configuration.
@@ -433,9 +395,9 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
             regularize.
 
     Raises:
-        ConditioningError: If the factorization finds the matrix
-            numerically indefinite or the condition estimate exceeds
-            ``cond_ceiling``.
+        ConditioningError: If a Cholesky or Levinson factorization finds
+            the matrix numerically indefinite, or the condition estimate
+            is not under ``cond_ceiling``.
     """
     global _cached
     with _lock:
@@ -443,7 +405,7 @@ def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
         if entry is None or entry[0] != cfg:
             _cached = entry = None
     gram = entry[1] if entry is not None else _factor(cfg)
-    if gram._cond_bound > cond_ceiling and gram.cond_estimate > cond_ceiling:
+    if not gram._cond_bound <= cond_ceiling and not gram.cond_estimate <= cond_ceiling:
         raise ConditioningError(
             f"Gram condition estimate {gram.cond_estimate:.3e} exceeds ceiling "
             f"{cond_ceiling:.3e} for M={cfg.M}, gamma={cfg.gamma:g}",

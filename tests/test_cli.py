@@ -278,6 +278,40 @@ class TestGram:
         err = capsys.readouterr().err
         assert "conditioning" in err
 
+    def test_singular_toeplitz_size_exit_4(self, tmp_path, capsys):
+        # Levinson passes at (1024, 0.01), but the Gram is numerically
+        # singular: exit 4 with a conditioning message, no traceback and no
+        # files.
+        payload = dict(UNIFORM_CONFIG, array={"M": 1024, "gamma": 0.01})
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["gram", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("apsrec: error: conditioning: ")
+        assert "numerically indefinite" in err
+        assert not out.exists()
+
+    def test_toeplitz_size_factorizes_once(self, tmp_path, monkeypatch):
+        # One dense factorization gives the blocks, the pivots and the
+        # condition estimate: one dpotrf per block, and no scipy cholesky.
+        m = gram._TOEPLITZ_MIN_M
+        config = write_config(tmp_path, dict(UNIFORM_CONFIG, array={"M": m, "gamma": 1.13}))
+        calls = []
+        dpotrf = scipy.linalg.lapack.dpotrf
+
+        def counting(block, *args, **kwargs):
+            calls.append(block.shape)
+            return dpotrf(block, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.cholesky called")
+
+        monkeypatch.setattr(gram, "_cached", None)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting)
+        monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
+        assert main(["gram", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(m, m), (m - 1, m - 1)]
+
 
 class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):

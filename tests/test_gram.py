@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -252,9 +253,8 @@ def test_cond_estimate_matches_scipy_wrappers(m):
 
 @pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (300, 1.13), (1024, 1.13)])
 def test_toeplitz_cond_estimate_matches_dpocon(m, gamma):
-    # The Toeplitz solve is G^-1 in the measurement layout, so the same
-    # Hager/Higham steps over it estimate the same ||G^-1||_1 as dpocon
-    # on the Cholesky factors, up to the two solves' rounding.
+    # A Toeplitz Gram's estimate is dpocon's on the dense Cholesky factors,
+    # up to the last bit, which can vary between two runs of dpocon.
     cfg = ArrayConfig(m, gamma)
     g_re, g_im = gram_blocks(cfg)
     chol_re = scipy.linalg.cholesky(g_re, lower=True)
@@ -262,19 +262,22 @@ def test_toeplitz_cond_estimate_matches_dpocon(m, gamma):
     dense = GramMatrix(cfg, g_re=g_re, g_im=g_im, chol_re=chol_re, chol_im=chol_im)
     gram = assemble_gram(cfg)
     assert gram.chol_re is None
-    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-12, abs=0)
+    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-15, abs=0)
 
 
 def test_cond_estimate_is_deterministic(monkeypatch):
-    # Two assemblies of one configuration give the same estimate bit for
-    # bit, and leave numpy's global random state alone.
+    # Two assemblies of one configuration give the same estimate up to
+    # dpocon's last bit, one Gram gives the same bits on every read, and
+    # neither touches numpy's global random state.
     cfg = ArrayConfig(512, 1.07)
     state = np.random.get_state()
     estimates = []
     for _ in range(2):
         monkeypatch.setattr(gram_module, "_cached", None)
-        estimates.append(assemble_gram(cfg).cond_estimate)
-    assert estimates[0] == estimates[1]
+        gram = assemble_gram(cfg)
+        estimates.append(gram.cond_estimate)
+        assert np.float64(gram.cond_estimate).tobytes() == np.float64(estimates[-1]).tobytes()
+    assert estimates[0] == pytest.approx(estimates[1], rel=1e-15, abs=0)
     after = np.random.get_state()
     assert after[0] == state[0] and np.array_equal(after[1], state[1])
     assert after[2:] == state[2:]
@@ -336,33 +339,79 @@ def test_indefinite_block_errors_on_both_paths(monkeypatch, m, gamma, failing, m
     assert np.array_equal(gram.chol_im, scipy.linalg.cholesky(gram.g_im, lower=True))
 
 
-@pytest.mark.parametrize("m,gamma,indefinite", [
+@pytest.mark.parametrize("m,gamma,levinson", [
     (512, 0.9, True),
     (512, 0.95, False),
     (256, 0.8, True),
     (512, 1e-6, True),
 ])
-def test_toeplitz_conditioning_fails_loudly(m, gamma, indefinite):
+def test_toeplitz_conditioning_fails_loudly(m, gamma, levinson):
     # Levinson recursion is only weakly stable: at (512, 0.9) and
     # (256, 0.8) it returns T^-1 e_1 with a non-positive first entry, and
     # at (512, 1e-6) it breaks down. Each is raised as an indefinite
-    # matrix, as the Cholesky path raises them; (512, 0.95) passes
-    # Levinson and trips the ceiling.
+    # matrix, as the Cholesky path raises them. (512, 0.95) passes
+    # Levinson, its bound exceeds the ceiling, and the dense Cholesky
+    # behind its estimate finds the matrix indefinite.
     with pytest.raises(ConditioningError) as excinfo:
         assemble_gram(ArrayConfig(m, gamma))
     message = str(excinfo.value)
     assert f"M={m}, gamma={gamma:g}" in message
-    if indefinite:
-        assert "numerically indefinite" in message
+    assert "numerically indefinite" in message
+    assert excinfo.value.cond_estimate is None
+    if levinson:
         assert message.startswith(f"Gram factorization failed for M={m}, gamma={gamma:g}: "
                                   "matrix is numerically indefinite (Levinson recursion ")
-        assert excinfo.value.cond_estimate is None
     else:
-        assert excinfo.value.cond_estimate > 1e12
-        # The error carries the Hager/Higham estimate, not the O(M) bound.
-        estimate = gram_module._factor(ArrayConfig(m, gamma)).cond_estimate
-        assert excinfo.value.cond_estimate == estimate
-        assert message == _ceiling_message(m, gamma, estimate, 1e12)
+        assert gram_module._factor(ArrayConfig(m, gamma))._cond_bound > 1e12
+        assert message == _indefinite_message(m, gamma, 122)
+    assert gram_module._cached is None
+
+
+def test_toeplitz_estimate_trips_ceiling():
+    # At (1024, 0.995) Levinson and the dense Cholesky both pass, and the
+    # error carries the dpocon estimate, not the O(M) bound.
+    cfg = ArrayConfig(1024, 0.995)
+    gram = gram_module._factor(cfg)
+    estimate = gram.cond_estimate
+    assert 1e12 < estimate < gram._cond_bound
+    with pytest.raises(ConditioningError) as excinfo:
+        assemble_gram(cfg)
+    assert excinfo.value.cond_estimate == pytest.approx(estimate, rel=1e-15, abs=0)
+    assert str(excinfo.value) == _ceiling_message(1024, 0.995, excinfo.value.cond_estimate, 1e12)
+    assert gram_module._cached is None
+
+
+@pytest.mark.parametrize("m,gamma", [(512, 3e-6), (512, 1e-5), (1024, 0.01), (1024, 0.02)])
+def test_singular_toeplitz_gram_raises(m, gamma):
+    # Levinson returns a finite x with x_0 > 0 here, but the bound
+    # overflows to inf (without a warning) and the dense Cholesky behind
+    # the estimate fails. Assembly and recovery raise ConditioningError
+    # rather than accept the Gram with a NaN estimate.
+    cfg = ArrayConfig(m, gamma)
+    lags = np.ones(m, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gram_module._toeplitz(cfg)._cond_bound == np.inf
+        with pytest.raises(ConditioningError, match="numerically indefinite"):
+            assemble_gram(cfg)
+        with pytest.raises(ConditioningError, match="numerically indefinite"):
+            recover(lags, cfg)
+    assert gram_module._cached is None
+
+
+@pytest.mark.parametrize("m,ceiling", [(8, 1e12), (TOEPLITZ_MIN_M, 100.0)])
+def test_ceiling_fails_closed_on_nan_estimate(monkeypatch, m, ceiling):
+    # A NaN estimate is not under any ceiling. The dense Gram has no
+    # bound; the Toeplitz one's (854) is over the ceiling here, and its
+    # real estimate (49) under it.
+    cfg = ArrayConfig(m, 1.0)
+    monkeypatch.setattr(gram_module, "_cached", None)
+    assert assemble_gram(cfg, cond_ceiling=ceiling).cond_estimate < ceiling
+    monkeypatch.setattr(gram_module, "_cached", None)
+    monkeypatch.setattr(GramMatrix, "cond_estimate", property(lambda self: np.nan))
+    with pytest.raises(ConditioningError, match="exceeds ceiling") as excinfo:
+        assemble_gram(cfg, cond_ceiling=ceiling)
+    assert np.isnan(excinfo.value.cond_estimate)
     assert gram_module._cached is None
 
 
@@ -370,9 +419,15 @@ def test_toeplitz_conditioning_fails_loudly(m, gamma, indefinite):
 def test_toeplitz_cond_bound_covers_estimate(m):
     # The O(M) bound from the column and T^-1 e_1 never undercuts the
     # estimate, so a ceiling it clears is one the estimate clears too; up
-    # to M = 513 it also covers the explicit-inverse condition number.
+    # to M = 513 it also covers the explicit-inverse condition number. At
+    # (1024, 0.99) the dense Cholesky behind the estimate fails, and
+    # reading it raises.
     for gamma in np.linspace(0.99, 1.3, 8):
         gram = gram_module._factor(ArrayConfig(m, float(gamma)))
+        if (m, gamma) == (1024, 0.99):
+            with pytest.raises(ConditioningError, match="numerically indefinite"):
+                gram.cond_estimate
+            continue
         assert gram._cond_bound >= gram.cond_estimate
         if m <= 513:
             assert gram._cond_bound >= exact_one_norm_cond(gram)
@@ -381,20 +436,25 @@ def test_toeplitz_cond_bound_covers_estimate(m):
 @pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (1024, 1.13)])
 def test_ceiling_between_estimate_and_bound(monkeypatch, m, gamma):
     # Past the bound the estimate decides: a ceiling above it passes, one
-    # below it raises with the estimate, fresh or cached.
+    # below it raises with the estimate, fresh or cached. The cached Gram
+    # raises with its own estimate bit for bit; a fresh one's may differ
+    # from another Gram's in dpocon's last bit.
     cfg = ArrayConfig(m, gamma)
     estimate = gram_module._factor(cfg).cond_estimate
     monkeypatch.setattr(gram_module, "_cached", None)
     gram = assemble_gram(cfg, cond_ceiling=1.5 * estimate)
     assert gram._cond_bound > 1.5 * estimate
-    assert gram.cond_estimate == estimate
+    assert gram.cond_estimate == pytest.approx(estimate, rel=1e-15, abs=0)
     for cached in (True, False):
         if not cached:
             monkeypatch.setattr(gram_module, "_cached", None)
         with pytest.raises(ConditioningError) as excinfo:
             assemble_gram(cfg, cond_ceiling=estimate / 1.5)
-        assert excinfo.value.cond_estimate == estimate
-        assert str(excinfo.value) == _ceiling_message(m, gamma, estimate, estimate / 1.5)
+        raised = excinfo.value.cond_estimate
+        if cached:
+            assert np.float64(raised).tobytes() == np.float64(gram.cond_estimate).tobytes()
+        assert raised == pytest.approx(estimate, rel=1e-15, abs=0)
+        assert str(excinfo.value) == _ceiling_message(m, gamma, raised, estimate / 1.5)
 
 
 def _toeplitz_column(m, gamma):
@@ -578,32 +638,33 @@ def test_pcg_keeps_reported_condition_estimate(monkeypatch, gamma):
 
 def test_recover_runs_no_condition_estimate(monkeypatch, rng):
     # Under the default ceiling the bound settles a large Gram, so a
-    # recovery never runs the Hager/Higham estimator; read afterwards, the
-    # estimate is dpocon's.
+    # recovery never builds the dense factors behind the estimate; read
+    # afterwards, the estimate is dpocon's.
     cfg = ArrayConfig(1024, 1.13)
-    block_norms = gram_module._block_norms
+    dense_gram = gram_module._dense
 
-    def refuse(apply, m):
+    def refuse(cfg):
         raise RuntimeError("condition estimate run during recover")
 
     monkeypatch.setattr(gram_module, "_cached", None)
-    monkeypatch.setattr(gram_module, "_block_norms", refuse)
+    monkeypatch.setattr(gram_module, "_dense", refuse)
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
     gram = assemble_gram(cfg)
     assert "cond_estimate" not in vars(gram)
-    monkeypatch.setattr(gram_module, "_block_norms", block_norms)
+    monkeypatch.setattr(gram_module, "_dense", dense_gram)
     assert np.all(np.isfinite(solution.coeffs.b))
     g_re, g_im = gram_blocks(cfg)
     dense = GramMatrix(cfg, g_re=g_re, g_im=g_im, chol_re=scipy.linalg.cholesky(g_re, lower=True),
                        chol_im=scipy.linalg.cholesky(g_im, lower=True))
-    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-12, abs=0)
+    assert gram.cond_estimate == pytest.approx(scipy_one_norm_cond(dense), rel=1e-15, abs=0)
 
 
 def test_cond_estimate_read_from_threads_matches_serial(monkeypatch):
     # Four threads read the estimate of one freshly assembled Gram at
-    # once; each sees the serial value bit for bit.
+    # once; each sees the same bits, which are the Gram's own, and match
+    # a separately built Gram's up to dpocon's last bit.
     cfg = ArrayConfig(1024, 1.13)
     serial = gram_module._factor(cfg).cond_estimate
     monkeypatch.setattr(gram_module, "_cached", None)
@@ -627,7 +688,9 @@ def test_cond_estimate_read_from_threads_matches_serial(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert [np.float64(v).tobytes() for v in values] == [np.float64(serial).tobytes()] * 4
+    own = np.float64(gram.cond_estimate).tobytes()
+    assert [np.float64(v).tobytes() for v in values] == [own] * 4
+    assert gram.cond_estimate == pytest.approx(serial, rel=1e-15, abs=0)
 
 
 def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
@@ -653,7 +716,8 @@ def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
 ], ids=["affinity-1", "affinity-2", "cpu_count-1", "cpu_count-unknown", "cpu_count-2"])
 def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_count):
     # Assembly depends on neither the affinity mask nor the CPU count: it
-    # starts no thread and gives the same Gram on either path.
+    # starts no thread and gives the same Gram on either path, whose
+    # estimates may differ only in dpocon's last bit.
     expected = {}
     for m in (TOEPLITZ_MIN_M - 1, TOEPLITZ_MIN_M):
         monkeypatch.setattr(gram_module, "_cached", None)
@@ -673,7 +737,8 @@ def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_
     monkeypatch.setattr(threading.Thread, "start", record)
     for m in (TOEPLITZ_MIN_M - 1, TOEPLITZ_MIN_M):
         monkeypatch.setattr(gram_module, "_cached", None)
-        assert assemble_gram(ArrayConfig(m, 1.0)).cond_estimate == expected[m]
+        estimate = assemble_gram(ArrayConfig(m, 1.0)).cond_estimate
+        assert estimate == pytest.approx(expected[m], rel=1e-15, abs=0)
     assert started == []
 
 
