@@ -12,8 +12,8 @@ two blocks are its even and odd halves. Small arrays factorize the dense
 blocks by Cholesky; large ones keep O(M) numbers of T and solve with the
 Gohberg-Semencul formula for T^-1 (Levinson 1947, Durbin 1960, Gohberg and
 Semencul 1972, Cybenko 1980), whose generator T^-1 e_1 comes from
-conjugate gradients with T. Chan's circulant preconditioner (T. Chan 1988)
-where the symbol bounds T's spectrum away from zero (Grenander and Szego
+conjugate gradients preconditioned with the cell averages of T's symbol
+where that symbol bounds T's spectrum away from zero (Grenander and Szego
 1958). The condition ceiling is settled by an O(M) bound where it can be,
 and otherwise by LAPACK's ``dpocon`` estimate on dense Cholesky factors.
 """
@@ -48,31 +48,33 @@ DEFAULT_COND_CEILING = 1e12
 # At 224 and 240 the misses were within 3 % either way over repeated runs.
 _TOEPLITZ_MIN_M = 256
 
-# From this M up, and for gamma >= 1, the Toeplitz path takes x = T^-1 e_1
-# from preconditioned CG (:func:`_pcg`) instead of Levinson recursion:
+# From this M up, the Toeplitz path takes x = T^-1 e_1 from preconditioned
+# CG (:func:`_pcg`) instead of Levinson recursion where CG accepts gamma:
 # the smallest M from which CG was no slower at all three gamma below.
 # Milliseconds for x alone, CG / Levinson, median of 61 alternating runs,
 # one BLAS thread, 2-vCPU x86-64 host:
 #
 #     M      gamma = 1.0    gamma = 1.13   gamma = 1.25
-#     512    2.87 / 3.39    4.11 / 3.46    2.48 / 2.35
-#     640    5.04 / 5.51    7.67 / 5.46    7.35 / 5.34
-#     704    4.43 / 6.12    6.63 / 6.03    7.25 / 6.58
-#     736    5.11 / 7.09    6.85 / 7.06    7.79 / 7.15
-#     768    5.22 / 7.79    6.81 / 7.55    7.27 / 7.41
-#     800    4.60 / 8.05    6.80 / 8.05    6.94 / 7.93
-#     1024   4.64 / 12.7    7.32 / 13.1    7.52 / 12.9
+#     448    0.94 / 1.52    1.33 / 1.56    1.37 / 1.50
+#     512    0.98 / 1.99    1.25 / 1.89    1.30 / 1.85
+#     513    1.58 / 1.84    2.48 / 1.90    2.74 / 2.13
+#     576    1.67 / 2.44    2.55 / 2.37    2.51 / 2.57
+#     608    1.76 / 2.91    3.99 / 4.30    4.21 / 4.44
+#     640    1.67 / 3.05    2.57 / 3.07    2.48 / 3.14
+#     1024   1.92 / 8.55    2.68 / 8.12    3.24 / 9.14
 #
-# CG's FFTs double in length past M = 512, where Levinson's O(M^2) cost
-# is still low. At 768 and gamma = 1.25 the two were within 5 % either
-# way over three runs.
-_PCG_MIN_M = 768
-# Every run measured stopped within 11-37 steps (391 cases, M = 256 to
-# 8192, gamma = 1 to 2); one that has not stopped by this count is handed
-# to Levinson.
+# CG's FFTs double in length past M = 512, so it lost by up to 20 % from
+# 513 to 576 over repeated runs.
+_PCG_MIN_M = 608
+# CG runs for 1 <= gamma <= this. The symbol's cost grows with gamma, one
+# alias per 2 of it: up to 32 it stayed under half the CG run, and at 128
+# CG lost to Levinson at M = 608.
+_PCG_MAX_GAMMA = 32.0
+# Every run measured stopped in 8-21 steps (156 cases, M = 256 to 8192,
+# gamma = 1 to 3); one not stopped by this count is handed to Levinson.
 _PCG_MAX_STEPS = 64
 # The normwise backward error a run must reach; x then agreed with
-# Levinson's to 5.1e-15 relative over 368 of those cases.
+# Levinson's to 7.3e-15 relative over 143 of those cases.
 _PCG_TOL = 1e-16
 
 
@@ -211,92 +213,105 @@ def _spectrum(column):
 
 
 def _to_exponential(y):
-    """Rows Re s and Im s of s_k, k = -(M-1)..M-1, with s_{-l} = r_l for
-    y = [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}]: symmetric and
-    antisymmetric. Its inverse is [Re s_0 .. Re s_{M-1}, -Im s_1 ..]."""
+    """Re s + Im s for s_k, k = -(M-1)..M-1, with s_{-l} = r_l for
+    y = [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}]. T and T^-1 commute
+    with reversal, so they keep symmetric Re s and antisymmetric Im s
+    apart, and :func:`_from_exponential` splits their product."""
     M = (y.size + 1) // 2
-    parts = np.stack([y[:M], np.concatenate([[0.0], y[M:]])])
-    return np.concatenate([parts[:, :0:-1], parts * [[1.0], [-1.0]]], axis=1)
+    return np.concatenate([y[M - 1:0:-1] + y[:M - 1:-1], y[:1], y[1:M] - y[M:]])
+
+
+def _from_exponential(t, M):
+    """[Re t_0, Re t_l + Re t_{-l} .., Im t_{-l} - Im t_l ..], l = 1..M-1,
+    from the row Re t + Im t: the symmetric part at 0..M-1 and the
+    antisymmetric part at -1..-(M-1), doubled but for Re t_0."""
+    right, left = t[M:2 * M - 1], t[M - 2::-1]
+    return np.concatenate([t[M - 1:M], right + left, left - right])
 
 
 def _toeplitz_product(spectrum, b):
     """G b through T: the exponential-basis coefficients u + i v of b
     (b_0 = u_0, cosine 2 u_m, sine -2 v_m) give G b = [(T u)_{-l},
     (T v)_{-l}], so b^T G b = u^T T u + v^T T v."""
-    n, M, size = b.size, (b.size + 1) // 2, _fft_size(b.size)
+    M, size = (b.size + 1) // 2, _fft_size(b.size)
     s = _to_exponential(np.concatenate([b[:1], 0.5 * b[1:]]))
-    t = np.fft.irfft(spectrum * np.fft.rfft(s, size), size)
-    return np.concatenate([t[0, M - 1:n], -t[1, M:n]])
+    t = _from_exponential(np.fft.irfft(spectrum * np.fft.rfft(s, size), size), M)
+    t[1:] *= 0.5
+    return t
 
 
 def _toeplitz_solve(generators, y):
     """G^-1 y by the Gohberg-Semencul formula T^-1 = L(a) L(a)^T -
     L(c) L(c)^T, with x = T^-1 e_1, a = x / sqrt(x_0),
     c = [0, x_{n-1} .. x_1] / sqrt(x_0) and L(g) lower triangular
-    Toeplitz with first column g. Re s and Im s go through the four
-    triangular FFT products together, and the solution c maps back to
+    Toeplitz with first column g. Re s + Im s goes through the four
+    triangular FFT products as one row, and the solution c maps back to
     b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m. Alone, near the
     ceiling (M = 512, gamma = 0.993), its residual was up to 8e6x refined
     Cholesky's for y = G b and 30x for uniform y, so :func:`solve` follows
     it with one refinement step.
     """
-    n, M, size = y.size, (y.size + 1) // 2, _fft_size(y.size)
+    n, size = y.size, _fft_size(y.size)
     spectrum = np.fft.rfft(_to_exponential(y), size)
     # L(g)^T v is the correlation of v with g: conj(FFT g) FFT v.
-    upper = np.fft.irfft(generators.conj()[:, None] * spectrum, size)[..., :n]
-    lower = generators[:, None] * np.fft.rfft(upper, size)
-    c = np.fft.irfft(lower[0] - lower[1], size)
-    return np.concatenate([c[0, M - 1:M], 2.0 * c[0, M:n], -2.0 * c[1, M:n]])
+    upper = np.fft.irfft(generators.conj() * spectrum, size)[:, :n]
+    lower = generators * np.fft.rfft(upper, size)
+    return _from_exponential(np.fft.irfft(lower[0] - lower[1], size), (n + 1) // 2)
 
 
-def _pcg(column, spectrum):
-    """x = T^-1 e_1 by conjugate gradients preconditioned with T. Chan's
-    circulant C, or None when C is not positive definite, a step meets
+def _symbol_means(gamma, size):
+    """Cell averages of T's symbol f on the real-FFT grid 2 pi k / size,
+    k = 0..size/2: alias j of f integrates to 2 pi arcsin((w + 2 pi j) /
+    (gamma pi)) on |w + 2 pi j| < gamma pi, so an average is size times a
+    sum of arcsin differences across the cell edges (2k -+ 1) pi / size."""
+    reach = int(gamma / 2.0) + 1
+    edges = np.add.outer((2 * np.arange(size // 2 + 2) - 1) / (gamma * size),
+                         2 * np.arange(-reach, reach + 1) / gamma)
+    return size * np.diff(np.arcsin(np.clip(edges, -1.0, 1.0)), axis=0).sum(axis=1)
+
+
+def _pcg(column, spectrum, gamma):
+    """x = T^-1 e_1 by conjugate gradients preconditioned with P, or None
+    when gamma lies outside [1, ``_PCG_MAX_GAMMA``], a step meets
     p^T T p <= 0 or the run misses its stopping test within
     ``_PCG_MAX_STEPS``.
 
-    C has first column c_k = ((n - k) t_k + k t_{n-k}) / n, the circulant
-    nearest T in the Frobenius norm. Both T and C^-1 are applied as real
-    FFT convolutions of length ``_fft_size(n)``: T through its embedding
-    ``spectrum``, and C^-1 as entries n-1..2n-2 of the convolution with
-    the periodic extension of its first column, so no FFT of the
-    possibly prime length n runs inside the loop. The run stops once the
-    normwise backward error ||e_1 - T x||_2 / (||T|| ||x||_2 + 1), with
-    ||T||_2 <= 2 sum_k |t_k|, falls under ``_PCG_TOL``: first for the
-    updated residual, then for the one recomputed from x.
+    P is the leading n-by-n block of the circulant of length
+    N = ``_fft_size(n)`` with eigenvalues 1 over the cell averages of the
+    symbol (:func:`_symbol_means`), which are at least 2/gamma for
+    gamma >= 1, so P is positive definite. T, through its embedding
+    ``spectrum``, and P are each one real FFT pair of length N. The run
+    stops once the normwise backward error ||e_1 - T x||_2 /
+    (||T|| ||x||_2 + 1), with ||T||_2 <= 2 sum_k |t_k|, falls under
+    ``_PCG_TOL``: first for the updated residual, then for the one
+    recomputed from x.
     """
     n, size = column.size, _fft_size(column.size)
-    k = np.arange(n)
-    eigenvalues = np.fft.rfft(((n - k) * column + k * np.roll(column[::-1], 1)) / n).real
-    if not np.all(eigenvalues > 0.0):
+    if not 1.0 <= gamma <= _PCG_MAX_GAMMA:
         return None
-    inverse = np.fft.irfft(1.0 / eigenvalues, n)
-    inverse = np.fft.rfft(np.concatenate([inverse[1:], inverse]), size)
+    inverse = 1.0 / _symbol_means(gamma, size)
 
-    def product(v):
-        return np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[:n]
-
-    def precondition(v):
-        return np.fft.irfft(inverse * np.fft.rfft(v, size), size)[n - 1:2 * n - 1]
+    def apply(symbol, v):
+        return np.fft.irfft(symbol * np.fft.rfft(v, size), size)[:n]
 
     def converged(r, x):
         return np.sqrt(r @ r) <= _PCG_TOL * (norm * np.sqrt(x @ x) + 1.0)
 
     norm, e_1 = 2.0 * np.abs(column).sum(), np.eye(1, n)[0]
     x, r = np.zeros(n), e_1.copy()
-    p = z = precondition(r)
+    p = z = apply(inverse, r)
     rz = r @ z
     for _ in range(_PCG_MAX_STEPS):
-        q = product(p)
+        q = apply(spectrum, p)
         curvature = p @ q
         if not curvature > 0.0:
             return None
         step = rz / curvature
         x += step * p
         r -= step * q
-        if converged(r, x) and converged(e_1 - product(x), x):
+        if converged(r, x) and converged(e_1 - apply(spectrum, x), x):
             return x
-        z = precondition(r)
+        z = apply(inverse, r)
         rz, previous = r @ z, rz
         p = z + (rz / previous) * p
     return None
@@ -305,13 +320,13 @@ def _pcg(column, spectrum):
 def _toeplitz(cfg):
     """The Gohberg-Semencul factorization of the Gram for ``cfg``.
 
-    x = T^-1 e_1 comes from :func:`_pcg` for gamma >= 1 from
-    ``_PCG_MIN_M`` up, and otherwise, or when that run fails, from
-    Levinson recursion (``scipy.linalg.solve_toeplitz``). For gamma >= 1
-    the symbol of T is at least 1 on all of [-pi, pi], so every
-    eigenvalue of T exceeds 2/gamma at every M (Grenander and Szego) and
-    preconditioned CG converges in a few dozen steps; below gamma = 1 the
-    symbol vanishes on part of the circle and it need not converge.
+    x = T^-1 e_1 comes from :func:`_pcg` from ``_PCG_MIN_M`` up, and
+    otherwise, or when that run declines or fails, from Levinson
+    recursion (``scipy.linalg.solve_toeplitz``).
+    For gamma >= 1 the symbol of T is at least 1 on all of [-pi, pi], so
+    every eigenvalue of T exceeds 2/gamma at every M (Grenander and Szego)
+    and preconditioned CG converges in about twenty steps; below gamma = 1
+    the symbol vanishes on part of the circle and it need not converge.
     Levinson recursion is only weakly stable: on a numerically indefinite
     T it can break down or return x with x_0 <= 0. Either is raised,
     never solved through. Otherwise the numbers at hand bound cond_1(G)
@@ -325,7 +340,7 @@ def _toeplitz(cfg):
     n = 2 * cfg.M - 1
     column = np.pi * bessel_j0(cfg.gamma * np.pi * np.arange(n))
     spectrum = _spectrum(column)
-    x = _pcg(column, spectrum) if cfg.gamma >= 1.0 and cfg.M >= _PCG_MIN_M else None
+    x = _pcg(column, spectrum, cfg.gamma) if cfg.M >= _PCG_MIN_M else None
     if x is None:
         try:
             x = scipy.linalg.solve_toeplitz(column, np.eye(1, n)[0], check_finite=False)

@@ -33,6 +33,7 @@ SIN1_SIN1 = 1.2247861679826595   # (pi/2)(1 - J0(2pi))
 
 TOEPLITZ_MIN_M = gram_module._TOEPLITZ_MIN_M
 PCG_MIN_M = gram_module._PCG_MIN_M
+PCG_MAX_GAMMA = gram_module._PCG_MAX_GAMMA
 
 # Configurations whose condition estimate stays well under the ceiling;
 # tightly spaced arrays (gamma = 0.5) degrade fast with M.
@@ -466,17 +467,23 @@ def _levinson(column):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.0001, 1.13, 1.25, 2.0])
-@pytest.mark.parametrize("m", [PCG_MIN_M, 1024, 1025, 2048])
-def test_pcg_matches_levinson(monkeypatch, m, gamma):
-    # Preconditioned CG gives Levinson's T^-1 e_1 to rounding, within 37
-    # steps, well under its cap.
+@pytest.mark.parametrize("m", [PCG_MIN_M, 768, 1024, 1025, 2048])
+def test_pcg_matches_levinson(m, gamma):
+    # Preconditioned CG gives Levinson's T^-1 e_1 to rounding.
     column = _toeplitz_column(m, gamma)
-    spectrum = gram_module._spectrum(column)
-    x = gram_module._pcg(column, spectrum)
+    x = gram_module._pcg(column, gram_module._spectrum(column), gamma)
     expected = _levinson(column)
     assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
-    monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 37)
-    assert np.array_equal(gram_module._pcg(column, spectrum), x)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.0001, 1.13, 1.25, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("m", [512, 1024, 1025, 2048, 4096, 8192])
+def test_pcg_stops_within_twenty_steps(monkeypatch, m, gamma):
+    # The symbol-averaged preconditioner stops every run on this grid
+    # within 8-19 steps.
+    monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 20)
+    column = _toeplitz_column(m, gamma)
+    assert gram_module._pcg(column, gram_module._spectrum(column), gamma) is not None
 
 
 def _large_array_lags(rng, cfg):
@@ -500,7 +507,7 @@ def test_pcg_recovery_matches_levinson(monkeypatch, rng):
         monkeypatch.setattr(gram_module, "_cached", None)
         solution = recover(lags, cfg)
         with monkeypatch.context() as levinson:
-            levinson.setattr(gram_module, "_pcg", lambda column, spectrum: None)
+            levinson.setattr(gram_module, "_pcg", lambda column, spectrum, gamma: None)
             levinson.setattr(gram_module, "_cached", None)
             expected = recover(lags, cfg).coeffs.b
         b = solution.coeffs.b
@@ -513,30 +520,37 @@ def test_pcg_recovery_matches_levinson(monkeypatch, rng):
 @pytest.mark.parametrize("m", [8, 64, 128, 256])
 def test_symbol_bounds_toeplitz_spectrum(m, gamma):
     # For gamma >= 1 the symbol of T is at least 1 on [-pi, pi], so every
-    # eigenvalue exceeds 2/gamma, and T. Chan's circulant, whose
-    # eigenvalues are T's Rayleigh quotients at the Fourier vectors, is
-    # positive definite.
+    # eigenvalue exceeds 2/gamma, and so does every cell average behind
+    # CG's preconditioner. Over the full circle the averages integrate f,
+    # whose mean is t_0 = pi, and on cells clear of its singularities at
+    # |w + 2 pi j| = gamma pi they match f at the cell centre to O(1/N^2).
     column = _toeplitz_column(m, gamma)
-    n = column.size
-    full = scipy.linalg.toeplitz(column)
-    assert scipy.linalg.eigvalsh(full)[0] >= (2.0 / gamma) * (1.0 - 1e-12)
-    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
-    chan = np.sum(fourier.conj() * (full @ fourier), axis=0).real
-    k = np.arange(n)
-    assert np.allclose(chan, np.fft.fft(((n - k) * column + k * np.roll(column[::-1], 1)) / n),
-                       rtol=0, atol=1e-12 * np.max(np.abs(chan)))
-    assert np.all(chan > 0.0)
+    assert scipy.linalg.eigvalsh(scipy.linalg.toeplitz(column))[0] >= (2.0 / gamma) * (1.0 - 1e-12)
+    size = gram_module._fft_size(column.size)
+    means = gram_module._symbol_means(gamma, size)
+    assert means.shape == (size // 2 + 1,)
+    assert np.min(means) >= (2.0 / gamma) * (1.0 - 1e-12)
+    assert means[0] + 2.0 * means[1:-1].sum() + means[-1] == pytest.approx(size * np.pi, rel=1e-12)
+    omega = 2.0 * np.pi * np.arange(size // 2 + 1) / size
+    x = np.add.outer(omega, 2.0 * np.pi * np.arange(-2, 3)) / (gamma * np.pi)
+    inside = np.abs(x) < 1.0
+    symbol = (2.0 / gamma) * np.sum(inside / np.sqrt(1.0 - np.where(inside, x, 0.0)**2), axis=1)
+    clear = np.all(np.abs(np.abs(x) - 1.0) > 0.25, axis=1)
+    assert np.all(np.abs(means - symbol)[clear] <= 50.0 / size**2 * symbol[clear])
 
 
 def test_symbol_bound_fails_below_unit_spacing():
     # Below gamma = 1 the symbol vanishes on part of the circle, and the
     # smallest eigenvalue falls far below 2/gamma (0.12 at (128, 0.99)),
-    # which is why those arrays stay on Levinson recursion.
+    # which is why those arrays stay on Levinson recursion. Some cell
+    # averages there are zero, and CG declines such gamma before dividing.
     full = scipy.linalg.toeplitz(_toeplitz_column(128, 0.99))
     assert scipy.linalg.eigvalsh(full)[0] < 2.0 / 0.99 / 10.0
     for m, gamma in [(512, 0.9), (1024, 0.99)]:
         column = _toeplitz_column(m, gamma)
-        assert gram_module._pcg(column, gram_module._spectrum(column)) is None
+        assert np.min(gram_module._symbol_means(gamma, gram_module._fft_size(column.size))) == 0.0
+        with np.errstate(all="raise"):
+            assert gram_module._pcg(column, gram_module._spectrum(column), gamma) is None
 
 
 def _levinson_gram(cfg):
@@ -558,7 +572,7 @@ def test_failed_pcg_falls_back_to_levinson(monkeypatch, failure):
     # cap, leaves the Gram to Levinson recursion, bit for bit.
     cfg = ArrayConfig(1024, 1.13)
     if failure == "reported":
-        monkeypatch.setattr(gram_module, "_pcg", lambda column, spectrum: None)
+        monkeypatch.setattr(gram_module, "_pcg", lambda column, spectrum, gamma: None)
     else:
         monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 3)
     gram = gram_module._factor(cfg)
@@ -569,14 +583,18 @@ def test_failed_pcg_falls_back_to_levinson(monkeypatch, failure):
 
 @pytest.mark.parametrize("m,gamma,levinson", [
     (PCG_MIN_M - 1, 1.13, True), (PCG_MIN_M, 0.999, True), (PCG_MIN_M, 1.0, False),
-])
+    (PCG_MIN_M, PCG_MAX_GAMMA, False), (PCG_MIN_M, 2.0 * PCG_MAX_GAMMA, True),
+], ids=["below-crossover", "below-unit-spacing", "at-crossover", "at-gamma-cap",
+        "above-gamma-cap"])
 def test_pcg_runs_only_from_crossover_at_unit_spacing(monkeypatch, m, gamma, levinson):
-    # Levinson recursion builds x below the crossover and below gamma = 1.
+    # Levinson recursion builds x below the crossover, below gamma = 1 and
+    # above the gamma cap, where the symbol's aliases grow costly.
     runs = []
     pcg = gram_module._pcg
-    monkeypatch.setattr(gram_module, "_pcg", lambda *args: runs.append(args) or pcg(*args))
+    monkeypatch.setattr(gram_module, "_pcg", lambda *args: runs.append(pcg(*args)) or runs[-1])
     gram = gram_module._factor(ArrayConfig(m, gamma))
-    assert len(runs) == (0 if levinson else 1)
+    ran = [x is not None for x in runs]
+    assert ran == ([] if m < PCG_MIN_M else [not levinson])
     if levinson:
         assert np.array_equal(gram.generators, _levinson_gram(gram.cfg)[0])
 
@@ -626,14 +644,15 @@ def test_pcg_generators_independent_of_blas_threads():
     assert len(digests) == 1
 
 
-@pytest.mark.parametrize("gamma", [1.0, 1.13])
-def test_pcg_keeps_reported_condition_estimate(monkeypatch, gamma):
-    # gram.json's 12-digit condition estimate is the same whichever
-    # method built x.
+@pytest.mark.parametrize("gamma", [1.0, 1.13, 1.25])
+def test_pcg_keeps_condition_bound(gamma):
+    # The ceiling bound from CG's x is Levinson's to rounding, and so is
+    # every generator.
     cfg = ArrayConfig(1024, gamma)
-    estimate = gram_module._factor(cfg).cond_estimate
-    monkeypatch.setattr(gram_module, "_pcg", lambda column, spectrum: None)
-    assert f"{gram_module._factor(cfg).cond_estimate:.12g}" == f"{estimate:.12g}"
+    gram = gram_module._factor(cfg)
+    generators, bound = _levinson_gram(cfg)
+    assert gram._cond_bound == pytest.approx(bound, rel=1e-13, abs=0)
+    assert np.max(np.abs(gram.generators - generators)) <= 1e-13 * np.max(np.abs(generators))
 
 
 def test_recover_runs_no_condition_estimate(monkeypatch, rng):
@@ -973,6 +992,61 @@ def test_refined_toeplitz_solve_residual_near_ceiling(gamma, rhs, rng):
         reference = np.linalg.norm(full @ _cholesky_solve(cfg, y) - y)
         residual = np.linalg.norm(full @ solve(gram, y).b - y)
         assert residual <= 2.0 * reference
+
+
+def _two_rows(y):
+    """Re s and Im s as two rows, the layout the folded row replaced."""
+    m = (y.size + 1) // 2
+    parts = np.stack([y[:m], np.concatenate([[0.0], y[m:]])])
+    return np.concatenate([parts[:, :0:-1], parts * [[1.0], [-1.0]]], axis=1)
+
+
+def _two_row_product(spectrum, b):
+    n, m, size = b.size, (b.size + 1) // 2, gram_module._fft_size(b.size)
+    s = _two_rows(np.concatenate([b[:1], 0.5 * b[1:]]))
+    t = np.fft.irfft(spectrum * np.fft.rfft(s, size), size)
+    return np.concatenate([t[0, m - 1:n], -t[1, m:n]])
+
+
+def _two_row_solve(generators, y):
+    n, m, size = y.size, (y.size + 1) // 2, gram_module._fft_size(y.size)
+    spectrum = np.fft.rfft(_two_rows(y), size)
+    upper = np.fft.irfft(generators.conj()[:, None] * spectrum, size)[..., :n]
+    lower = generators[:, None] * np.fft.rfft(upper, size)
+    c = np.fft.irfft(lower[0] - lower[1], size)
+    return np.concatenate([c[0, m - 1:m], 2.0 * c[0, m:n], -2.0 * c[1, m:n]])
+
+
+@pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (513, 1.13), (1024, 1.25),
+                                     (2048, 2.0)])
+def test_folded_row_matches_two_rows(m, gamma, rng):
+    # Re s + Im s through T or the Gohberg-Semencul products, split back
+    # by parity, gives what Re s and Im s give as separate rows.
+    gram = gram_module._factor(ArrayConfig(m, gamma))
+    for y in (_lag_measurements(rng, m), rng.uniform(-1, 1, gram.size)):
+        expected = _two_row_solve(gram.generators, y)
+        b = gram_module._toeplitz_solve(gram.generators, y)
+        assert np.max(np.abs(b - expected)) <= 1e-14 * np.max(np.abs(expected))
+        expected = _two_row_product(gram.spectrum, y)
+        product = gram_module._toeplitz_product(gram.spectrum, y)
+        assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("m,gamma", [(512, 0.993), (1024, 0.996)])
+def test_folded_solve_residual_near_ceiling(m, gamma, rng):
+    # Near the ceiling the refined solve through the folded row leaves a
+    # residual within 1.5x of the same solve through two rows (1.18x at
+    # most over 40 lag-shaped and uniform right-hand sides).
+    cfg = ArrayConfig(m, gamma)
+    gram = assemble_gram(cfg)
+    full = gram.full_matrix()
+    for _ in range(3):
+        y = _lag_measurements(rng, m)
+        b = _two_row_solve(gram.generators, y)
+        b += _two_row_solve(gram.generators, y - _two_row_product(gram.spectrum, b))
+        reference = np.linalg.norm(full @ b - y)
+        residual = np.linalg.norm(full @ solve(gram, y).b - y)
+        assert residual <= 1.5 * reference
 
 
 class TestMeasurementVector:
