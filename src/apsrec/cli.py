@@ -12,6 +12,7 @@ failure, 4 conditioning failure, 5 certificate inapplicable.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,21 +93,17 @@ def _number(table, field, key, default=None):
     value = table[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}.{key}", "expected a number")
-    return float(value)
+    # JSON admits NaN, Infinity and integers past the float range.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}.{key}", "expected a finite number")
+    return number
 
 
-def _parse_components(entries, field):
-    components = []
-    for i, entry in enumerate(entries):
-        sub = f"{field}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(sub, "expected an object with mean/std/weight")
-        components.append((
-            _number(entry, sub, "mean"),
-            _number(entry, sub, "std"),
-            _number(entry, sub, "weight"),
-        ))
-    return tuple(components)
+_MIXTURES = {"gaussian_mixture": GaussianMixture, "laplacian_mixture": LaplacianMixture}
 
 
 def _parse_model(table, field, array):
@@ -120,12 +117,14 @@ def _parse_model(table, field, array):
                 hi=_number(table, field, "hi"),
                 height=_number(table, field, "height"),
             )
-        if kind == "gaussian_mixture":
-            entries = _require(table, field, "components", (list,))
-            return GaussianMixture(_parse_components(entries, f"{field}.components"))
-        if kind == "laplacian_mixture":
-            entries = _require(table, field, "components", (list,))
-            return LaplacianMixture(_parse_components(entries, f"{field}.components"))
+        if kind in _MIXTURES:
+            components = []
+            for i, entry in enumerate(_require(table, field, "components", (list,))):
+                sub = f"{field}.components[{i}]"
+                if not isinstance(entry, dict):
+                    raise ConfigError(sub, "expected an object with mean/std/weight")
+                components.append(tuple(_number(entry, sub, key) for key in ("mean", "std", "weight")))
+            return _MIXTURES[kind](tuple(components))
         if kind == "trig_polynomial":
             coeffs = _require(table, field, "coeffs", (list,))
             gamma = _number(table, field, "gamma", default=array.gamma)
@@ -145,7 +144,7 @@ def _parse_model(table, field, array):
                 _parse_model(term, f"{field}.terms[{i}]", array)
                 for i, term in enumerate(terms)
             ))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(field, str(exc)) from exc
@@ -272,6 +271,8 @@ def read_lags_csv(path, expected_m, im0_tol=1e-12):
             raise ConfigError(f"lags row {i}", str(exc)) from exc
         if m != i:
             raise ConfigError(f"lags row {i}", f"expected index {i}, found {m}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ConfigError(f"lags row {i}", "expected finite values")
         values.append(complex(re, im))
     if len(values) != expected_m:
         raise ConfigError("lags", f"expected {expected_m} rows, found {len(values)}")

@@ -291,10 +291,8 @@ class ApsModel(abc.ABC):
     does not exist and only exact lag synthesis applies.
     """
 
-    @property
-    @abc.abstractmethod
-    def in_l2(self):
-        """True when the model has an L2 density, so energy identities apply."""
+    # True when the model has an L2 density, so energy identities apply.
+    in_l2 = True
 
     @abc.abstractmethod
     def rho(self, theta):
@@ -332,12 +330,8 @@ class Uniform(ApsModel):
         _check_angle("hi", self.hi)
         if self.hi <= self.lo:
             raise ValueError("hi must exceed lo")
-        if not (self.height >= 0.0):
-            raise ValueError("height must be nonnegative")
-
-    @property
-    def in_l2(self):
-        return True
+        if not (0.0 <= self.height < np.inf):
+            raise ValueError("height must be nonnegative and finite")
 
     def rho(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
@@ -349,13 +343,12 @@ class Uniform(ApsModel):
 
 def _check_components(components):
     out = []
-    for comp in components:
-        mean, std, weight = comp
+    for mean, std, weight in components:
         _check_angle("component mean", mean)
-        if not (std > 0.0):
-            raise ValueError("component std must be positive")
-        if not (weight >= 0.0):
-            raise ValueError("component weight must be nonnegative")
+        if not (0.0 < std < np.inf):
+            raise ValueError("component std must be positive and finite")
+        if not (0.0 <= weight < np.inf):
+            raise ValueError("component weight must be nonnegative and finite")
         out.append((float(mean), float(std), float(weight)))
     if not out:
         raise ValueError("mixture needs at least one component")
@@ -363,51 +356,49 @@ def _check_components(components):
 
 
 @dataclass(frozen=True)
-class GaussianMixture(ApsModel):
-    """Sum of Gaussian bells, each (mean, std, weight), hard-truncated to
-    [-pi/2, pi/2] with no renormalization: the effective spectrum is the
-    truncated one."""
+class _Mixture(ApsModel):
+    """Sum of peaks, each (mean, std, weight): a peak of standard deviation
+    ``std`` centred at ``mean`` that carries ``weight`` of power over the
+    whole line. Peaks are hard-truncated to [-pi/2, pi/2] with no
+    renormalization: the effective spectrum is the truncated one."""
 
     components: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "components", _check_components(self.components))
 
-    @property
-    def in_l2(self):
-        return True
+    @staticmethod
+    @abc.abstractmethod
+    def _peak(theta, mean, std, weight):
+        """One component's density at the angles ``theta``."""
 
     def rho(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         total = np.zeros_like(theta)
         for mean, std, weight in self.components:
-            z = (theta - mean) / std
-            total = total + weight * np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
+            total = total + self._peak(theta, mean, std, weight)
         return total
 
 
 @dataclass(frozen=True)
-class LaplacianMixture(ApsModel):
-    """Sum of Laplacian peaks, each (mean, std, weight), truncated to
-    [-pi/2, pi/2]. ``std`` is the standard deviation; the Laplace scale is
+class GaussianMixture(_Mixture):
+    """Sum of Gaussian bells (see :class:`_Mixture`)."""
+
+    @staticmethod
+    def _peak(theta, mean, std, weight):
+        z = (theta - mean) / std
+        return weight * np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
+
+
+@dataclass(frozen=True)
+class LaplacianMixture(_Mixture):
+    """Sum of Laplacian peaks (see :class:`_Mixture`); the Laplace scale is
     std/sqrt(2). The density has a kink at each mean."""
 
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _check_components(self.components))
-
-    @property
-    def in_l2(self):
-        return True
-
-    def rho(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        total = np.zeros_like(theta)
-        for mean, std, weight in self.components:
-            scale = std / np.sqrt(2.0)
-            total = total + weight * np.exp(-np.abs(theta - mean) / scale) / (2.0 * scale)
-        return total
+    @staticmethod
+    def _peak(theta, mean, std, weight):
+        scale = std / np.sqrt(2.0)
+        return weight * np.exp(-np.abs(theta - mean) / scale) / (2.0 * scale)
 
     def seams_theta(self):
         return tuple(
@@ -430,10 +421,6 @@ class TrigPolynomial(ApsModel):
                 f"coefficient order {self.coeffs.M} does not match array M = {self.config.M}"
             )
 
-    @property
-    def in_l2(self):
-        return True
-
     def g(self, x):
         """Transformed density, evaluated natively in x."""
         return evaluate_trig(self.config, self.coeffs, x)
@@ -449,21 +436,18 @@ class PointSources(ApsModel):
     lags are exact finite sums."""
 
     sources: tuple
+    in_l2 = False
 
     def __post_init__(self):
         out = []
         for angle, power in self.sources:
             _check_angle("source angle", angle)
-            if not (power >= 0.0):
-                raise ValueError("source power must be nonnegative")
+            if not (0.0 <= power < np.inf):
+                raise ValueError("source power must be nonnegative and finite")
             out.append((float(angle), float(power)))
         if not out:
             raise ValueError("need at least one source")
         object.__setattr__(self, "sources", tuple(out))
-
-    @property
-    def in_l2(self):
-        return False
 
     def rho(self, theta):
         raise ModelError("point sources have no pointwise density")

@@ -136,18 +136,16 @@ def _lags_of_coeffs(cfg, coeffs, nodes):
     return 2.0 * _exp_lags(powers, w * even, w * odd, cfg.M)
 
 
-def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
-            cond_ceiling=None):
+def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Recover the minimum-norm spectrum consistent with ``lags``.
 
     Args:
         lags: CovarianceLags (or raw complex vector) of length cfg.M.
         residual_tol: Feasibility tolerance, scaled by (1 + max |r_m|). A
             FeasibilityWarning is emitted when the quadrature-checked
-            constraint residual exceeds it.
-        residual_nodes: Node count for the residual check; default scales
-            with the top basis frequency.
-        cond_ceiling: Optional override of the Gram conditioning ceiling.
+            constraint residual exceeds it. The residual is checked on a
+            Chebyshev-Gauss rule whose node count scales with the top basis
+            frequency.
 
     Raises:
         ConditioningError: Propagated from Gram assembly.
@@ -156,11 +154,9 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL, residual_nodes=None,
         lags = CovarianceLags(lags)
     if lags.M != cfg.M:
         raise ValueError(f"lag count {lags.M} does not match array M = {cfg.M}")
-    gram = assemble_gram(cfg) if cond_ceiling is None else assemble_gram(cfg, cond_ceiling)
-    coeffs = solve(gram, measurement_vector(lags))
+    coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
 
-    nodes = residual_nodes if residual_nodes is not None else _auto_nodes(cfg)
-    residual = float(np.max(np.abs(_lags_of_coeffs(cfg, coeffs, nodes) - lags.r)))
+    residual = float(np.max(np.abs(_lags_of_coeffs(cfg, coeffs, _auto_nodes(cfg)) - lags.r)))
     scale = residual_tol * (1.0 + float(np.max(np.abs(lags.r))))
     if residual > scale:
         warnings.warn(

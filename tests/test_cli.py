@@ -152,6 +152,14 @@ class TestRecover:
         assert main(["recover", "--config", str(config), "--lags", str(lags), "--out", str(tmp_path / "out")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("row", ["1,nan,0", "1,0,inf", "1,-Infinity,0"])
+    def test_non_finite_lag_exit_2(self, tmp_path, capsys, row):
+        config = write_config(tmp_path, UNIFORM_CONFIG)
+        lags = tmp_path / "bad.csv"
+        lags.write_text(f"m,re,im\n0,3.14,0\n{row}\n", encoding="utf-8")
+        assert main(["recover", "--config", str(config), "--lags", str(lags), "--out", str(tmp_path / "out")]) == 2
+        assert "lags row 1: expected finite values" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_trig_certificate(self, tmp_path):
@@ -342,6 +350,34 @@ class TestConfigValidation:
         config = write_config(tmp_path, payload)
         assert main(["synthesize", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "components[0].weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,entry,field", [
+        ("aps", {"kind": "gaussian_mixture",
+                 "components": [{"mean": 0.0, "std": float("inf"), "weight": 1.0}]},
+         "aps.components[0].std"),
+        ("aps", {"kind": "laplacian_mixture",
+                 "components": [{"mean": 0.0, "std": 0.1, "weight": float("inf")}]},
+         "aps.components[0].weight"),
+        ("aps", {"kind": "uniform", "lo": -0.5, "hi": 0.5, "height": float("-inf")}, "aps.height"),
+        ("quadrature", {"nodes": float("inf")}, "quadrature.nodes"),
+        ("output", {"grid_points": float("inf")}, "output.grid_points"),
+        ("output", {"grid_points": 10**400}, "output.grid_points"),
+        ("tolerances", {"constraint": float("nan")}, "tolerances.constraint"),
+        ("tolerances", {"identifiability": float("nan")}, "tolerances.identifiability"),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, section, entry, field):
+        config = write_config(tmp_path, dict(UNIFORM_CONFIG, **{section: entry}))
+        assert main(["synthesize", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: expected a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_trig_coefficient_exit_2(self, tmp_path, capsys, coeff):
+        payload = dict(TRIG_CONFIG, aps={"kind": "trig_polynomial", "coeffs": [1.0, coeff, 0.0]})
+        config = write_config(tmp_path, payload)
+        assert main(["synthesize", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config: aps: " in capsys.readouterr().err
 
     def test_bad_nodes(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(UNIFORM_CONFIG, quadrature={"nodes": 7}))

@@ -234,6 +234,8 @@ class TestModels:
             Uniform(-2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Uniform(-0.5, 0.5, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Uniform(-0.5, 0.5, np.inf)
         with pytest.raises(ValueError):
             GaussianMixture(components=((0.0, -0.1, 1.0),))
         with pytest.raises(ValueError):
@@ -242,8 +244,33 @@ class TestModels:
             GaussianMixture(components=())
         with pytest.raises(ValueError):
             PointSources(sources=((0.0, -1.0),))
+        with pytest.raises(ValueError, match="finite"):
+            PointSources(sources=((0.0, np.inf),))
         with pytest.raises(ValueError):
             TrigPolynomial(ArrayConfig(3, 1.0), TrigCoeffs(np.array([1.0, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("mixture", [GaussianMixture, LaplacianMixture])
+    @pytest.mark.parametrize("component", [
+        (0.0, np.inf, 1.0), (0.0, np.nan, 1.0), (0.0, 0.1, np.inf), (0.0, 0.1, np.nan),
+    ])
+    def test_mixtures_reject_non_finite_components(self, mixture, component):
+        with pytest.raises(ValueError, match="finite"):
+            mixture(components=(component,))
+
+    def test_mixture_kinds_share_components_but_not_equality(self):
+        components = ((0.3, 0.1, 2.0), (-0.2, 0.05, 1))
+        gauss, laplace = GaussianMixture(components), LaplacianMixture(components)
+        assert gauss.components == laplace.components == ((0.3, 0.1, 2.0), (-0.2, 0.05, 1.0))
+        assert gauss != laplace
+        assert gauss == GaussianMixture(components)
+        assert repr(laplace).startswith("LaplacianMixture(")
+        with pytest.raises(AttributeError):
+            gauss.components = ()
+
+    def test_in_l2_per_kind(self):
+        assert Uniform.in_l2 and GaussianMixture.in_l2 and LaplacianMixture.in_l2
+        assert TrigPolynomial.in_l2
+        assert not PointSources.in_l2
 
     def test_sum_and_seams(self):
         mix = LaplacianMixture(components=((0.3, 0.1, 1.0),))
