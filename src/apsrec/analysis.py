@@ -77,7 +77,11 @@ def certify(model, cfg, opts=None, identifiability_tol=DEFAULT_IDENTIFIABILITY_T
         QuadratureError: When the squared error is below, or the
             Pythagoras gap above, +-identifiability_tol * energy_truth: the
             quadrature does not resolve the truth, so no verdict is issued.
+        ValueError: Unless ``identifiability_tol`` is positive and finite.
     """
+    if not 0.0 < identifiability_tol < float("inf"):
+        raise ValueError(
+            f"identifiability_tol must be positive and finite, got {identifiability_tol!r}")
     if not model.in_l2:
         raise ModelError("certificates need a square-integrable ground truth")
     opts = opts if opts is not None else SynthesisOptions(DEFAULT_ENERGY_NODES)

@@ -196,7 +196,7 @@ def evaluate_trig(cfg, coeffs, x):
 # The exponential-sum kernel: every sum_j v_j exp(i kappa_m x_j) in the
 # package runs on a table of step_j**m, step_j = exp(i gamma pi x_j). One
 # whose M complex rows and one real row of weights exceed this cap is
-# never built whole, nor kept in the Gram's workspace.
+# never built whole, nor is any larger table kept with the cached Gram.
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 

@@ -18,8 +18,7 @@ where that symbol bounds T's spectrum away from zero (Grenander and Szego
 and otherwise by LAPACK's ``dpocon`` estimate on dense Cholesky factors.
 """
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,43 +27,49 @@ import scipy.linalg
 # perfbench's tracer can wrap ``gram.bessel_j0`` as its J0 layer.
 from scipy.special import j0 as bessel_j0
 
-from .core import _MAX_KEPT_TABLE_BYTES, ArrayConfig, CovarianceLags, TrigCoeffs
+from .core import ArrayConfig, CovarianceLags, TrigCoeffs
 from .errors import ConditioningError
 
 DEFAULT_COND_CEILING = 1e12
 
 # From this M up the Gram is factorized as a Toeplitz operator, below it
-# as two dense Cholesky blocks: the smallest M from which the Toeplitz
-# path was no slower, on a cache miss (factorization, condition estimate
-# and one solve) and on a cached solve. Milliseconds, median of 21
-# alternating runs, gamma = 1.13, one BLAS thread, 2-vCPU x86-64 host:
+# as two dense Cholesky blocks. Milliseconds for a cache miss as
+# ``recover`` pays it (``assemble_gram`` from an empty slot, with the
+# dense path's condition estimate, plus one solve) and for a cached solve,
+# median of 21 alternating runs, gamma = 1.13, one BLAS thread, 2-vCPU
+# x86-64 host:
 #
 #     M                 64    128   192   224   240   256   512   1024
-#     miss, dense      0.66  1.61  3.19  4.15  4.76  5.48  26.5   131
-#     miss, Toeplitz   2.63  3.53  4.27  4.28  4.59  4.58  10.6   22.7
-#     solve, dense     .072  .133  .258  .363  .409  .472  2.05  9.76
-#     solve, Toeplitz  .143  .178  .229  .225  .231  .233  .400  .734
+#     miss, dense      0.46  1.43  3.03  3.99  4.51  5.22  26.1  90.9
+#     miss, Toeplitz   0.54  0.94  1.38  1.68  1.68  1.86  4.57  3.77
+#     solve, dense     .058  .120  .236  .337  .376  .432  1.83  5.54
+#     solve, Toeplitz  .212  .281  .342  .373  .377  .370  .561  .525
 #
-# At 224 and 240 the misses were within 3 % either way over repeated runs.
+# The cached-solve row sets the constant, the smallest M from which the
+# Toeplitz solve was no slower: at 240 the two solves were within 1 % in
+# one pass and Toeplitz was 9 % ahead in a second. Misses alone would
+# move it to between 64 and 128.
 _TOEPLITZ_MIN_M = 256
 
 # From this M up, the Toeplitz path takes x = T^-1 e_1 from preconditioned
-# CG (:func:`_pcg`) instead of Levinson recursion where CG accepts gamma:
-# the smallest M from which CG was no slower at all three gamma below.
-# Milliseconds for x alone, CG / Levinson, median of 61 alternating runs,
-# one BLAS thread, 2-vCPU x86-64 host:
+# CG (:func:`_pcg`) instead of Levinson recursion where CG accepts gamma.
+# Milliseconds for x alone, CG / Levinson, the median over three passes of
+# the median of 61 alternating runs, one BLAS thread, 2-vCPU x86-64 host:
 #
 #     M      gamma = 1.0    gamma = 1.13   gamma = 1.25
-#     448    0.94 / 1.52    1.33 / 1.56    1.37 / 1.50
-#     512    0.98 / 1.99    1.25 / 1.89    1.30 / 1.85
-#     513    1.58 / 1.84    2.48 / 1.90    2.74 / 2.13
-#     576    1.67 / 2.44    2.55 / 2.37    2.51 / 2.57
-#     608    1.76 / 2.91    3.99 / 4.30    4.21 / 4.44
-#     640    1.67 / 3.05    2.57 / 3.07    2.48 / 3.14
-#     1024   1.92 / 8.55    2.68 / 8.12    3.24 / 9.14
+#     352    1.43 / 1.50    1.14 / 1.07    1.16 / 1.03
+#     384    0.85 / 1.23    1.13 / 1.26    1.18 / 1.23
+#     448    1.13 / 1.71    1.64 / 2.09    2.19 / 2.37
+#     512    1.46 / 2.47    1.45 / 2.13    1.58 / 2.21
+#     513    1.10 / 2.12    1.74 / 2.26    1.76 / 2.23
+#     608    1.90 / 3.81    2.30 / 3.60    1.67 / 2.78
+#     768    2.41 / 7.01    3.02 / 6.46    3.29 / 6.73
+#     1024   2.26 / 9.86    3.37 / 9.49    4.61 / 12.01
 #
-# CG's FFTs double in length past M = 512, so it lost by up to 20 % from
-# 513 to 576 over repeated runs.
+# With 5-smooth FFT lengths (:func:`_fft_size`) CG no longer loses just
+# past M = 512, and it was no slower at all three gamma from 384 in two
+# passes and from 448 in the third. The constant is still the 608 that
+# the power-of-two lengths set.
 _PCG_MIN_M = 608
 # CG runs for 1 <= gamma <= this. The symbol's cost grows with gamma, one
 # alias per 2 of it: up to 32 it stayed under half the CG run, and at 128
@@ -114,11 +119,11 @@ class GramMatrix:
     Below ``_TOEPLITZ_MIN_M`` it holds the dense blocks ``g_re``, ``g_im``
     and their lower Cholesky factors ``chol_re``, ``chol_im`` from LAPACK's
     ``dpotrf``, bit-identical to ``scipy.linalg.cholesky``'s. From it up
-    those are None, and it holds ``column``, the first column of T, its
-    circulant ``spectrum`` and ``generators``, the real FFTs of the
-    Gohberg-Semencul generators of T^-1, plus ``_cond_bound``, a rigorous
-    O(M) upper bound on the condition number that settles the ceiling
-    without an estimate while below it (infinite on the dense path).
+    those are None, and it holds T's circulant ``spectrum`` and
+    ``generators``, the real FFTs of the Gohberg-Semencul generators of
+    T^-1, plus ``_cond_bound``, a rigorous O(M) upper bound on the
+    condition number that settles the ceiling without an estimate while
+    below it (infinite on the dense path).
 
     ``cond_estimate`` is the 1-norm condition number of the full matrix,
     ||G||_1 (``dlange``) times ``dpocon``'s lower-bound estimate of
@@ -132,6 +137,10 @@ class GramMatrix:
     arrays are read-only, so one instance is shared by every caller of
     :func:`assemble_gram` for the same configuration, and concurrent
     solves and reads against it are safe.
+
+    ``_kept`` maps a key to read-only arrays of the configuration, filled
+    on the cached Gram only (:func:`_tables`). Entries are only added, one
+    dict store each, so they need no lock and go with the Gram.
     """
 
     cfg: ArrayConfig
@@ -139,14 +148,14 @@ class GramMatrix:
     g_im: np.ndarray | None = None
     chol_re: np.ndarray | None = None
     chol_im: np.ndarray | None = None
-    column: np.ndarray | None = None
     spectrum: np.ndarray | None = None
     generators: np.ndarray | None = None
     _cond_bound: float = np.inf
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for array in (self.g_re, self.g_im, self.chol_re, self.chol_im, self.column,
-                      self.spectrum, self.generators):
+        for array in (self.g_re, self.g_im, self.chol_re, self.chol_im, self.spectrum,
+                      self.generators):
             if array is not None:
                 array.setflags(write=False)
 
@@ -200,9 +209,13 @@ def _dense_norms(block, factor):
 
 
 def _fft_size(n):
-    """A power of two at least 2n - 1, so that a circular convolution of
-    that length holds the linear one of two length-n sequences."""
-    return 1 << (2 * n - 2).bit_length()
+    """An even 5-smooth length at least 2n: a circular convolution of it
+    holds the linear one of two length-n sequences, and :func:`_symbol_means`
+    gets its even grid. Imported here, scipy.fft (20-35 ms to load on a
+    2-vCPU x86-64 host) stays unloaded while only dense Grams are solved."""
+    import scipy.fft
+
+    return 2 * scipy.fft.next_fast_len(n, real=True)
 
 
 def _spectrum(column):
@@ -355,8 +368,7 @@ def _toeplitz(cfg):
     generators = np.zeros((2, _fft_size(n)))
     generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
     generators = np.fft.rfft(generators / np.sqrt(x[0]))
-    return GramMatrix(cfg, column=column, spectrum=spectrum, generators=generators,
-                      _cond_bound=float(bound))
+    return GramMatrix(cfg, spectrum=spectrum, generators=generators, _cond_bound=float(bound))
 
 
 def _dense(cfg):
@@ -373,83 +385,60 @@ def _factor(cfg):
     return _toeplitz(cfg) if cfg.M >= _TOEPLITZ_MIN_M else _dense(cfg)
 
 
-# The workspace of the last configuration that assembled under its
-# ceiling: one (ArrayConfig, GramMatrix, tables) entry, with ``tables``
-# mapping a caller's key to a read-only tuple of arrays. An entry is
-# replaced as a whole, never changed in place, so a reader sees the old
-# entry or the new one. ``_lock`` makes adding a table a read-modify-write
-# of the current entry, so it never drops another thread's table or
-# brings back a dropped entry.
+# The Gram of the last assemble_gram call that passed the ceiling, or
+# None; the tables kept for its configuration live in its ``_kept``.
 _cached = None
-_lock = threading.Lock()
 
 
-def assemble_gram(cfg, cond_ceiling=DEFAULT_COND_CEILING):
+def assemble_gram(cfg):
     """The factorized Gram matrix for ``cfg``, assembled once per
     configuration.
 
-    The Gram depends on the array alone, so the last one assembled is
-    kept in a single workspace slot keyed on ``cfg``, and the same
-    read-only object is returned while ``cfg`` repeats. A different
-    configuration drops the whole workspace (the Gram and every table
-    kept with it) before assembling its own, so at most one is alive at a
-    time. The ceiling is checked on every call, and a configuration that
-    raises is not cached. A Toeplitz Gram whose O(M) condition bound lies
-    under the ceiling passes without its condition estimate. Otherwise the
-    estimate decides, which on a Toeplitz Gram costs a dense Cholesky
-    factorization (O(M^3)); it never exceeds the bound, so the outcome is
-    the estimate's. A NaN bound or estimate counts as over the ceiling.
-
-    Args:
-        cfg: Array configuration.
-        cond_ceiling: Hard ceiling on the 1-norm condition estimate. The
-            matrix is positive definite in exact arithmetic for every
-            M and gamma, but closely spaced frequencies (gamma << 1) make
-            it numerically singular; past the ceiling the closed-form
-            solve is meaningless and we fail loudly rather than
-            regularize.
+    The Gram depends on the array alone, so the one of the last call that
+    passed is kept in a single slot, and the same read-only object is
+    returned while ``cfg`` repeats; the tables kept with it
+    (:func:`_tables`) go with it. A different configuration empties the
+    slot before assembling its own, so at most one Gram is kept at a
+    time. The matrix is positive definite in exact arithmetic for every M
+    and gamma, but closely spaced frequencies (gamma << 1) make it
+    numerically singular; past ``DEFAULT_COND_CEILING`` (read at call
+    time) on the 1-norm condition number the closed-form solve is
+    meaningless, and assembly fails loudly rather than regularize. The
+    ceiling is checked on every call, and a configuration that raises is
+    not cached. A Toeplitz Gram whose O(M)
+    condition bound lies under the ceiling passes without its condition
+    estimate. Otherwise the estimate decides, which on a Toeplitz Gram
+    costs a dense Cholesky factorization (O(M^3)); it never exceeds the
+    bound, so the outcome is the estimate's. A NaN bound or estimate
+    counts as over the ceiling.
 
     Raises:
         ConditioningError: If a Cholesky or Levinson factorization finds
             the matrix numerically indefinite, or the condition estimate
-            is not under ``cond_ceiling``.
+            is not under the ceiling.
     """
     global _cached
-    with _lock:
-        entry = _cached
-        if entry is None or entry[0] != cfg:
-            _cached = entry = None
-    gram = entry[1] if entry is not None else _factor(cfg)
-    if not gram._cond_bound <= cond_ceiling and not gram.cond_estimate <= cond_ceiling:
+    gram = _cached
+    if gram is None or gram.cfg != cfg:
+        _cached = gram = None  # no old Gram stays alive while the new one is built
+        gram = _factor(cfg)
+    ceiling = DEFAULT_COND_CEILING
+    if not gram._cond_bound <= ceiling and not gram.cond_estimate <= ceiling:
         raise ConditioningError(
             f"Gram condition estimate {gram.cond_estimate:.3e} exceeds ceiling "
-            f"{cond_ceiling:.3e} for M={cfg.M}, gamma={cfg.gamma:g}",
+            f"{ceiling:.3e} for M={cfg.M}, gamma={cfg.gamma:g}",
             cond_estimate=gram.cond_estimate,
         )
-    if entry is None:
-        with _lock:
-            _cached = (cfg, gram, {})
+    _cached = gram
     return gram
 
 
-def _kept_table(cfg, key):
-    """The table kept under ``key`` in the workspace of ``cfg``, or None."""
-    entry = _cached
-    if entry is None or entry[0] != cfg:
-        return None
-    return entry[2].get(key)
-
-
-def _keep_table(cfg, key, table):
-    """Keep ``table`` under ``key`` if the slot holds ``cfg`` and the
-    table is small enough; a table never evicts or outlives its Gram."""
-    global _cached
-    if sum(array.nbytes for array in table) > _MAX_KEPT_TABLE_BYTES:
-        return
-    with _lock:
-        entry = _cached
-        if entry is not None and entry[0] == cfg:
-            _cached = (cfg, entry[1], {**entry[2], key: table})
+def _tables(cfg):
+    """The tables kept with the cached Gram if it is ``cfg``'s, else a
+    throwaway dict: what a caller stores there never outlives the Gram of
+    its configuration, nor is kept for another."""
+    gram = _cached
+    return gram._kept if gram is not None and gram.cfg == cfg else {}
 
 
 def measurement_vector(lags):

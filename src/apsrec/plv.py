@@ -27,6 +27,7 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
+    _MAX_KEPT_TABLE_BYTES,
     _exp_lags,
     _exp_samples,
     _exp_table,
@@ -35,8 +36,7 @@ from .core import (
     trig_basis,
 )
 from .errors import DomainError, FeasibilityWarning
-from .gram import _keep_table, _kept_table
-from .gram import assemble_gram, measurement_vector, solve
+from .gram import _tables, assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -78,16 +78,18 @@ class PlvSolution:
 
 
 def _grid_basis(cfg, x):
-    """trig_basis(cfg, x), kept in the configuration's workspace for the
-    last grid evaluated there; the key is a read-only copy of ``x``."""
-    kept = _kept_table(cfg, "grid")
+    """trig_basis(cfg, x), kept with the configuration's Gram for the last
+    grid evaluated there while within the kept size; the key is a
+    read-only copy of ``x``."""
+    kept = _tables(cfg).get("grid")
     if kept is not None and np.array_equal(kept[0], x):
         return kept[1]
     basis = trig_basis(cfg, x)
-    grid = x.copy()
-    grid.setflags(write=False)
-    basis.setflags(write=False)
-    _keep_table(cfg, "grid", (grid, basis))
+    if x.nbytes + basis.nbytes <= _MAX_KEPT_TABLE_BYTES:
+        grid = x.copy()
+        grid.setflags(write=False)
+        basis.setflags(write=False)
+        _tables(cfg)["grid"] = grid, basis
     return basis
 
 
@@ -99,13 +101,14 @@ def _half_rule(cfg, nodes):
     and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
     odd parts of g on those nodes, the kernel's two sample parts. For odd
     ``nodes`` the middle node is snapped to x = 0 and kept at half weight,
-    so a sum over both halves counts it once. A whole table is kept in the
-    workspace at the audit's and the summary's default node counts.
+    so a sum over both halves counts it once. A whole table is kept with
+    the configuration's Gram at the audit's and the summary's default
+    node counts.
 
     Returns:
         (w, powers): the half-rule weights and the table.
     """
-    kept = _kept_table(cfg, nodes)
+    kept = _tables(cfg).get(nodes)
     if kept is not None:
         return kept
     points, weights = weighted_quadrature_points(nodes)
@@ -118,7 +121,7 @@ def _half_rule(cfg, nodes):
     w.setflags(write=False)
     powers = _exp_table(cfg, x)
     if isinstance(powers, np.ndarray) and nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
-        _keep_table(cfg, nodes, (w, powers))
+        _tables(cfg)[nodes] = w, powers
     return w, powers
 
 
@@ -149,7 +152,11 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
 
     Raises:
         ConditioningError: Propagated from Gram assembly.
+        ValueError: Unless ``residual_tol`` is finite and at least 0 (0
+            warns on any residual).
     """
+    if not 0.0 <= residual_tol < np.inf:
+        raise ValueError(f"residual_tol must be finite and >= 0, got {residual_tol!r}")
     if not isinstance(lags, CovarianceLags):
         lags = CovarianceLags(lags)
     if lags.M != cfg.M:

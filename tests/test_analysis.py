@@ -156,6 +156,17 @@ def test_unresolved_certificate_raises():
     assert sweep[-1][1] == certificate.reconstruction_error_sq
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
+def test_certify_rejects_unusable_tolerance(tol):
+    # NaN turned the self-check gate off (a certificate at M = 256 with
+    # error_sq -11.28 and margin nan), inf made every model identifiable,
+    # and 0 or less raised a QuadratureError that blamed the quadrature.
+    with pytest.raises(ValueError, match="identifiability_tol"):
+        certify(GAUSS_CLUSTER, ArrayConfig(256, 1.0), identifiability_tol=tol)
+    with pytest.raises(ValueError, match="identifiability_tol"):
+        resolution_sweep(GAUSS_CLUSTER, 1.0, [2, 4], identifiability_tol=tol)
+
+
 def test_certify_takes_energy_nodes_from_opts():
     # One node count per call: the energy rule is the synthesis rule's.
     model, cfg = LaplacianMixture(components=((0.25, 0.08, 1.0),)), ArrayConfig(4, 1.0)

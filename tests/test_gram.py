@@ -179,7 +179,7 @@ def test_default_ceiling_boundary():
 @pytest.mark.parametrize("m", [1, 2, 5, TOEPLITZ_MIN_M])
 def test_gram_arrays_read_only(m):
     gram = assemble_gram(ArrayConfig(m, 1.0))
-    names = ("column", "generators") if m >= TOEPLITZ_MIN_M else (
+    names = ("spectrum", "generators") if m >= TOEPLITZ_MIN_M else (
         "g_re", "g_im", "chol_re", "chol_im")
     for name in names:
         with pytest.raises(ValueError):
@@ -407,11 +407,12 @@ def test_ceiling_fails_closed_on_nan_estimate(monkeypatch, m, ceiling):
     # real estimate (49) under it.
     cfg = ArrayConfig(m, 1.0)
     monkeypatch.setattr(gram_module, "_cached", None)
-    assert assemble_gram(cfg, cond_ceiling=ceiling).cond_estimate < ceiling
+    monkeypatch.setattr(gram_module, "DEFAULT_COND_CEILING", ceiling)
+    assert assemble_gram(cfg).cond_estimate < ceiling
     monkeypatch.setattr(gram_module, "_cached", None)
     monkeypatch.setattr(GramMatrix, "cond_estimate", property(lambda self: np.nan))
     with pytest.raises(ConditioningError, match="exceeds ceiling") as excinfo:
-        assemble_gram(cfg, cond_ceiling=ceiling)
+        assemble_gram(cfg)
     assert np.isnan(excinfo.value.cond_estimate)
     assert gram_module._cached is None
 
@@ -443,14 +444,16 @@ def test_ceiling_between_estimate_and_bound(monkeypatch, m, gamma):
     cfg = ArrayConfig(m, gamma)
     estimate = gram_module._factor(cfg).cond_estimate
     monkeypatch.setattr(gram_module, "_cached", None)
-    gram = assemble_gram(cfg, cond_ceiling=1.5 * estimate)
+    monkeypatch.setattr(gram_module, "DEFAULT_COND_CEILING", 1.5 * estimate)
+    gram = assemble_gram(cfg)
     assert gram._cond_bound > 1.5 * estimate
     assert gram.cond_estimate == pytest.approx(estimate, rel=1e-15, abs=0)
     for cached in (True, False):
         if not cached:
             monkeypatch.setattr(gram_module, "_cached", None)
+        monkeypatch.setattr(gram_module, "DEFAULT_COND_CEILING", estimate / 1.5)
         with pytest.raises(ConditioningError) as excinfo:
-            assemble_gram(cfg, cond_ceiling=estimate / 1.5)
+            assemble_gram(cfg)
         raised = excinfo.value.cond_estimate
         if cached:
             assert np.float64(raised).tobytes() == np.float64(gram.cond_estimate).tobytes()
@@ -712,7 +715,7 @@ def test_cond_estimate_read_from_threads_matches_serial(monkeypatch):
     assert gram.cond_estimate == pytest.approx(serial, rel=1e-15, abs=0)
 
 
-def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
+def test_assembly_starts_no_thread(monkeypatch):
     # Assembly starts no thread on either path, so it works where none
     # can be started.
     def refuse(self):
@@ -733,7 +736,7 @@ def test_split_factorization_without_a_thread_runs_in_turn(monkeypatch):
     (None, None),
     (None, 2),
 ], ids=["affinity-1", "affinity-2", "cpu_count-1", "cpu_count-unknown", "cpu_count-2"])
-def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_count):
+def test_assembly_ignores_cpu_count_and_affinity(monkeypatch, affinity, cpu_count):
     # Assembly depends on neither the affinity mask nor the CPU count: it
     # starts no thread and gives the same Gram on either path, whose
     # estimates may differ only in dpocon's last bit.
@@ -761,7 +764,7 @@ def test_split_factorization_on_one_cpu_runs_in_turn(monkeypatch, affinity, cpu_
     assert started == []
 
 
-def test_split_factorization_after_main_thread_returns():
+def test_assembly_after_main_thread_returns():
     # A non-daemon thread may still assemble a new Gram after the main
     # thread has returned, while the interpreter waits to join it; by
     # then concurrent.futures executors refuse new work.
@@ -797,9 +800,10 @@ def test_conditioning_ceiling_reported():
     assert "M=12" in str(excinfo.value)
 
 
-def test_custom_ceiling():
+def test_custom_ceiling(monkeypatch):
+    monkeypatch.setattr(gram_module, "DEFAULT_COND_CEILING", 5.0)
     with pytest.raises(ConditioningError) as excinfo:
-        assemble_gram(ArrayConfig(8, 1.0), cond_ceiling=5.0)
+        assemble_gram(ArrayConfig(8, 1.0))
     assert excinfo.value.cond_estimate is not None
     assert excinfo.value.cond_estimate > 5.0
 
@@ -828,11 +832,12 @@ def test_cache_drops_previous_gram_before_assembly(monkeypatch):
     assert alive_during_assembly == [False]
 
 
-def test_cache_checks_ceiling_on_every_call():
+def test_cache_checks_ceiling_on_every_call(monkeypatch):
     cfg = ArrayConfig(8, 1.0)
     gram = assemble_gram(cfg)
-    with pytest.raises(ConditioningError) as excinfo:
-        assemble_gram(cfg, cond_ceiling=5.0)
+    with monkeypatch.context() as ceiling, pytest.raises(ConditioningError) as excinfo:
+        ceiling.setattr(gram_module, "DEFAULT_COND_CEILING", 5.0)
+        assemble_gram(cfg)
     assert excinfo.value.cond_estimate > 5.0
     assert assemble_gram(cfg) is gram
 
@@ -844,8 +849,8 @@ def test_cache_never_holds_a_failing_config():
 
 
 def _filled_workspace(cfg, rng):
-    """recover, evaluate and summarize at ``cfg``, so the workspace holds
-    the Gram, both power tables and a grid basis."""
+    """recover, evaluate and summarize at ``cfg``, so the cached Gram
+    keeps both power tables and a grid basis."""
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
@@ -858,10 +863,10 @@ def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
     # One slot: the old Gram and every table kept with it must be gone
     # by the time the next configuration's blocks are built.
     entry = _filled_workspace(ArrayConfig(7, 1.0), rng)
-    assert entry[0] == ArrayConfig(7, 1.0)
-    assert len(entry[2]) == 3  # audit and summary power tables, grid basis
-    refs = [weakref.ref(entry[1])]
-    refs += [weakref.ref(array) for table in entry[2].values() for array in table]
+    assert entry.cfg == ArrayConfig(7, 1.0)
+    assert len(entry._kept) == 3  # audit and summary power tables, grid basis
+    refs = [weakref.ref(entry)]
+    refs += [weakref.ref(array) for table in entry._kept.values() for array in table]
     del entry
     alive_during_assembly = []
     blocks = gram_module.gram_blocks
@@ -888,7 +893,7 @@ def test_failing_config_leaves_no_workspace(failing, rng):
 
 def test_workspace_tables_read_only(rng):
     entry = _filled_workspace(ArrayConfig(9, 1.0), rng)
-    arrays = [array for table in entry[2].values() for array in table]
+    arrays = [array for table in entry._kept.values() for array in table]
     assert len(arrays) == 6
     for array in arrays:
         assert not array.flags.writeable
@@ -901,13 +906,26 @@ def test_workspace_keeps_only_default_counts_and_small_tables(rng):
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
     negativity_summary(solution, nodes=300)
     negativity_summary(solution)
-    assert gram_module._cached[0] == cfg
-    assert sorted(gram_module._cached[2]) == [256, 2048]
+    assert gram_module._cached.cfg == cfg
+    assert sorted(gram_module._cached._kept) == [256, 2048]
     # At M = 1024 the audit's table is 42 MB, above the kept size.
     big = ArrayConfig(1024, 1.0)
     recover(np.ones(big.M, dtype=complex), big)
-    assert gram_module._cached[0] == big
-    assert gram_module._cached[2] == {}
+    assert gram_module._cached.cfg == big
+    assert gram_module._cached._kept == {}
+
+
+def test_grid_basis_over_kept_size_is_not_kept():
+    # At M = 10 the basis and grid of 110,000 points take 17.6 MB, past
+    # the 16 MiB kept size: the basis is used, and the earlier grid's
+    # stays kept.
+    cfg = ArrayConfig(10, 1.0)
+    solution = recover(np.ones(cfg.M, dtype=complex), cfg)
+    small, large = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 110_000)
+    solution.g(small)
+    values = solution.g(large)
+    assert np.array_equal(values, trig_basis(cfg, large) @ solution.coeffs.b)
+    assert np.array_equal(gram_module._cached._kept["grid"][0], small)
 
 
 @pytest.mark.parametrize("m", [1, 2, 64, TOEPLITZ_MIN_M - 1])
@@ -953,7 +971,6 @@ def test_toeplitz_solve_matches_cholesky(m, gamma, rng):
     cfg = ArrayConfig(m, gamma)
     gram = assemble_gram(cfg)
     assert gram.g_re is None and gram.chol_re is None
-    assert gram.column.shape == (2 * m - 1,)
     for y in (_lag_measurements(rng, m), rng.uniform(-1, 1, gram.size)):
         expected = _cholesky_solve(cfg, y)
         b = solve(gram, y).b

@@ -112,11 +112,11 @@ def test_recovery_from_threads_matches_serial(rng):
         assert got[1] == expected[1]
         assert np.array_equal(got[2], expected[2])
         assert got[3] == expected[3]
-    # Each op adds its tables after any store of a fresh entry, so a lost
-    # update is the only way one could be missing here.
+    # Each op adds its tables after its own assemble_gram stores the Gram,
+    # so a lost update is the only way one could be missing here.
     entry = gram_module._cached
-    assert entry[0] == cfg
-    assert sorted(map(str, entry[2])) == ["2048", "320", "grid"]
+    assert entry.cfg == cfg
+    assert sorted(map(str, entry._kept)) == ["2048", "320", "grid"]
 
 
 def fresh_gamma_stream(rng, m, gammas):
@@ -148,7 +148,7 @@ def assert_threads_match_serial(stream):
         assert got[1] == expected[1]
 
 
-def test_split_factorization_from_threads_matches_serial(rng):
+def test_toeplitz_recovery_from_threads_matches_serial(rng):
     # At the size where each new Gram is a Toeplitz factorization, solved
     # through FFT products.
     m = gram_module._TOEPLITZ_MIN_M
@@ -158,7 +158,7 @@ def test_split_factorization_from_threads_matches_serial(rng):
 def over_cap(cfg, nodes):
     # Whether the audit's M-row table at ``nodes`` exceeds the kept size,
     # so that the kernel runs on baby rows and a giant step.
-    return 16 * cfg.M * (nodes - nodes // 2) > gram_module._MAX_KEPT_TABLE_BYTES
+    return 16 * cfg.M * (nodes - nodes // 2) > plv._MAX_KEPT_TABLE_BYTES
 
 
 def test_split_audit_from_threads_matches_serial(rng):
@@ -215,6 +215,15 @@ def test_feasibility_warning_on_zero_tolerance():
         recover(lags, cfg, residual_tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+def test_recover_rejects_unusable_tolerance(tol):
+    # A NaN tolerance never warned, whatever the residual.
+    cfg = ArrayConfig(4, 1.0)
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+    with pytest.raises(ValueError, match="residual_tol"):
+        recover(lags, cfg, residual_tol=tol)
+
+
 @pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21),
                                      (700, 1.25), (1025, 1.0)])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
@@ -269,7 +278,7 @@ def test_kept_table_kernel_bit_identical_to_whole_table(rng):
         for _ in range(2):  # built, then kept at the default counts
             assert np.array_equal(plv._lags_of_coeffs(cfg, coeffs, nodes), lags)
             assert negativity_summary(solution, nodes) == summary
-    assert sorted(gram_module._cached[2]) == [audit_nodes, summary_nodes]
+    assert sorted(gram_module._cached._kept) == [audit_nodes, summary_nodes]
     assert negativity_summary(solution) == whole_table_half_rule(
         cfg, coeffs.b, summary_nodes)[1]
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
