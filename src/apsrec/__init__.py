@@ -18,8 +18,10 @@ Typical use::
     solution = recover(lags, cfg)
     report = certify(truth, cfg)
 
-Quadrature is set by one node count per call: ``SynthesisOptions.nodes``
-for synthesis and ``certify``'s energies, ``nodes`` for ``project_onto_nperp``.
+Synthesis is exact for every built-in model and takes no option. A
+quadrature rule is set by one node count per call where one remains:
+``nodes`` for ``certify``'s energies and for ``project_onto_nperp`` of a
+callable.
 """
 
 from .analysis import (
@@ -57,7 +59,7 @@ from .errors import (
     QuadratureError,
     StructureError,
 )
-from .forward import SynthesisOptions, synthesize_lags
+from .forward import synthesize_lags
 from .gram import (
     GramMatrix,
     assemble_gram,
@@ -97,7 +99,6 @@ __all__ = [
     "SampledFunction",
     "SpectrumSum",
     "StructureError",
-    "SynthesisOptions",
     "TrigCoeffs",
     "TrigPolynomial",
     "Uniform",

@@ -13,9 +13,9 @@ the other.
 
 from dataclasses import dataclass
 
-from .core import ArrayConfig, _exp_samples, _exp_table, seams_x, transform_aps
+from .core import ArrayConfig, _count, _exp_samples, _exp_table, seams_x, transform_aps
 from .errors import ModelError, QuadratureError
-from .forward import SynthesisOptions, synthesize_lags
+from .forward import synthesize_lags
 from .gram import assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
 
@@ -55,7 +55,8 @@ class ErrorCertificate:
     margin: float
 
 
-def certify(model, cfg, opts=None, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
+def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
+            identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     """Run the full pipeline on a ground-truth model and certify the
     reconstruction.
 
@@ -63,9 +64,9 @@ def certify(model, cfg, opts=None, identifiability_tol=DEFAULT_IDENTIFIABILITY_T
         model: L2 spectrum model (point sources carry no energy density
             and raise ModelError).
         cfg: Array configuration.
-        opts: Synthesis options; their node count is also the energy
-            rule's (the closed-form side needs none). Defaults to
-            theta-path synthesis at DEFAULT_ENERGY_NODES.
+        nodes: Node count of the energy and Pythagoras rule (the
+            refinement check doubles it); the lags are exact and the
+            closed-form side needs none.
         identifiability_tol: Relative threshold on error/energy for the
             identifiability verdict. The underlying condition is exact
             subspace membership; the default sits far above quadrature
@@ -77,24 +78,25 @@ def certify(model, cfg, opts=None, identifiability_tol=DEFAULT_IDENTIFIABILITY_T
         QuadratureError: When the squared error is below, or the
             Pythagoras gap above, +-identifiability_tol * energy_truth: the
             quadrature does not resolve the truth, so no verdict is issued.
-        ValueError: Unless ``identifiability_tol`` is positive and finite.
+        ValueError: Unless ``identifiability_tol`` is positive and finite
+            and ``nodes`` an integer of at least 16.
     """
     if not 0.0 < identifiability_tol < float("inf"):
         raise ValueError(
             f"identifiability_tol must be positive and finite, got {identifiability_tol!r}")
     if not model.in_l2:
         raise ModelError("certificates need a square-integrable ground truth")
-    opts = opts if opts is not None else SynthesisOptions(DEFAULT_ENERGY_NODES)
+    nodes = _count(nodes, 16, "energy node count")
 
-    lags = synthesize_lags(model, cfg, opts)
+    lags = synthesize_lags(model, cfg)
     gram = assemble_gram(cfg)
     y = measurement_vector(lags)
     coeffs = solve(gram, y)
 
     g_true = transform_aps(model)
     seams = seams_x(model)
-    points, weights = weighted_quadrature_points(opts.nodes, seams)
-    points2, weights2 = weighted_quadrature_points(2 * opts.nodes, seams)
+    points, weights = weighted_quadrature_points(nodes, seams)
+    points2, weights2 = weighted_quadrature_points(2 * nodes, seams)
     truth_samples = g_true(points)
     energy_truth = float(weights @ (truth_samples * truth_samples))
     truth_samples2 = g_true(points2)
@@ -152,6 +154,8 @@ def resolution_sweep(model, gamma, m_values, **certify_kwargs):
         model: L2 spectrum model.
         gamma: Spacing ratio shared by all sweep entries.
         m_values: Strictly increasing antenna counts.
+        certify_kwargs: ``nodes`` and ``identifiability_tol``, passed to
+            each :func:`certify`.
 
     Returns:
         List of (M, reconstruction_error_sq) pairs.

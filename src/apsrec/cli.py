@@ -19,7 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEFAULT_IDENTIFIABILITY_TOL, certify, resolution_sweep
+from .analysis import (
+    DEFAULT_ENERGY_NODES,
+    DEFAULT_IDENTIFIABILITY_TOL,
+    certify,
+    resolution_sweep,
+)
 from .core import (
     ApsModel,
     ArrayConfig,
@@ -39,8 +44,10 @@ from .errors import (
     ModelError,
     QuadratureError,
 )
-from .forward import SynthesisOptions, synthesize_lags
-from .gram import _dense, assemble_gram
+from .forward import synthesize_lags
+# assemble_gram is not called here; perfbench's tracer wraps it as a module
+# attribute.
+from .gram import _check_ceiling, _dense, assemble_gram  # noqa: F401
 from .plv import DEFAULT_RESIDUAL_TOL, evaluate_solution, negativity_summary, recover
 
 SCHEMA = "apsrec-scenario/1"
@@ -64,12 +71,12 @@ def _report(x):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: array geometry, ground-truth model, quadrature
-    (None unless it sets nodes or path), output grid, and tolerances."""
+    """Validated scenario: array geometry, ground-truth model, the node
+    count of the certificate's energy rule, output grid, and tolerances."""
 
     array: ArrayConfig
     aps: ApsModel
-    quadrature: SynthesisOptions | None
+    energy_nodes: int
     grid_points: int
     output_domain: Domain
     constraint_tol: float
@@ -187,12 +194,9 @@ def load_config(path):
     quad_table = raw.get("quadrature", {})
     if not isinstance(quad_table, dict):
         raise ConfigError("quadrature", "expected an object")
-    nodes = _number(quad_table, "quadrature", "nodes", default=256.0)
+    nodes = _number(quad_table, "quadrature", "nodes", default=float(DEFAULT_ENERGY_NODES))
     if nodes != int(nodes) or int(nodes) < 16:
         raise ConfigError("quadrature.nodes", "expected an integer of at least 16")
-    path_name = quad_table.get("path", "theta")
-    if path_name not in ("theta", "x"):
-        raise ConfigError("quadrature.path", "expected 'theta' or 'x'")
 
     out_table = raw.get("output", {})
     if not isinstance(out_table, dict):
@@ -219,8 +223,7 @@ def load_config(path):
     return ScenarioConfig(
         array=array,
         aps=aps,
-        quadrature=(SynthesisOptions(int(nodes), Domain(path_name))
-                    if "nodes" in quad_table or "path" in quad_table else None),
+        energy_nodes=int(nodes),
         grid_points=int(grid_points),
         output_domain=Domain(domain_name),
         constraint_tol=constraint_tol,
@@ -284,7 +287,7 @@ def read_lags_csv(path, expected_m, im0_tol=1e-12):
 
 def cmd_synthesize(args):
     config = load_config(args.config)
-    lags = synthesize_lags(config.aps, config.array, config.quadrature)
+    lags = synthesize_lags(config.aps, config.array)
     out = _out_dir(args)
     write_lags_csv(out / "lags.csv", lags)
     return EXIT_OK
@@ -325,9 +328,7 @@ def cmd_recover(args):
 
 def cmd_certify(args):
     config = load_config(args.config)
-    # A scenario's quadrature gives the synthesis and energy rule; without
-    # one, certify keeps its defaults.
-    options = {"opts": config.quadrature, "identifiability_tol": config.identifiability_tol}
+    options = {"nodes": config.energy_nodes, "identifiability_tol": config.identifiability_tol}
     certificate = certify(config.aps, config.array, **options)
     out = _out_dir(args)
     payload = {
@@ -361,10 +362,9 @@ def cmd_certify(args):
 
 def cmd_gram(args):
     config = load_config(args.config)
-    gram = assemble_gram(config.array)
-    # A Toeplitz Gram keeps no blocks: factorize them once, densely.
-    if gram.chol_re is None:
-        gram = _dense(config.array)
+    # The dense blocks and their factors at every M, checked against the
+    # ceiling as assemble_gram checks its own Gram.
+    gram = _check_ceiling(_dense(config.array))
     out = _out_dir(args)
     _write_lines(out / "gram_re.csv", [",".join(_full(v) for v in row) for row in gram.g_re])
     _write_lines(out / "gram_im.csv", [",".join(_full(v) for v in row) for row in gram.g_im])

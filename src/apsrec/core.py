@@ -15,10 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import DomainError, ModelError, StructureError
 
 HALF_PI = 0.5 * np.pi
+# e^{i n pi/2} for n mod 4: the edge phases of the half-range Fourier
+# coefficients, exact at every n.
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
 
 
 class Domain(str, enum.Enum):
@@ -288,7 +292,8 @@ class ApsModel(abc.ABC):
 
     Concrete models either have a square-integrable density (``in_l2`` is
     True) or are purely atomic (point sources), in which case the density
-    does not exist and only exact lag synthesis applies.
+    does not exist and only exact lag synthesis applies. Lags are
+    synthesized for the built-in models and their sums only.
     """
 
     # True when the model has an L2 density, so energy identities apply.
@@ -337,6 +342,13 @@ class Uniform(ApsModel):
         theta = np.asarray(theta, dtype=np.float64)
         return np.where((theta >= self.lo) & (theta <= self.hi), self.height, 0.0)
 
+    def _fourier(self, n):
+        """Half-range Fourier coefficients c_n, the integrals of
+        rho(theta) e^{i n theta} over [-pi/2, pi/2], at the integers n."""
+        width = self.hi - self.lo
+        return (self.height * width * np.exp(0.5j * n * (self.hi + self.lo))
+                * np.sinc(n * width / (2.0 * np.pi)))
+
     def seams_theta(self):
         return tuple(p for p in (self.lo, self.hi) if -HALF_PI < p < HALF_PI)
 
@@ -372,12 +384,22 @@ class _Mixture(ApsModel):
     def _peak(theta, mean, std, weight):
         """One component's density at the angles ``theta``."""
 
+    @staticmethod
+    @abc.abstractmethod
+    def _peak_fourier(n, mean, std, weight):
+        """One component's half-range Fourier coefficients at the
+        integers ``n`` (see :meth:`Uniform._fourier`): those of the whole
+        peak less its two tails past +-pi/2."""
+
     def rho(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         total = np.zeros_like(theta)
         for mean, std, weight in self.components:
             total = total + self._peak(theta, mean, std, weight)
         return total
+
+    def _fourier(self, n):
+        return sum(self._peak_fourier(n, *component) for component in self.components)
 
 
 @dataclass(frozen=True)
@@ -389,6 +411,20 @@ class GaussianMixture(_Mixture):
         z = (theta - mean) / std
         return weight * np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
 
+    @staticmethod
+    def _peak_fourier(n, mean, std, weight):
+        # The tail past pi/2 is (weight/2) e^{i n pi/2} erfc(t - i b) e^{-b^2}
+        # with t = (pi/2 - mean)/(std sqrt 2) >= 0 and b = n std/sqrt 2;
+        # as e^{-t^2} wofz(b + i t) it neither overflows nor cancels, since
+        # |wofz| <= 1 in the upper half plane. The tail past -pi/2 mirrors it.
+        scale = std * np.sqrt(0.5)
+        b = n * scale
+        t_hi, t_lo = (HALF_PI - mean) / (2.0 * scale), (HALF_PI + mean) / (2.0 * scale)
+        edge = _QUARTER_TURNS[n % 4]
+        tails = (edge * np.exp(-t_hi * t_hi) * scipy.special.wofz(b + 1j * t_hi)
+                 + edge.conj() * np.exp(-t_lo * t_lo) * scipy.special.wofz(-b + 1j * t_lo))
+        return weight * (np.exp(1j * n * mean - b * b) - 0.5 * tails)
+
 
 @dataclass(frozen=True)
 class LaplacianMixture(_Mixture):
@@ -399,6 +435,15 @@ class LaplacianMixture(_Mixture):
     def _peak(theta, mean, std, weight):
         scale = std / np.sqrt(2.0)
         return weight * np.exp(-np.abs(theta - mean) / scale) / (2.0 * scale)
+
+    @staticmethod
+    def _peak_fourier(n, mean, std, weight):
+        scale = std / np.sqrt(2.0)
+        ns = n * scale
+        edge = _QUARTER_TURNS[n % 4]
+        tails = (edge * np.exp(-(HALF_PI - mean) / scale) / (1.0 - 1j * ns)
+                 + edge.conj() * np.exp(-(HALF_PI + mean) / scale) / (1.0 + 1j * ns))
+        return weight * (np.exp(1j * n * mean) / (1.0 + ns * ns) - 0.5 * tails)
 
     def seams_theta(self):
         return tuple(

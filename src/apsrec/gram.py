@@ -422,14 +422,21 @@ def assemble_gram(cfg):
     if gram is None or gram.cfg != cfg:
         _cached = gram = None  # no old Gram stays alive while the new one is built
         gram = _factor(cfg)
+    _cached = _check_ceiling(gram)
+    return gram
+
+
+def _check_ceiling(gram):
+    """``gram``, unless neither its condition bound nor its estimate is
+    under ``DEFAULT_COND_CEILING`` (read at call time); then
+    ConditioningError."""
     ceiling = DEFAULT_COND_CEILING
     if not gram._cond_bound <= ceiling and not gram.cond_estimate <= ceiling:
         raise ConditioningError(
             f"Gram condition estimate {gram.cond_estimate:.3e} exceeds ceiling "
-            f"{ceiling:.3e} for M={cfg.M}, gamma={cfg.gamma:g}",
+            f"{ceiling:.3e} for M={gram.cfg.M}, gamma={gram.cfg.gamma:g}",
             cond_estimate=gram.cond_estimate,
         )
-    _cached = gram
     return gram
 
 

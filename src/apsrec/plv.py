@@ -31,11 +31,10 @@ from .core import (
     _exp_lags,
     _exp_samples,
     _exp_table,
-    seams_x,
-    transform_aps,
     trig_basis,
 )
-from .errors import DomainError, FeasibilityWarning
+from .errors import DomainError, FeasibilityWarning, ModelError
+from .forward import synthesize_lags
 from .gram import _tables, assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
 
@@ -180,24 +179,25 @@ def project_onto_nperp(g, cfg, nodes=512):
     trigonometric subspace spanned by the array's basis.
 
     The projection coefficients solve G c = v with v the weighted moments
-    of ``g`` against the basis: the kernel's lags of its samples, which
-    for a model are its x-path synthesized lags, bit for bit. So the
-    projection coincides with :func:`recover` of those lags.
+    of ``g`` against the basis. A model's moments are its exact
+    synthesized lags, so its projection is :func:`recover` of those lags,
+    bit for bit. A callable's are the kernel's lags of its samples on a
+    Chebyshev-Gauss rule of ``nodes`` points.
 
     Args:
-        g: Vectorized callable on [-1, 1], or an ApsModel with a density
-            (models integrate seam-aware).
-        nodes: Node count of the moment rule: a Chebyshev-Gauss rule, or
-            for a model with seams one Gauss-Legendre panel per piece.
+        g: Vectorized callable on [-1, 1], or an ApsModel with a density.
+        nodes: Node count of a callable's moment rule; a model needs none.
 
     Raises:
         ModelError: For a model without a density (point sources).
-        ValueError: Unless ``nodes`` is an integer of at least 1.
+        ValueError: Unless ``nodes`` is an integer of at least 1, for a
+            callable.
     """
-    model = isinstance(g, ApsModel)
-    points, weights = weighted_quadrature_points(nodes, seams_x(g) if model else ())
-    if model:
-        g = transform_aps(g)
+    if isinstance(g, ApsModel):
+        if not g.in_l2:
+            raise ModelError("model has no square-integrable density to project")
+        return solve(assemble_gram(cfg), measurement_vector(synthesize_lags(g, cfg)))
+    points, weights = weighted_quadrature_points(nodes)
     samples = weights * np.asarray(g(points), dtype=np.float64)
     lags = _exp_lags(_exp_table(cfg, points), samples, samples, cfg.M)
     return solve(assemble_gram(cfg), np.concatenate([lags.real, lags[1:].imag]))

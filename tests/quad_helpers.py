@@ -3,12 +3,13 @@
 The library integrates through the (points, weights) tables of
 ``apsrec.quad`` directly; these wrappers turn a callable into a number
 so the tests can check the rules on closed-form integrals. The J0
-oracle here is the independent check on the Gram's ``scipy.special.j0``.
+oracle here is the independent check on the Gram's ``scipy.special.j0``,
+and the lag oracle the one on ``synthesize_lags``.
 """
 
 import numpy as np
 
-from apsrec.core import CovarianceLags, Domain, seams_x, transform_aps
+from apsrec.core import Domain, PointSources, SpectrumSum, transform_aps
 from apsrec.errors import QuadratureError
 from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
@@ -108,15 +109,54 @@ def dense_exp_sum(cfg, x, v, chunk=4096):
                for i in range(0, x.size, chunk))
 
 
-def dense_synthesis(model, cfg, nodes=256, path=Domain.THETA):
-    """Lags of an L2 model on the rule ``synthesize_lags`` uses, summed
-    by :func:`dense_exp_sum`."""
+def _leaves(model):
+    if isinstance(model, SpectrumSum):
+        return [leaf for term in model.terms for leaf in _leaves(term)]
+    return [model]
+
+
+def reference_lags(model, cfg, path="theta", order=16, chunk=1024):
+    """Lags of any built-in model, independent of the library's synthesis.
+
+    Point sources are phasor sums. The density terms are integrated by a
+    composite ``order``-point Gauss-Legendre rule whose panels are no
+    wider than the narrowest mixture std nor than one period of the
+    fastest lag times the fastest trigonometric polynomial term, split at
+    the seams, and summed by
+    :func:`dense_exp_sum`: on the theta path over rho(theta) e^{i kappa
+    sin(theta)} in theta, on the x path over g(x) e^{i kappa x} w(x) in
+    t = arccos(x), with g from ``transform_aps``.
+    """
+    kappas = cfg.kappas(cfg.M)
+    r = np.zeros(cfg.M, dtype=np.complex128)
+    densities = []
+    for leaf in _leaves(model):
+        if isinstance(leaf, PointSources):
+            for angle, power in leaf.sources:
+                r += power * np.exp(1j * kappas * np.sin(angle))
+        else:
+            densities.append(leaf)
+    if not densities:
+        return r
+    stds = [std for leaf in densities for _, std, _ in getattr(leaf, "components", ())]
+    own = [leaf.config.kappa(leaf.config.M - 1) for leaf in densities if hasattr(leaf, "config")]
+    width = min([np.pi, 2.0 * np.pi / (1.0 + kappas[-1] + max(own, default=0.0)), *stds])
+    seams = sorted({s for leaf in densities for s in leaf.seams_theta()})
     if Domain(path) is Domain.THETA:
-        points, weights = theta_quadrature_points(nodes, model.seams_theta())
-        x, samples = np.sin(points), weights * model.rho(points)
+        bounds = [-np.pi / 2, *seams, np.pi / 2]
     else:
-        points, weights = weighted_quadrature_points(nodes, seams_x(model))
-        x, samples = points, weights * transform_aps(model)(points)
-    r = dense_exp_sum(cfg, x, samples)
-    r[0] = r[0].real
-    return CovarianceLags(r)
+        bounds = [0.0, *sorted(np.arccos(np.sin(seams))), np.pi]
+    abscissae, unit_weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        nodes.append((mid[:, None] + np.multiply.outer(half, abscissae)).ravel())
+        weights.append(np.multiply.outer(half, unit_weights).ravel())
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    if Domain(path) is Domain.THETA:
+        x, values = np.sin(nodes), sum(leaf.rho(nodes) for leaf in densities)
+    else:
+        x = np.cos(nodes)
+        values = sum(transform_aps(leaf)(x) for leaf in densities)
+    return r + dense_exp_sum(cfg, x, weights * values, chunk)

@@ -26,7 +26,7 @@ from apsrec.core import (
     transform_aps,
     trig_basis,
 )
-from apsrec.forward import SynthesisOptions, synthesize_lags
+from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, bessel_j0, gram_blocks, measurement_vector, solve
 from apsrec.plv import recover
 from apsrec.quad import weighted_quadrature_points
@@ -74,7 +74,7 @@ def trig_scenarios():
 
 @functools.lru_cache(maxsize=1)
 def gauss_scenario():
-    lags = synthesize_lags(GAUSS_CLUSTER, GAUSS_CFG, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(GAUSS_CLUSTER, GAUSS_CFG)
     return GAUSS_CLUSTER, GAUSS_CFG, lags, recover(lags, GAUSS_CFG)
 
 

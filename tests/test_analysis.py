@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from quad_helpers import dense_synthesis
+from quad_helpers import reference_lags
 
 from apsrec.analysis import (
     DEFAULT_IDENTIFIABILITY_TOL,
@@ -10,6 +10,7 @@ from apsrec.analysis import (
 )
 from apsrec.core import (
     ArrayConfig,
+    CovarianceLags,
     GaussianMixture,
     LaplacianMixture,
     PointSources,
@@ -21,7 +22,7 @@ from apsrec.core import (
     transform_aps,
 )
 from apsrec.errors import ModelError, QuadratureError
-from apsrec.forward import SynthesisOptions, synthesize_lags
+from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, measurement_vector, solve
 from apsrec.plv import PlvSolution, project_onto_nperp, recover
 from apsrec.quad import weighted_quadrature_points
@@ -70,7 +71,7 @@ def test_gaussian_cluster_certificate():
     assert certificate.margin < 0
     assert certificate.pythagoras_gap <= 1e-8 * certificate.energy_truth
     # closed-form error against direct quadrature of the difference
-    lags = synthesize_lags(GAUSS_CLUSTER, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     solution = recover(lags, cfg)
     g_true = transform_aps(GAUSS_CLUSTER)
     direct = weighted_norm_sq(lambda x: g_true(x) - solution.g(x), seams_x(GAUSS_CLUSTER))
@@ -108,24 +109,19 @@ CERTIFIED_TRUTHS = [
 @pytest.mark.parametrize("m", [1, 8, 64, 256])
 @pytest.mark.parametrize("model", CERTIFIED_TRUTHS, ids=lambda m: type(m).__name__)
 def test_certificate_matches_dense_forms(model, m):
-    # Synthesis by a dense exp table and the Pythagoras term by
-    # evaluate_trig's dense basis give the same certificate to rounding,
-    # and certify refuses one exactly where those dense forms fail its
-    # self-checks (at M = 256 the 512-node rule under-resolves the lags).
+    # Lags by the reference rule's dense exp table and the Pythagoras term
+    # by evaluate_trig's dense basis give the same certificate to rounding,
+    # and every one of these truths certifies, M = 256 included, where the
+    # former 512-node synthesis rule failed the self-checks.
     cfg = ArrayConfig(m, 1.0)
     gram = assemble_gram(cfg)
-    y = measurement_vector(dense_synthesis(model, cfg, nodes=512))
+    y = measurement_vector(CovarianceLags(reference_lags(model, cfg)))
     coeffs = solve(gram, y)
     points, weights = weighted_quadrature_points(512, seams_x(model))
     truth = transform_aps(model)(points)
     energy = float(weights @ (truth * truth))
     diff = truth - evaluate_trig(cfg, coeffs, points)
     gap = abs(energy - gram.quadratic_form(coeffs) - float(weights @ (diff * diff)))
-    floor = DEFAULT_IDENTIFIABILITY_TOL * energy
-    if energy - float(y @ coeffs.b) < -floor or gap > floor:
-        with pytest.raises(QuadratureError):
-            certify(model, cfg)
-        return
     certificate = certify(model, cfg)
     assert certificate.energy_truth == energy
     assert abs(certificate.quadratic_form - float(y @ coeffs.b)) <= 1e-12 * energy
@@ -134,25 +130,37 @@ def test_certificate_matches_dense_forms(model, m):
 
 
 TWO_GAUSSIANS = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
+NARROW = GaussianMixture(components=((0.2, 3e-3, 1.0),))
+
+
+@pytest.mark.parametrize("m", [64, 128, 256, 512])
+def test_two_gaussian_certificate_is_exact(m):
+    # With exact lags the default 512-node energy rule leaves err_sq and
+    # the gap at rounding (at most 5.3e-15 against E = 7.02). The former
+    # 512-node synthesis rule read err_sq -13.9 and a gap of 27.9 at
+    # M = 256.
+    certificate = certify(TWO_GAUSSIANS, ArrayConfig(m, 1.0))
+    floor = 1e-10 * certificate.energy_truth
+    assert abs(certificate.reconstruction_error_sq) <= floor
+    assert certificate.pythagoras_gap <= floor
+    assert certificate.identifiable
 
 
 def test_unresolved_certificate_raises():
-    # Under the default 512-node theta rule the two-Gaussian lags at
-    # M = 256 are under-resolved: the certificate read error_sq -13.9 with
-    # a Pythagoras gap of 27.9 and still said identifiable. It now raises,
-    # and so does a sweep that reaches M = 256.
+    # A 512-node energy rule does not resolve a std of 3e-3: the
+    # Pythagoras gap fails the self-check at every M, so certify raises,
+    # and so does a sweep that reaches such an M. A rule that resolves it
+    # certifies.
     cfg = ArrayConfig(256, 1.0)
     with pytest.raises(QuadratureError, match="M=256"):
-        certify(TWO_GAUSSIANS, cfg)
+        certify(NARROW, cfg)
     with pytest.raises(QuadratureError):
-        resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256])
-    # A rule that resolves them certifies.
-    opts = SynthesisOptions(nodes=2048, domain_path="x")
-    certificate = certify(TWO_GAUSSIANS, cfg, opts=opts)
+        resolution_sweep(NARROW, 1.0, [64, 256])
+    certificate = certify(NARROW, cfg, nodes=8192)
     floor = DEFAULT_IDENTIFIABILITY_TOL * certificate.energy_truth
     assert certificate.reconstruction_error_sq >= -floor
     assert certificate.pythagoras_gap <= floor
-    sweep = resolution_sweep(TWO_GAUSSIANS, 1.0, [64, 256], opts=opts)
+    sweep = resolution_sweep(NARROW, 1.0, [64, 256], nodes=8192)
     assert sweep[-1][1] == certificate.reconstruction_error_sq
 
 
@@ -167,14 +175,14 @@ def test_certify_rejects_unusable_tolerance(tol):
         resolution_sweep(GAUSS_CLUSTER, 1.0, [2, 4], identifiability_tol=tol)
 
 
-def test_certify_takes_energy_nodes_from_opts():
-    # One node count per call: the energy rule is the synthesis rule's.
+def test_certify_takes_energy_nodes():
+    # One node count per call, for the energy rule only.
     model, cfg = LaplacianMixture(components=((0.25, 0.08, 1.0),)), ArrayConfig(4, 1.0)
     g = transform_aps(model)
-    for opts in (None, SynthesisOptions(300, "x"), SynthesisOptions(1024)):
-        certificate = certify(model, cfg, opts=opts)
-        nodes = 512 if opts is None else opts.nodes
+    for nodes in (300, 512, 1024):
+        certificate = certify(model, cfg, nodes=nodes)
         assert certificate.energy_truth == weighted_norm_sq(g, seams_x(model), nodes)
+    assert certify(model, cfg) == certify(model, cfg, nodes=512)
 
 
 def test_error_nonnegative_up_to_noise(rng):
@@ -208,7 +216,7 @@ def test_energy_identity_for_recovered_solutions(rng):
     models = [FULL_RANGE, GAUSS_CLUSTER, random_trig_model(6, rng)]
     for model in models:
         cfg = ArrayConfig(6, 1.0)
-        lags = synthesize_lags(model, cfg, SynthesisOptions(nodes=512))
+        lags = synthesize_lags(model, cfg)
         gram = assemble_gram(cfg)
         y = measurement_vector(lags)
         b = solve(gram, y)

@@ -48,6 +48,10 @@ GAUSS_CONFIG = {
 }
 
 
+NARROW_GAUSSIAN = {"kind": "gaussian_mixture",
+                   "components": [{"mean": 0.2, "std": 3e-3, "weight": 1.0}]}
+
+
 def write_config(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -90,6 +94,18 @@ class TestSynthesize:
         main(["synthesize", "--config", str(config), "--out", str(tmp_path / "a")])
         main(["synthesize", "--config", str(config), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "lags.csv").read_bytes() == (tmp_path / "b" / "lags.csv").read_bytes()
+
+    def test_quadrature_block_leaves_lags_alone(self, tmp_path):
+        # Synthesis is exact and reads no quadrature; the former "path"
+        # key still loads.
+        files = []
+        for name, quadrature in (("none", None), ("nodes", {"nodes": 2048}),
+                                 ("path", {"nodes": 64, "path": "x"})):
+            payload = dict(GAUSS_CONFIG, quadrature=quadrature) if quadrature else GAUSS_CONFIG
+            config = write_config(tmp_path, payload, f"{name}.json")
+            assert main(["synthesize", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+            files.append((tmp_path / name / "lags.csv").read_bytes())
+        assert files[0] == files[1] == files[2]
 
 
 class TestRecover:
@@ -196,13 +212,12 @@ class TestCertify:
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_quadrature_block_sets_certificate_rule(self, tmp_path):
-        # At M = 256 the default 512-node theta rule under-resolves these
-        # lags, and the certificate read error_sq -13.9 with a gap of 27.9.
+        # The default 512-node energy rule does not resolve a std of 3e-3
+        # (next test); the scenario's node count does. The former "path"
+        # key is ignored, so older scenario files still load.
         payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0},
-                       quadrature={"nodes": 2048, "path": "x"})
-        payload["aps"] = {"kind": "gaussian_mixture", "components": [
-            {"mean": 0.3, "std": 0.05, "weight": 1.0},
-            {"mean": -0.4, "std": 0.1, "weight": 0.7}]}
+                       quadrature={"nodes": 8192, "path": "x"})
+        payload["aps"] = NARROW_GAUSSIAN
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["certify", "--config", str(config), "--out", str(out),
@@ -217,17 +232,29 @@ class TestCertify:
         assert all(error >= -floor for error in errors)
 
     def test_unresolved_certificate_exit_3(self, tmp_path, capsys):
-        # The default rule under-resolves these lags at M = 256: the
-        # certificate's self-checks fail, so no verdict is written.
+        # The default energy rule under-resolves a std of 3e-3 at M = 256:
+        # the certificate's self-checks fail, so no verdict is written.
+        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0}, aps=NARROW_GAUSSIAN)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
+        assert "pythagoras_gap" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+    def test_two_gaussian_certificate_at_256(self, tmp_path):
+        # Exact lags: the scenario that exited 3 under the former 512-node
+        # synthesis rule certifies to rounding with the default energy rule.
         payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0})
         payload["aps"] = {"kind": "gaussian_mixture", "components": [
             {"mean": 0.3, "std": 0.05, "weight": 1.0},
             {"mean": -0.4, "std": 0.1, "weight": 0.7}]}
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
-        assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
-        assert "pythagoras_gap" in capsys.readouterr().err
-        assert not (out / "certificate.json").exists()
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "certificate.json").read_text())
+        floor = 1e-10 * report["energy_truth"]
+        assert abs(report["reconstruction_error_sq"]) <= floor
+        assert report["pythagoras_gap"] <= floor
 
     def test_bad_sweep_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, GAUSS_CONFIG)
@@ -278,6 +305,24 @@ class TestGram:
             assert report[key] == float(f"{pivot:.12g}")
         cond = gram.assemble_gram(apsrec.ArrayConfig(m, 1.13)).cond_estimate
         assert report["cond_estimate"] == float(f"{cond:.12g}")
+
+    def test_factorizes_once(self, tmp_path, monkeypatch):
+        # Past the Toeplitz crossover and the O(M) bound, the blocks of one
+        # dense factorization give the file, the pivots and the ceiling's
+        # estimate: two dpotrf calls, where the assembled Gram's estimate
+        # took two more.
+        calls = []
+        dpotrf = scipy.linalg.lapack.dpotrf
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting)
+        payload = dict(UNIFORM_CONFIG, array={"M": 512, "gamma": 0.992})
+        config = write_config(tmp_path, payload)
+        assert main(["gram", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(512, 512), (511, 511)]
 
     def test_degenerate_spacing_exit_4(self, tmp_path, capsys):
         payload = dict(UNIFORM_CONFIG, array={"M": 8, "gamma": 1e-6})

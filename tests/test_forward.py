@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from quad_helpers import dense_exp_sum, dense_synthesis
+from quad_helpers import reference_lags
 
+from apsrec.analysis import certify
 from apsrec.core import (
+    ApsModel,
     ArrayConfig,
-    Domain,
     GaussianMixture,
     LaplacianMixture,
     PointSources,
@@ -14,30 +15,28 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
+    _SplitTable,
+    _exp_table,
     toeplitz_from_lags,
 )
-from apsrec.forward import SynthesisOptions, synthesize_lags
+from apsrec.errors import ModelError
+from apsrec.forward import synthesize_lags
 from apsrec.gram import gram_blocks
-from apsrec.quad import weighted_quadrature_points
+from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
 
 FULL_RANGE = Uniform(-np.pi / 2, np.pi / 2, 1.0)
+TWO_GAUSSIANS = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
 
 
-def lags_by_dense_quadrature(model, cfg, nodes=2048):
-    """Reference synthesis at high resolution, straight from the weighted
-    Fourier definition."""
-    from apsrec.core import seams_x, transform_aps
-
-    points, weights = weighted_quadrature_points(nodes, seams_x(model))
-    samples = weights * transform_aps(model)(points)
-    return np.exp(1j * np.multiply.outer(cfg.kappas(cfg.M), points)) @ samples
+def assert_matches_reference(lags, reference, tol=1e-12):
+    assert np.max(np.abs(lags.r - reference)) <= tol * (1.0 + np.max(np.abs(reference)))
 
 
 def test_uniform_full_range_lags():
     cfg = ArrayConfig(2, 1.0)
-    lags = synthesize_lags(FULL_RANGE, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(FULL_RANGE, cfg)
     assert lags.r[0] == pytest.approx(np.pi, abs=1e-13)
     assert lags.r[1].real == pytest.approx(PI_J0_PI, abs=1e-12)
     assert lags.r[1].imag == pytest.approx(0.0, abs=1e-13)
@@ -64,16 +63,21 @@ def test_point_source_phases_exact():
 
 def test_trig_polynomial_lags_equal_gram_product():
     # The lag map restricted to the trigonometric subspace IS the Gram
-    # matrix: Re r = G_re @ cos-part, Im r[1:] = G_im @ sin-part.
+    # matrix: Re r = G_re @ cos-part, Im r[1:] = G_im @ sin-part. At any
+    # other (M', gamma') the lags are the cross-Gram's product, which the
+    # reference rule integrates.
     cfg = ArrayConfig(3, 1.0)
     b = TrigCoeffs(np.array([0.8, -0.3, 0.2, 0.5, -0.1]))
-    model = TrigPolynomial(cfg, b)
-    lags = synthesize_lags(model, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(TrigPolynomial(cfg, b), cfg)
     g_re, g_im = gram_blocks(cfg)
     expected_re = g_re @ np.concatenate([[b.constant], b.cos_block])
     expected_im = g_im @ b.sin_block
     assert np.allclose(lags.r.real, expected_re, atol=1e-12)
     assert np.allclose(lags.r[1:].imag, expected_im, atol=1e-12)
+    for own in (ArrayConfig(5, 1.13), ArrayConfig(2, 0.7)):
+        model = TrigPolynomial(own, TrigCoeffs(np.linspace(0.8, -0.4, own.n_coeffs)))
+        expected = reference_lags(model, cfg)
+        assert np.max(np.abs(synthesize_lags(model, cfg).r - expected)) <= 1e-12
 
 
 MODELS = [
@@ -89,58 +93,84 @@ MODELS = [
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_path_equivalence(model):
+    # The library's two rules, which certify's energies use, on the lag
+    # integrand: the theta rule meets the exact lags, and the weighted x
+    # rule meets the theta rule to the former path tolerance. Chebyshev-Gauss
+    # is the trapezoid rule in t = arccos(x), whose error on a density with
+    # a slope at +-pi/2 falls only as 1/nodes^2 (1.2e-9 at 256 nodes, 7e-11
+    # at 1024 on the second Gaussian mixture).
     cfg = ArrayConfig(6, 1.0)
-    theta = synthesize_lags(model, cfg, SynthesisOptions(nodes=256, domain_path="theta"))
-    x = synthesize_lags(model, cfg, SynthesisOptions(nodes=256, domain_path="x"))
-    scale = max(np.max(np.abs(theta.r)), 1e-30)
-    assert np.max(np.abs(theta.r - x.r)) / scale <= 1e-9
+    theta, weights = theta_quadrature_points(256, model.seams_theta())
+    x, x_weights = weighted_quadrature_points(256, tuple(np.sin(model.seams_theta())))
+    by_theta, by_x = (np.exp(1j * np.multiply.outer(cfg.kappas(6), nodes)) @ samples
+                      for nodes, samples in ((np.sin(theta), weights * model.rho(theta)),
+                                             (x, x_weights * model.rho(np.arcsin(x)))))
+    assert_matches_reference(synthesize_lags(model, cfg), by_theta)
+    scale = max(np.max(np.abs(by_theta)), 1e-30)
+    assert np.max(np.abs(by_theta - by_x)) / scale <= 1e-9
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_convergence_to_dense_reference(model):
     cfg = ArrayConfig(6, 1.0)
-    lags = synthesize_lags(model, cfg, SynthesisOptions(nodes=512))
-    reference = lags_by_dense_quadrature(model, cfg)
-    assert np.max(np.abs(lags.r - reference)) <= 1e-9 * max(1.0, np.max(np.abs(reference)))
+    assert_matches_reference(synthesize_lags(model, cfg), reference_lags(model, cfg))
 
 
 @pytest.mark.parametrize("m", [1, 8, 64, 256])
 @pytest.mark.parametrize("path", ["theta", "x"])
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_kernel_synthesis_matches_dense_exp_table(model, path, m):
-    # The same sums as one dense np.exp table per rule, to rounding.
+    # The reference's dense np.exp table, on a rule in theta over rho or in
+    # t = arccos(x) over g, gives the same lags to rounding.
     cfg = ArrayConfig(m, 1.0)
-    lags = synthesize_lags(model, cfg, SynthesisOptions(domain_path=path))
-    dense = dense_synthesis(model, cfg, path=path)
+    lags = synthesize_lags(model, cfg)
     assert lags.r[0].imag == 0.0
-    assert np.max(np.abs(lags.r - dense.r)) <= 1e-12 * np.max(np.abs(dense.r))
+    assert_matches_reference(lags, reference_lags(model, cfg, path))
 
 
-def test_large_x_path_synthesis_builds_no_dense_table():
-    # A dense 1024 x 16384 exp table takes 256 MB; the kernel's baby rows
-    # and work table take about 8 MB each.
-    model = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
-    cfg = ArrayConfig(1024, 1.0)
-    opts = SynthesisOptions(nodes=16384, domain_path=Domain.X)
-    points, weights = weighted_quadrature_points(opts.nodes)
+NARROW = GaussianMixture(components=((0.2, 1e-3, 1.0),))
+
+
+@pytest.mark.parametrize("model, m, gamma", [
+    (TWO_GAUSSIANS, 128, 1.0),
+    (TWO_GAUSSIANS, 256, 1.0),
+    (TWO_GAUSSIANS, 512, 1.0),
+    (NARROW, 512, 1.0),
+    (LaplacianMixture(components=((0.25, 0.08, 1.0), (-1.0, 0.2, 0.6))), 512, 1.0),
+    (Uniform(-0.7, 0.4, 1.5), 512, 1.0),
+    (GaussianMixture(components=((np.pi / 2, 0.1, 1.0), (-np.pi / 2, 0.3, 0.5))), 256, 1.13),
+    (Uniform(-0.3, 0.3, 0.5) + NARROW + PointSources(sources=((0.3, 0.5), (-1.2, 0.2))), 256, 1.13),
+], ids=["two-gaussian-128", "two-gaussian-256", "two-gaussian-512", "narrow-gaussian-512",
+        "laplacian-512", "uniform-512", "edge-gaussians-256", "sum-with-atoms-256"])
+def test_exact_lags_at_large_arrays(model, m, gamma):
+    # Every one of these was off by 1e-3 to 1.4 relative under the former
+    # default 256-node rule.
+    cfg = ArrayConfig(m, gamma)
+    assert_matches_reference(synthesize_lags(model, cfg), reference_lags(model, cfg))
+
+
+def test_large_synthesis_builds_no_dense_table():
+    # At M = 1024, gamma = 1.25 the Jacobi-Anger rule has 2077 nodes
+    # x >= 0, whose whole power table (34 MB) is over the cap: the kernel's
+    # baby rows and work table take about 1 MB each.
+    cfg = ArrayConfig(1024, 1.25)
     tracemalloc.start()
     try:
-        lags = synthesize_lags(model, cfg, opts)
+        lags = synthesize_lags(TWO_GAUSSIANS, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-    dense = dense_exp_sum(cfg, points, weights * model.rho(np.arcsin(points)), chunk=2048)
-    assert np.max(np.abs(lags.r - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert isinstance(_exp_table(cfg, np.linspace(0.0, 1.0, 2077)), _SplitTable)
+    assert_matches_reference(lags, reference_lags(TWO_GAUSSIANS, cfg))
 
 
 def test_linearity_of_sum():
     cfg = ArrayConfig(5, 1.0)
     first = GaussianMixture(components=((0.2, 0.1, 1.0),))
     second = Uniform(-0.5, 0.1, 0.7)
-    opts = SynthesisOptions(nodes=256)
-    combined = synthesize_lags(first + second, cfg, opts)
-    separate = synthesize_lags(first, cfg, opts).r + synthesize_lags(second, cfg, opts).r
+    combined = synthesize_lags(first + second, cfg)
+    separate = synthesize_lags(first, cfg).r + synthesize_lags(second, cfg).r
     assert np.max(np.abs(combined.r - separate)) <= 1e-12
 
 
@@ -167,7 +197,7 @@ def test_conjugate_symmetry_via_hermitian_covariance():
 
 
 def test_covariance_of_uniform_has_pi_diagonal():
-    lags = synthesize_lags(FULL_RANGE, ArrayConfig(3, 1.0), SynthesisOptions(nodes=512))
+    lags = synthesize_lags(FULL_RANGE, ArrayConfig(3, 1.0))
     matrix = toeplitz_from_lags(lags)
     assert np.allclose(np.diag(matrix), np.pi, atol=1e-12)
 
@@ -197,21 +227,29 @@ def test_covariance_positive_semidefinite(model):
 
 @pytest.mark.parametrize("nodes", [100.5, np.float64(256.0), True, "256"])
 def test_options_reject_non_integer_nodes(nodes):
-    # A fractional count must not truncate silently on one path and fail
-    # inside numpy on the other.
-    with pytest.raises(ValueError, match="synthesis node count must be an integer"):
-        SynthesisOptions(nodes=nodes)
+    # Synthesis takes no node count; certify's energy rule does, and a
+    # fractional count must not truncate silently.
+    with pytest.raises(ValueError, match="energy node count must be an integer"):
+        certify(FULL_RANGE, ArrayConfig(2, 1.0), nodes=nodes)
 
 
 def test_options_store_numpy_node_counts_as_int():
-    opts = SynthesisOptions(np.int64(256), Domain.X)
-    assert type(opts.nodes) is int and opts == SynthesisOptions(256, Domain.X)
+    cfg = ArrayConfig(4, 1.0)
+    model = LaplacianMixture(components=((0.25, 0.08, 1.0),))
+    assert certify(model, cfg, nodes=np.int64(300)) == certify(model, cfg, nodes=300)
+
+
+class _Custom(ApsModel):
+    def rho(self, theta):
+        return np.ones_like(theta)
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SynthesisOptions(nodes=8)
-    with pytest.raises(ValueError):
-        SynthesisOptions(domain_path="frequency")
+    with pytest.raises(ValueError, match="at least 16"):
+        certify(FULL_RANGE, ArrayConfig(2, 1.0), nodes=8)
     with pytest.raises(TypeError):
         synthesize_lags("not a model", ArrayConfig(2, 1.0))
+    # Only built-in models have closed-form lags; alone or in a sum.
+    for model in (_Custom(), FULL_RANGE + _Custom()):
+        with pytest.raises(ModelError, match="_Custom"):
+            synthesize_lags(model, ArrayConfig(2, 1.0))

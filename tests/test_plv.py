@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from quad_helpers import reference_lags
 
 from apsrec.core import (
     ArrayConfig,
@@ -24,7 +25,7 @@ from apsrec.core import (
 from apsrec import gram as gram_module
 from apsrec import plv
 from apsrec.errors import DomainError, FeasibilityWarning, ModelError, StructureError
-from apsrec.forward import SynthesisOptions, synthesize_lags
+from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, bessel_j0, measurement_vector, solve
 from apsrec.plv import (
     DEFAULT_RESIDUAL_TOL,
@@ -57,7 +58,7 @@ def test_zero_lags_give_zero_solution():
 @pytest.mark.parametrize("m", [1, 2, 4, 9])
 def test_uniform_spectrum_recovers_constant(m):
     cfg = ArrayConfig(m, 1.0)
-    lags = synthesize_lags(FULL_RANGE, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(FULL_RANGE, cfg)
     solution = recover(lags, cfg)
     expected = np.zeros(2 * m - 1)
     expected[0] = 1.0
@@ -203,7 +204,7 @@ def test_linearity_in_lags(rng):
                          ids=["uniform", "gaussian", "segment"])
 def test_feasibility_residual_within_tolerance(model):
     cfg = ArrayConfig(6, 1.0)
-    lags = synthesize_lags(model, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(model, cfg)
     solution = recover(lags, cfg)
     assert solution.constraint_residual <= 1e-8 * (1.0 + np.max(np.abs(lags.r)))
 
@@ -332,7 +333,7 @@ def test_block_wise_kernel_builds_no_whole_table(rng):
 
 def test_residual_audit_catches_wrong_coefficient(monkeypatch):
     cfg = ArrayConfig(16, 1.0)
-    lags = synthesize_lags(GAUSS_CLUSTER, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     good = recover(lags, cfg).coeffs.b
     bad = good.copy()
     bad[cfg.M + 3] += 1e-6
@@ -351,7 +352,7 @@ def test_minimum_norm_orthogonality():
     # The residual g_true - g_rec lies in the nullspace of the lag map, and
     # the reconstruction is orthogonal to that nullspace.
     cfg = ArrayConfig(4, 1.0)
-    lags = synthesize_lags(GAUSS_CLUSTER, cfg, SynthesisOptions(nodes=512))
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     solution = recover(lags, cfg)
     g_true = transform_aps(GAUSS_CLUSTER)
     points, weights = weighted_quadrature_points(512, seams_x(GAUSS_CLUSTER))
@@ -372,7 +373,7 @@ def test_projection_consistency(model):
     # Projecting the density and recovering from its lags are the same map.
     cfg = ArrayConfig(5, 1.0)
     projected = project_onto_nperp(model, cfg)
-    recovered = recover(synthesize_lags(model, cfg, SynthesisOptions(nodes=512)), cfg)
+    recovered = recover(synthesize_lags(model, cfg), cfg)
     assert np.max(np.abs(projected.b - recovered.coeffs.b)) <= 1e-8
 
 
@@ -388,16 +389,15 @@ PROJECTION_TRUTHS = [
 @pytest.mark.parametrize("m", [1, 8, 64, 256])
 @pytest.mark.parametrize("model", PROJECTION_TRUTHS, ids=lambda m: type(m).__name__)
 def test_projection_matches_dense_basis_moments(model, m):
-    # The kernel's moments against the dense N x (2M-1) basis.
+    # A model's moments are its exact lags: the dense reference rule's
+    # agree with them, and the projection is recover of them, bit for bit.
     cfg = ArrayConfig(m, 1.0)
-    points, weights = weighted_quadrature_points(512, seams_x(model))
-    samples = weights * transform_aps(model)(points)
-    dense = solve(assemble_gram(cfg), trig_basis(cfg, points).T @ samples).b
+    gram = assemble_gram(cfg)
+    dense = solve(gram, measurement_vector(CovarianceLags(reference_lags(model, cfg)))).b
     projected = project_onto_nperp(model, cfg).b
     assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
-    # A model's moments are its x-path synthesized lags, bit for bit.
-    lags = synthesize_lags(model, cfg, SynthesisOptions(512, Domain.X))
-    assert np.array_equal(projected, solve(assemble_gram(cfg), measurement_vector(lags)).b)
+    lags = synthesize_lags(model, cfg)
+    assert np.array_equal(projected, recover(lags, cfg).coeffs.b)
 
 
 class TestProjection:
@@ -453,22 +453,20 @@ class TestProjection:
 
     @pytest.mark.parametrize("nodes", [1, 8, 64])
     def test_small_rules(self, nodes):
-        # Rules under the synthesis floor of 16 nodes project as before.
+        # A callable projects on any rule of at least one node.
         cfg = ArrayConfig(4, 1.0)
         points, weights = weighted_quadrature_points(nodes)
         g = transform_aps(GAUSS_CLUSTER)
         moments = trig_basis(cfg, points).T @ (weights * g(points))
         dense = solve(assemble_gram(cfg), moments).b
-        for model in (GAUSS_CLUSTER, g):
-            projected = project_onto_nperp(model, cfg, nodes).b
-            assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
+        projected = project_onto_nperp(g, cfg, nodes).b
+        assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("nodes", [0, 100.5, np.float64(64.0), True, "64"])
     def test_rejects_bad_node_counts(self, nodes):
-        # Only integers of at least 1, for callables and models alike.
-        for g in (GAUSS_CLUSTER, transform_aps(GAUSS_CLUSTER)):
-            with pytest.raises(ValueError, match="node count"):
-                project_onto_nperp(g, ArrayConfig(2, 1.0), nodes)
+        # Only integers of at least 1 for a callable's rule.
+        with pytest.raises(ValueError, match="node count"):
+            project_onto_nperp(transform_aps(GAUSS_CLUSTER), ArrayConfig(2, 1.0), nodes)
 
 
 class TestRecoverFromMatrix:
