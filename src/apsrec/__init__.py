@@ -18,10 +18,10 @@ Typical use::
     solution = recover(lags, cfg)
     report = certify(truth, cfg)
 
-Synthesis is exact for every built-in model and takes no option. A
-quadrature rule is set by one node count per call where one remains:
-``nodes`` for ``certify``'s energies and for ``project_onto_nperp`` of a
-callable.
+Synthesis is exact for every built-in model and takes no option, and
+``certify`` derives its energy rule from the array and the model. A node
+count is set per call only for a callable's ``project_onto_nperp`` and for
+``negativity_summary``; both default to counts that follow the array.
 """
 
 from .analysis import (

@@ -13,14 +13,64 @@ the other.
 
 from dataclasses import dataclass
 
-from .core import ArrayConfig, _count, _exp_samples, _exp_table, seams_x, transform_aps
+import numpy as np
+
+from .core import (
+    HALF_PI,
+    ArrayConfig,
+    TrigPolynomial,
+    _exp_samples,
+    _exp_table,
+    _leaves,
+    _Mixture,
+    transform_aps,
+)
 from .errors import ModelError, QuadratureError
 from .forward import synthesize_lags
 from .gram import assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
 
-DEFAULT_ENERGY_NODES = 512
 DEFAULT_IDENTIFIABILITY_TOL = 1e-6
+
+# The certificate's energy rule: 32-node Gauss-Legendre panels in theta
+# no wider than min(24/kappa, pi/8), with kappa the top frequency of the
+# array or of a trigonometric polynomial term, edges at the model's seams,
+# and panels no wider than 2 std within 10 std of each mixture peak's
+# mean. A panel of 24/kappa spans about 7.6 periods of the gap
+# integrand's top frequency 2 kappa, which 32 nodes integrate to
+# rounding; 48/kappa left errors near 1e-10 E.
+_PANEL_NODES = 32
+_PANEL_PERIODS = 24.0
+_WINDOW_STDS = 10.0
+_PEAK_PANEL_STDS = 2.0
+
+
+def _energy_rule(model, cfg, split=1):
+    """(points, weights) in x of the energy rule for ``model`` under
+    ``cfg``, with every panel cut into ``split``. In t = arccos(x) =
+    pi/2 - theta, ``weighted_quadrature_points`` puts one panel between
+    consecutive theta edges, weighted by exactly the integral of rho^2."""
+    kappa = cfg.kappa(cfg.M - 1)
+    peaks = []
+    for leaf in _leaves(model):
+        if isinstance(leaf, TrigPolynomial):
+            kappa = max(kappa, leaf.config.kappa(leaf.config.M - 1))
+        elif isinstance(leaf, _Mixture):
+            peaks.extend(component[:2] for component in leaf.components)
+    widest = min(np.pi / 8, _PANEL_PERIODS / kappa) if kappa > 0 else np.pi / 8
+    mean, std = np.array(peaks, dtype=np.float64).reshape(-1, 2).T
+    lo = np.maximum(mean - _WINDOW_STDS * std, -HALF_PI)
+    hi = np.minimum(mean + _WINDOW_STDS * std, HALF_PI)
+    edges = np.unique(np.concatenate(([-HALF_PI, HALF_PI], model.seams_theta(), lo, hi)))
+    length, mid = np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    inside = (lo[:, None] <= mid) & (mid <= hi[:, None])
+    width = np.min(np.where(inside, _PEAK_PANEL_STDS * std[:, None], np.inf),
+                   axis=0, initial=widest)
+    count = split * np.ceil(length / width).astype(np.int64)
+    first = np.repeat(np.cumsum(count) - count, count)
+    step = np.arange(count.sum()) - first
+    cuts = np.repeat(edges[:-1], count) + step * np.repeat(length / count, count)
+    return weighted_quadrature_points(_PANEL_NODES, np.sin(cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -36,8 +86,8 @@ class ErrorCertificate:
         pythagoras_gap: Absolute defect of the orthogonal split
             energy_truth = energy_plv + ||g_true - g_rec||^2_w, with the
             difference norm by independent quadrature.
-        energy_truth_refinement: Change in energy_truth when the node
-            count doubles; a convergence diagnostic for the one quantity
+        energy_truth_refinement: Change in energy_truth when every panel
+            of its rule is halved; a convergence check on the one quantity
             with no closed form.
         identifiable: True when the error is negligible against the
             energy, i.e. the model lies in the representable subspace.
@@ -55,18 +105,20 @@ class ErrorCertificate:
     margin: float
 
 
-def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
-            identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
+def certify(model, cfg, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     """Run the full pipeline on a ground-truth model and certify the
     reconstruction.
+
+    The lags and the quadratic form are exact. The truth's energy and the
+    Pythagoras term come from an independent composite Gauss-Legendre rule
+    in theta whose panels follow from the array's top frequency, the
+    model's seams and its peak widths; the refinement reruns the energy
+    with every panel halved.
 
     Args:
         model: L2 spectrum model (point sources carry no energy density
             and raise ModelError).
         cfg: Array configuration.
-        nodes: Node count of the energy and Pythagoras rule (the
-            refinement check doubles it); the lags are exact and the
-            closed-form side needs none.
         identifiability_tol: Relative threshold on error/energy for the
             identifiability verdict. The underlying condition is exact
             subspace membership; the default sits far above quadrature
@@ -76,17 +128,16 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
         ModelError: For models without a density.
         ConditioningError: Propagated from Gram assembly.
         QuadratureError: When the squared error is below, or the
-            Pythagoras gap above, +-identifiability_tol * energy_truth: the
-            quadrature does not resolve the truth, so no verdict is issued.
-        ValueError: Unless ``identifiability_tol`` is positive and finite
-            and ``nodes`` an integer of at least 16.
+            Pythagoras gap or the refinement's size above,
+            +-identifiability_tol * energy_truth: the quadrature does not
+            resolve the truth, so no verdict is issued.
+        ValueError: Unless ``identifiability_tol`` is positive and finite.
     """
     if not 0.0 < identifiability_tol < float("inf"):
         raise ValueError(
             f"identifiability_tol must be positive and finite, got {identifiability_tol!r}")
     if not model.in_l2:
         raise ModelError("certificates need a square-integrable ground truth")
-    nodes = _count(nodes, 16, "energy node count")
 
     lags = synthesize_lags(model, cfg)
     gram = assemble_gram(cfg)
@@ -94,13 +145,12 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
     coeffs = solve(gram, y)
 
     g_true = transform_aps(model)
-    seams = seams_x(model)
-    points, weights = weighted_quadrature_points(nodes, seams)
-    points2, weights2 = weighted_quadrature_points(2 * nodes, seams)
+    points, weights = _energy_rule(model, cfg)
+    points2, weights2 = _energy_rule(model, cfg, split=2)
     truth_samples = g_true(points)
     energy_truth = float(weights @ (truth_samples * truth_samples))
     truth_samples2 = g_true(points2)
-    energy_refined = float(weights2 @ (truth_samples2 * truth_samples2))
+    refinement = float(weights2 @ (truth_samples2 * truth_samples2)) - energy_truth
 
     energy_plv = gram.quadratic_form(coeffs)
     quadratic_form = float(y @ coeffs.b)
@@ -112,11 +162,12 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
     pythagoras_gap = abs(energy_truth - energy_plv - diff_energy)
 
     floor = identifiability_tol * energy_truth
-    if error_sq < -floor or pythagoras_gap > floor:
+    if error_sq < -floor or pythagoras_gap > floor or abs(refinement) > floor:
         raise QuadratureError(
             f"certificate self-check failed for M={cfg.M}, gamma={cfg.gamma:g}: "
             f"reconstruction_error_sq {error_sq:.3e}, pythagoras_gap "
-            f"{pythagoras_gap:.3e}, tolerance {floor:.3e}")
+            f"{pythagoras_gap:.3e}, energy_truth_refinement {refinement:.3e}, "
+            f"tolerance {floor:.3e}")
     margin = floor - error_sq
     return ErrorCertificate(
         energy_truth=energy_truth,
@@ -124,7 +175,7 @@ def certify(model, cfg, nodes=DEFAULT_ENERGY_NODES,
         quadratic_form=quadratic_form,
         reconstruction_error_sq=error_sq,
         pythagoras_gap=pythagoras_gap,
-        energy_truth_refinement=energy_refined - energy_truth,
+        energy_truth_refinement=refinement,
         identifiable=bool(error_sq <= floor),
         margin=margin,
     )
@@ -142,20 +193,19 @@ def energy_of_solution(solution):
     return assemble_gram(solution.cfg).quadratic_form(solution.coeffs)
 
 
-def resolution_sweep(model, gamma, m_values, **certify_kwargs):
+def resolution_sweep(model, gamma, m_values, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     """Reconstruction error versus antenna count at fixed spacing ratio.
 
     For fixed gamma the representable subspaces are nested in M, so the
     returned errors are non-increasing; a model representable at order
     M0 drops to quadrature floor for every M >= M0. Each entry is gated
-    like :func:`certify`.
+    like :func:`certify`, whose rule follows each M.
 
     Args:
         model: L2 spectrum model.
         gamma: Spacing ratio shared by all sweep entries.
         m_values: Strictly increasing antenna counts.
-        certify_kwargs: ``nodes`` and ``identifiability_tol``, passed to
-            each :func:`certify`.
+        identifiability_tol: Passed to each :func:`certify`.
 
     Returns:
         List of (M, reconstruction_error_sq) pairs.
@@ -167,6 +217,6 @@ def resolution_sweep(model, gamma, m_values, **certify_kwargs):
         raise ValueError("antenna counts must be strictly increasing")
     sweep = []
     for m in m_values:
-        certificate = certify(model, ArrayConfig(m, gamma), **certify_kwargs)
+        certificate = certify(model, ArrayConfig(m, gamma), identifiability_tol)
         sweep.append((m, certificate.reconstruction_error_sq))
     return sweep

@@ -19,12 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_ENERGY_NODES,
-    DEFAULT_IDENTIFIABILITY_TOL,
-    certify,
-    resolution_sweep,
-)
+from .analysis import DEFAULT_IDENTIFIABILITY_TOL, certify, resolution_sweep
 from .core import (
     ApsModel,
     ArrayConfig,
@@ -71,12 +66,12 @@ def _report(x):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: array geometry, ground-truth model, the node
-    count of the certificate's energy rule, output grid, and tolerances."""
+    """Validated scenario: array geometry, ground-truth model, output
+    grid, and tolerances. A ``quadrature`` block is ignored: synthesis and
+    the certificate's rule follow from the array and the model."""
 
     array: ArrayConfig
     aps: ApsModel
-    energy_nodes: int
     grid_points: int
     output_domain: Domain
     constraint_tol: float
@@ -191,13 +186,6 @@ def load_config(path):
 
     aps = _parse_model(_require(raw, "<root>", "aps", (dict,)), "aps", array)
 
-    quad_table = raw.get("quadrature", {})
-    if not isinstance(quad_table, dict):
-        raise ConfigError("quadrature", "expected an object")
-    nodes = _number(quad_table, "quadrature", "nodes", default=float(DEFAULT_ENERGY_NODES))
-    if nodes != int(nodes) or int(nodes) < 16:
-        raise ConfigError("quadrature.nodes", "expected an integer of at least 16")
-
     out_table = raw.get("output", {})
     if not isinstance(out_table, dict):
         raise ConfigError("output", "expected an object")
@@ -223,7 +211,6 @@ def load_config(path):
     return ScenarioConfig(
         array=array,
         aps=aps,
-        energy_nodes=int(nodes),
         grid_points=int(grid_points),
         output_domain=Domain(domain_name),
         constraint_tol=constraint_tol,
@@ -328,8 +315,7 @@ def cmd_recover(args):
 
 def cmd_certify(args):
     config = load_config(args.config)
-    options = {"nodes": config.energy_nodes, "identifiability_tol": config.identifiability_tol}
-    certificate = certify(config.aps, config.array, **options)
+    certificate = certify(config.aps, config.array, config.identifiability_tol)
     out = _out_dir(args)
     payload = {
         "schema": "apsrec-certificate/1",
@@ -352,7 +338,8 @@ def cmd_certify(args):
         except ValueError as exc:
             raise ConfigError("--sweep", "expected comma-separated integers") from exc
         try:
-            sweep = resolution_sweep(config.aps, config.array.gamma, m_values, **options)
+            sweep = resolution_sweep(
+                config.aps, config.array.gamma, m_values, config.identifiability_tol)
         except ValueError as exc:
             raise ConfigError("--sweep", str(exc)) from exc
         rows = [f"{m},{_full(err)}" for m, err in sweep]

@@ -531,6 +531,13 @@ class SpectrumSum(ApsModel):
         return tuple(sorted(seams))
 
 
+def _leaves(model):
+    """The terms of a model, with sums flattened, in order."""
+    if isinstance(model, SpectrumSum):
+        return [leaf for term in model.terms for leaf in _leaves(term)]
+    return [model]
+
+
 def transform_aps(model):
     """Return the transformed density g(x) = rho(arcsin x) on [-1, 1].
 
@@ -560,11 +567,6 @@ def transform_aps(model):
         return native(x)
 
     return g
-
-
-def seams_x(model):
-    """The model's non-smooth points mapped to the x domain."""
-    return tuple(np.sin(t) for t in model.seams_theta())
 
 
 def toeplitz_from_lags(lags):

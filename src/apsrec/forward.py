@@ -23,24 +23,17 @@ from .core import (
     ApsModel,
     CovarianceLags,
     PointSources,
-    SpectrumSum,
     TrigPolynomial,
     Uniform,
     _exp_lags,
     _exp_table,
+    _leaves,
     _Mixture,
 )
 from .errors import ModelError
 # Not called here: perfbench's tracer wraps both names as its quadrature
 # layer, so they stay module attributes.
 from .quad import theta_quadrature_points, weighted_quadrature_points  # noqa: F401
-
-
-def _leaves(model):
-    """The terms of a model, with sums flattened, in order."""
-    if isinstance(model, SpectrumSum):
-        return [leaf for term in model.terms for leaf in _leaves(term)]
-    return [model]
 
 
 def _trig_lags(model, kappas):

@@ -28,6 +28,7 @@ from .core import (
     SampledFunction,
     TrigCoeffs,
     _MAX_KEPT_TABLE_BYTES,
+    _count,
     _exp_lags,
     _exp_samples,
     _exp_table,
@@ -107,6 +108,7 @@ def _half_rule(cfg, nodes):
     Returns:
         (w, powers): the half-rule weights and the table.
     """
+    nodes = _count(nodes, 1, "node count")
     kept = _tables(cfg).get(nodes)
     if kept is not None:
         return kept
@@ -174,7 +176,7 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     return PlvSolution(coeffs, residual, cfg)
 
 
-def project_onto_nperp(g, cfg, nodes=512):
+def project_onto_nperp(g, cfg, nodes=None):
     """Project a function (or an L2 spectrum model) orthogonally onto the
     trigonometric subspace spanned by the array's basis.
 
@@ -186,7 +188,9 @@ def project_onto_nperp(g, cfg, nodes=512):
 
     Args:
         g: Vectorized callable on [-1, 1], or an ApsModel with a density.
-        nodes: Node count of a callable's moment rule; a model needs none.
+        nodes: Node count of a callable's moment rule, by default
+            max(512, n) with n the residual audit's count, which follows
+            the top frequency gamma pi (M-1); a model needs none.
 
     Raises:
         ModelError: For a model without a density (point sources).
@@ -197,6 +201,8 @@ def project_onto_nperp(g, cfg, nodes=512):
         if not g.in_l2:
             raise ModelError("model has no square-integrable density to project")
         return solve(assemble_gram(cfg), measurement_vector(synthesize_lags(g, cfg)))
+    if nodes is None:
+        nodes = max(512, _auto_nodes(cfg))
     points, weights = weighted_quadrature_points(nodes)
     samples = weights * np.asarray(g(points), dtype=np.float64)
     lags = _exp_lags(_exp_table(cfg, points), samples, samples, cfg.M)

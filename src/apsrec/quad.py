@@ -40,21 +40,20 @@ def _gauss_legendre(nodes):
 
 
 def _pieces(lo, hi, seams):
-    seams = sorted(s for s in set(float(s) for s in seams) if lo < s < hi)
-    bounds = [lo, *seams, hi]
-    return zip(bounds[:-1], bounds[1:])
+    """The (lo, hi) edge arrays of the pieces of [lo, hi] between the
+    distinct ``seams`` that lie strictly inside it, in order."""
+    seams = np.asarray(seams, dtype=np.float64).reshape(-1)
+    bounds = np.concatenate(([lo], np.unique(seams[(lo < seams) & (seams < hi)]), [hi]))
+    return bounds[:-1], bounds[1:]
 
 
-def _panels(nodes, pieces):
-    """One ``nodes``-point Gauss-Legendre panel on each (lo, hi) piece, in
-    order. Returns (points, weights)."""
+def _panels(nodes, lo, hi):
+    """One ``nodes``-point Gauss-Legendre panel on each piece [lo_k, hi_k],
+    in order. Returns (points, weights)."""
     abscissae, unit_weights = _gauss_legendre(nodes)
-    points, weights = [], []
-    for lo, hi in pieces:
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        points.append(mid + half * abscissae)
-        weights.append(half * unit_weights)
-    return np.concatenate(points), np.concatenate(weights)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return ((mid[:, None] + half[:, None] * abscissae).ravel(),
+            (half[:, None] * unit_weights).ravel())
 
 
 def theta_quadrature_points(nodes, seams=()):
@@ -62,7 +61,7 @@ def theta_quadrature_points(nodes, seams=()):
     at interior ``seams``; each smooth piece gets its own ``nodes``-point
     panel. Returns (points, weights); ValueError unless ``nodes`` is an
     integer of at least 1."""
-    return _panels(_count(nodes, 1, "node count"), _pieces(-HALF_PI, HALF_PI, seams))
+    return _panels(_count(nodes, 1, "node count"), *_pieces(-HALF_PI, HALF_PI, seams))
 
 
 def weighted_quadrature_points(nodes, seams=()):
@@ -76,8 +75,8 @@ def weighted_quadrature_points(nodes, seams=()):
     smooth. ValueError unless ``nodes`` is an integer of at least 1.
     """
     nodes = _count(nodes, 1, "node count")
-    if not seams:
+    if np.size(seams) == 0:
         return _chebyshev_gauss(nodes)
-    t, weights = _panels(nodes, ((np.arccos(hi), np.arccos(lo))
-                                 for lo, hi in _pieces(-1.0, 1.0, seams)))
+    lo, hi = _pieces(-1.0, 1.0, seams)
+    t, weights = _panels(nodes, np.arccos(hi), np.arccos(lo))
     return np.cos(t), weights

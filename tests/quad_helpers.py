@@ -14,6 +14,11 @@ from apsrec.errors import QuadratureError
 from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 
+def seams_x(model):
+    """The model's non-smooth points mapped to the x domain."""
+    return tuple(np.sin(t) for t in model.seams_theta())
+
+
 def _finite_or_raise(values):
     if not np.all(np.isfinite(values)):
         raise QuadratureError("integrand produced non-finite values")
@@ -115,14 +120,35 @@ def _leaves(model):
     return [model]
 
 
+def _composite_rule(densities, kappa, path="theta", order=16):
+    """Composite ``order``-point Gauss-Legendre rule for integrands built
+    from ``densities`` and frequencies up to ``kappa``: panels no wider
+    than the narrowest mixture std nor than one period of ``kappa`` plus
+    the fastest trigonometric polynomial term, split at the seams, in
+    theta or in t = arccos(x). Returns (nodes, weights)."""
+    stds = [std for leaf in densities for _, std, _ in getattr(leaf, "components", ())]
+    own = [leaf.config.kappa(leaf.config.M - 1) for leaf in densities if hasattr(leaf, "config")]
+    width = min([np.pi, 2.0 * np.pi / (1.0 + kappa + max(own, default=0.0)), *stds])
+    seams = sorted({s for leaf in densities for s in leaf.seams_theta()})
+    if Domain(path) is Domain.THETA:
+        bounds = [-np.pi / 2, *seams, np.pi / 2]
+    else:
+        bounds = [0.0, *sorted(np.arccos(np.sin(seams))), np.pi]
+    abscissae, unit_weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        nodes.append((mid[:, None] + np.multiply.outer(half, abscissae)).ravel())
+        weights.append(np.multiply.outer(half, unit_weights).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def reference_lags(model, cfg, path="theta", order=16, chunk=1024):
     """Lags of any built-in model, independent of the library's synthesis.
 
-    Point sources are phasor sums. The density terms are integrated by a
-    composite ``order``-point Gauss-Legendre rule whose panels are no
-    wider than the narrowest mixture std nor than one period of the
-    fastest lag times the fastest trigonometric polynomial term, split at
-    the seams, and summed by
+    Point sources are phasor sums. The density terms are integrated by
+    :func:`_composite_rule` at the fastest lag's frequency and summed by
     :func:`dense_exp_sum`: on the theta path over rho(theta) e^{i kappa
     sin(theta)} in theta, on the x path over g(x) e^{i kappa x} w(x) in
     t = arccos(x), with g from ``transform_aps``.
@@ -138,25 +164,19 @@ def reference_lags(model, cfg, path="theta", order=16, chunk=1024):
             densities.append(leaf)
     if not densities:
         return r
-    stds = [std for leaf in densities for _, std, _ in getattr(leaf, "components", ())]
-    own = [leaf.config.kappa(leaf.config.M - 1) for leaf in densities if hasattr(leaf, "config")]
-    width = min([np.pi, 2.0 * np.pi / (1.0 + kappas[-1] + max(own, default=0.0)), *stds])
-    seams = sorted({s for leaf in densities for s in leaf.seams_theta()})
-    if Domain(path) is Domain.THETA:
-        bounds = [-np.pi / 2, *seams, np.pi / 2]
-    else:
-        bounds = [0.0, *sorted(np.arccos(np.sin(seams))), np.pi]
-    abscissae, unit_weights = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / width)) + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        nodes.append((mid[:, None] + np.multiply.outer(half, abscissae)).ravel())
-        weights.append(np.multiply.outer(half, unit_weights).ravel())
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights = _composite_rule(densities, kappas[-1], path, order)
     if Domain(path) is Domain.THETA:
         x, values = np.sin(nodes), sum(leaf.rho(nodes) for leaf in densities)
     else:
         x = np.cos(nodes)
         values = sum(transform_aps(leaf)(x) for leaf in densities)
     return r + dense_exp_sum(cfg, x, weights * values, chunk)
+
+
+def reference_energy(model, order=16):
+    """The energy integral of rho(theta)^2 over [-pi/2, pi/2] of an L2
+    model by :func:`_composite_rule`, independent of the certificate's
+    rule."""
+    theta, weights = _composite_rule(_leaves(model), 0.0, "theta", order)
+    values = model.rho(theta)
+    return float(weights @ (values * values))

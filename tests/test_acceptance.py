@@ -22,7 +22,6 @@ from apsrec.core import (
     TrigPolynomial,
     Uniform,
     evaluate_trig,
-    seams_x,
     transform_aps,
     trig_basis,
 )
@@ -30,7 +29,7 @@ from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, bessel_j0, gram_blocks, measurement_vector, solve
 from apsrec.plv import recover
 from apsrec.quad import weighted_quadrature_points
-from quad_helpers import bessel_j0_quadrature_oracle
+from quad_helpers import bessel_j0_quadrature_oracle, seams_x
 
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
 GAUSS_CFG = ArrayConfig(4, 1.0)

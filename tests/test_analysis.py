@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from quad_helpers import reference_lags
+from quad_helpers import reference_energy, reference_lags, seams_x
 
+from apsrec import analysis
 from apsrec.analysis import (
     DEFAULT_IDENTIFIABILITY_TOL,
+    _energy_rule,
     certify,
     energy_of_solution,
     resolution_sweep,
@@ -18,7 +20,6 @@ from apsrec.core import (
     TrigPolynomial,
     Uniform,
     evaluate_trig,
-    seams_x,
     transform_aps,
 )
 from apsrec.errors import ModelError, QuadratureError
@@ -110,14 +111,15 @@ CERTIFIED_TRUTHS = [
 @pytest.mark.parametrize("model", CERTIFIED_TRUTHS, ids=lambda m: type(m).__name__)
 def test_certificate_matches_dense_forms(model, m):
     # Lags by the reference rule's dense exp table and the Pythagoras term
-    # by evaluate_trig's dense basis give the same certificate to rounding,
-    # and every one of these truths certifies, M = 256 included, where the
-    # former 512-node synthesis rule failed the self-checks.
+    # by evaluate_trig's dense basis on the certificate's own rule give
+    # the same certificate to rounding, and every one of these truths
+    # certifies, M = 256 included, where the former 512-node synthesis
+    # rule failed the self-checks.
     cfg = ArrayConfig(m, 1.0)
     gram = assemble_gram(cfg)
     y = measurement_vector(CovarianceLags(reference_lags(model, cfg)))
     coeffs = solve(gram, y)
-    points, weights = weighted_quadrature_points(512, seams_x(model))
+    points, weights = _energy_rule(model, cfg)
     truth = transform_aps(model)(points)
     energy = float(weights @ (truth * truth))
     diff = truth - evaluate_trig(cfg, coeffs, points)
@@ -135,10 +137,9 @@ NARROW = GaussianMixture(components=((0.2, 3e-3, 1.0),))
 
 @pytest.mark.parametrize("m", [64, 128, 256, 512])
 def test_two_gaussian_certificate_is_exact(m):
-    # With exact lags the default 512-node energy rule leaves err_sq and
-    # the gap at rounding (at most 5.3e-15 against E = 7.02). The former
-    # 512-node synthesis rule read err_sq -13.9 and a gap of 27.9 at
-    # M = 256.
+    # With exact lags the energy rule leaves err_sq and the gap at
+    # rounding. The former 512-node synthesis rule read err_sq -13.9 and
+    # a gap of 27.9 at M = 256.
     certificate = certify(TWO_GAUSSIANS, ArrayConfig(m, 1.0))
     floor = 1e-10 * certificate.energy_truth
     assert abs(certificate.reconstruction_error_sq) <= floor
@@ -146,22 +147,72 @@ def test_two_gaussian_certificate_is_exact(m):
     assert certificate.identifiable
 
 
-def test_unresolved_certificate_raises():
-    # A 512-node energy rule does not resolve a std of 3e-3: the
-    # Pythagoras gap fails the self-check at every M, so certify raises,
-    # and so does a sweep that reaches such an M. A rule that resolves it
-    # certifies.
+VERY_NARROW = GaussianMixture(components=((0.2, 1e-3, 1.0),))
+EDGE_GAUSSIAN = GaussianMixture(components=((1.5, 0.05, 1.0),))
+
+
+@pytest.mark.parametrize("model,m,gamma", [
+    (TWO_GAUSSIANS, 1024, 1.25),
+    (VERY_NARROW, 8, 1.0),
+    (VERY_NARROW, 512, 1.0),
+    (NARROW, 8, 1.0),
+    (NARROW, 64, 1.0),
+    (NARROW, 256, 1.0),
+    (EDGE_GAUSSIAN, 64, 1.0),
+    (EDGE_GAUSSIAN, 256, 1.0),
+    (LaplacianMixture(components=((0.25, 0.08, 1.0),)), 512, 1.0),
+], ids=["two-gaussian-1024-1.25", "std-1e-3-8", "std-1e-3-512", "std-3e-3-8",
+        "std-3e-3-64", "std-3e-3-256", "edge-gaussian-64", "edge-gaussian-256",
+        "laplacian-512"])
+def test_energy_rule_resolves_the_truth(model, m, gamma):
+    # Each of these raised QuadratureError under the former fixed
+    # 512-node energy rule, or certified the Laplacian with a gap of
+    # 1.9e-10 E. The rule that follows from the array and the model leaves
+    # every self-check at rounding, and its energy meets an independent
+    # composite rule.
+    certificate = certify(model, ArrayConfig(m, gamma))
+    energy = certificate.energy_truth
+    floor = 1e-10 * energy
+    assert certificate.pythagoras_gap <= floor
+    assert abs(certificate.energy_truth_refinement) <= floor
+    assert certificate.reconstruction_error_sq >= -floor
+    assert abs(energy - reference_energy(model)) <= 1e-12 * energy
+
+
+def test_unresolved_certificate_raises(monkeypatch):
+    # Panels of pi/8 whatever the array leave the gap integrand's top
+    # frequency unresolved at M = 256: the Pythagoras gap fails the
+    # self-check, so certify raises, and so does a sweep that reaches such
+    # an M. The rule that follows from the array certifies.
     cfg = ArrayConfig(256, 1.0)
+    certificate = certify(NARROW, cfg)
+    monkeypatch.setattr(analysis, "_PANEL_PERIODS", 1e4)
     with pytest.raises(QuadratureError, match="M=256"):
         certify(NARROW, cfg)
     with pytest.raises(QuadratureError):
         resolution_sweep(NARROW, 1.0, [64, 256])
-    certificate = certify(NARROW, cfg, nodes=8192)
+    monkeypatch.undo()
     floor = DEFAULT_IDENTIFIABILITY_TOL * certificate.energy_truth
     assert certificate.reconstruction_error_sq >= -floor
     assert certificate.pythagoras_gap <= floor
-    sweep = resolution_sweep(NARROW, 1.0, [64, 256], nodes=8192)
+    sweep = resolution_sweep(NARROW, 1.0, [64, 256])
     assert sweep[-1][1] == certificate.reconstruction_error_sq
+
+
+def test_unsettled_refinement_raises(monkeypatch):
+    # Peak panels of 20 std leave the square of a narrow peak
+    # unresolved: at M = 8 the gap (1.5e-9 E) and err_sq pass the
+    # self-checks, but halving every panel moves the energy by 6.9e-5 E,
+    # so certify raises on the refinement alone.
+    cfg = ArrayConfig(8, 1.0)
+    monkeypatch.setattr(analysis, "_PEAK_PANEL_STDS", 20.0)
+    loose = certify(NARROW, cfg, identifiability_tol=1e-3)
+    floor = DEFAULT_IDENTIFIABILITY_TOL * loose.energy_truth
+    assert loose.pythagoras_gap <= floor
+    assert loose.reconstruction_error_sq >= -floor
+    assert abs(loose.energy_truth_refinement) > floor
+    with pytest.raises(QuadratureError, match="energy_truth_refinement"):
+        certify(NARROW, cfg)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
@@ -173,16 +224,6 @@ def test_certify_rejects_unusable_tolerance(tol):
         certify(GAUSS_CLUSTER, ArrayConfig(256, 1.0), identifiability_tol=tol)
     with pytest.raises(ValueError, match="identifiability_tol"):
         resolution_sweep(GAUSS_CLUSTER, 1.0, [2, 4], identifiability_tol=tol)
-
-
-def test_certify_takes_energy_nodes():
-    # One node count per call, for the energy rule only.
-    model, cfg = LaplacianMixture(components=((0.25, 0.08, 1.0),)), ArrayConfig(4, 1.0)
-    g = transform_aps(model)
-    for nodes in (300, 512, 1024):
-        certificate = certify(model, cfg, nodes=nodes)
-        assert certificate.energy_truth == weighted_norm_sq(g, seams_x(model), nodes)
-    assert certify(model, cfg) == certify(model, cfg, nodes=512)
 
 
 def test_error_nonnegative_up_to_noise(rng):

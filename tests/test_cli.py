@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import apsrec
-from apsrec import gram
+from apsrec import analysis, gram
 from apsrec.cli import main, read_lags_csv
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
@@ -23,7 +23,6 @@ UNIFORM_CONFIG = {
         "hi": 1.5707963267948966,
         "height": 1.0,
     },
-    "quadrature": {"nodes": 512},
     "output": {"grid_points": 9, "domain": "theta"},
 }
 
@@ -34,7 +33,6 @@ TRIG_CONFIG = {
         "kind": "trig_polynomial",
         "coeffs": [1.2, 0.3, -0.25, 0.1, 0.4, -0.15, 0.05],
     },
-    "quadrature": {"nodes": 512},
     "output": {"grid_points": 33, "domain": "x"},
 }
 
@@ -96,16 +94,21 @@ class TestSynthesize:
         assert (tmp_path / "a" / "lags.csv").read_bytes() == (tmp_path / "b" / "lags.csv").read_bytes()
 
     def test_quadrature_block_leaves_lags_alone(self, tmp_path):
-        # Synthesis is exact and reads no quadrature; the former "path"
-        # key still loads.
-        files = []
+        # Synthesis is exact and the certificate's rule follows from the
+        # array and the model, so both ignore a quadrature block: older
+        # scenario files load, with node counts once rejected (7,
+        # Infinity) or once too large to build (16384), and the former
+        # "path" key.
+        files = set()
         for name, quadrature in (("none", None), ("nodes", {"nodes": 2048}),
-                                 ("path", {"nodes": 64, "path": "x"})):
+                                 ("path", {"nodes": 64, "path": "x"}), ("few", {"nodes": 7}),
+                                 ("inf", {"nodes": float("inf")}), ("many", {"nodes": 16384})):
             payload = dict(GAUSS_CONFIG, quadrature=quadrature) if quadrature else GAUSS_CONFIG
-            config = write_config(tmp_path, payload, f"{name}.json")
-            assert main(["synthesize", "--config", str(config), "--out", str(tmp_path / name)]) == 0
-            files.append((tmp_path / name / "lags.csv").read_bytes())
-        assert files[0] == files[1] == files[2]
+            config, out = write_config(tmp_path, payload, f"{name}.json"), tmp_path / name
+            assert main(["synthesize", "--config", str(config), "--out", str(out)]) == 0
+            assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+            files.add(((out / "lags.csv").read_bytes(), (out / "certificate.json").read_bytes()))
+        assert len(files) == 1
 
 
 class TestRecover:
@@ -211,13 +214,34 @@ class TestCertify:
         assert [int(row[0]) for row in rows] == [2, 4, 8]
         assert errors[0] >= errors[1] >= errors[2]
 
-    def test_quadrature_block_sets_certificate_rule(self, tmp_path):
-        # The default 512-node energy rule does not resolve a std of 3e-3
-        # (next test); the scenario's node count does. The former "path"
-        # key is ignored, so older scenario files still load.
-        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0},
-                       quadrature={"nodes": 8192, "path": "x"})
-        payload["aps"] = NARROW_GAUSSIAN
+    def test_unresolved_certificate_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Energy panels of pi/8 whatever the array under-resolve the gap
+        # integrand at M = 256: the certificate's self-checks fail, so no
+        # verdict is written.
+        monkeypatch.setattr(analysis, "_PANEL_PERIODS", 1e4)
+        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0}, aps=NARROW_GAUSSIAN)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
+        assert "pythagoras_gap" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+    def test_unsettled_refinement_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Peak panels of 20 std leave a narrow peak's energy moving by
+        # 6.9e-5 E when every panel is halved: exit 3, no certificate.
+        monkeypatch.setattr(analysis, "_PEAK_PANEL_STDS", 20.0)
+        payload = dict(GAUSS_CONFIG, array={"M": 8, "gamma": 1.0}, aps=NARROW_GAUSSIAN)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
+        assert "energy_truth_refinement" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+    def test_narrow_certificate_and_sweep(self, tmp_path):
+        # A std of 3e-3 exited 3 under the former fixed 512-node energy
+        # rule; the rule that follows from each M certifies it and its
+        # sweep to rounding.
+        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0}, aps=NARROW_GAUSSIAN)
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["certify", "--config", str(config), "--out", str(out),
@@ -226,20 +250,11 @@ class TestCertify:
         floor = 1e-10 * report["energy_truth"]
         assert report["reconstruction_error_sq"] >= -floor
         assert report["pythagoras_gap"] <= floor
+        assert abs(report["energy_truth_refinement"]) <= floor
         _, rows = read_rows(out / "sweep.csv")
         assert float(rows[-1][1]) == pytest.approx(report["reconstruction_error_sq"], rel=1e-11)
         errors = [float(row[1]) for row in rows]
-        assert all(error >= -floor for error in errors)
-
-    def test_unresolved_certificate_exit_3(self, tmp_path, capsys):
-        # The default energy rule under-resolves a std of 3e-3 at M = 256:
-        # the certificate's self-checks fail, so no verdict is written.
-        payload = dict(GAUSS_CONFIG, array={"M": 256, "gamma": 1.0}, aps=NARROW_GAUSSIAN)
-        config = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
-        assert "pythagoras_gap" in capsys.readouterr().err
-        assert not (out / "certificate.json").exists()
+        assert all(b <= a + floor for a, b in zip(errors, errors[1:]))
 
     def test_two_gaussian_certificate_at_256(self, tmp_path):
         # Exact lags: the scenario that exited 3 under the former 512-node
@@ -404,7 +419,7 @@ class TestConfigValidation:
                  "components": [{"mean": 0.0, "std": 0.1, "weight": float("inf")}]},
          "aps.components[0].weight"),
         ("aps", {"kind": "uniform", "lo": -0.5, "hi": 0.5, "height": float("-inf")}, "aps.height"),
-        ("quadrature", {"nodes": float("inf")}, "quadrature.nodes"),
+        ("tolerances", {"constraint": float("inf")}, "tolerances.constraint"),
         ("output", {"grid_points": float("inf")}, "output.grid_points"),
         ("output", {"grid_points": 10**400}, "output.grid_points"),
         ("tolerances", {"constraint": float("nan")}, "tolerances.constraint"),
@@ -423,11 +438,6 @@ class TestConfigValidation:
         config = write_config(tmp_path, payload)
         assert main(["synthesize", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "config: aps: " in capsys.readouterr().err
-
-    def test_bad_nodes(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(UNIFORM_CONFIG, quadrature={"nodes": 7}))
-        assert main(["synthesize", "--config", str(config), "--out", str(tmp_path)]) == 2
-        assert "quadrature.nodes" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

@@ -16,7 +16,6 @@ from apsrec.core import (
     Uniform,
     evaluate_trig,
     lags_from_toeplitz,
-    seams_x,
     toeplitz_from_lags,
     transform_aps,
     trig_basis,
@@ -279,7 +278,6 @@ class TestModels:
         assert isinstance(total, SpectrumSum)
         assert total.in_l2
         assert total.seams_theta() == (-0.5, 0.2, 0.3)
-        assert np.allclose(seams_x(total), np.sin([-0.5, 0.2, 0.3]), atol=0)
         assert total.rho(0.0) == pytest.approx(mix.rho(0.0) + 1.0, rel=1e-15)
 
     def test_sum_with_point_sources_not_l2(self):

@@ -18,10 +18,12 @@ from apsrec.core import (
     _SplitTable,
     _exp_table,
     toeplitz_from_lags,
+    transform_aps,
 )
 from apsrec.errors import ModelError
 from apsrec.forward import synthesize_lags
 from apsrec.gram import gram_blocks
+from apsrec.plv import negativity_summary, project_onto_nperp, recover
 from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
@@ -227,16 +229,26 @@ def test_covariance_positive_semidefinite(model):
 
 @pytest.mark.parametrize("nodes", [100.5, np.float64(256.0), True, "256"])
 def test_options_reject_non_integer_nodes(nodes):
-    # Synthesis takes no node count; certify's energy rule does, and a
-    # fractional count must not truncate silently.
-    with pytest.raises(ValueError, match="energy node count must be an integer"):
-        certify(FULL_RANGE, ArrayConfig(2, 1.0), nodes=nodes)
+    # Synthesis and certify take no node count. The counts that remain,
+    # for a callable's projection and the negativity summary, must not
+    # truncate a fractional count silently.
+    cfg = ArrayConfig(2, 1.0)
+    with pytest.raises(TypeError):
+        certify(FULL_RANGE, cfg, nodes=nodes)
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        project_onto_nperp(np.cos, cfg, nodes)
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        negativity_summary(recover(synthesize_lags(FULL_RANGE, cfg), cfg), nodes)
 
 
 def test_options_store_numpy_node_counts_as_int():
     cfg = ArrayConfig(4, 1.0)
     model = LaplacianMixture(components=((0.25, 0.08, 1.0),))
-    assert certify(model, cfg, nodes=np.int64(300)) == certify(model, cfg, nodes=300)
+    solution = recover(synthesize_lags(model, cfg), cfg)
+    assert negativity_summary(solution, np.int64(300)) == negativity_summary(solution, 300)
+    g = transform_aps(model)
+    assert np.array_equal(project_onto_nperp(g, cfg, np.int64(300)).b,
+                          project_onto_nperp(g, cfg, 300).b)
 
 
 class _Custom(ApsModel):
@@ -245,8 +257,6 @@ class _Custom(ApsModel):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError, match="at least 16"):
-        certify(FULL_RANGE, ArrayConfig(2, 1.0), nodes=8)
     with pytest.raises(TypeError):
         synthesize_lags("not a model", ArrayConfig(2, 1.0))
     # Only built-in models have closed-form lags; alone or in a sum.

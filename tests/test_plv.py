@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from quad_helpers import reference_lags
+from quad_helpers import reference_lags, seams_x
 
 from apsrec.core import (
     ArrayConfig,
@@ -17,7 +17,6 @@ from apsrec.core import (
     TrigPolynomial,
     Uniform,
     lags_from_toeplitz,
-    seams_x,
     toeplitz_from_lags,
     transform_aps,
     trig_basis,
@@ -450,6 +449,19 @@ class TestProjection:
         for model in (atoms, atoms + GAUSS_CLUSTER):
             with pytest.raises(ModelError):
                 project_onto_nperp(model, cfg)
+
+    def test_callable_default_rule_follows_bandwidth(self):
+        # A fixed 512-node default left a two-Gaussian callable's
+        # projection at M = 512 off by 0.85 relative from the model's
+        # exact one; the default grows with the top frequency.
+        cfg = ArrayConfig(512, 1.0)
+        model = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
+        exact = project_onto_nperp(model, cfg).b
+        projected = project_onto_nperp(transform_aps(model), cfg).b
+        assert np.max(np.abs(projected - exact)) <= 1e-12 * np.max(np.abs(exact))
+        small = ArrayConfig(8, 1.0)
+        assert np.array_equal(project_onto_nperp(np.cos, small).b,
+                              project_onto_nperp(np.cos, small, 512).b)
 
     @pytest.mark.parametrize("nodes", [1, 8, 64])
     def test_small_rules(self, nodes):

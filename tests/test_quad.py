@@ -158,6 +158,43 @@ def test_seam_points_cover_interval():
     assert np.sum(weights) == pytest.approx(np.pi, abs=1e-12)
 
 
+def _panels_by_piece(nodes, pieces):
+    # One panel per (lo, hi) piece, built piece by piece in Python.
+    abscissae, unit_weights = np.polynomial.legendre.leggauss(nodes)
+    points, weights = [], []
+    for lo, hi in pieces:
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        points.append(mid + half * abscissae)
+        weights.append(half * unit_weights)
+    return np.concatenate(points), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("seams", [
+    (0.0,),
+    (0.3, -0.5, 0.3, -0.0, 1.0, -1.0, 2.0),
+    tuple(np.sin(np.linspace(-1.5, 1.5, 401))),
+    tuple(np.random.default_rng(5).uniform(-1.0, 1.0, 9)),
+], ids=["one", "duplicates-and-outside", "dense", "random"])
+@pytest.mark.parametrize("nodes", [1, 7, 32])
+def test_panel_tables_match_piecewise_construction(seams, nodes):
+    # The broadcast panels are bit for bit those of one panel per piece,
+    # in theta and in t = arccos(x), with seams deduplicated, sorted and
+    # those outside the open interval dropped.
+    def bounds(lo, hi, cuts):
+        inner = sorted({float(c) for c in cuts if lo < c < hi})
+        return list(zip([lo, *inner], [*inner, hi]))
+
+    angles = tuple(np.arcsin(np.clip(seams, -1.0, 1.0)))
+    expected = _panels_by_piece(nodes, bounds(-np.pi / 2, np.pi / 2, angles))
+    for got, want in zip(theta_quadrature_points(nodes, angles), expected):
+        assert np.array_equal(got, want)
+    t, weights = _panels_by_piece(
+        nodes, [(np.arccos(hi), np.arccos(lo)) for lo, hi in bounds(-1.0, 1.0, seams)])
+    points, got_weights = weighted_quadrature_points(nodes, seams)
+    assert np.array_equal(points, np.cos(t))
+    assert np.array_equal(got_weights, weights)
+
+
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError):
         integrate_theta(lambda t: np.full_like(t, np.inf), 16)
