@@ -44,7 +44,6 @@ from .core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
-    evaluate_trig,
     lags_from_toeplitz,
     toeplitz_from_lags,
     transform_aps,
@@ -106,7 +105,6 @@ __all__ = [
     "certify",
     "energy_of_solution",
     "evaluate_solution",
-    "evaluate_trig",
     "lags_from_toeplitz",
     "measurement_vector",
     "negativity_summary",

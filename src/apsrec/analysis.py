@@ -19,16 +19,18 @@ from .core import (
     HALF_PI,
     ArrayConfig,
     TrigPolynomial,
+    _count,
     _exp_samples,
     _exp_table,
     _leaves,
     _Mixture,
-    transform_aps,
 )
 from .errors import ModelError, QuadratureError
 from .forward import synthesize_lags
 from .gram import assemble_gram, measurement_vector, solve
-from .quad import weighted_quadrature_points
+# weighted_quadrature_points is not called here: perfbench's tracer wraps
+# it as the quadrature layer, so it stays a module attribute.
+from .quad import theta_quadrature_points, weighted_quadrature_points  # noqa: F401
 
 DEFAULT_IDENTIFIABILITY_TOL = 1e-6
 
@@ -46,10 +48,9 @@ _PEAK_PANEL_STDS = 2.0
 
 
 def _energy_rule(model, cfg, split=1):
-    """(points, weights) in x of the energy rule for ``model`` under
-    ``cfg``, with every panel cut into ``split``. In t = arccos(x) =
-    pi/2 - theta, ``weighted_quadrature_points`` puts one panel between
-    consecutive theta edges, weighted by exactly the integral of rho^2."""
+    """(points, weights) in theta of the energy rule for ``model`` under
+    ``cfg``, with every panel cut into ``split``: one Gauss-Legendre panel
+    between consecutive edges, for integrals of rho(theta)^2 d theta."""
     kappa = cfg.kappa(cfg.M - 1)
     peaks = []
     for leaf in _leaves(model):
@@ -70,7 +71,7 @@ def _energy_rule(model, cfg, split=1):
     first = np.repeat(np.cumsum(count) - count, count)
     step = np.arange(count.sum()) - first
     cuts = np.repeat(edges[:-1], count) + step * np.repeat(length / count, count)
-    return weighted_quadrature_points(_PANEL_NODES, np.sin(cuts[1:]))
+    return theta_quadrature_points(_PANEL_NODES, cuts[1:])
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,18 @@ def certify(model, cfg, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     y = measurement_vector(lags)
     coeffs = solve(gram, y)
 
-    g_true = transform_aps(model)
     points, weights = _energy_rule(model, cfg)
     points2, weights2 = _energy_rule(model, cfg, split=2)
-    truth_samples = g_true(points)
+    truth_samples = model.rho(points)
     energy_truth = float(weights @ (truth_samples * truth_samples))
-    truth_samples2 = g_true(points2)
+    truth_samples2 = model.rho(points2)
     refinement = float(weights2 @ (truth_samples2 * truth_samples2)) - energy_truth
 
     energy_plv = gram.quadratic_form(coeffs)
     quadratic_form = float(y @ coeffs.b)
     error_sq = energy_truth - quadratic_form
 
-    even, odd = _exp_samples(_exp_table(cfg, points), coeffs.b)
+    even, odd = _exp_samples(_exp_table(cfg, np.sin(points)), coeffs.b)
     diff = truth_samples - (even + odd)
     diff_energy = float(weights @ (diff * diff))
     pythagoras_gap = abs(energy_truth - energy_plv - diff_energy)
@@ -210,9 +210,7 @@ def resolution_sweep(model, gamma, m_values, identifiability_tol=DEFAULT_IDENTIF
     Returns:
         List of (M, reconstruction_error_sq) pairs.
     """
-    m_values = [int(m) for m in m_values]
-    if any(m < 1 for m in m_values):
-        raise ValueError("antenna counts must be positive")
+    m_values = [_count(m, 1, "antenna count") for m in m_values]
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError("antenna counts must be strictly increasing")
     sweep = []

@@ -181,22 +181,6 @@ def trig_basis(cfg, x):
     )
 
 
-def evaluate_trig(cfg, coeffs, x):
-    """Evaluate the trigonometric polynomial with coefficients ``coeffs``
-    (a TrigCoeffs or a raw length-2M-1 vector) at scalar or vector ``x``.
-
-    Evaluation is meaningful for |x| <= 1; values outside are analytic
-    continuation and are returned without error.
-    """
-    b = coeffs.b if isinstance(coeffs, TrigCoeffs) else np.asarray(coeffs, dtype=np.float64)
-    if b.size != cfg.n_coeffs:
-        raise ValueError(
-            f"coefficient length {b.size} does not match 2M-1 = {cfg.n_coeffs}"
-        )
-    values = trig_basis(cfg, x) @ b
-    return values[0] if np.isscalar(x) or np.ndim(x) == 0 else values
-
-
 # The exponential-sum kernel: every sum_j v_j exp(i kappa_m x_j) in the
 # package runs on a table of step_j**m, step_j = exp(i gamma pi x_j). One
 # whose M complex rows and one real row of weights exceed this cap is
@@ -467,8 +451,13 @@ class TrigPolynomial(ApsModel):
             )
 
     def g(self, x):
-        """Transformed density, evaluated natively in x."""
-        return evaluate_trig(self.config, self.coeffs, x)
+        """Transformed density at the points ``x``, in their shape (a
+        scalar for a 0-d input), by the exponential-sum kernel. Values
+        for |x| > 1 are the analytic continuation."""
+        x = np.asarray(x, dtype=np.float64)
+        even, odd = _exp_samples(_exp_table(self.config, x.ravel()), self.coeffs.b)
+        values = (even + odd).reshape(x.shape)
+        return values[()]
 
     def rho(self, theta):
         return self.g(np.sin(np.asarray(theta, dtype=np.float64)))

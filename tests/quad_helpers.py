@@ -14,11 +14,6 @@ from apsrec.errors import QuadratureError
 from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 
-def seams_x(model):
-    """The model's non-smooth points mapped to the x domain."""
-    return tuple(np.sin(t) for t in model.seams_theta())
-
-
 def _finite_or_raise(values):
     if not np.all(np.isfinite(values)):
         raise QuadratureError("integrand produced non-finite values")
@@ -74,10 +69,10 @@ def integrate_theta_complex(f, nodes, seams=()):
     return complex(np.sum(weights * _finite_or_raise(np.asarray(f(points), dtype=np.complex128))))
 
 
-def weighted_integral(f, nodes, seams=()):
-    """Integral of f(x) w(x) over [-1, 1] with w(x) = 1/sqrt(1 - x^2),
-    seam-aware; complex-valued f is supported."""
-    points, weights = weighted_quadrature_points(nodes, seams)
+def weighted_integral(f, nodes):
+    """Chebyshev-Gauss integral of f(x) w(x) over [-1, 1] with
+    w(x) = 1/sqrt(1 - x^2); complex-valued f is supported."""
+    points, weights = weighted_quadrature_points(nodes)
     total = np.sum(weights * _finite_or_raise(np.asarray(f(points))))
     return complex(total) if np.iscomplexobj(total) else float(total)
 

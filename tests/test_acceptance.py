@@ -21,15 +21,13 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
-    evaluate_trig,
-    transform_aps,
     trig_basis,
 )
 from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, bessel_j0, gram_blocks, measurement_vector, solve
 from apsrec.plv import recover
-from apsrec.quad import weighted_quadrature_points
-from quad_helpers import bessel_j0_quadrature_oracle, seams_x
+from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
+from quad_helpers import bessel_j0_quadrature_oracle
 
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
 GAUSS_CFG = ArrayConfig(4, 1.0)
@@ -53,7 +51,7 @@ def positive_random_trig(m, rng):
     cfg = ArrayConfig(m, 1.0)
     b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
     grid = np.linspace(-1.0, 1.0, 2001)
-    b[0] += max(0.0, -np.min(evaluate_trig(cfg, TrigCoeffs(b), grid))) + 0.1
+    b[0] += max(0.0, -np.min(trig_basis(cfg, grid) @ b)) + 0.1
     return TrigPolynomial(cfg, TrigCoeffs(b))
 
 
@@ -120,9 +118,8 @@ def test_criterion_4_non_identifiable_cluster():
         certificate = certify(model, cfg)
         assert certificate.reconstruction_error_sq > 1e-3 * certificate.energy_truth
         assert certificate.identifiable is False
-        g_true = transform_aps(model)
-        points, weights = weighted_quadrature_points(512, seams_x(model))
-        direct = weighted_norm_sq(g_true(points) - solution.g(points), weights)
+        points, weights = theta_quadrature_points(512, model.seams_theta())
+        direct = weighted_norm_sq(model.rho(points) - solution.g(np.sin(points)), weights)
         assert certificate.reconstruction_error_sq == pytest.approx(direct, rel=1e-8)
 
 
@@ -139,10 +136,9 @@ def test_criterion_5_energy_identity():
 def test_criterion_6_pythagoras_decomposition():
     with criterion(6, "energy splits orthogonally for every L2 scenario"):
         for model, cfg, lags, solution in [*trig_scenarios(), gauss_scenario()]:
-            g_true = transform_aps(model)
-            points, weights = weighted_quadrature_points(512, seams_x(model))
-            truth = g_true(points)
-            rec = solution.g(points)
+            points, weights = theta_quadrature_points(512, model.seams_theta())
+            truth = model.rho(points)
+            rec = solution.g(np.sin(points))
             energy_truth = weighted_norm_sq(truth, weights)
             energy_rec = weighted_norm_sq(rec, weights)
             energy_diff = weighted_norm_sq(truth - rec, weights)
@@ -152,10 +148,9 @@ def test_criterion_6_pythagoras_decomposition():
 def test_criterion_7_minimum_norm_orthogonality():
     with criterion(7, "reconstruction is orthogonal to its residual"):
         model, cfg, lags, solution = gauss_scenario()
-        g_true = transform_aps(model)
-        points, weights = weighted_quadrature_points(512, seams_x(model))
-        rec = solution.g(points)
-        residual = g_true(points) - rec
+        points, weights = theta_quadrature_points(512, model.seams_theta())
+        rec = solution.g(np.sin(points))
+        residual = model.rho(points) - rec
         inner = float(weights @ (rec * residual))
         scale = np.sqrt(weighted_norm_sq(rec, weights)) * np.sqrt(weighted_norm_sq(residual, weights))
         assert abs(inner) <= 1e-8 * scale

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from quad_helpers import reference_energy, reference_lags, seams_x
+import scipy.special
+from quad_helpers import reference_energy, reference_lags
 
 from apsrec import analysis
 from apsrec.analysis import (
@@ -19,21 +22,22 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
-    evaluate_trig,
-    transform_aps,
+    trig_basis,
 )
 from apsrec.errors import ModelError, QuadratureError
 from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, measurement_vector, solve
 from apsrec.plv import PlvSolution, project_onto_nperp, recover
-from apsrec.quad import weighted_quadrature_points
+from apsrec.quad import theta_quadrature_points
 
 FULL_RANGE = Uniform(-np.pi / 2, np.pi / 2, 1.0)
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
 
 
-def weighted_norm_sq(f, seams=(), nodes=512):
-    points, weights = weighted_quadrature_points(nodes, seams)
+def theta_norm_sq(f, seams=(), nodes=512):
+    """Integral of f(theta)^2 over [-pi/2, pi/2], split at ``seams``: the
+    weighted energy of g(x) = f(arcsin x)."""
+    points, weights = theta_quadrature_points(nodes, seams)
     values = np.asarray(f(points))
     return float(weights @ (values * values))
 
@@ -42,8 +46,7 @@ def random_trig_model(m, rng, gamma=1.0):
     cfg = ArrayConfig(m, gamma)
     b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
     grid = np.linspace(-1.0, 1.0, 2001)
-    from apsrec.core import evaluate_trig
-    b[0] += max(0.0, -np.min(evaluate_trig(cfg, TrigCoeffs(b), grid))) + 0.1
+    b[0] += max(0.0, -np.min(trig_basis(cfg, grid) @ b)) + 0.1
     return TrigPolynomial(cfg, TrigCoeffs(b))
 
 
@@ -74,8 +77,8 @@ def test_gaussian_cluster_certificate():
     # closed-form error against direct quadrature of the difference
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     solution = recover(lags, cfg)
-    g_true = transform_aps(GAUSS_CLUSTER)
-    direct = weighted_norm_sq(lambda x: g_true(x) - solution.g(x), seams_x(GAUSS_CLUSTER))
+    direct = theta_norm_sq(lambda t: GAUSS_CLUSTER.rho(t) - solution.g(np.sin(t)),
+                           GAUSS_CLUSTER.seams_theta())
     assert certificate.reconstruction_error_sq == pytest.approx(direct, rel=1e-8)
 
 
@@ -111,7 +114,7 @@ CERTIFIED_TRUTHS = [
 @pytest.mark.parametrize("model", CERTIFIED_TRUTHS, ids=lambda m: type(m).__name__)
 def test_certificate_matches_dense_forms(model, m):
     # Lags by the reference rule's dense exp table and the Pythagoras term
-    # by evaluate_trig's dense basis on the certificate's own rule give
+    # by the dense trig_basis table on the certificate's own rule give
     # the same certificate to rounding, and every one of these truths
     # certifies, M = 256 included, where the former 512-node synthesis
     # rule failed the self-checks.
@@ -120,9 +123,9 @@ def test_certificate_matches_dense_forms(model, m):
     y = measurement_vector(CovarianceLags(reference_lags(model, cfg)))
     coeffs = solve(gram, y)
     points, weights = _energy_rule(model, cfg)
-    truth = transform_aps(model)(points)
+    truth = model.rho(points)
     energy = float(weights @ (truth * truth))
-    diff = truth - evaluate_trig(cfg, coeffs, points)
+    diff = truth - trig_basis(cfg, np.sin(points)) @ coeffs.b
     gap = abs(energy - gram.quadratic_form(coeffs) - float(weights @ (diff * diff)))
     certificate = certify(model, cfg)
     assert certificate.energy_truth == energy
@@ -177,6 +180,37 @@ def test_energy_rule_resolves_the_truth(model, m, gamma):
     assert abs(certificate.energy_truth_refinement) <= floor
     assert certificate.reconstruction_error_sq >= -floor
     assert abs(energy - reference_energy(model)) <= 1e-12 * energy
+
+
+@pytest.mark.parametrize("std", [1e-6, 1e-8, 1e-9])
+def test_certificate_of_a_peak_at_the_edge(std):
+    # A Gaussian one std inside pi/2. Sampled as rho(arcsin x) at x = sin
+    # theta, the peak was lost to rounding near x = 1: stds 1e-6 and 1e-8
+    # failed the self-checks, and 1e-9 certified an energy 131 % off. The
+    # rule samples rho in theta, and the energy meets the closed form
+    # integral of rho^2, (erf(t_hi) + erf(t_lo)) / (4 std sqrt(pi)) with
+    # t = (pi/2 -+ mean)/std over the float interval.
+    mean = np.pi / 2 - std
+    model = GaussianMixture(components=((mean, std, 1.0),))
+    certificate = certify(model, ArrayConfig(8, 1.0))
+    t_hi, t_lo = (np.pi / 2 - mean) / std, (np.pi / 2 + mean) / std
+    exact = (scipy.special.erf(t_hi) + scipy.special.erf(t_lo)) / (4.0 * std * np.sqrt(np.pi))
+    assert abs(certificate.energy_truth - exact) <= 1e-7 * exact
+
+
+def test_trig_polynomial_certificate_builds_no_dense_table(rng):
+    # At (M, gamma) = (1024, 1) the dense trig_basis table of the truth on
+    # the energy rule peaked at 1053 MB; the kernel's tables stay within
+    # the cap's split form.
+    model = random_trig_model(1024, rng)
+    tracemalloc.start()
+    try:
+        certificate = certify(model, model.config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert certificate.identifiable
 
 
 def test_unresolved_certificate_raises(monkeypatch):
@@ -248,7 +282,7 @@ class TestEnergyOfSolution:
         cfg = ArrayConfig(6, 1.0)
         b = rng.uniform(-1, 1, cfg.n_coeffs)
         solution = self.make_solution(b, 6)
-        direct = weighted_norm_sq(solution.g)
+        direct = theta_norm_sq(lambda t: solution.g(np.sin(t)))
         assert energy_of_solution(solution) == pytest.approx(direct, rel=1e-9)
 
 
@@ -280,12 +314,10 @@ def test_identifiability_agrees_with_subspace_membership(rng):
     for model, expected in cases:
         certificate = certify(model, cfg, identifiability_tol=tol)
         coeffs = project_onto_nperp(model, cfg)
-        g_true = transform_aps(model)
-        from apsrec.core import evaluate_trig
-        residual_sq = weighted_norm_sq(
-            lambda x: g_true(x) - evaluate_trig(cfg, coeffs, x), seams_x(model)
-        )
-        membership = residual_sq <= tol * weighted_norm_sq(g_true, seams_x(model))
+        seams = model.seams_theta()
+        residual_sq = theta_norm_sq(
+            lambda t: model.rho(t) - trig_basis(cfg, np.sin(t)) @ coeffs.b, seams)
+        membership = residual_sq <= tol * theta_norm_sq(model.rho, seams)
         assert certificate.identifiable == membership == expected
 
 
@@ -317,6 +349,10 @@ class TestResolutionSweep:
             resolution_sweep(FULL_RANGE, 1.0, [4, 2])
         with pytest.raises(ValueError):
             resolution_sweep(FULL_RANGE, 1.0, [0, 2])
+        # int() truncated these to sweeps at M = 2, 4 and M = 1, 4.
+        for m_values in ([2.9, 4.5], [True, 4], [2, np.float64(4.0)]):
+            with pytest.raises(ValueError, match="antenna count"):
+                resolution_sweep(FULL_RANGE, 1.0, m_values)
 
     def test_returns_pairs(self):
         sweep = resolution_sweep(FULL_RANGE, 1.0, [2, 4])

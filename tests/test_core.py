@@ -14,7 +14,6 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
-    evaluate_trig,
     lags_from_toeplitz,
     toeplitz_from_lags,
     transform_aps,
@@ -102,27 +101,53 @@ class TestTrigCoeffs:
 
 
 class TestEvaluateTrig:
+    """A trigonometric polynomial evaluated by ``TrigPolynomial.g`` through
+    the exponential-sum kernel, against the dense basis table."""
+
+    @staticmethod
+    def g(cfg, b, x):
+        return TrigPolynomial(cfg, TrigCoeffs(b)).g(x)
+
     def test_constant(self):
         cfg = ArrayConfig(3, 1.0)
-        assert evaluate_trig(cfg, TrigCoeffs(np.array([1.0, 0, 0, 0, 0])), 0.7) == pytest.approx(1.0, abs=0)
+        assert self.g(cfg, np.array([1.0, 0, 0, 0, 0]), 0.7) == pytest.approx(1.0, abs=0)
 
     def test_cosine_at_origin(self):
         cfg = ArrayConfig(2, 1.0)
-        assert evaluate_trig(cfg, np.array([0.0, 1.0, 0.0]), 0.0) == pytest.approx(1.0, abs=0)
+        value = self.g(cfg, np.array([0.0, 1.0, 0.0]), 0.0)
+        assert np.ndim(value) == 0
+        assert value == pytest.approx(1.0, abs=0)
 
     def test_sine_quarter_period(self):
         cfg = ArrayConfig(2, 1.0)
-        assert evaluate_trig(cfg, np.array([0.0, 0.0, 1.0]), 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert self.g(cfg, np.array([0.0, 0.0, 1.0]), 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_vector_evaluation_matches_basis(self):
+        # Points in any shape, |x| > 1 (the analytic continuation) included.
         cfg = ArrayConfig(4, 0.8)
         b = np.arange(1.0, 8.0)
-        x = np.linspace(-1, 1, 17)
-        assert np.allclose(evaluate_trig(cfg, b, x), trig_basis(cfg, x) @ b, atol=0)
+        x = np.linspace(-1.5, 1.5, 18)
+        assert np.allclose(self.g(cfg, b, x), trig_basis(cfg, x) @ b, atol=0)
+        grid = x.reshape(3, 2, 3)
+        assert np.array_equal(self.g(cfg, b, grid), self.g(cfg, b, x).reshape(3, 2, 3))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_trig(ArrayConfig(3, 1.0), np.array([1.0, 0.0, 0.0]), 0.0)
+    @pytest.mark.parametrize("points", [1000, 20000], ids=["whole", "split"])
+    def test_large_order_matches_basis(self, points, rng):
+        # A positive density, like every TrigPolynomial truth, at M' = 1024
+        # on 1000 points that fit the kernel's cap and on 20000 that do
+        # not. With kappa_m x up to 3214, each of the two evaluations is
+        # about 7e-12 off an extended-precision sum on these points.
+        cfg = ArrayConfig(1024, 1.0)
+        x = np.sort(rng.uniform(-1.0, 1.0, points))
+        assert isinstance(core._exp_table(cfg, x), np.ndarray) == (points == 1000)
+        b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+
+        def dense(b):
+            return np.concatenate([trig_basis(cfg, part) @ b for part in np.split(x, 10)])
+
+        b[0] += max(0.0, -np.min(dense(b))) + 0.1
+        expected, g = dense(b), self.g(cfg, b, x)
+        assert np.max(np.abs(g - expected)) <= 1e-13 * (1.0 + np.max(np.abs(g)))
 
     @settings(max_examples=50)
     @given(
@@ -135,8 +160,8 @@ class TestEvaluateTrig:
         local = np.random.default_rng(seed)
         b1 = local.uniform(-1, 1, 7)
         b2 = local.uniform(-1, 1, 7)
-        combined = evaluate_trig(cfg, alpha * b1 + b2, x)
-        split = alpha * evaluate_trig(cfg, b1, x) + evaluate_trig(cfg, b2, x)
+        combined = self.g(cfg, alpha * b1 + b2, x)
+        split = alpha * self.g(cfg, b1, x) + self.g(cfg, b2, x)
         assert combined == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 

@@ -24,7 +24,7 @@ from apsrec.errors import ModelError
 from apsrec.forward import synthesize_lags
 from apsrec.gram import gram_blocks
 from apsrec.plv import negativity_summary, project_onto_nperp, recover
-from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
+from apsrec.quad import theta_quadrature_points
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
 
@@ -95,19 +95,16 @@ MODELS = [
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_path_equivalence(model):
-    # The library's two rules, which certify's energies use, on the lag
-    # integrand: the theta rule meets the exact lags, and the weighted x
-    # rule meets the theta rule to the former path tolerance. Chebyshev-Gauss
-    # is the trapezoid rule in t = arccos(x), whose error on a density with
-    # a slope at +-pi/2 falls only as 1/nodes^2 (1.2e-9 at 256 nodes, 7e-11
-    # at 1024 on the second Gaussian mixture).
+    # The library's theta rule, which certify's energies use, on the lag
+    # integrand meets the exact lags, and the reference's x path, panels
+    # in t = arccos(x) over g = rho(arcsin x), meets the theta rule to the
+    # former path tolerance.
     cfg = ArrayConfig(6, 1.0)
     theta, weights = theta_quadrature_points(256, model.seams_theta())
-    x, x_weights = weighted_quadrature_points(256, tuple(np.sin(model.seams_theta())))
-    by_theta, by_x = (np.exp(1j * np.multiply.outer(cfg.kappas(6), nodes)) @ samples
-                      for nodes, samples in ((np.sin(theta), weights * model.rho(theta)),
-                                             (x, x_weights * model.rho(np.arcsin(x)))))
+    by_theta = np.exp(1j * np.multiply.outer(cfg.kappas(6), np.sin(theta))) @ (
+        weights * model.rho(theta))
     assert_matches_reference(synthesize_lags(model, cfg), by_theta)
+    by_x = reference_lags(model, cfg, "x")
     scale = max(np.max(np.abs(by_theta)), 1e-30)
     assert np.max(np.abs(by_theta - by_x)) / scale <= 1e-9
 

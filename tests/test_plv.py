@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from quad_helpers import reference_lags, seams_x
+from quad_helpers import reference_lags
 
 from apsrec.core import (
     ArrayConfig,
@@ -35,16 +35,10 @@ from apsrec.plv import (
     project_onto_nperp,
     recover,
 )
-from apsrec.quad import weighted_quadrature_points
+from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 FULL_RANGE = Uniform(-np.pi / 2, np.pi / 2, 1.0)
 GAUSS_CLUSTER = GaussianMixture(components=((0.3, 0.05, 1.0),))
-
-
-def weighted_norm_sq(f, seams=(), nodes=512):
-    points, weights = weighted_quadrature_points(nodes, seams)
-    values = np.asarray(f(points))
-    return float(weights @ (values * values))
 
 
 def test_zero_lags_give_zero_solution():
@@ -353,10 +347,9 @@ def test_minimum_norm_orthogonality():
     cfg = ArrayConfig(4, 1.0)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     solution = recover(lags, cfg)
-    g_true = transform_aps(GAUSS_CLUSTER)
-    points, weights = weighted_quadrature_points(512, seams_x(GAUSS_CLUSTER))
-    g_rec = solution.g(points)
-    h = g_true(points) - g_rec
+    points, weights = theta_quadrature_points(512, GAUSS_CLUSTER.seams_theta())
+    g_rec = solution.g(np.sin(points))
+    h = GAUSS_CLUSTER.rho(points) - g_rec
     inner = float(weights @ (g_rec * h))
     scale = np.sqrt(float(weights @ (g_rec * g_rec))) * np.sqrt(float(weights @ (h * h)))
     assert abs(inner) <= 1e-8 * scale
@@ -436,8 +429,7 @@ class TestProjection:
         g_true = transform_aps(model)
 
         def residual(x):
-            from apsrec.core import evaluate_trig
-            return g_true(x) - evaluate_trig(cfg, coeffs, x)
+            return g_true(x) - trig_basis(cfg, x) @ coeffs.b
 
         again = project_onto_nperp(residual, cfg, nodes=512)
         assert np.max(np.abs(again.b)) <= 1e-8

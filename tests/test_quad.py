@@ -122,14 +122,15 @@ def test_theta_path_matches_bessel_identity():
 
 
 def test_indicator_moment_with_seams():
-    # integral of 1[|x| <= a] w dx = 2 asin(a); seam-aware panels make the
+    # integral of 1[|x| <= a] w dx = integral of 1[|sin t| <= a] dt
+    # = 2 asin(a); theta panels split at +-asin(a) make the
     # piecewise-constant integrand exact.
     a = 0.6
-    f = lambda x: (np.abs(x) <= a).astype(float)
-    value = weighted_integral(f, 64, seams=(-a, a))
+    f = lambda t: (np.abs(np.sin(t)) <= a).astype(float)
+    value = integrate_theta(f, 64, seams=(-np.arcsin(a), np.arcsin(a)))
     assert value == pytest.approx(2 * np.arcsin(a), abs=1e-13)
     # without seams the single rule converges only like 1/n
-    plain = weighted_integral(f, 64)
+    plain = integrate_theta(f, 64)
     assert abs(plain - 2 * np.arcsin(a)) > 1e-6
 
 
@@ -149,13 +150,6 @@ def test_node_doubling_on_smooth_integrands():
         coarse = weighted_integral(f, 256)
         fine = weighted_integral(f, 512)
         assert abs(fine - coarse) < 1e-10
-
-
-def test_seam_points_cover_interval():
-    points, weights = weighted_quadrature_points(32, seams=(0.0,))
-    assert points.size == 64
-    assert np.all(weights > 0)
-    assert np.sum(weights) == pytest.approx(np.pi, abs=1e-12)
 
 
 def _panels_by_piece(nodes, pieces):
@@ -178,21 +172,14 @@ def _panels_by_piece(nodes, pieces):
 @pytest.mark.parametrize("nodes", [1, 7, 32])
 def test_panel_tables_match_piecewise_construction(seams, nodes):
     # The broadcast panels are bit for bit those of one panel per piece,
-    # in theta and in t = arccos(x), with seams deduplicated, sorted and
-    # those outside the open interval dropped.
-    def bounds(lo, hi, cuts):
-        inner = sorted({float(c) for c in cuts if lo < c < hi})
-        return list(zip([lo, *inner], [*inner, hi]))
-
+    # with seams deduplicated, sorted and those outside the open interval
+    # dropped.
+    lo, hi = -np.pi / 2, np.pi / 2
     angles = tuple(np.arcsin(np.clip(seams, -1.0, 1.0)))
-    expected = _panels_by_piece(nodes, bounds(-np.pi / 2, np.pi / 2, angles))
+    inner = sorted({float(c) for c in angles if lo < c < hi})
+    expected = _panels_by_piece(nodes, zip([lo, *inner], [*inner, hi]))
     for got, want in zip(theta_quadrature_points(nodes, angles), expected):
         assert np.array_equal(got, want)
-    t, weights = _panels_by_piece(
-        nodes, [(np.arccos(hi), np.arccos(lo)) for lo, hi in bounds(-1.0, 1.0, seams)])
-    points, got_weights = weighted_quadrature_points(nodes, seams)
-    assert np.array_equal(points, np.cos(t))
-    assert np.array_equal(got_weights, weights)
 
 
 def test_non_finite_integrand_raises():
