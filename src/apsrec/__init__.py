@@ -19,9 +19,9 @@ Typical use::
     report = certify(truth, cfg)
 
 Synthesis is exact for every built-in model and takes no option, and
-``certify`` derives its energy rule from the array and the model. A node
-count is set per call only for a callable's ``project_onto_nperp`` and for
-``negativity_summary``; both default to counts that follow the array.
+``certify`` derives its energy rule from the array and the model. No node
+count is settable, and one exponential-sum kernel samples every
+trigonometric polynomial, a ``TrigPolynomial`` truth or a ``PlvSolution``.
 """
 
 from .analysis import (

@@ -570,16 +570,19 @@ def lags_from_toeplitz(matrix, tol=1e-10):
     Args:
         matrix: Square complex matrix.
         tol: Maximum entrywise deviation from exact Hermitian Toeplitz
-            structure before the input is rejected.
+            structure before the input is rejected; finite and >= 0.
 
     Raises:
-        StructureError: If ``matrix`` deviates from Hermitian Toeplitz
-            structure by more than ``tol`` (it then cannot be a ULA
-            covariance).
+        StructureError: If ``matrix`` is not a finite square matrix, or
+            deviates from Hermitian Toeplitz structure by more than
+            ``tol`` (it then cannot be a ULA covariance).
+        ValueError: For a negative or non-finite ``tol``.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise StructureError("covariance must be a square matrix")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not np.all(np.isfinite(matrix)):
+        raise StructureError("covariance must be a finite square matrix")
     first = matrix[:, 0].copy()
     first[0] = first[0].real
     lags = CovarianceLags(first)

@@ -27,13 +27,13 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
-    _MAX_KEPT_TABLE_BYTES,
-    _count,
     _exp_lags,
     _exp_samples,
     _exp_table,
-    trig_basis,
 )
+# trig_basis is not called here: perfbench's tracer wraps it as the basis
+# layer, so it stays a module attribute.
+from .core import trig_basis  # noqa: F401
 from .errors import DomainError, FeasibilityWarning, ModelError
 from .forward import synthesize_lags
 from .gram import _tables, assemble_gram, measurement_vector, solve
@@ -67,30 +67,31 @@ class PlvSolution:
     cfg: ArrayConfig
 
     def g(self, x):
-        """Transformed density g(x) of the reconstruction."""
-        basis = _grid_basis(self.cfg, np.atleast_1d(np.asarray(x, dtype=np.float64)))
-        values = basis @ self.coeffs.b
-        return values[0] if np.ndim(x) == 0 else values
+        """Transformed density g(x) of the reconstruction at the points
+        ``x``, in their shape (a scalar for a 0-d input), by the
+        exponential-sum kernel, bit for bit as ``TrigPolynomial.g``."""
+        x = np.asarray(x, dtype=np.float64)
+        even, odd = _exp_samples(_grid_table(self.cfg, x.ravel()), self.coeffs.b)
+        return (even + odd).reshape(x.shape)[()]
 
     def rho(self, theta):
         """Angular density rho(theta) = g(sin theta) of the reconstruction."""
         return self.g(np.sin(np.asarray(theta, dtype=np.float64)))
 
 
-def _grid_basis(cfg, x):
-    """trig_basis(cfg, x), kept with the configuration's Gram for the last
-    grid evaluated there while within the kept size; the key is a
+def _grid_table(cfg, x):
+    """The kernel table of ``x``, kept with the configuration's Gram for
+    the last grid evaluated there when it is built whole; the key is a
     read-only copy of ``x``."""
     kept = _tables(cfg).get("grid")
     if kept is not None and np.array_equal(kept[0], x):
         return kept[1]
-    basis = trig_basis(cfg, x)
-    if x.nbytes + basis.nbytes <= _MAX_KEPT_TABLE_BYTES:
+    table = _exp_table(cfg, x)
+    if isinstance(table, np.ndarray):
         grid = x.copy()
         grid.setflags(write=False)
-        basis.setflags(write=False)
-        _tables(cfg)["grid"] = grid, basis
-    return basis
+        _tables(cfg)["grid"] = grid, table
+    return table
 
 
 def _half_rule(cfg, nodes):
@@ -102,13 +103,12 @@ def _half_rule(cfg, nodes):
     odd parts of g on those nodes, the kernel's two sample parts. For odd
     ``nodes`` the middle node is snapped to x = 0 and kept at half weight,
     so a sum over both halves counts it once. A whole table is kept with
-    the configuration's Gram at the audit's and the summary's default
-    node counts.
+    the configuration's Gram; the library asks only for the audit's and
+    the summary's counts.
 
     Returns:
         (w, powers): the half-rule weights and the table.
     """
-    nodes = _count(nodes, 1, "node count")
     kept = _tables(cfg).get(nodes)
     if kept is not None:
         return kept
@@ -121,7 +121,7 @@ def _half_rule(cfg, nodes):
         w[0] *= 0.5
     w.setflags(write=False)
     powers = _exp_table(cfg, x)
-    if isinstance(powers, np.ndarray) and nodes in (_auto_nodes(cfg), _negativity_nodes(cfg)):
+    if isinstance(powers, np.ndarray):
         _tables(cfg)[nodes] = w, powers
     return w, powers
 
@@ -176,7 +176,7 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     return PlvSolution(coeffs, residual, cfg)
 
 
-def project_onto_nperp(g, cfg, nodes=None):
+def project_onto_nperp(g, cfg):
     """Project a function (or an L2 spectrum model) orthogonally onto the
     trigonometric subspace spanned by the array's basis.
 
@@ -184,26 +184,20 @@ def project_onto_nperp(g, cfg, nodes=None):
     of ``g`` against the basis. A model's moments are its exact
     synthesized lags, so its projection is :func:`recover` of those lags,
     bit for bit. A callable's are the kernel's lags of its samples on a
-    Chebyshev-Gauss rule of ``nodes`` points.
+    Chebyshev-Gauss rule of max(512, n) points, with n the residual
+    audit's count, which follows the top frequency gamma pi (M-1).
 
     Args:
         g: Vectorized callable on [-1, 1], or an ApsModel with a density.
-        nodes: Node count of a callable's moment rule, by default
-            max(512, n) with n the residual audit's count, which follows
-            the top frequency gamma pi (M-1); a model needs none.
 
     Raises:
         ModelError: For a model without a density (point sources).
-        ValueError: Unless ``nodes`` is an integer of at least 1, for a
-            callable.
     """
     if isinstance(g, ApsModel):
         if not g.in_l2:
             raise ModelError("model has no square-integrable density to project")
         return solve(assemble_gram(cfg), measurement_vector(synthesize_lags(g, cfg)))
-    if nodes is None:
-        nodes = max(512, _auto_nodes(cfg))
-    points, weights = weighted_quadrature_points(nodes)
+    points, weights = weighted_quadrature_points(max(512, _auto_nodes(cfg)))
     samples = weights * np.asarray(g(points), dtype=np.float64)
     lags = _exp_lags(_exp_table(cfg, points), samples, samples, cfg.M)
     return solve(assemble_gram(cfg), np.concatenate([lags.real, lags[1:].imag]))
@@ -213,18 +207,16 @@ def evaluate_solution(solution, grid, domain=Domain.THETA):
     """Sample the reconstruction on a grid in either domain.
 
     Raises:
-        DomainError: If the grid leaves [-pi/2, pi/2] (theta) or [-1, 1] (x).
+        DomainError: Unless the grid lies within [-pi/2, pi/2] (theta) or
+            [-1, 1] (x); a NaN point lies in neither.
     """
     domain = Domain(domain)
     grid = np.asarray(grid, dtype=np.float64)
-    if domain is Domain.THETA:
-        if np.any(np.abs(grid) > HALF_PI):
-            raise DomainError("theta grid must lie within [-pi/2, pi/2]")
-        values = solution.rho(grid)
-    else:
-        if np.any(np.abs(grid) > 1.0):
-            raise DomainError("x grid must lie within [-1, 1]")
-        values = solution.g(grid)
+    theta = domain is Domain.THETA
+    limit, span = (HALF_PI, "[-pi/2, pi/2]") if theta else (1.0, "[-1, 1]")
+    if not np.all(np.abs(grid) <= limit):
+        raise DomainError(f"{domain.value} grid must lie within {span}")
+    values = solution.rho(grid) if theta else solution.g(grid)
     return SampledFunction(grid, values, domain)
 
 
@@ -233,21 +225,19 @@ class NegativitySummary(NamedTuple):
     negative_fraction: float
 
 
-def negativity_summary(solution, nodes=None):
+def negativity_summary(solution):
     """Diagnostics for sign violations of a reconstruction: the minimum
     value over a dense x grid, and the weighted mass of the negative part
     relative to the total absolute mass (0 for a nonnegative solution).
 
-    The grid is a Chebyshev-Gauss rule of ``nodes`` points, by default
-    max(2048, n) with n the residual audit's count, which follows the top
-    frequency gamma pi (M-1). g is sampled through the audit's half-rule
-    power table: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0, with the
-    middle node of an odd rule counted once.
+    The grid is a Chebyshev-Gauss rule of max(2048, n) points, with n the
+    residual audit's count, which follows the top frequency
+    gamma pi (M-1). g is sampled through the audit's half-rule power
+    table: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0, with the middle
+    node of an odd rule counted once.
     """
     cfg = solution.cfg
-    if nodes is None:
-        nodes = _negativity_nodes(cfg)
-    w, powers = _half_rule(cfg, nodes)
+    w, powers = _half_rule(cfg, _negativity_nodes(cfg))
     even, odd = _exp_samples(powers, solution.coeffs.b)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))

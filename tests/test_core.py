@@ -204,6 +204,24 @@ class TestToeplitz:
         lags = lags_from_toeplitz(noisy, tol=1e-12)
         assert lags.M == 2
 
+    def test_non_finite_entry_rejected(self):
+        # A NaN off the first column made the deviation NaN, and
+        # NaN > tol let the matrix through as lags [2, 0.5].
+        for bad in (np.nan, np.inf):
+            with pytest.raises(StructureError, match="finite"):
+                lags_from_toeplitz(np.array([[2.0, bad], [0.5, 2.0]], dtype=complex))
+        with pytest.raises(StructureError, match="finite"):
+            lags_from_toeplitz(np.array([[2.0, 0.5], [np.nan, 2.0]], dtype=complex))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_unusable_tolerance(self, tol):
+        # A NaN tolerance accepted [[2, 5], [0.5, 2]], and a negative one
+        # rejected an exact Toeplitz matrix as deviating by 0.
+        exact = toeplitz_from_lags(CovarianceLags(np.array([2.0, 0.5])))
+        for matrix in (exact, np.array([[2.0, 5.0], [0.5, 2.0]], dtype=complex)):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                lags_from_toeplitz(matrix, tol=tol)
+
 
 class TestModels:
     def test_uniform_constant_in_both_domains(self):

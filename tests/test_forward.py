@@ -18,12 +18,11 @@ from apsrec.core import (
     _SplitTable,
     _exp_table,
     toeplitz_from_lags,
-    transform_aps,
 )
 from apsrec.errors import ModelError
 from apsrec.forward import synthesize_lags
 from apsrec.gram import gram_blocks
-from apsrec.plv import negativity_summary, project_onto_nperp, recover
+from apsrec.plv import negativity_summary, recover
 from apsrec.quad import theta_quadrature_points
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
@@ -226,26 +225,16 @@ def test_covariance_positive_semidefinite(model):
 
 @pytest.mark.parametrize("nodes", [100.5, np.float64(256.0), True, "256"])
 def test_options_reject_non_integer_nodes(nodes):
-    # Synthesis and certify take no node count. The counts that remain,
-    # for a callable's projection and the negativity summary, must not
-    # truncate a fractional count silently.
+    # Synthesis, certify and the negativity summary take no node count,
+    # whatever its type; each follows from the array (and the model).
     cfg = ArrayConfig(2, 1.0)
     with pytest.raises(TypeError):
         certify(FULL_RANGE, cfg, nodes=nodes)
-    with pytest.raises(ValueError, match="node count must be an integer"):
-        project_onto_nperp(np.cos, cfg, nodes)
-    with pytest.raises(ValueError, match="node count must be an integer"):
-        negativity_summary(recover(synthesize_lags(FULL_RANGE, cfg), cfg), nodes)
-
-
-def test_options_store_numpy_node_counts_as_int():
-    cfg = ArrayConfig(4, 1.0)
-    model = LaplacianMixture(components=((0.25, 0.08, 1.0),))
-    solution = recover(synthesize_lags(model, cfg), cfg)
-    assert negativity_summary(solution, np.int64(300)) == negativity_summary(solution, 300)
-    g = transform_aps(model)
-    assert np.array_equal(project_onto_nperp(g, cfg, np.int64(300)).b,
-                          project_onto_nperp(g, cfg, 300).b)
+    solution = recover(synthesize_lags(FULL_RANGE, cfg), cfg)
+    with pytest.raises(TypeError):
+        negativity_summary(solution, nodes)
+    with pytest.raises(TypeError):
+        negativity_summary(solution, nodes=nodes)
 
 
 class _Custom(ApsModel):

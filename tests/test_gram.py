@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from apsrec import gram as gram_module
-from apsrec.core import ArrayConfig, CovarianceLags, TrigCoeffs, trig_basis
+from apsrec.core import ArrayConfig, CovarianceLags, TrigCoeffs, TrigPolynomial, trig_basis
 from apsrec.errors import ConditioningError
 from apsrec.gram import (
     GramMatrix,
@@ -850,7 +850,7 @@ def test_cache_never_holds_a_failing_config():
 
 def _filled_workspace(cfg, rng):
     """recover, evaluate and summarize at ``cfg``, so the cached Gram
-    keeps both power tables and a grid basis."""
+    keeps both power tables and a grid table."""
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
@@ -864,7 +864,7 @@ def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
     # by the time the next configuration's blocks are built.
     entry = _filled_workspace(ArrayConfig(7, 1.0), rng)
     assert entry.cfg == ArrayConfig(7, 1.0)
-    assert len(entry._kept) == 3  # audit and summary power tables, grid basis
+    assert len(entry._kept) == 3  # audit, summary and grid power tables
     refs = [weakref.ref(entry)]
     refs += [weakref.ref(array) for table in entry._kept.values() for array in table]
     del entry
@@ -903,8 +903,8 @@ def test_workspace_tables_read_only(rng):
 
 def test_workspace_keeps_only_default_counts_and_small_tables(rng):
     cfg = ArrayConfig(10, 1.0)
+    assemble_gram(ArrayConfig(5, 1.0))  # start from an empty slot
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
-    negativity_summary(solution, nodes=300)
     negativity_summary(solution)
     assert gram_module._cached.cfg == cfg
     assert sorted(gram_module._cached._kept) == [256, 2048]
@@ -915,16 +915,19 @@ def test_workspace_keeps_only_default_counts_and_small_tables(rng):
     assert gram_module._cached._kept == {}
 
 
-def test_grid_basis_over_kept_size_is_not_kept():
-    # At M = 10 the basis and grid of 110,000 points take 17.6 MB, past
-    # the 16 MiB kept size: the basis is used, and the earlier grid's
-    # stays kept.
+def test_cache_grid_table_over_kept_size_is_not_kept():
+    # At M = 10 a whole table of 110,000 points, with its row of weights,
+    # would take 18.5 MB, past the 16 MiB cap: the kernel runs on baby
+    # rows and a giant step built for the call, and the earlier grid's
+    # table stays kept.
     cfg = ArrayConfig(10, 1.0)
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
     small, large = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 110_000)
     solution.g(small)
     values = solution.g(large)
-    assert np.array_equal(values, trig_basis(cfg, large) @ solution.coeffs.b)
+    assert np.array_equal(values, TrigPolynomial(cfg, solution.coeffs).g(large))
+    dense = trig_basis(cfg, large) @ solution.coeffs.b
+    assert np.max(np.abs(values - dense)) <= 1e-13 * (1.0 + np.max(np.abs(values)))
     assert np.array_equal(gram_module._cached._kept["grid"][0], small)
 
 

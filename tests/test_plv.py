@@ -16,6 +16,7 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
+    _MAX_KEPT_TABLE_BYTES,
     lags_from_toeplitz,
     toeplitz_from_lags,
     transform_aps,
@@ -152,7 +153,7 @@ def test_toeplitz_recovery_from_threads_matches_serial(rng):
 def over_cap(cfg, nodes):
     # Whether the audit's M-row table at ``nodes`` exceeds the kept size,
     # so that the kernel runs on baby rows and a giant step.
-    return 16 * cfg.M * (nodes - nodes // 2) > plv._MAX_KEPT_TABLE_BYTES
+    return 16 * cfg.M * (nodes - nodes // 2) > _MAX_KEPT_TABLE_BYTES
 
 
 def test_split_audit_from_threads_matches_serial(rng):
@@ -162,19 +163,94 @@ def test_split_audit_from_threads_matches_serial(rng):
     assert_threads_match_serial(stream)
 
 
-def test_grid_key_is_a_copy(rng):
-    # Changing the caller's grid in place must not leave a stale basis.
+def assert_matches_trig_polynomial(solution, x):
+    # Bit for bit the kernel's TrigPolynomial.g, and the dense basis to
+    # rounding.
+    values = solution.g(x)
+    assert np.array_equal(values, TrigPolynomial(solution.cfg, solution.coeffs).g(x))
+    dense = trig_basis(solution.cfg, x) @ solution.coeffs.b
+    assert np.max(np.abs(values - dense)) <= 1e-13 * (1.0 + np.max(np.abs(values)))
+    return values
+
+
+def test_cache_grid_key_is_a_copy(rng):
+    # Changing the caller's grid in place must not leave a stale table.
     cfg = ArrayConfig(16, 1.0)
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
     x = np.linspace(-1, 1, 41)
     first = evaluate_solution(solution, x, Domain.X).values
-    assert np.array_equal(first, trig_basis(cfg, x) @ solution.coeffs.b)
+    assert np.array_equal(first, assert_matches_trig_polynomial(solution, x))
     x *= 0.5
     again = evaluate_solution(solution, x, Domain.X).values
-    assert np.array_equal(again, trig_basis(cfg, x) @ solution.coeffs.b)
-    assert np.array_equal(solution.g(x), trig_basis(cfg, x) @ solution.coeffs.b)
+    assert np.array_equal(again, assert_matches_trig_polynomial(solution, x))
+    assert np.array_equal(gram_module._cached._kept["grid"][0], x)
+
+
+def test_grid_table_from_threads_matches_serial(rng):
+    # Four threads alternate two grids, so the kept grid table is replaced
+    # while others read it; each must get the serial samples.
+    cfg = ArrayConfig(64, 1.0)
+    coeffs = [TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs)) for _ in range(4)]
+    grids = [np.linspace(-np.pi / 2, np.pi / 2, 181), np.linspace(-1.5, 1.5, 97)]
+    cases = [(PlvSolution(coeffs[k % 4], 0.0, cfg), grids[k % 2]) for k in range(16)]
+
+    def op(case):
+        return evaluate_solution(*case).values
+
+    assemble_gram(cfg)
+    serial = [op(case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(op, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(serial, threaded):
+        assert np.array_equal(got, expected)
+    assert gram_module._cached.cfg == cfg
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (7, 3), (2, 5, 4)], ids=lambda s: f"{len(s)}d")
+def test_solution_g_matches_trig_polynomial_on_any_shape(shape, rng):
+    # The dense basis path took 1-d grids only: a 2-d one raised
+    # ValueError from np.concatenate.
+    cfg = ArrayConfig(64, 1.0)
+    solution = PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs)), 0.0, cfg)
+    x = rng.uniform(-1.0, 1.0, shape)
+    values = solution.g(x)
+    assert np.shape(values) == shape
+    assert np.array_equal(values, TrigPolynomial(cfg, solution.coeffs).g(x))
+    theta = np.arcsin(x)
+    assert np.array_equal(solution.rho(theta), TrigPolynomial(cfg, solution.coeffs).rho(theta))
+    if not shape:
+        assert isinstance(values, float)
+
+
+def test_solution_g_builds_no_dense_table(rng):
+    # At (1024, 1) the dense basis of 20,000 points took 781 MB; the
+    # kernel runs on about 2 sqrt(M) rows. A positive density, as in
+    # TestEvaluateTrig::test_large_order_matches_basis.
+    cfg = ArrayConfig(1024, 1.0)
+    x = np.linspace(-1.0, 1.0, 20_000)
+    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+
+    def dense(b):
+        return np.concatenate([trig_basis(cfg, part) @ b for part in np.split(x, 20)])
+
+    b[0] += max(0.0, -np.min(dense(b))) + 0.1
+    solution = PlvSolution(TrigCoeffs(b), 0.0, cfg)
+    tracemalloc.start()
+    try:
+        values = solution.g(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    expected = dense(b)
+    assert np.max(np.abs(values - expected)) <= 1e-13 * (1.0 + np.max(np.abs(values)))
 
 
 def test_linearity_in_lags(rng):
@@ -261,24 +337,27 @@ def whole_table_half_rule(cfg, b, nodes):
 
 def test_kept_table_kernel_bit_identical_to_whole_table(rng):
     # At M = 64 every table is within the cap and takes the whole-table
-    # products, whether built per call or kept.
-    cfg = ArrayConfig(64, 1.0)
-    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
-    solution = PlvSolution(coeffs, 0.0, cfg)
-    assemble_gram(cfg)
-    audit_nodes, summary_nodes = plv._auto_nodes(cfg), plv._negativity_nodes(cfg)
-    for nodes in (audit_nodes, audit_nodes + 1, summary_nodes, summary_nodes + 1):
-        lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
-        for _ in range(2):  # built, then kept at the default counts
-            assert np.array_equal(plv._lags_of_coeffs(cfg, coeffs, nodes), lags)
-            assert negativity_summary(solution, nodes) == summary
-    assert sorted(gram_module._cached._kept) == [audit_nodes, summary_nodes]
-    assert negativity_summary(solution) == whole_table_half_rule(
-        cfg, coeffs.b, summary_nodes)[1]
-    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
-    recovered = recover(lags, cfg)
-    audit = whole_table_half_rule(cfg, recovered.coeffs.b, audit_nodes)[0]
-    assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
+    # products, whether built per call or kept. The default counts are
+    # even at gamma = 1, the audit's is odd at 1.13, and both are odd
+    # (one rule) at 1985/256.
+    for gamma, counts in ((1.0, (320, 2048)), (1.13, (353, 2048)), (1985 / 256, (2049, 2049))):
+        cfg = ArrayConfig(64, gamma)
+        coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+        solution = PlvSolution(coeffs, 0.0, cfg)
+        assemble_gram(ArrayConfig(5, 1.0))  # start from an empty slot
+        assemble_gram(cfg)
+        audit_nodes, summary_nodes = plv._auto_nodes(cfg), plv._negativity_nodes(cfg)
+        assert (audit_nodes, summary_nodes) == counts
+        lags = whole_table_half_rule(cfg, coeffs.b, audit_nodes)[0]
+        summary = whole_table_half_rule(cfg, coeffs.b, summary_nodes)[1]
+        for _ in range(2):  # built, then kept
+            assert np.array_equal(plv._lags_of_coeffs(cfg, coeffs, audit_nodes), lags)
+            assert negativity_summary(solution) == summary
+        assert sorted(gram_module._cached._kept) == sorted(set(counts))
+        lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+        recovered = recover(lags, cfg)
+        audit = whole_table_half_rule(cfg, recovered.coeffs.b, audit_nodes)[0]
+        assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
 
 @pytest.mark.parametrize("m,gamma,parity", [
@@ -289,11 +368,12 @@ def test_kept_table_kernel_bit_identical_to_whole_table(rng):
     pytest.param(1025, 1.0, 0, id="even_nodes-1025-1.0"),
     pytest.param(1025, 1.0, 1, id="odd_nodes-1025-1.0"),
 ])
-def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng):
+def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatch):
     # These tables exceed the kept size, and the kernel runs on baby rows
     # step**r and powers of the giant step step**B, B = isqrt(M), which
     # at M = 700 and 1025 do not tile the M rows exactly; the sums
-    # regroup, so agreement is to rounding.
+    # regroup, so agreement is to rounding. The summary runs on the
+    # audit's rule here.
     cfg = ArrayConfig(m, gamma)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     nodes = plv._auto_nodes(cfg) + parity
@@ -301,7 +381,8 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng):
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
     audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
-    blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg), nodes)
+    monkeypatch.setattr(plv, "_negativity_nodes", lambda cfg: nodes)
+    blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert abs(blocked.min_value - summary.min_value) <= 1e-12 * (
         1.0 + abs(summary.min_value))
     assert abs(blocked.negative_fraction - summary.negative_fraction) <= 1e-12
@@ -410,7 +491,7 @@ class TestProjection:
         # for the cosine block, with closed-form moments via J0.
         cfg = ArrayConfig(2, 1.0)
         g = lambda x: np.cos(np.pi * x / 2.0)
-        projected = project_onto_nperp(g, cfg, nodes=256)
+        projected = project_onto_nperp(g, cfg)
         moment_const = np.pi * bessel_j0(np.pi / 2)
         moment_cos = (np.pi / 2) * (bessel_j0(np.pi / 2) + bessel_j0(3 * np.pi / 2))
         g_re = np.array([
@@ -431,7 +512,7 @@ class TestProjection:
         def residual(x):
             return g_true(x) - trig_basis(cfg, x) @ coeffs.b
 
-        again = project_onto_nperp(residual, cfg, nodes=512)
+        again = project_onto_nperp(residual, cfg)
         assert np.max(np.abs(again.b)) <= 1e-8
 
     def test_rejects_models_without_density(self):
@@ -451,26 +532,23 @@ class TestProjection:
         exact = project_onto_nperp(model, cfg).b
         projected = project_onto_nperp(transform_aps(model), cfg).b
         assert np.max(np.abs(projected - exact)) <= 1e-12 * np.max(np.abs(exact))
+        # A small array's rule has the 512-node floor: the dense basis's
+        # moments on it give the same projection.
         small = ArrayConfig(8, 1.0)
-        assert np.array_equal(project_onto_nperp(np.cos, small).b,
-                              project_onto_nperp(np.cos, small, 512).b)
-
-    @pytest.mark.parametrize("nodes", [1, 8, 64])
-    def test_small_rules(self, nodes):
-        # A callable projects on any rule of at least one node.
-        cfg = ArrayConfig(4, 1.0)
-        points, weights = weighted_quadrature_points(nodes)
-        g = transform_aps(GAUSS_CLUSTER)
-        moments = trig_basis(cfg, points).T @ (weights * g(points))
-        dense = solve(assemble_gram(cfg), moments).b
-        projected = project_onto_nperp(g, cfg, nodes).b
+        points, weights = weighted_quadrature_points(512)
+        g = transform_aps(model)
+        dense = solve(assemble_gram(small), trig_basis(small, points).T @ (weights * g(points))).b
+        projected = project_onto_nperp(g, small).b
         assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("nodes", [0, 100.5, np.float64(64.0), True, "64"])
     def test_rejects_bad_node_counts(self, nodes):
-        # Only integers of at least 1 for a callable's rule.
-        with pytest.raises(ValueError, match="node count"):
-            project_onto_nperp(transform_aps(GAUSS_CLUSTER), ArrayConfig(2, 1.0), nodes)
+        # A callable's rule follows the array: no node count is taken.
+        g, cfg = transform_aps(GAUSS_CLUSTER), ArrayConfig(2, 1.0)
+        with pytest.raises(TypeError):
+            project_onto_nperp(g, cfg, nodes)
+        with pytest.raises(TypeError):
+            project_onto_nperp(g, cfg, nodes=nodes)
 
 
 class TestRecoverFromMatrix:
@@ -529,6 +607,15 @@ class TestEvaluateSolution:
         with pytest.raises(DomainError):
             evaluate_solution(solution, np.array([1.5]), Domain.X)
 
+    @pytest.mark.parametrize("domain", [Domain.THETA, Domain.X])
+    def test_nan_grid_is_outside_the_domain(self, domain):
+        # |NaN| > limit is false: [nan] came back as [nan], and [0, nan]
+        # raised ValueError from the grid's ordering check.
+        solution = self.make_solution([1.0, 0, 0, 0, 0])
+        for grid in ([np.nan], [0.0, np.nan]):
+            with pytest.raises(DomainError):
+                evaluate_solution(solution, np.array(grid), domain)
+
     def test_accepts_domain_string(self):
         solution = self.make_solution([1.0, 0, 0, 0, 0])
         sampled = evaluate_solution(solution, np.array([0.0, 0.5]), "x")
@@ -570,24 +657,15 @@ def _dense_negativity(cfg, b, nodes, chunk=1024):
 
 @pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21)])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
-def test_negativity_summary_matches_direct_evaluation(m, gamma, parity, rng):
+def test_negativity_summary_matches_direct_evaluation(m, gamma, parity, rng, monkeypatch):
     # g(+-x_j) from the half-rule power table must reproduce g sampled on
-    # every node of the full rule.
+    # every node of the full rule, of the default count or one more.
     cfg = ArrayConfig(m, gamma)
-    nodes = max(2048, plv._auto_nodes(cfg)) + parity
+    nodes = plv._negativity_nodes(cfg) + parity
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     values, fraction = _dense_negativity(cfg, coeffs.b, nodes)
-    summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg), nodes)
-    assert abs(summary.min_value - values.min()) <= 1e-12 * (1.0 + np.max(np.abs(values)))
-    assert abs(summary.negative_fraction - fraction) <= 1e-12
-
-
-def test_negativity_summary_single_node(rng):
-    # One node: the rule's middle node x = 0, counted once.
-    cfg = ArrayConfig(64, 1.0)
-    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
-    values, fraction = _dense_negativity(cfg, coeffs.b, 1)
-    summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg), 1)
+    monkeypatch.setattr(plv, "_negativity_nodes", lambda cfg: nodes)
+    summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert abs(summary.min_value - values.min()) <= 1e-12 * (1.0 + np.max(np.abs(values)))
     assert abs(summary.negative_fraction - fraction) <= 1e-12
 
