@@ -10,6 +10,7 @@ threads; no operation mutates its inputs.
 import abc
 import enum
 import math
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,14 +189,35 @@ def trig_basis(cfg, x):
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 
-def _powers(step, rows):
-    """The read-only table of step**m for m < rows, one row per power."""
-    powers = np.empty((rows, step.size), dtype=np.complex128)
+def _powers(step, powers):
+    """Fill ``powers`` with step**m, one row per power m < len(powers),
+    and return it read-only. Each product doubles the rows filled: rows
+    k..2k-1 are rows 0..k-1 times step**k, so a table of n rows takes
+    about log2(n) passes."""
     powers[0] = 1.0
-    for m in range(1, rows):
-        np.multiply(powers[m - 1], step, out=powers[m])
+    done = 1
+    while done < len(powers):
+        top = min(2 * done, len(powers))
+        np.multiply(powers[:top - done], powers[done - 1] * step, out=powers[done:top])
+        done = top
     powers.setflags(write=False)
     return powers
+
+
+def _heap(shape):
+    return np.empty(shape, dtype=np.complex128)
+
+
+def _mapped(shape):
+    """A zeroed complex array in its own private anonymous memory mapping,
+    unmapped when the array is freed, for a table that a short-lived
+    thread builds. Its pages fault in as they are first written; with
+    MAP_POPULATE the mapping call faults them all while it holds the
+    process's memory map, and an M = 1024 cache miss took 17 % longer
+    (2-vCPU x86-64 host), the other thread's page faults waiting on it."""
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 16 * count, flags=mmap.MAP_PRIVATE),
+                         dtype=np.complex128, count=count).reshape(shape)
 
 
 class _SplitTable(NamedTuple):
@@ -215,10 +237,15 @@ def _exp_table(cfg, x):
     rows step**r and the giant step step**B, about 2 sqrt(M) rows."""
     step = np.exp(1j * cfg.gamma * np.pi * x)
     if (2 * cfg.M + 1) * 8 * step.size <= _MAX_KEPT_TABLE_BYTES:
-        return _powers(step, cfg.M)
-    rows = math.isqrt(cfg.M)
-    baby = _powers(step, rows)
-    work = np.empty((-(-cfg.M // rows), step.size), dtype=np.complex128)
+        return _powers(step, _heap((cfg.M, step.size)))
+    return _split_table(step, cfg.M, _heap)
+
+
+def _split_table(step, rows, empty):
+    """The :class:`_SplitTable` of step**m for m < ``rows``, its baby rows
+    and work table from ``empty(shape)``."""
+    baby = _powers(step, empty((math.isqrt(rows), step.size)))
+    work = empty((-(-rows // len(baby)), step.size))
     return _SplitTable(baby, baby[-1] * step, work)
 
 
@@ -242,8 +269,12 @@ def _giant_lags(table, v, M):
     of its float view with baby's is then the sum for m = B s + r."""
     baby, giant, work = table
     work[0] = v
-    for s in range(1, len(work)):
-        np.multiply(work[s - 1], giant, out=work[s])
+    done = 1
+    while done < len(work):  # rows doubled per product, as in _powers
+        top = min(2 * done, len(work))
+        np.multiply(work[:top - done], giant, out=work[done:top])
+        giant = giant * giant
+        done = top
     np.conjugate(work, out=work)
     return (work.view(np.float64) @ baby.view(np.float64).T).ravel()[:M]
 
@@ -269,6 +300,15 @@ def _exp_lags(table, a, b, M):
             return table @ a
         return (table @ a).real + 1j * (table @ b).imag
     return _giant_lags(table, a, M) + 1j * _giant_lags(table, -1j * b, M)
+
+
+def _exp_moments(cfg, x, w, empty=_heap):
+    """sum_j w_j cos(kappa_m x_j) for m < M and real weights w: one pass
+    of the kernel. Its table is split at every size, since no other pass
+    shares it and the split one takes about 2 sqrt(M) rows instead of M;
+    its baby rows and work table come from ``empty(shape)``."""
+    step = np.exp(1j * cfg.gamma * np.pi * x)
+    return _giant_lags(_split_table(step, cfg.M, empty), w, cfg.M)
 
 
 class ApsModel(abc.ABC):
@@ -551,7 +591,7 @@ def transform_aps(model):
 
     def g(x):
         x = np.asarray(x, dtype=np.float64)
-        if np.any(x < -1.0) or np.any(x > 1.0):
+        if not np.all(np.abs(x) <= 1.0):
             raise DomainError("transformed density is defined on [-1, 1]")
         return native(x)
 
@@ -560,7 +600,10 @@ def transform_aps(model):
 
 def toeplitz_from_lags(lags):
     """Build the full M-by-M Hermitian Toeplitz covariance matrix whose
-    first column is ``lags.r``."""
+    first column is ``lags.r``; a raw vector is taken as CovarianceLags
+    first, so a non-finite entry or a complex r_0 raises ValueError."""
+    if not isinstance(lags, CovarianceLags):
+        lags = CovarianceLags(lags)
     return scipy.linalg.toeplitz(lags.r, np.conj(lags.r))
 
 

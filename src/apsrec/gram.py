@@ -87,11 +87,8 @@ def gram_blocks(cfg):
     """Closed-form Gram blocks for the array configuration.
 
     Both blocks are Toeplitz plus Hankel in J0(kappa_k) for
-    k = 0..2M-2, so ``scipy.special.j0`` is evaluated once on those
-    2M-1 frequencies. The Toeplitz part J0(kappa_|m-n|) and the Hankel
-    part J0(kappa_{m+n}) are strided M-by-M window views of that vector,
-    so no index table is built and only the sums and differences are
-    materialized.
+    k = 0..2M-2 (:func:`_blocks`), so ``scipy.special.j0`` is evaluated
+    once on those 2M-1 frequencies.
 
     Returns:
         (g_re, g_im): the M-by-M cosine-block matrix with entries
@@ -100,16 +97,26 @@ def gram_blocks(cfg):
         (pi/2)(J0(kappa_|m-n|) - J0(kappa_{m+n})). Assembles entries only;
         no factorization, so this never raises on ill conditioning.
     """
-    M = cfg.M
-    j0 = bessel_j0(cfg.gamma * np.pi * np.arange(2 * M - 1))
-    windows = np.lib.stride_tricks.sliding_window_view
-    # Row m of the reversed windows over [J0(kappa_{M-1}) .. J0(kappa_1),
-    # J0(kappa_0) .. J0(kappa_{M-1})] starts at J0(kappa_m).
-    toeplitz = windows(np.concatenate((j0[M - 1:0:-1], j0[:M])), M)[::-1]
-    hankel = windows(j0, M)
-    g_re = (np.pi / 2.0) * (toeplitz + hankel)
-    g_im = (np.pi / 2.0) * (toeplitz[1:, 1:] - hankel[1:, 1:])
-    return g_re, g_im
+    return _blocks(bessel_j0(cfg.gamma * np.pi * np.arange(2 * cfg.M - 1)), np.pi / 2.0)
+
+
+def _blocks(values, scale):
+    """The M-by-M matrix scale (v_|m-n| + v_{m+n}) and the (M-1)-by-(M-1)
+    one scale (v_|m-n| - v_{m+n}), m, n >= 1, from the 2M-1 values v of a
+    contiguous array. The Toeplitz part v_|m-n| and the Hankel part
+    v_{m+n} are strided M-by-M window views (row i starts at entry i), so
+    no index table is built and only the sums and differences are
+    materialized."""
+    M = (values.size + 1) // 2
+
+    def windows(v):
+        return np.lib.stride_tricks.as_strided(v, (M, M), v.strides * 2, writeable=False)
+
+    # Row m of the reversed windows over [v_{M-1} .. v_1, v_0 .. v_{M-1}]
+    # starts at v_m.
+    toeplitz = windows(np.concatenate((values[M - 1:0:-1], values[:M])))[::-1]
+    hankel = windows(values)
+    return scale * (toeplitz + hankel), scale * (toeplitz[1:, 1:] - hankel[1:, 1:])
 
 
 @dataclass(frozen=True)

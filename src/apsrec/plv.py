@@ -13,6 +13,7 @@ reported verbatim with a negativity summary rather than clipped, since
 clipping would silently break every energy identity downstream.
 """
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,6 +29,9 @@ from .core import (
     SampledFunction,
     TrigCoeffs,
     _exp_lags,
+    _exp_moments,
+    _heap,
+    _mapped,
     _exp_samples,
     _exp_table,
 )
@@ -36,7 +40,16 @@ from .core import (
 from .core import trig_basis  # noqa: F401
 from .errors import DomainError, FeasibilityWarning, ModelError
 from .forward import synthesize_lags
-from .gram import _tables, assemble_gram, measurement_vector, solve
+from .gram import (
+    _TOEPLITZ_MIN_M,
+    _blocks,
+    _spectrum,
+    _tables,
+    _toeplitz_product,
+    assemble_gram,
+    measurement_vector,
+    solve,
+)
 from .quad import weighted_quadrature_points
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -94,24 +107,18 @@ def _grid_table(cfg, x):
     return table
 
 
-def _half_rule(cfg, nodes):
-    """Weights and kernel table of the upper half of the Chebyshev-Gauss
-    rule, the nodes x_j >= 0.
+def _half_rule(nodes):
+    """Nodes and weights of the upper half of the Chebyshev-Gauss rule of
+    ``nodes`` points, the nodes x_j >= 0.
 
-    The rule's abscissae ascend and are symmetric about x = 0, so g(x_j)
-    and g(-x_j) are e_j + o_j and e_j - o_j, with e and o the even and
-    odd parts of g on those nodes, the kernel's two sample parts. For odd
-    ``nodes`` the middle node is snapped to x = 0 and kept at half weight,
-    so a sum over both halves counts it once. A whole table is kept with
-    the configuration's Gram; the library asks only for the audit's and
-    the summary's counts.
+    The rule's abscissae ascend and are symmetric about x = 0, so a sum
+    over it of an even function is twice the half rule's, and of an odd
+    one is zero. For odd ``nodes`` the middle node is snapped to x = 0
+    and kept at half weight, so a sum over both halves counts it once.
 
     Returns:
-        (w, powers): the half-rule weights and the table.
+        (x, w): the half-rule nodes and read-only weights.
     """
-    kept = _tables(cfg).get(nodes)
-    if kept is not None:
-        return kept
     points, weights = weighted_quadrature_points(nodes)
     half = nodes // 2
     x = points[half:].copy()
@@ -120,36 +127,116 @@ def _half_rule(cfg, nodes):
         x[0] = 0.0
         w[0] *= 0.5
     w.setflags(write=False)
+    return x, w
+
+
+def _summary_table(cfg):
+    """Weights and kernel table of :func:`_half_rule` at the summary's
+    count, kept with the configuration's Gram when built whole."""
+    nodes = _negativity_nodes(cfg)
+    kept = _tables(cfg).get(nodes)
+    if kept is not None:
+        return kept
+    x, w = _half_rule(nodes)
     powers = _exp_table(cfg, x)
     if isinstance(powers, np.ndarray):
         _tables(cfg)[nodes] = w, powers
     return w, powers
 
 
-def _lags_of_coeffs(cfg, coeffs, nodes):
-    """Lags r_m = sum_j w_j g(x_j) exp(i kappa_m x_j) of the solution by
-    Chebyshev-Gauss quadrature, independent of the closed-form Gram.
+def _audit_matrix(cfg, x, w, empty=_heap):
+    """The audit's Gram Q on the half rule (x, w) of :func:`_half_rule`.
 
-    exp(i kappa_m (-x)) is the conjugate of exp(i kappa_m x), so over the
-    half rule of :func:`_half_rule`,
-    r_m = 2 sum_j w_j (e_j cos(kappa_m x_j) + i o_j sin(kappa_m x_j)):
-    the kernel's lags of the weighted parts.
+    Q is the Gram with pi J0(kappa_l) replaced by the rule's own moments
+    mu_l = sum_j w_j cos(kappa_l x_j) over the whole rule, l < 2M-1, one
+    pass of the kernel over 2M-1 powers; the rule is symmetric, so its
+    products of a cosine and a sine sum to zero and Q b equals the lags
+    sum_j w_j g(x_j) exp(i kappa_m x_j) of the coefficients b, with g
+    sampled on the rule. Below ``_TOEPLITZ_MIN_M`` it is the two dense
+    blocks (:func:`gram._blocks`), from it up the circulant spectrum of
+    the Toeplitz matrix with first column mu. Never built from J0 or from
+    the Gram's factors, it checks the solve independently. The moment
+    pass takes its table from ``empty(shape)``.
+
+    Returns:
+        A tuple of read-only arrays, for :func:`_lags_of_coeffs`.
     """
-    w, powers = _half_rule(cfg, nodes)
-    even, odd = _exp_samples(powers, coeffs.b)
-    return 2.0 * _exp_lags(powers, w * even, w * odd, cfg.M)
+    mu = 2.0 * _exp_moments(ArrayConfig(2 * cfg.M - 1, cfg.gamma), x, w, empty)
+    audit = (_spectrum(mu),) if cfg.M >= _TOEPLITZ_MIN_M else _blocks(mu, 0.5)
+    for array in audit:
+        array.setflags(write=False)
+    return audit
+
+
+def _lags_of_coeffs(cfg, audit, coeffs):
+    """Lags r_m = sum_j w_j g(x_j) exp(i kappa_m x_j), m < M, of the
+    solution by Chebyshev-Gauss quadrature: Q b, with Q from
+    :func:`_audit_matrix`, is [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}],
+    the measurement layout."""
+    b, M = coeffs.b, cfg.M
+    if M >= _TOEPLITZ_MIN_M:
+        y = _toeplitz_product(audit[0], b)
+    else:
+        y = np.concatenate([audit[0] @ b[:M], audit[1] @ b[M:]])
+    lags = y[:M].astype(np.complex128)
+    lags[1:] += 1j * y[M:]
+    return lags
+
+
+def _solve_and_audit(cfg, y):
+    """The solution of G b = y and the audit's Q for ``cfg``, kept with
+    its Gram. Below ``_TOEPLITZ_MIN_M`` Q is built before the Gram. From
+    it up, Q is built on one short-lived thread while this one assembles
+    the Gram and solves, and that thread is joined before this returns or
+    raises; an exception from the build is raised here. The half rule is
+    built here, so the other thread calls nothing a tracer may wrap, and
+    its table is mapped (:func:`core._mapped`): pages freed on that
+    thread's C heap would stay there, and pages taken here would leave a
+    hole under the arrays the Gram keeps."""
+    x, w = _half_rule(_auto_nodes(cfg))
+    if cfg.M < _TOEPLITZ_MIN_M:
+        audit = _audit_matrix(cfg, x, w)
+        coeffs = solve(assemble_gram(cfg), y)
+    else:
+        built = []
+
+        def build():
+            try:
+                built.append(_audit_matrix(cfg, x, w, _mapped))
+            except BaseException as error:  # raised again below, on this thread
+                built.append(error)
+
+        thread = threading.Thread(target=build, name="apsrec-audit", daemon=True)
+        thread.start()
+        try:
+            coeffs = solve(assemble_gram(cfg), y)
+        finally:
+            thread.join()
+        audit = built[0]
+        if isinstance(audit, BaseException):
+            raise audit
+    _tables(cfg)["audit"] = audit
+    return coeffs, audit
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Recover the minimum-norm spectrum consistent with ``lags``.
 
+    Feasibility is re-checked independently of the closed-form Gram: the
+    lags of the solution by Chebyshev-Gauss quadrature, on a rule whose
+    node count scales with the top basis frequency, are Q b with Q the
+    Gram of that rule (:func:`_audit_matrix`). Q depends on the array
+    alone and is kept with the cached Gram. On a new configuration from
+    ``_TOEPLITZ_MIN_M`` up it is built on one extra short-lived thread
+    while the Gram is assembled and the system solved, and that thread
+    is joined before ``recover`` returns or raises; a repeated
+    configuration starts no thread.
+
     Args:
         lags: CovarianceLags (or raw complex vector) of length cfg.M.
         residual_tol: Feasibility tolerance, scaled by (1 + max |r_m|). A
             FeasibilityWarning is emitted when the quadrature-checked
-            constraint residual exceeds it. The residual is checked on a
-            Chebyshev-Gauss rule whose node count scales with the top basis
-            frequency.
+            constraint residual exceeds it.
 
     Raises:
         ConditioningError: Propagated from Gram assembly.
@@ -162,9 +249,13 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
         lags = CovarianceLags(lags)
     if lags.M != cfg.M:
         raise ValueError(f"lag count {lags.M} does not match array M = {cfg.M}")
-    coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
+    audit = _tables(cfg).get("audit")
+    if audit is None:
+        coeffs, audit = _solve_and_audit(cfg, measurement_vector(lags))
+    else:
+        coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
 
-    residual = float(np.max(np.abs(_lags_of_coeffs(cfg, coeffs, _auto_nodes(cfg)) - lags.r)))
+    residual = float(np.max(np.abs(_lags_of_coeffs(cfg, audit, coeffs) - lags.r)))
     scale = residual_tol * (1.0 + float(np.max(np.abs(lags.r))))
     if residual > scale:
         warnings.warn(
@@ -232,12 +323,13 @@ def negativity_summary(solution):
 
     The grid is a Chebyshev-Gauss rule of max(2048, n) points, with n the
     residual audit's count, which follows the top frequency
-    gamma pi (M-1). g is sampled through the audit's half-rule power
-    table: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0, with the middle
-    node of an odd rule counted once.
+    gamma pi (M-1). g is sampled through the power table of its half rule
+    (:func:`_summary_table`): g(+-x_j) = e_j +- o_j over the nodes
+    x_j >= 0, with e and o the kernel's even and odd sample parts and the
+    middle node of an odd rule counted once.
     """
     cfg = solution.cfg
-    w, powers = _half_rule(cfg, _negativity_nodes(cfg))
+    w, powers = _summary_table(cfg)
     even, odd = _exp_samples(powers, solution.coeffs.b)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))

@@ -180,6 +180,20 @@ class TestToeplitz:
         matrix = toeplitz_from_lags(CovarianceLags(np.array([2.0, 1.0j])))
         assert np.array_equal(matrix, np.array([[2.0, -1.0j], [1.0j, 2.0]]))
 
+    def test_raw_vectors_taken_as_lags(self):
+        # A list raised AttributeError: 'list' object has no attribute 'r'.
+        expected = toeplitz_from_lags(CovarianceLags(np.array([2.0, 0.5 - 0.25j])))
+        for raw in ([2.0, 0.5 - 0.25j], np.array([2.0, 0.5 - 0.25j])):
+            assert np.array_equal(toeplitz_from_lags(raw), expected)
+
+    @pytest.mark.parametrize("raw,match", [([2.0, np.nan], "finite"),
+                                           ([2.0 + 1e-3j, 0.5], "r\\[0\\]")],
+                             ids=["nan", "complex_r0"])
+    def test_raw_vector_checked_as_lags(self, raw, match):
+        # The same ValueError as recover gives for the same vector.
+        with pytest.raises(ValueError, match=match):
+            toeplitz_from_lags(raw)
+
     def test_identity_extraction(self):
         lags = lags_from_toeplitz(np.eye(3, dtype=complex), tol=0.0)
         assert np.array_equal(lags.r, np.array([1.0, 0.0, 0.0]))
@@ -260,6 +274,15 @@ class TestModels:
             g(1.0001)
         with pytest.raises(DomainError):
             g(np.array([0.0, -1.5]))
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.5], [0.5, np.nan], [[0.1, 0.2], [np.nan, 0.3]]],
+                             ids=["nan_first", "nan_last", "2d"])
+    def test_transform_nan_is_outside_the_domain(self, x):
+        # np.any(x < -1) or np.any(x > 1) is False for NaN, so [nan, 0.5]
+        # read as density [0, 1] on the full-range segment.
+        g = transform_aps(Uniform(-np.pi / 2, np.pi / 2, 1.0))
+        with pytest.raises(DomainError):
+            g(np.array(x))
 
     def test_point_sources_have_no_transform(self):
         model = PointSources(sources=((0.1, 1.0),))

@@ -850,7 +850,8 @@ def test_cache_never_holds_a_failing_config():
 
 def _filled_workspace(cfg, rng):
     """recover, evaluate and summarize at ``cfg``, so the cached Gram
-    keeps both power tables and a grid table."""
+    keeps the audit's Q (two dense blocks), the summary's power table and
+    a grid table."""
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
@@ -864,7 +865,7 @@ def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
     # by the time the next configuration's blocks are built.
     entry = _filled_workspace(ArrayConfig(7, 1.0), rng)
     assert entry.cfg == ArrayConfig(7, 1.0)
-    assert len(entry._kept) == 3  # audit, summary and grid power tables
+    assert sorted(map(str, entry._kept)) == ["2048", "audit", "grid"]
     refs = [weakref.ref(entry)]
     refs += [weakref.ref(array) for table in entry._kept.values() for array in table]
     del entry
@@ -902,17 +903,21 @@ def test_workspace_tables_read_only(rng):
 
 
 def test_workspace_keeps_only_default_counts_and_small_tables(rng):
+    # The audit keeps its Q, never a power table of its rule.
     cfg = ArrayConfig(10, 1.0)
     assemble_gram(ArrayConfig(5, 1.0))  # start from an empty slot
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
     negativity_summary(solution)
     assert gram_module._cached.cfg == cfg
-    assert sorted(gram_module._cached._kept) == [256, 2048]
-    # At M = 1024 the audit's table is 42 MB, above the kept size.
+    assert sorted(map(str, gram_module._cached._kept)) == ["2048", "audit"]
+    assert [block.shape for block in gram_module._cached._kept["audit"]] == [(10, 10), (9, 9)]
+    # At M = 1024 the summary's table is 42 MB, above the kept size, and
+    # Q is one FFT row of the 4096-point circulant.
     big = ArrayConfig(1024, 1.0)
-    recover(np.ones(big.M, dtype=complex), big)
+    negativity_summary(recover(np.ones(big.M, dtype=complex), big))
     assert gram_module._cached.cfg == big
-    assert gram_module._cached._kept == {}
+    assert list(gram_module._cached._kept) == ["audit"]
+    assert [row.shape for row in gram_module._cached._kept["audit"]] == [(2049,)]
 
 
 def test_cache_grid_table_over_kept_size_is_not_kept():

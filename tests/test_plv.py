@@ -1,4 +1,7 @@
+import multiprocessing
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,9 +25,16 @@ from apsrec.core import (
     transform_aps,
     trig_basis,
 )
+from apsrec import core
 from apsrec import gram as gram_module
 from apsrec import plv
-from apsrec.errors import DomainError, FeasibilityWarning, ModelError, StructureError
+from apsrec.errors import (
+    ConditioningError,
+    DomainError,
+    FeasibilityWarning,
+    ModelError,
+    StructureError,
+)
 from apsrec.forward import synthesize_lags
 from apsrec.gram import assemble_gram, bessel_j0, measurement_vector, solve
 from apsrec.plv import (
@@ -108,10 +118,11 @@ def test_recovery_from_threads_matches_serial(rng):
         assert np.array_equal(got[2], expected[2])
         assert got[3] == expected[3]
     # Each op adds its tables after its own assemble_gram stores the Gram,
-    # so a lost update is the only way one could be missing here.
+    # so a lost update is the only way one could be missing here: the
+    # audit's Q, the summary's power table and the grid's.
     entry = gram_module._cached
     assert entry.cfg == cfg
-    assert sorted(map(str, entry._kept)) == ["2048", "320", "grid"]
+    assert sorted(map(str, entry._kept)) == ["2048", "audit", "grid"]
 
 
 def fresh_gamma_stream(rng, m, gammas):
@@ -157,10 +168,99 @@ def over_cap(cfg, nodes):
 
 
 def test_split_audit_from_threads_matches_serial(rng):
-    # Every audit here runs on baby rows and a giant step built per call.
+    # Every recover here misses, so each of the four threads builds its
+    # Q on a thread of its own, on baby rows and a giant step, while it
+    # factorizes its Gram.
     stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
     assert all(over_cap(cfg, plv._auto_nodes(cfg)) for _, cfg in stream)
     assert_threads_match_serial(stream)
+
+
+@pytest.mark.parametrize("failing", [ArrayConfig(10, 0.5), ArrayConfig(300, 0.5)],
+                         ids=["dense", "toeplitz"])
+def test_cache_miss_conditioning_error_joins_audit_and_keeps_nothing(failing, rng,
+                                                                    monkeypatch):
+    # The Toeplitz miss raises while the audit's thread still runs (its
+    # moments are held back here); it must be joined before the error
+    # leaves recover, and neither the Gram nor Q may be kept.
+    recover(rng.normal(size=7) + 7.0, ArrayConfig(7, 1.0))
+    moments = plv._exp_moments
+
+    def slow(*args):
+        time.sleep(0.2)
+        return moments(*args)
+
+    monkeypatch.setattr(plv, "_exp_moments", slow)
+    threads = threading.active_count()
+    with pytest.raises(ConditioningError):
+        recover(np.ones(failing.M, dtype=complex), failing)
+    assert threading.active_count() == threads
+    assert gram_module._cached is None
+    assert gram_module._tables(failing) == {}
+
+
+def test_cache_miss_audit_error_reaches_caller(monkeypatch):
+    # An exception raised while Q is built on its thread is raised by
+    # recover itself, the same object, after the thread is joined.
+    cfg = ArrayConfig(300, 1.1)
+    assemble_gram(ArrayConfig(5, 1.0))  # a miss
+    error = RuntimeError("moments failed")
+
+    def failing(*args):
+        assert threading.current_thread() is not threading.main_thread()
+        raise error
+
+    monkeypatch.setattr(plv, "_exp_moments", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        recover(np.ones(cfg.M, dtype=complex), cfg)
+    assert excinfo.value is error
+    assert threading.active_count() == threads
+    assert "audit" not in gram_module._tables(cfg)
+
+
+def _recover_in_child(pipe):
+    cfg = ArrayConfig(320, 1.07)
+    pipe.send(recover(np.ones(cfg.M, dtype=complex), cfg).constraint_residual)
+
+
+def test_cache_miss_in_forked_child_after_threaded_miss():
+    # The parent's audit thread is gone by the fork, so a child that
+    # misses the cache starts and joins its own.
+    recover(np.ones(300, dtype=complex), ArrayConfig(300, 1.2))
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_recover_in_child, args=(sender,))
+    child.start()
+    try:
+        assert receiver.poll(120)
+        assert receiver.recv() <= DEFAULT_RESIDUAL_TOL
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("m", [16, 300], ids=["dense", "toeplitz"])
+def test_cache_miss_audit_independent_of_j0(m, monkeypatch):
+    # A Gram built from a wrong J0 value solves consistently with itself;
+    # the audit's Q comes from the rule's own moments, so it sees the
+    # wrong lags. Were Q built from the same J0 column, nothing would warn.
+    cfg = ArrayConfig(m, 1.0)
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+    assemble_gram(ArrayConfig(5, 1.0))  # a miss
+    exact = gram_module.bessel_j0
+
+    def perturbed(z):
+        column = exact(z)
+        column[3] *= 1.0 + 1e-6
+        return column
+
+    monkeypatch.setattr(gram_module, "bessel_j0", perturbed)
+    with pytest.warns(FeasibilityWarning):
+        solution = recover(lags, cfg)
+    assert solution.constraint_residual > 1e-8
 
 
 def assert_matches_trig_polynomial(solution, x):
@@ -294,25 +394,33 @@ def test_recover_rejects_unusable_tolerance(tol):
         recover(lags, cfg, residual_tol=tol)
 
 
+def audit_lags(cfg, coeffs, nodes):
+    # The audit's lags Q b, with Q built on the half rule of ``nodes``.
+    return plv._lags_of_coeffs(cfg, plv._audit_matrix(cfg, *plv._half_rule(nodes)), coeffs)
+
+
 @pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21),
                                      (700, 1.25), (1025, 1.0)])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
 def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng):
-    # The half-node power table must reproduce the plain full-rule sum
-    # sum_j w_j g(x_j) exp(i kappa_m x_j) over every node.
+    # Q b, the rule's own moments against the coefficients, must reproduce
+    # the plain full-rule sum sum_j w_j g(x_j) exp(i kappa_m x_j) over
+    # every node: dense blocks at M = 1, 2 and 64, the FFT product from
+    # the Toeplitz size up.
     cfg = ArrayConfig(m, gamma)
     nodes = plv._auto_nodes(cfg) + parity
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     points, weights = weighted_quadrature_points(nodes)
     samples = weights * (trig_basis(cfg, points) @ coeffs.b)
     direct = np.exp(1j * np.multiply.outer(cfg.kappas(m), points)) @ samples
-    audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
+    audit = audit_lags(cfg, coeffs, nodes)
     assert audit.shape == (m,)
     assert np.max(np.abs(audit - direct)) <= 1e-11 * (1.0 + np.max(np.abs(direct)))
 
 
 def whole_table_half_rule(cfg, b, nodes):
-    # The half-rule kernel with the whole M-row power table built at once.
+    # The half-rule kernel with the whole M-row power table built at once,
+    # each product doubling the rows filled, as the kernel builds it.
     points, weights = weighted_quadrature_points(nodes)
     half = nodes // 2
     x = points[half:].copy()
@@ -323,8 +431,11 @@ def whole_table_half_rule(cfg, b, nodes):
     step = np.exp(1j * cfg.gamma * np.pi * x)
     powers = np.empty((cfg.M, x.size), dtype=np.complex128)
     powers[0] = 1.0
-    for m in range(1, cfg.M):
-        powers[m] = powers[m - 1] * step
+    done = 1
+    while done < cfg.M:
+        top = min(2 * done, cfg.M)
+        powers[done:top] = powers[:top - done] * (powers[done - 1] * step)
+        done = top
     even = (b[:cfg.M] @ powers).real
     odd = (b[cfg.M:] @ powers[1:]).imag
     lags = 2.0 * ((powers @ (w * even)).real + 1j * (powers @ (w * odd)).imag)
@@ -336,10 +447,12 @@ def whole_table_half_rule(cfg, b, nodes):
 
 
 def test_kept_table_kernel_bit_identical_to_whole_table(rng):
-    # At M = 64 every table is within the cap and takes the whole-table
-    # products, whether built per call or kept. The default counts are
+    # At M = 64 the summary's table is within the cap and takes the
+    # whole-table products, whether built per call or kept, and the kept
+    # Q gives the audit of a fresh one bit for bit. The default counts are
     # even at gamma = 1, the audit's is odd at 1.13, and both are odd
-    # (one rule) at 1985/256.
+    # (one rule) at 1985/256. Q b regroups the whole-table sums, so it
+    # agrees with them to rounding.
     for gamma, counts in ((1.0, (320, 2048)), (1.13, (353, 2048)), (1985 / 256, (2049, 2049))):
         cfg = ArrayConfig(64, gamma)
         coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
@@ -350,13 +463,19 @@ def test_kept_table_kernel_bit_identical_to_whole_table(rng):
         assert (audit_nodes, summary_nodes) == counts
         lags = whole_table_half_rule(cfg, coeffs.b, audit_nodes)[0]
         summary = whole_table_half_rule(cfg, coeffs.b, summary_nodes)[1]
+        fresh = audit_lags(cfg, coeffs, audit_nodes)
+        assert np.max(np.abs(fresh - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
         for _ in range(2):  # built, then kept
-            assert np.array_equal(plv._lags_of_coeffs(cfg, coeffs, audit_nodes), lags)
             assert negativity_summary(solution) == summary
-        assert sorted(gram_module._cached._kept) == sorted(set(counts))
+        assert sorted(gram_module._cached._kept) == [summary_nodes]
         lags = synthesize_lags(GAUSS_CLUSTER, cfg)
         recovered = recover(lags, cfg)
-        audit = whole_table_half_rule(cfg, recovered.coeffs.b, audit_nodes)[0]
+        assert sorted(map(str, gram_module._cached._kept)) == [str(summary_nodes), "audit"]
+        kept = gram_module._cached._kept["audit"]
+        for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))):
+            assert np.array_equal(plv._lags_of_coeffs(cfg, kept, coeffs),
+                                  audit_lags(cfg, coeffs, audit_nodes))
+        audit = audit_lags(cfg, recovered.coeffs, audit_nodes)
         assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
 
@@ -379,7 +498,7 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     nodes = plv._auto_nodes(cfg) + parity
     assert over_cap(cfg, nodes)
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
-    audit = plv._lags_of_coeffs(cfg, coeffs, nodes)
+    audit = audit_lags(cfg, coeffs, nodes)
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
     monkeypatch.setattr(plv, "_negativity_nodes", lambda cfg: nodes)
     blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
@@ -388,21 +507,35 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     assert abs(blocked.negative_fraction - summary.negative_fraction) <= 1e-12
 
 
-def test_block_wise_kernel_builds_no_whole_table(rng):
-    # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB.
+def test_block_wise_kernel_builds_no_whole_table(rng, monkeypatch):
+    # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB,
+    # and Q's moments would take one of 2047 rows, about 85 MB. A miss
+    # builds Q's split table on its thread in anonymous mappings, which
+    # tracemalloc does not see, so their sizes count on top of its peak.
     cfg = ArrayConfig(1024, 1.25)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     solution = PlvSolution(coeffs, 0.0, cfg)
     nodes = plv._auto_nodes(cfg)
-    for run in (lambda: plv._lags_of_coeffs(cfg, coeffs, nodes),
-                lambda: negativity_summary(solution)):
+    mapped = []
+
+    def counted(shape):
+        mapped.append(16 * int(np.prod(shape)))
+        return core._mapped(shape)
+
+    monkeypatch.setattr(plv, "_mapped", counted)
+    assemble_gram(ArrayConfig(5, 1.0))  # recover misses
+    for run in (lambda: audit_lags(cfg, coeffs, nodes),
+                lambda: negativity_summary(solution),
+                lambda: recover(np.ones(cfg.M, dtype=complex), cfg)):
+        mapped.clear()
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak + sum(mapped) < 8 * 2**20
+    assert 2 * 2**20 < sum(mapped)
 
 
 def test_residual_audit_catches_wrong_coefficient(monkeypatch):
@@ -412,8 +545,7 @@ def test_residual_audit_catches_wrong_coefficient(monkeypatch):
     bad = good.copy()
     bad[cfg.M + 3] += 1e-6
     scale = DEFAULT_RESIDUAL_TOL * (1.0 + np.max(np.abs(lags.r)))
-    residual = np.max(np.abs(
-        plv._lags_of_coeffs(cfg, TrigCoeffs(bad), plv._auto_nodes(cfg)) - lags.r))
+    residual = np.max(np.abs(audit_lags(cfg, TrigCoeffs(bad), plv._auto_nodes(cfg)) - lags.r))
     assert residual > scale
 
     monkeypatch.setattr(plv, "solve", lambda gram, y: TrigCoeffs(bad))
