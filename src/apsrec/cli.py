@@ -46,6 +46,8 @@ from .gram import _check_ceiling, _dense, assemble_gram  # noqa: F401
 from .plv import DEFAULT_RESIDUAL_TOL, evaluate_solution, negativity_summary, recover
 
 SCHEMA = "apsrec-scenario/1"
+MAX_GRID_POINTS = 10**6  # the largest output.grid_points; aps.csv then takes about 41 MB
+_IM0_TOL = 1e-12  # the largest |Im r_0| of a lags file, whose r_0 is then read as real
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,8 +192,8 @@ def load_config(path):
     if not isinstance(out_table, dict):
         raise ConfigError("output", "expected an object")
     grid_points = _number(out_table, "output", "grid_points", default=181.0)
-    if grid_points != int(grid_points) or int(grid_points) < 2:
-        raise ConfigError("output.grid_points", "expected an integer of at least 2")
+    if grid_points != int(grid_points) or not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ConfigError("output.grid_points", f"expected an integer from 2 to {MAX_GRID_POINTS}")
     domain_name = out_table.get("domain", "theta")
     if domain_name not in ("theta", "x"):
         raise ConfigError("output.domain", "expected 'theta' or 'x'")
@@ -241,9 +243,10 @@ def write_lags_csv(path, lags):
     _write_lines(path, ["m,re,im", *rows])
 
 
-def read_lags_csv(path, expected_m, im0_tol=1e-12):
+def read_lags_csv(path, expected_m):
     """Parse a lags CSV back into CovarianceLags, enforcing the header,
-    contiguous indices, the configured length, and a real r_0."""
+    contiguous indices, the configured length, and a real r_0 (to within
+    ``_IM0_TOL``)."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -266,7 +269,7 @@ def read_lags_csv(path, expected_m, im0_tol=1e-12):
         values.append(complex(re, im))
     if len(values) != expected_m:
         raise ConfigError("lags", f"expected {expected_m} rows, found {len(values)}")
-    if abs(values[0].imag) > im0_tol:
+    if abs(values[0].imag) > _IM0_TOL:
         raise ConfigError("lags row 0", f"imaginary part of r_0 is {values[0].imag:.3e}, must vanish")
     values[0] = complex(values[0].real, 0.0)
     return CovarianceLags(np.asarray(values))

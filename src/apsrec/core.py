@@ -183,9 +183,9 @@ def trig_basis(cfg, x):
 
 
 # The exponential-sum kernel: every sum_j v_j exp(i kappa_m x_j) in the
-# package runs on a table of step_j**m, step_j = exp(i gamma pi x_j). One
-# whose M complex rows and one real row of weights exceed this cap is
-# never built whole, nor is any larger table kept with the cached Gram.
+# package runs on the powers step_j**m, step_j = exp(i gamma pi x_j), of a
+# read-only :class:`_ExpTable`. A table whose rows exceed this size is
+# never kept with the cached Gram.
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
 
 
@@ -220,58 +220,52 @@ def _mapped(shape):
                          dtype=np.complex128, count=count).reshape(shape)
 
 
-class _SplitTable(NamedTuple):
-    """The stand-in for a power table over the cap: the B baby rows
-    step**r, the giant step step**B, and a work table of one row per
-    giant power, shared by the passes of one call."""
+class _ExpTable(NamedTuple):
+    """The powers step**m, m < M, as m = B s + r with B = isqrt(M): the B
+    read-only baby rows step**r, the read-only giant step step**B, and
+    the count ceil(M / B) of giant powers. Each sum allocates its own work
+    rows, so one table may be read by any number of threads."""
 
     baby: np.ndarray
     giant: np.ndarray
-    work: np.ndarray
+    count: int
 
 
-def _exp_table(cfg, x):
-    """The kernel table of step_j**m, m < M, at the points ``x`` (a theta
-    path passes sin(theta)): the whole M-row table within the cap, else,
-    with B = isqrt(M) and m = B s + r, a :class:`_SplitTable` of the baby
-    rows step**r and the giant step step**B, about 2 sqrt(M) rows."""
+def _exp_table(cfg, x, empty=_heap):
+    """The :class:`_ExpTable` of the points ``x`` (a theta path passes
+    sin(theta)), about sqrt(M) rows, its baby rows from
+    ``empty(shape)``."""
     step = np.exp(1j * cfg.gamma * np.pi * x)
-    if (2 * cfg.M + 1) * 8 * step.size <= _MAX_KEPT_TABLE_BYTES:
-        return _powers(step, _heap((cfg.M, step.size)))
-    return _split_table(step, cfg.M, _heap)
-
-
-def _split_table(step, rows, empty):
-    """The :class:`_SplitTable` of step**m for m < ``rows``, its baby rows
-    and work table from ``empty(shape)``."""
-    baby = _powers(step, empty((math.isqrt(rows), step.size)))
-    work = empty((-(-rows // len(baby)), step.size))
-    return _SplitTable(baby, baby[-1] * step, work)
+    baby = _powers(step, empty((math.isqrt(cfg.M), step.size)))
+    giant = baby[-1] * step
+    giant.setflags(write=False)
+    return _ExpTable(baby, giant, -(-cfg.M // len(baby)))
 
 
 # The products with baby rows below are real GEMMs on float64 views of
 # the complex tables, whose columns alternate real and imaginary parts.
 def _giant_sum(table, c):
-    """sum_m c_m step**m for real c zero-padded and shaped (rows, B):
+    """sum_m c_m step**m for real c zero-padded and shaped (count, B):
     Horner's rule in the giant step over the rows of c @ baby."""
-    baby, giant, work = table
-    np.matmul(c, baby.view(np.float64), out=work.view(np.float64))
-    total = work[-1].copy()
-    for row in work[-2::-1]:
-        total *= giant
+    rows = (c @ table.baby.view(np.float64)).view(np.complex128)
+    total = rows[-1].copy()
+    for row in rows[-2::-1]:
+        total *= table.giant
         total += row
     return total
 
 
-def _giant_lags(table, v, M):
-    """Re sum_j v_j step_j**m for m < M, with v complex. Row s of the work
-    table becomes conj(v giant**s), and entry (s, r) of the real product
-    of its float view with baby's is then the sum for m = B s + r."""
-    baby, giant, work = table
+def _giant_lags(table, v, M, empty=_heap):
+    """Re sum_j v_j step_j**m for m < M, with v complex, on work rows from
+    ``empty(shape)``. Work row s becomes conj(v giant**s), and entry
+    (s, r) of the real product of its float view with baby's is then the
+    sum for m = B s + r."""
+    baby, giant, count = table
+    work = empty((count, v.size))
     work[0] = v
     done = 1
-    while done < len(work):  # rows doubled per product, as in _powers
-        top = min(2 * done, len(work))
+    while done < count:  # rows doubled per product, as in _powers
+        top = min(2 * done, count)
         np.multiply(work[:top - done], giant, out=work[done:top])
         giant = giant * giant
         done = top
@@ -284,9 +278,7 @@ def _exp_samples(table, b):
     (Re sum_m b_m step_j**m, Im sum_m b_{M-1+m} step_j**m), whose sum is
     the polynomial at the table's points; the sine part of m = 0 is zero."""
     M = (b.size + 1) // 2
-    if isinstance(table, np.ndarray):
-        return (b[:M] @ table).real, (b[M:] @ table[1:]).imag
-    cos, sin = np.zeros((2, len(table.work), len(table.baby)))
+    cos, sin = np.zeros((2, table.count, len(table.baby)))
     cos.flat[:M], sin.flat[1:M] = b[:M], b[M:]
     return _giant_sum(table, cos).real, _giant_sum(table, sin).imag
 
@@ -295,20 +287,13 @@ def _exp_lags(table, a, b, M):
     """Lags from weighted samples: Re sum_j a_j step_j**m
     + i Im sum_j b_j step_j**m for m < M and real a, b (with a = b = v,
     sum_j v_j exp(i kappa_m x_j)); Re(-i z) is Im(z)."""
-    if isinstance(table, np.ndarray):
-        if a is b:
-            return table @ a
-        return (table @ a).real + 1j * (table @ b).imag
     return _giant_lags(table, a, M) + 1j * _giant_lags(table, -1j * b, M)
 
 
 def _exp_moments(cfg, x, w, empty=_heap):
     """sum_j w_j cos(kappa_m x_j) for m < M and real weights w: one pass
-    of the kernel. Its table is split at every size, since no other pass
-    shares it and the split one takes about 2 sqrt(M) rows instead of M;
-    its baby rows and work table come from ``empty(shape)``."""
-    step = np.exp(1j * cfg.gamma * np.pi * x)
-    return _giant_lags(_split_table(step, cfg.M, empty), w, cfg.M)
+    of the kernel, its baby rows and work rows from ``empty(shape)``."""
+    return _giant_lags(_exp_table(cfg, x, empty), w, cfg.M, empty)
 
 
 class ApsModel(abc.ABC):

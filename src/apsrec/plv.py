@@ -28,12 +28,13 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
+    _MAX_KEPT_TABLE_BYTES,
     _exp_lags,
     _exp_moments,
-    _heap,
-    _mapped,
     _exp_samples,
     _exp_table,
+    _heap,
+    _mapped,
 )
 # trig_basis is not called here: perfbench's tracer wraps it as the basis
 # layer, so it stays a module attribute.
@@ -94,17 +95,23 @@ class PlvSolution:
 
 def _grid_table(cfg, x):
     """The kernel table of ``x``, kept with the configuration's Gram for
-    the last grid evaluated there when it is built whole; the key is a
-    read-only copy of ``x``."""
+    the last grid evaluated there (:func:`_keep`); the key is a read-only
+    copy of ``x``."""
     kept = _tables(cfg).get("grid")
     if kept is not None and np.array_equal(kept[0], x):
         return kept[1]
-    table = _exp_table(cfg, x)
-    if isinstance(table, np.ndarray):
-        grid = x.copy()
-        grid.setflags(write=False)
-        _tables(cfg)["grid"] = grid, table
-    return table
+    grid = x.copy()
+    grid.setflags(write=False)
+    return _keep(cfg, "grid", grid, _exp_table(cfg, x))[1]
+
+
+def _keep(cfg, key, *entry):
+    """``entry``, kept with the configuration's Gram under ``key`` unless
+    the baby rows and giant step of its last item, a kernel table, exceed
+    ``_MAX_KEPT_TABLE_BYTES``."""
+    if (len(entry[-1].baby) + 1) * entry[-1].giant.nbytes <= _MAX_KEPT_TABLE_BYTES:
+        _tables(cfg)[key] = entry
+    return entry
 
 
 def _half_rule(nodes):
@@ -132,16 +139,13 @@ def _half_rule(nodes):
 
 def _summary_table(cfg):
     """Weights and kernel table of :func:`_half_rule` at the summary's
-    count, kept with the configuration's Gram when built whole."""
+    count, kept with the configuration's Gram (:func:`_keep`)."""
     nodes = _negativity_nodes(cfg)
     kept = _tables(cfg).get(nodes)
     if kept is not None:
         return kept
     x, w = _half_rule(nodes)
-    powers = _exp_table(cfg, x)
-    if isinstance(powers, np.ndarray):
-        _tables(cfg)[nodes] = w, powers
-    return w, powers
+    return _keep(cfg, nodes, w, _exp_table(cfg, x))
 
 
 def _audit_matrix(cfg, x, w, empty=_heap):
@@ -323,7 +327,7 @@ def negativity_summary(solution):
 
     The grid is a Chebyshev-Gauss rule of max(2048, n) points, with n the
     residual audit's count, which follows the top frequency
-    gamma pi (M-1). g is sampled through the power table of its half rule
+    gamma pi (M-1). g is sampled through the kernel table of its half rule
     (:func:`_summary_table`): g(+-x_j) = e_j +- o_j over the nodes
     x_j >= 0, with e and o the kernel's even and odd sample parts and the
     middle node of an odd rule counted once.

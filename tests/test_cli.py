@@ -411,25 +411,38 @@ class TestConfigValidation:
         assert main(["synthesize", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "components[0].weight" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,entry,field", [
-        ("aps", {"kind": "gaussian_mixture",
-                 "components": [{"mean": 0.0, "std": float("inf"), "weight": 1.0}]},
-         "aps.components[0].std"),
-        ("aps", {"kind": "laplacian_mixture",
-                 "components": [{"mean": 0.0, "std": 0.1, "weight": float("inf")}]},
-         "aps.components[0].weight"),
-        ("aps", {"kind": "uniform", "lo": -0.5, "hi": 0.5, "height": float("-inf")}, "aps.height"),
-        ("tolerances", {"constraint": float("inf")}, "tolerances.constraint"),
-        ("output", {"grid_points": float("inf")}, "output.grid_points"),
-        ("output", {"grid_points": 10**400}, "output.grid_points"),
-        ("tolerances", {"constraint": float("nan")}, "tolerances.constraint"),
-        ("tolerances", {"identifiability": float("nan")}, "tolerances.identifiability"),
+    FINITE = "expected a finite number"
+    GRID_RANGE = "expected an integer from 2 to 1000000"
+
+    @pytest.mark.parametrize("section,entry,field,message", [
+        pytest.param(*row, id=f"{row[0]}-entry{k}-{row[2]}") for k, row in enumerate([
+            ("aps", {"kind": "gaussian_mixture",
+                     "components": [{"mean": 0.0, "std": float("inf"), "weight": 1.0}]},
+             "aps.components[0].std", FINITE),
+            ("aps", {"kind": "laplacian_mixture",
+                     "components": [{"mean": 0.0, "std": 0.1, "weight": float("inf")}]},
+             "aps.components[0].weight", FINITE),
+            ("aps", {"kind": "uniform", "lo": -0.5, "hi": 0.5, "height": float("-inf")},
+             "aps.height", FINITE),
+            ("tolerances", {"constraint": float("inf")}, "tolerances.constraint", FINITE),
+            ("output", {"grid_points": float("inf")}, "output.grid_points", FINITE),
+            ("output", {"grid_points": 10**400}, "output.grid_points", FINITE),
+            ("tolerances", {"constraint": float("nan")}, "tolerances.constraint", FINITE),
+            ("tolerances", {"identifiability": float("nan")}, "tolerances.identifiability",
+             FINITE),
+            # Finite but past the maximum: recover failed in np.linspace
+            # (1e300) after writing coefficients.csv.
+            ("output", {"grid_points": 1e300}, "output.grid_points", GRID_RANGE),
+            ("output", {"grid_points": 10**6 + 1}, "output.grid_points", GRID_RANGE),
+        ])
     ])
-    def test_non_finite_number_exit_2(self, tmp_path, capsys, section, entry, field):
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, section, entry, field, message):
+        # The ids are those of the table's rows without their messages.
         config = write_config(tmp_path, dict(UNIFORM_CONFIG, **{section: entry}))
-        assert main(["synthesize", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"{field}: expected a finite number" in err
+        out = str(tmp_path / "out")
+        for command in (["synthesize"], ["recover", "--lags", str(tmp_path / "lags.csv")]):
+            assert main([*command, "--config", str(config), "--out", out]) == 2
+            assert f"{field}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), 10**400])

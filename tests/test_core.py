@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,12 +136,12 @@ class TestEvaluateTrig:
     @pytest.mark.parametrize("points", [1000, 20000], ids=["whole", "split"])
     def test_large_order_matches_basis(self, points, rng):
         # A positive density, like every TrigPolynomial truth, at M' = 1024
-        # on 1000 points that fit the kernel's cap and on 20000 that do
-        # not. With kappa_m x up to 3214, each of the two evaluations is
-        # about 7e-12 off an extended-precision sum on these points.
+        # on 1000 and on 20000 points (the ids name the two table forms
+        # the kernel once took at these sizes; it now has one). With
+        # kappa_m x up to 3214, each of the two evaluations is about
+        # 7e-12 off an extended-precision sum on these points.
         cfg = ArrayConfig(1024, 1.0)
         x = np.sort(rng.uniform(-1.0, 1.0, points))
-        assert isinstance(core._exp_table(cfg, x), np.ndarray) == (points == 1000)
         b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
 
         def dense(b):
@@ -357,14 +359,13 @@ class TestModels:
 @pytest.mark.parametrize("m,gamma", [(1, 1.0), (64, 1.0), (700, 1.25), (1025, 1.0)])
 def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     # Theta-path Gauss-Legendre panels split at a segment's seams are not
-    # symmetric about x = 0. Their 3 x 768 points keep M = 1 and 64 within
-    # the cap and put M = 700 and 1025 over it, where B = isqrt(M) does
-    # not divide M.
+    # symmetric about x = 0. At M = 700 and 1025, B = isqrt(M) does not
+    # divide M, so the zero-padded top giant power is partial.
     cfg = ArrayConfig(m, gamma)
     theta, _ = theta_quadrature_points(768, Uniform(-0.6, 0.2, 1.4).seams_theta())
     x = np.sin(theta)
     table = core._exp_table(cfg, x)
-    assert isinstance(table, core._SplitTable) == (m >= 700)
+    assert_one_form(table, m, x.size)
     dense = np.exp(1j * np.multiply.outer(cfg.kappas(m), x))
     b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
     even, odd = core._exp_samples(table, b)
@@ -377,27 +378,61 @@ def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     assert np.max(np.abs(lags - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def assert_one_form(table, m, points):
+    # B = isqrt(M) read-only baby rows, a read-only giant step and
+    # ceil(M / B) giant powers, at every size.
+    rows = math.isqrt(m)
+    assert table.baby.shape == (rows, points)
+    assert table.giant.shape == (points,)
+    assert table.count == -(-m // rows)
+    for array in (table.baby, table.giant):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 63, 65, 1025])
+def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
+    # Where B = isqrt(M) need not divide M. Samples of a positive density
+    # against the dense basis, and lags and moments of positive weights
+    # against the direct np.exp sums, as the package's sums of
+    # quadrature weights and densities are. At M = 1025, kappa_m x
+    # reaches 3635, and its rounding alone moves the kernel and the
+    # references apart by up to about 1e-13 of the largest sample (6e-14
+    # on this data); random-sign coefficients read about 2e-13.
+    cfg = ArrayConfig(m, 1.13)
+    x = np.sort(rng.uniform(-1.0, 1.0, 301))
+    table = core._exp_table(cfg, x)
+    assert_one_form(table, m, x.size)
+
+    def close(got, expected):
+        scale = 1.0 + np.max(np.abs(expected))
+        return np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    basis = trig_basis(cfg, x)
+    b[0] += max(0.0, -np.min(basis @ b)) + 0.1
+    even, odd = core._exp_samples(table, b)
+    assert close(even + odd, basis @ b)
+    dense = np.exp(1j * np.multiply.outer(cfg.kappas(m), x))
+    a, c = rng.uniform(0.0, 1.0, (2, x.size))
+    assert close(core._exp_lags(table, a, c, m), (dense @ a).real + 1j * (dense @ c).imag)
+    assert close(core._exp_moments(cfg, x, a), (dense @ a).real)
+
+
 @pytest.mark.parametrize("m", [1, 64, 1024])
 def test_exp_lags_of_one_vector_is_one_product(m, rng):
-    # Synthesis and projection pass one vector as both parts; on a whole
-    # table its lags are the single product table @ v, equal to the
-    # two-product form.
+    # Synthesis and projection pass one vector as both parts; its lags are
+    # the one complex sum sum_j v_j exp(i kappa_m x_j), bit for bit
+    # whether or not the two parts are the same array.
     cfg = ArrayConfig(m, 1.13)
     x = np.sort(rng.uniform(-1.0, 1.0, 256))
     table = core._exp_table(cfg, x)
-    assert isinstance(table, np.ndarray)
     v = rng.uniform(-1.0, 1.0, x.size)
     lags = core._exp_lags(table, v, v, m)
-    assert np.array_equal(lags, (table @ v).real + 1j * (table @ v.copy()).imag)
-
-
-def test_exp_kernel_cap_counts_one_weight_row():
-    # A table is built whole exactly when its M complex rows and one real
-    # row of weights fit the cap, the size the Gram's workspace keeps.
-    cfg = ArrayConfig(1024, 1.0)
-    fits = core._MAX_KEPT_TABLE_BYTES // (8 * (2 * cfg.M + 1))
-    assert isinstance(core._exp_table(cfg, np.zeros(fits)), np.ndarray)
-    assert isinstance(core._exp_table(cfg, np.zeros(fits + 1)), core._SplitTable)
+    assert np.array_equal(lags, core._exp_lags(table, v, v.copy(), m))
+    expected = np.exp(1j * np.multiply.outer(cfg.kappas(m), x)) @ v
+    assert np.max(np.abs(lags - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestSampledFunction:

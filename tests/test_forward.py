@@ -15,7 +15,6 @@ from apsrec.core import (
     TrigCoeffs,
     TrigPolynomial,
     Uniform,
-    _SplitTable,
     _exp_table,
     toeplitz_from_lags,
 )
@@ -149,8 +148,8 @@ def test_exact_lags_at_large_arrays(model, m, gamma):
 
 def test_large_synthesis_builds_no_dense_table():
     # At M = 1024, gamma = 1.25 the Jacobi-Anger rule has 2077 nodes
-    # x >= 0, whose whole power table (34 MB) is over the cap: the kernel's
-    # baby rows and work table take about 1 MB each.
+    # x >= 0, whose M-row power table would take 34 MB: the kernel's 32
+    # baby rows and the 32 work rows of each part take about 1 MB each.
     cfg = ArrayConfig(1024, 1.25)
     tracemalloc.start()
     try:
@@ -159,7 +158,7 @@ def test_large_synthesis_builds_no_dense_table():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-    assert isinstance(_exp_table(cfg, np.linspace(0.0, 1.0, 2077)), _SplitTable)
+    assert _exp_table(cfg, np.linspace(0.0, 1.0, 2077)).baby.shape == (32, 2077)
     assert_matches_reference(lags, reference_lags(TWO_GAUSSIANS, cfg))
 
 

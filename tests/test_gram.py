@@ -850,14 +850,24 @@ def test_cache_never_holds_a_failing_config():
 
 def _filled_workspace(cfg, rng):
     """recover, evaluate and summarize at ``cfg``, so the cached Gram
-    keeps the audit's Q (two dense blocks), the summary's power table and
-    a grid table."""
+    keeps the audit's Q (two dense blocks), the summary's weights and
+    kernel table, and a grid and its kernel table."""
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
     evaluate_solution(solution, np.linspace(-np.pi / 2, np.pi / 2, 31))
     negativity_summary(solution)
     return gram_module._cached
+
+
+def _kept_arrays(entry):
+    """Every array kept with ``entry``: the entries' arrays and their
+    kernel tables' baby rows and giant steps."""
+    arrays = []
+    for kept in entry._kept.values():
+        for item in kept:
+            arrays += [item] if isinstance(item, np.ndarray) else [item.baby, item.giant]
+    return arrays
 
 
 def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
@@ -867,7 +877,7 @@ def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
     assert entry.cfg == ArrayConfig(7, 1.0)
     assert sorted(map(str, entry._kept)) == ["2048", "audit", "grid"]
     refs = [weakref.ref(entry)]
-    refs += [weakref.ref(array) for table in entry._kept.values() for array in table]
+    refs += [weakref.ref(array) for array in _kept_arrays(entry)]
     del entry
     alive_during_assembly = []
     blocks = gram_module.gram_blocks
@@ -894,8 +904,8 @@ def test_failing_config_leaves_no_workspace(failing, rng):
 
 def test_workspace_tables_read_only(rng):
     entry = _filled_workspace(ArrayConfig(9, 1.0), rng)
-    arrays = [array for table in entry._kept.values() for array in table]
-    assert len(arrays) == 6
+    arrays = _kept_arrays(entry)
+    assert len(arrays) == 8
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -911,27 +921,29 @@ def test_workspace_keeps_only_default_counts_and_small_tables(rng):
     assert gram_module._cached.cfg == cfg
     assert sorted(map(str, gram_module._cached._kept)) == ["2048", "audit"]
     assert [block.shape for block in gram_module._cached._kept["audit"]] == [(10, 10), (9, 9)]
-    # At M = 1024 the summary's table is 42 MB, above the kept size, and
-    # Q is one FFT row of the 4096-point circulant.
+    # At M = 1024 the summary's table is 32 baby rows and a giant step of
+    # its 2080 nodes x >= 0, about 1.1 MB, and Q is one FFT row of the
+    # 4096-point circulant.
     big = ArrayConfig(1024, 1.0)
     negativity_summary(recover(np.ones(big.M, dtype=complex), big))
     assert gram_module._cached.cfg == big
-    assert list(gram_module._cached._kept) == ["audit"]
+    assert sorted(map(str, gram_module._cached._kept)) == ["4160", "audit"]
+    assert gram_module._cached._kept[4160][1].baby.shape == (32, 2080)
     assert [row.shape for row in gram_module._cached._kept["audit"]] == [(2049,)]
 
 
 def test_cache_grid_table_over_kept_size_is_not_kept():
-    # At M = 10 a whole table of 110,000 points, with its row of weights,
-    # would take 18.5 MB, past the 16 MiB cap: the kernel runs on baby
-    # rows and a giant step built for the call, and the earlier grid's
-    # table stays kept.
-    cfg = ArrayConfig(10, 1.0)
+    # At M = 64 the 8 baby rows and the giant step of 120,000 points take
+    # 17.3 MB, past the 16 MiB cap: that table serves the call only, and
+    # the earlier grid's table stays kept.
+    cfg = ArrayConfig(64, 1.0)
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
-    small, large = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 110_000)
+    small, large = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 120_000)
     solution.g(small)
     values = solution.g(large)
     assert np.array_equal(values, TrigPolynomial(cfg, solution.coeffs).g(large))
-    dense = trig_basis(cfg, large) @ solution.coeffs.b
+    dense = np.concatenate([trig_basis(cfg, part) @ solution.coeffs.b
+                            for part in np.split(large, 10)])
     assert np.max(np.abs(values - dense)) <= 1e-13 * (1.0 + np.max(np.abs(values)))
     assert np.array_equal(gram_module._cached._kept["grid"][0], small)
 

@@ -161,18 +161,11 @@ def test_toeplitz_recovery_from_threads_matches_serial(rng):
     assert_threads_match_serial(fresh_gamma_stream(rng, m, np.linspace(1.0, 1.2, 8)))
 
 
-def over_cap(cfg, nodes):
-    # Whether the audit's M-row table at ``nodes`` exceeds the kept size,
-    # so that the kernel runs on baby rows and a giant step.
-    return 16 * cfg.M * (nodes - nodes // 2) > _MAX_KEPT_TABLE_BYTES
-
-
 def test_split_audit_from_threads_matches_serial(rng):
     # Every recover here misses, so each of the four threads builds its
-    # Q on a thread of its own, on baby rows and a giant step, while it
-    # factorizes its Gram.
+    # Q on a thread of its own, on mapped baby rows and work rows, while
+    # it factorizes its Gram; B = 37 does not divide 2M - 1 = 1407.
     stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
-    assert all(over_cap(cfg, plv._auto_nodes(cfg)) for _, cfg in stream)
     assert_threads_match_serial(stream)
 
 
@@ -286,6 +279,48 @@ def test_cache_grid_key_is_a_copy(rng):
     again = evaluate_solution(solution, x, Domain.X).values
     assert np.array_equal(again, assert_matches_trig_polynomial(solution, x))
     assert np.array_equal(gram_module._cached._kept["grid"][0], x)
+
+
+def test_large_grid_table_from_threads_matches_serial(rng):
+    # At M = 1024 the 32 baby rows and the giant step of 2001 angles take
+    # 1.1 MB and are kept; four threads read that one table, each summing
+    # on work rows of its own, and must get the serial samples bit for
+    # bit.
+    cfg = ArrayConfig(1024, 1.0)
+    theta = np.linspace(-np.pi / 2, np.pi / 2, 2001)
+    solutions = [PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs)), 0.0, cfg)
+                 for _ in range(8)]
+
+    def op(solution):
+        return evaluate_solution(solution, theta).values
+
+    assemble_gram(cfg)
+    serial = [op(solution) for solution in solutions]
+    kept = gram_module._cached._kept["grid"]
+    assert kept[1].baby.shape == (32, theta.size)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(op, solutions * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(serial * 2, threaded):
+        assert np.array_equal(got, expected)
+    assert gram_module._cached._kept["grid"] is kept
+
+
+def test_kept_table_cap_counts_baby_and_giant_rows():
+    # A grid's table is kept exactly when its B baby rows and its giant
+    # step fit the cap: 33 rows of 16 bytes a point at M = 1024.
+    cfg = ArrayConfig(1024, 1.0)
+    solution = PlvSolution(TrigCoeffs.zeros(cfg.M), 0.0, cfg)
+    assemble_gram(cfg)
+    fits = _MAX_KEPT_TABLE_BYTES // (16 * 33)
+    for points, kept in ((fits, True), (fits + 1, False)):
+        x = np.zeros(points)
+        solution.g(x)
+        assert np.array_equal(gram_module._cached._kept["grid"][0], x) == kept
 
 
 def test_grid_table_from_threads_matches_serial(rng):
@@ -446,13 +481,13 @@ def whole_table_half_rule(cfg, b, nodes):
     return lags, NegativitySummary(grid_min, neg_mass / abs_mass)
 
 
-def test_kept_table_kernel_bit_identical_to_whole_table(rng):
-    # At M = 64 the summary's table is within the cap and takes the
-    # whole-table products, whether built per call or kept, and the kept
-    # Q gives the audit of a fresh one bit for bit. The default counts are
-    # even at gamma = 1, the audit's is odd at 1.13, and both are odd
-    # (one rule) at 1985/256. Q b regroups the whole-table sums, so it
-    # agrees with them to rounding.
+def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
+    # At M = 64 the summary's table is kept, and it gives the summary of a
+    # table built for the call bit for bit, as the kept Q gives the audit
+    # of a fresh one. The default counts are even at gamma = 1, the
+    # audit's is odd at 1.13, and both are odd (one rule) at 1985/256.
+    # Q b and the baby-row sums regroup the whole-table sums, so they
+    # agree with them to rounding.
     for gamma, counts in ((1.0, (320, 2048)), (1.13, (353, 2048)), (1985 / 256, (2049, 2049))):
         cfg = ArrayConfig(64, gamma)
         coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
@@ -465,8 +500,14 @@ def test_kept_table_kernel_bit_identical_to_whole_table(rng):
         summary = whole_table_half_rule(cfg, coeffs.b, summary_nodes)[1]
         fresh = audit_lags(cfg, coeffs, audit_nodes)
         assert np.max(np.abs(fresh - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
+        assemble_gram(ArrayConfig(5, 1.0))  # a summary on a table of its own
+        unkept = negativity_summary(solution)
+        assert abs(unkept.min_value - summary.min_value) <= 1e-12 * (
+            1.0 + abs(summary.min_value))
+        assert abs(unkept.negative_fraction - summary.negative_fraction) <= 1e-12
+        assemble_gram(cfg)
         for _ in range(2):  # built, then kept
-            assert negativity_summary(solution) == summary
+            assert negativity_summary(solution) == unkept
         assert sorted(gram_module._cached._kept) == [summary_nodes]
         lags = synthesize_lags(GAUSS_CLUSTER, cfg)
         recovered = recover(lags, cfg)
@@ -488,15 +529,13 @@ def test_kept_table_kernel_bit_identical_to_whole_table(rng):
     pytest.param(1025, 1.0, 1, id="odd_nodes-1025-1.0"),
 ])
 def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatch):
-    # These tables exceed the kept size, and the kernel runs on baby rows
-    # step**r and powers of the giant step step**B, B = isqrt(M), which
-    # at M = 700 and 1025 do not tile the M rows exactly; the sums
-    # regroup, so agreement is to rounding. The summary runs on the
-    # audit's rule here.
+    # The kernel runs on baby rows step**r and powers of the giant step
+    # step**B, B = isqrt(M), which at M = 700 and 1025 do not tile the M
+    # rows exactly; the sums regroup, so agreement is to rounding. The
+    # summary runs on the audit's rule here.
     cfg = ArrayConfig(m, gamma)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     nodes = plv._auto_nodes(cfg) + parity
-    assert over_cap(cfg, nodes)
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
     audit = audit_lags(cfg, coeffs, nodes)
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
