@@ -10,7 +10,6 @@ threads; no operation mutates its inputs.
 import abc
 import enum
 import math
-import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -204,22 +203,6 @@ def _powers(step, powers):
     return powers
 
 
-def _heap(shape):
-    return np.empty(shape, dtype=np.complex128)
-
-
-def _mapped(shape):
-    """A zeroed complex array in its own private anonymous memory mapping,
-    unmapped when the array is freed, for a table that a short-lived
-    thread builds. Its pages fault in as they are first written; with
-    MAP_POPULATE the mapping call faults them all while it holds the
-    process's memory map, and an M = 1024 cache miss took 17 % longer
-    (2-vCPU x86-64 host), the other thread's page faults waiting on it."""
-    count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 16 * count, flags=mmap.MAP_PRIVATE),
-                         dtype=np.complex128, count=count).reshape(shape)
-
-
 class _ExpTable(NamedTuple):
     """The powers step**m, m < M, as m = B s + r with B = isqrt(M): the B
     read-only baby rows step**r, the read-only giant step step**B, and
@@ -231,12 +214,11 @@ class _ExpTable(NamedTuple):
     count: int
 
 
-def _exp_table(cfg, x, empty=_heap):
+def _exp_table(cfg, x):
     """The :class:`_ExpTable` of the points ``x`` (a theta path passes
-    sin(theta)), about sqrt(M) rows, its baby rows from
-    ``empty(shape)``."""
+    sin(theta)), about sqrt(M) rows."""
     step = np.exp(1j * cfg.gamma * np.pi * x)
-    baby = _powers(step, empty((math.isqrt(cfg.M), step.size)))
+    baby = _powers(step, np.empty((math.isqrt(cfg.M), step.size), dtype=np.complex128))
     giant = baby[-1] * step
     giant.setflags(write=False)
     return _ExpTable(baby, giant, -(-cfg.M // len(baby)))
@@ -255,13 +237,12 @@ def _giant_sum(table, c):
     return total
 
 
-def _giant_lags(table, v, M, empty=_heap):
-    """Re sum_j v_j step_j**m for m < M, with v complex, on work rows from
-    ``empty(shape)``. Work row s becomes conj(v giant**s), and entry
-    (s, r) of the real product of its float view with baby's is then the
-    sum for m = B s + r."""
+def _giant_lags(table, v, M):
+    """Re sum_j v_j step_j**m for m < M, with v complex. Work row s
+    becomes conj(v giant**s), and entry (s, r) of the real product of its
+    float view with baby's is then the sum for m = B s + r."""
     baby, giant, count = table
-    work = empty((count, v.size))
+    work = np.empty((count, v.size), dtype=np.complex128)
     work[0] = v
     done = 1
     while done < count:  # rows doubled per product, as in _powers
@@ -290,10 +271,10 @@ def _exp_lags(table, a, b, M):
     return _giant_lags(table, a, M) + 1j * _giant_lags(table, -1j * b, M)
 
 
-def _exp_moments(cfg, x, w, empty=_heap):
+def _exp_moments(cfg, x, w):
     """sum_j w_j cos(kappa_m x_j) for m < M and real weights w: one pass
-    of the kernel, its baby rows and work rows from ``empty(shape)``."""
-    return _giant_lags(_exp_table(cfg, x, empty), w, cfg.M, empty)
+    of the kernel."""
+    return _giant_lags(_exp_table(cfg, x), w, cfg.M)
 
 
 class ApsModel(abc.ABC):
@@ -601,16 +582,17 @@ def lags_from_toeplitz(matrix, tol=1e-10):
             structure before the input is rejected; finite and >= 0.
 
     Raises:
-        StructureError: If ``matrix`` is not a finite square matrix, or
-            deviates from Hermitian Toeplitz structure by more than
-            ``tol`` (it then cannot be a ULA covariance).
+        StructureError: If ``matrix`` is not a finite, nonempty square
+            matrix, or deviates from Hermitian Toeplitz structure by more
+            than ``tol`` (it then cannot be a ULA covariance).
         ValueError: For a negative or non-finite ``tol``.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not np.all(np.isfinite(matrix)):
-        raise StructureError("covariance must be a finite square matrix")
+    if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size
+            or not np.all(np.isfinite(matrix))):
+        raise StructureError("covariance must be a finite, nonempty square matrix")
     first = matrix[:, 0].copy()
     first[0] = first[0].real
     lags = CovarianceLags(first)

@@ -13,7 +13,6 @@ reported verbatim with a negativity summary rather than clipped, since
 clipping would silently break every energy identity downstream.
 """
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,8 +32,6 @@ from .core import (
     _exp_moments,
     _exp_samples,
     _exp_table,
-    _heap,
-    _mapped,
 )
 # trig_basis is not called here: perfbench's tracer wraps it as the basis
 # layer, so it stays a module attribute.
@@ -148,7 +145,7 @@ def _summary_table(cfg):
     return _keep(cfg, nodes, w, _exp_table(cfg, x))
 
 
-def _audit_matrix(cfg, x, w, empty=_heap):
+def _audit_matrix(cfg, x, w):
     """The audit's Gram Q on the half rule (x, w) of :func:`_half_rule`.
 
     Q is the Gram with pi J0(kappa_l) replaced by the rule's own moments
@@ -159,13 +156,12 @@ def _audit_matrix(cfg, x, w, empty=_heap):
     sampled on the rule. Below ``_TOEPLITZ_MIN_M`` it is the two dense
     blocks (:func:`gram._blocks`), from it up the circulant spectrum of
     the Toeplitz matrix with first column mu. Never built from J0 or from
-    the Gram's factors, it checks the solve independently. The moment
-    pass takes its table from ``empty(shape)``.
+    the Gram's factors, it checks the solve independently.
 
     Returns:
         A tuple of read-only arrays, for :func:`_lags_of_coeffs`.
     """
-    mu = 2.0 * _exp_moments(ArrayConfig(2 * cfg.M - 1, cfg.gamma), x, w, empty)
+    mu = 2.0 * _exp_moments(ArrayConfig(2 * cfg.M - 1, cfg.gamma), x, w)
     audit = (_spectrum(mu),) if cfg.M >= _TOEPLITZ_MIN_M else _blocks(mu, 0.5)
     for array in audit:
         array.setflags(write=False)
@@ -187,42 +183,6 @@ def _lags_of_coeffs(cfg, audit, coeffs):
     return lags
 
 
-def _solve_and_audit(cfg, y):
-    """The solution of G b = y and the audit's Q for ``cfg``, kept with
-    its Gram. Below ``_TOEPLITZ_MIN_M`` Q is built before the Gram. From
-    it up, Q is built on one short-lived thread while this one assembles
-    the Gram and solves, and that thread is joined before this returns or
-    raises; an exception from the build is raised here. The half rule is
-    built here, so the other thread calls nothing a tracer may wrap, and
-    its table is mapped (:func:`core._mapped`): pages freed on that
-    thread's C heap would stay there, and pages taken here would leave a
-    hole under the arrays the Gram keeps."""
-    x, w = _half_rule(_auto_nodes(cfg))
-    if cfg.M < _TOEPLITZ_MIN_M:
-        audit = _audit_matrix(cfg, x, w)
-        coeffs = solve(assemble_gram(cfg), y)
-    else:
-        built = []
-
-        def build():
-            try:
-                built.append(_audit_matrix(cfg, x, w, _mapped))
-            except BaseException as error:  # raised again below, on this thread
-                built.append(error)
-
-        thread = threading.Thread(target=build, name="apsrec-audit", daemon=True)
-        thread.start()
-        try:
-            coeffs = solve(assemble_gram(cfg), y)
-        finally:
-            thread.join()
-        audit = built[0]
-        if isinstance(audit, BaseException):
-            raise audit
-    _tables(cfg)["audit"] = audit
-    return coeffs, audit
-
-
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Recover the minimum-norm spectrum consistent with ``lags``.
 
@@ -230,11 +190,8 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     lags of the solution by Chebyshev-Gauss quadrature, on a rule whose
     node count scales with the top basis frequency, are Q b with Q the
     Gram of that rule (:func:`_audit_matrix`). Q depends on the array
-    alone and is kept with the cached Gram. On a new configuration from
-    ``_TOEPLITZ_MIN_M`` up it is built on one extra short-lived thread
-    while the Gram is assembled and the system solved, and that thread
-    is joined before ``recover`` returns or raises; a repeated
-    configuration starts no thread.
+    alone; it is built after the solve on a new configuration and kept
+    with the cached Gram.
 
     Args:
         lags: CovarianceLags (or raw complex vector) of length cfg.M.
@@ -253,11 +210,11 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
         lags = CovarianceLags(lags)
     if lags.M != cfg.M:
         raise ValueError(f"lag count {lags.M} does not match array M = {cfg.M}")
-    audit = _tables(cfg).get("audit")
+    coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
+    tables = _tables(cfg)
+    audit = tables.get("audit")
     if audit is None:
-        coeffs, audit = _solve_and_audit(cfg, measurement_vector(lags))
-    else:
-        coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
+        audit = tables["audit"] = _audit_matrix(cfg, *_half_rule(_auto_nodes(cfg)))
 
     residual = float(np.max(np.abs(_lags_of_coeffs(cfg, audit, coeffs) - lags.r)))
     scale = residual_tol * (1.0 + float(np.max(np.abs(lags.r))))

@@ -211,8 +211,10 @@ class TestToeplitz:
     def test_structure_error(self):
         with pytest.raises(StructureError):
             lags_from_toeplitz(np.diag([1.0, 2.0]).astype(complex), tol=1e-12)
-        with pytest.raises(StructureError):
-            lags_from_toeplitz(np.ones((2, 3), dtype=complex))
+        # A 0x0 matrix raised IndexError from its empty first column.
+        for shape in ((2, 3), (0, 0)):
+            with pytest.raises(StructureError):
+                lags_from_toeplitz(np.ones(shape, dtype=complex))
 
     def test_tolerance_accepts_small_noise(self):
         matrix = toeplitz_from_lags(CovarianceLags(np.array([1.0, 0.3 + 0.1j])))

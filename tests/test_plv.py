@@ -25,7 +25,6 @@ from apsrec.core import (
     transform_aps,
     trig_basis,
 )
-from apsrec import core
 from apsrec import gram as gram_module
 from apsrec import plv
 from apsrec.errors import (
@@ -162,9 +161,9 @@ def test_toeplitz_recovery_from_threads_matches_serial(rng):
 
 
 def test_split_audit_from_threads_matches_serial(rng):
-    # Every recover here misses, so each of the four threads builds its
-    # Q on a thread of its own, on mapped baby rows and work rows, while
-    # it factorizes its Gram; B = 37 does not divide 2M - 1 = 1407.
+    # Every recover here misses, so each of the four threads factorizes
+    # its Gram and then builds its own Q on split baby rows and work rows;
+    # B = 37 does not divide 2M - 1 = 1407.
     stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
     assert_threads_match_serial(stream)
 
@@ -173,9 +172,9 @@ def test_split_audit_from_threads_matches_serial(rng):
                          ids=["dense", "toeplitz"])
 def test_cache_miss_conditioning_error_joins_audit_and_keeps_nothing(failing, rng,
                                                                     monkeypatch):
-    # The Toeplitz miss raises while the audit's thread still runs (its
-    # moments are held back here); it must be joined before the error
-    # leaves recover, and neither the Gram nor Q may be kept.
+    # The miss raises from the solve, before Q is built (its moments,
+    # were they reached, would be held back here); no thread is left
+    # running, and neither the Gram nor Q may be kept.
     recover(rng.normal(size=7) + 7.0, ArrayConfig(7, 1.0))
     moments = plv._exp_moments
 
@@ -193,14 +192,13 @@ def test_cache_miss_conditioning_error_joins_audit_and_keeps_nothing(failing, rn
 
 
 def test_cache_miss_audit_error_reaches_caller(monkeypatch):
-    # An exception raised while Q is built on its thread is raised by
-    # recover itself, the same object, after the thread is joined.
+    # An exception raised while Q is built is raised by recover itself,
+    # the same object, and no Q is kept.
     cfg = ArrayConfig(300, 1.1)
     assemble_gram(ArrayConfig(5, 1.0))  # a miss
     error = RuntimeError("moments failed")
 
     def failing(*args):
-        assert threading.current_thread() is not threading.main_thread()
         raise error
 
     monkeypatch.setattr(plv, "_exp_moments", failing)
@@ -212,14 +210,33 @@ def test_cache_miss_audit_error_reaches_caller(monkeypatch):
     assert "audit" not in gram_module._tables(cfg)
 
 
+def test_recover_starts_no_thread(monkeypatch, rng):
+    # A miss and then a hit, on either side of the Toeplitz threshold,
+    # start no thread, so recover works where none can be started.
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for m in (gram_module._TOEPLITZ_MIN_M - 1, gram_module._TOEPLITZ_MIN_M):
+        cfg = ArrayConfig(m, 1.1)
+        lags = rng.normal(size=m) + 1j * rng.normal(size=m)
+        lags[0] = abs(lags[0]) + m
+        monkeypatch.setattr(gram_module, "_cached", None)
+        miss = recover(lags, cfg)
+        assert "audit" in gram_module._tables(cfg)
+        hit = recover(lags, cfg)
+        assert np.array_equal(hit.coeffs.b, miss.coeffs.b)
+        assert hit.constraint_residual == miss.constraint_residual <= DEFAULT_RESIDUAL_TOL
+
+
 def _recover_in_child(pipe):
     cfg = ArrayConfig(320, 1.07)
     pipe.send(recover(np.ones(cfg.M, dtype=complex), cfg).constraint_residual)
 
 
 def test_cache_miss_in_forked_child_after_threaded_miss():
-    # The parent's audit thread is gone by the fork, so a child that
-    # misses the cache starts and joins its own.
+    # A child forked after the parent's Toeplitz miss misses the cache
+    # itself and builds its own Q.
     recover(np.ones(300, dtype=complex), ArrayConfig(300, 1.2))
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
@@ -546,35 +563,28 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     assert abs(blocked.negative_fraction - summary.negative_fraction) <= 1e-12
 
 
-def test_block_wise_kernel_builds_no_whole_table(rng, monkeypatch):
+def test_block_wise_kernel_builds_no_whole_table(rng):
     # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB,
-    # and Q's moments would take one of 2047 rows, about 85 MB. A miss
-    # builds Q's split table on its thread in anonymous mappings, which
-    # tracemalloc does not see, so their sizes count on top of its peak.
+    # and Q's moments would take one of 2047 rows, about 85 MB. The miss
+    # builds Q's split table on the heap, so its peak, above 2 MB, shows
+    # that Q was built.
     cfg = ArrayConfig(1024, 1.25)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     solution = PlvSolution(coeffs, 0.0, cfg)
     nodes = plv._auto_nodes(cfg)
-    mapped = []
-
-    def counted(shape):
-        mapped.append(16 * int(np.prod(shape)))
-        return core._mapped(shape)
-
-    monkeypatch.setattr(plv, "_mapped", counted)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
     for run in (lambda: audit_lags(cfg, coeffs, nodes),
                 lambda: negativity_summary(solution),
                 lambda: recover(np.ones(cfg.M, dtype=complex), cfg)):
-        mapped.clear()
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + sum(mapped) < 8 * 2**20
-    assert 2 * 2**20 < sum(mapped)
+        assert peak < 8 * 2**20
+    assert "audit" in gram_module._tables(cfg)
+    assert 2 * 2**20 < peak
 
 
 def test_residual_audit_catches_wrong_coefficient(monkeypatch):
