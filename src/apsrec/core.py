@@ -271,12 +271,6 @@ def _exp_lags(table, a, b, M):
     return _giant_lags(table, a, M) + 1j * _giant_lags(table, -1j * b, M)
 
 
-def _exp_moments(cfg, x, w):
-    """sum_j w_j cos(kappa_m x_j) for m < M and real weights w: one pass
-    of the kernel."""
-    return _giant_lags(_exp_table(cfg, x), w, cfg.M)
-
-
 class ApsModel(abc.ABC):
     """Parametric ground-truth angular power spectrum on [-pi/2, pi/2].
 

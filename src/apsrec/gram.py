@@ -182,13 +182,21 @@ class GramMatrix:
         """The dense (2M-1)-by-(2M-1) block-diagonal matrix."""
         return scipy.linalg.block_diag(*gram_blocks(self.cfg))
 
+    @property
+    def _form(self):
+        """The dense blocks or the circulant spectrum, as :func:`_gram_form`."""
+        return (self.g_re, self.g_im) if self.spectrum is None else (self.spectrum,)
+
     def quadratic_form(self, b):
-        """b^T G b for a TrigCoeffs or raw coefficient vector."""
-        b = b.b if isinstance(b, TrigCoeffs) else np.asarray(b, dtype=np.float64)
-        if self.spectrum is not None:
-            return float(b @ _toeplitz_product(self.spectrum, b))
-        M = self.cfg.M
-        return float(b[:M] @ self.g_re @ b[:M] + b[M:] @ self.g_im @ b[M:])
+        """b^T G b for a TrigCoeffs or raw coefficient vector.
+
+        Raises:
+            ValueError: Unless ``b`` has 2M-1 entries.
+        """
+        b = b.b if isinstance(b, TrigCoeffs) else np.asarray(b, dtype=np.float64).reshape(-1)
+        if b.size != self.size:
+            raise ValueError(f"coefficient length {b.size} does not match Gram size {self.size}")
+        return float(b @ _gram_product(self._form, b))
 
 
 def _indefinite(cfg, detail):
@@ -247,6 +255,27 @@ def _from_exponential(t, M):
     antisymmetric part at -1..-(M-1), doubled but for Re t_0."""
     right, left = t[M:2 * M - 1], t[M - 2::-1]
     return np.concatenate([t[M - 1:M], right + left, left - right])
+
+
+def _gram_form(column):
+    """The read-only operand of :func:`_gram_product` for the Gram whose
+    Toeplitz T has the length-2M-1 first column ``column``: the blocks of
+    :func:`_blocks` at scale 0.5 below ``_TOEPLITZ_MIN_M``, T's circulant
+    spectrum from it up."""
+    M = (column.size + 1) // 2
+    form = (_spectrum(column),) if M >= _TOEPLITZ_MIN_M else _blocks(column, 0.5)
+    for array in form:
+        array.setflags(write=False)
+    return form
+
+
+def _gram_product(form, b):
+    """G b in the [constant | cosine | sine] layout for a Gram form: the
+    two block products, or the FFT product through T."""
+    if len(form) == 1:
+        return _toeplitz_product(form[0], b)
+    M = form[0].shape[0]
+    return np.concatenate([form[0] @ b[:M], form[1] @ b[M:]])
 
 
 def _toeplitz_product(spectrum, b):
@@ -465,13 +494,9 @@ def measurement_vector(lags):
 
 def solve(gram, y):
     """Solve G b = y for TrigCoeffs in the [constant | cosine | sine]
-    layout, by :func:`_toeplitz_solve` with the residual through the FFT
-    product, or on Cholesky factors with the residual through the dense
-    block; either way one step of iterative refinement follows, so the
-    residual stays at the backward-stable floor. The factors were checked
-    finite when they were computed and are read-only, and ``y`` is checked
-    here, so each solve calls LAPACK's ``dpotrs`` directly, without
-    scipy's checking wrapper.
+    layout (:func:`_inverse`), then one step of iterative refinement with
+    the residual through :func:`_gram_product`, so the residual stays at
+    the backward-stable floor.
     """
     y_arr = np.asarray(y, dtype=np.float64).reshape(-1)
     if y_arr.size != gram.size:
@@ -480,25 +505,27 @@ def solve(gram, y):
         )
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("measurements must be finite")
+    b = _inverse(gram, y_arr)
+    b += _inverse(gram, y_arr - _gram_product(gram._form, b))
+    return TrigCoeffs(b)
+
+
+def _inverse(gram, y):
+    """G^-1 y, unrefined: :func:`_toeplitz_solve`, or ``dpotrs`` on each
+    block's Cholesky factor. The factors were checked finite when they
+    were computed and are read-only, and :func:`solve` checks ``y``, so
+    LAPACK's ``dpotrs`` is called directly, without scipy's checking
+    wrapper."""
     if gram.generators is not None:
-        b = _toeplitz_solve(gram.generators, y_arr)
-        b += _toeplitz_solve(gram.generators, y_arr - _toeplitz_product(gram.spectrum, b))
-        return TrigCoeffs(b)
+        return _toeplitz_solve(gram.generators, y)
     M = gram.cfg.M
 
     def potrs(factor, rhs):
+        if rhs.size == 0:
+            return rhs.copy()
         sol, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrs")
         return sol
 
-    def refine(block, factor, rhs):
-        if rhs.size == 0:
-            return rhs.copy()
-        sol = potrs(factor, rhs)
-        sol += potrs(factor, rhs - block @ sol)
-        return sol
-
-    cos_part = refine(gram.g_re, gram.chol_re, y_arr[:M])
-    sin_part = refine(gram.g_im, gram.chol_im, y_arr[M:])
-    return TrigCoeffs(np.concatenate([cos_part, sin_part]))
+    return np.concatenate([potrs(gram.chol_re, y[:M]), potrs(gram.chol_im, y[M:])])

@@ -27,40 +27,22 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
+    _ExpTable,
     _MAX_KEPT_TABLE_BYTES,
     _exp_lags,
-    _exp_moments,
     _exp_samples,
     _exp_table,
+    _giant_lags,
 )
 # trig_basis is not called here: perfbench's tracer wraps it as the basis
 # layer, so it stays a module attribute.
 from .core import trig_basis  # noqa: F401
 from .errors import DomainError, FeasibilityWarning, ModelError
 from .forward import synthesize_lags
-from .gram import (
-    _TOEPLITZ_MIN_M,
-    _blocks,
-    _spectrum,
-    _tables,
-    _toeplitz_product,
-    assemble_gram,
-    measurement_vector,
-    solve,
-)
+from .gram import _gram_form, _gram_product, _tables, assemble_gram, measurement_vector, solve
 from .quad import weighted_quadrature_points
 
 DEFAULT_RESIDUAL_TOL = 1e-8
-
-
-def _auto_nodes(cfg):
-    # Enough nodes to resolve products of basis functions at the top
-    # frequency 2*kappa_{M-1}; generous floor for small arrays.
-    return max(256, int(4 * cfg.gamma * cfg.M) + 64)
-
-
-def _negativity_nodes(cfg):
-    return max(2048, _auto_nodes(cfg))
 
 
 @dataclass(frozen=True)
@@ -92,23 +74,24 @@ class PlvSolution:
 
 def _grid_table(cfg, x):
     """The kernel table of ``x``, kept with the configuration's Gram for
-    the last grid evaluated there (:func:`_keep`); the key is a read-only
-    copy of ``x``."""
-    kept = _tables(cfg).get("grid")
+    the last grid evaluated there while it fits (:func:`_fits`); the key
+    is a read-only copy of ``x``."""
+    tables = _tables(cfg)
+    kept = tables.get("grid")
     if kept is not None and np.array_equal(kept[0], x):
         return kept[1]
-    grid = x.copy()
-    grid.setflags(write=False)
-    return _keep(cfg, "grid", grid, _exp_table(cfg, x))[1]
+    table = _exp_table(cfg, x)
+    if _fits(table):
+        grid = x.copy()
+        grid.setflags(write=False)
+        tables["grid"] = grid, table
+    return table
 
 
-def _keep(cfg, key, *entry):
-    """``entry``, kept with the configuration's Gram under ``key`` unless
-    the baby rows and giant step of its last item, a kernel table, exceed
-    ``_MAX_KEPT_TABLE_BYTES``."""
-    if (len(entry[-1].baby) + 1) * entry[-1].giant.nbytes <= _MAX_KEPT_TABLE_BYTES:
-        _tables(cfg)[key] = entry
-    return entry
+def _fits(table):
+    """Whether the baby rows and giant step of a kernel table fit
+    ``_MAX_KEPT_TABLE_BYTES``, so that it may be kept with the Gram."""
+    return (len(table.baby) + 1) * table.giant.nbytes <= _MAX_KEPT_TABLE_BYTES
 
 
 def _half_rule(nodes):
@@ -121,7 +104,7 @@ def _half_rule(nodes):
     and kept at half weight, so a sum over both halves counts it once.
 
     Returns:
-        (x, w): the half-rule nodes and read-only weights.
+        (x, w): the read-only half-rule nodes and weights.
     """
     points, weights = weighted_quadrature_points(nodes)
     half = nodes // 2
@@ -130,68 +113,61 @@ def _half_rule(nodes):
     if nodes % 2:
         x[0] = 0.0
         w[0] *= 0.5
+    x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def _summary_table(cfg):
-    """Weights and kernel table of :func:`_half_rule` at the summary's
-    count, kept with the configuration's Gram (:func:`_keep`)."""
-    nodes = _negativity_nodes(cfg)
-    kept = _tables(cfg).get(nodes)
-    if kept is not None:
-        return kept
-    x, w = _half_rule(nodes)
-    return _keep(cfg, nodes, w, _exp_table(cfg, x))
+class _Rule(NamedTuple):
+    """:func:`_rule`'s record; ``table`` is None in a kept record whose
+    table exceeds ``_MAX_KEPT_TABLE_BYTES``."""
+
+    x: np.ndarray
+    w: np.ndarray
+    table: _ExpTable | None
+    audit: tuple
 
 
-def _audit_matrix(cfg, x, w):
-    """The audit's Gram Q on the half rule (x, w) of :func:`_half_rule`.
+def _rule(cfg):
+    """The one Chebyshev-Gauss rule by which the residual audit, the
+    negativity summary and a callable's projection integrate against
+    w(x) = 1/sqrt(1 - x^2) at ``cfg``: the read-only nodes x and weights
+    w of :func:`_half_rule` on max(2048, 4 gamma M + 64) points, which
+    resolve products of basis functions at the top frequency
+    2 kappa_{M-1}, their kernel table and the audit's Gram form Q, kept
+    with the configuration's Gram under one key (the table only while it
+    fits ``_MAX_KEPT_TABLE_BYTES``).
 
     Q is the Gram with pi J0(kappa_l) replaced by the rule's own moments
-    mu_l = sum_j w_j cos(kappa_l x_j) over the whole rule, l < 2M-1, one
-    pass of the kernel over 2M-1 powers; the rule is symmetric, so its
-    products of a cosine and a sine sum to zero and Q b equals the lags
-    sum_j w_j g(x_j) exp(i kappa_m x_j) of the coefficients b, with g
-    sampled on the rule. Below ``_TOEPLITZ_MIN_M`` it is the two dense
-    blocks (:func:`gram._blocks`), from it up the circulant spectrum of
-    the Toeplitz matrix with first column mu. Never built from J0 or from
-    the Gram's factors, it checks the solve independently.
-
-    Returns:
-        A tuple of read-only arrays, for :func:`_lags_of_coeffs`.
+    mu_l = sum_j w_j cos(kappa_l x_j) over the whole rule, l < 2M-1,
+    from the table's baby rows and giant step with ceil((2M-1)/B) giant
+    powers; the rule is symmetric, so its products of a cosine and a sine
+    sum to zero and Q b equals the lags sum_j w_j g(x_j) exp(i kappa_m x_j)
+    of the coefficients b, with g sampled on the rule. Never built from
+    J0 or from the Gram's factors, it checks the solve independently.
     """
-    mu = 2.0 * _exp_moments(ArrayConfig(2 * cfg.M - 1, cfg.gamma), x, w)
-    audit = (_spectrum(mu),) if cfg.M >= _TOEPLITZ_MIN_M else _blocks(mu, 0.5)
-    for array in audit:
-        array.setflags(write=False)
-    return audit
-
-
-def _lags_of_coeffs(cfg, audit, coeffs):
-    """Lags r_m = sum_j w_j g(x_j) exp(i kappa_m x_j), m < M, of the
-    solution by Chebyshev-Gauss quadrature: Q b, with Q from
-    :func:`_audit_matrix`, is [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}],
-    the measurement layout."""
-    b, M = coeffs.b, cfg.M
-    if M >= _TOEPLITZ_MIN_M:
-        y = _toeplitz_product(audit[0], b)
-    else:
-        y = np.concatenate([audit[0] @ b[:M], audit[1] @ b[M:]])
-    lags = y[:M].astype(np.complex128)
-    lags[1:] += 1j * y[M:]
-    return lags
+    tables = _tables(cfg)
+    rule = tables.get("rule")
+    if rule is not None:
+        return rule
+    x, w = _half_rule(max(2048, int(4 * cfg.gamma * cfg.M) + 64))
+    table = _exp_table(cfg, x)
+    count = 2 * cfg.M - 1
+    mu = 2.0 * _giant_lags(table._replace(count=-(-count // len(table.baby))), w, count)
+    rule = _Rule(x, w, table, _gram_form(mu))
+    tables["rule"] = rule if _fits(table) else rule._replace(table=None)
+    return rule
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Recover the minimum-norm spectrum consistent with ``lags``.
 
     Feasibility is re-checked independently of the closed-form Gram: the
-    lags of the solution by Chebyshev-Gauss quadrature, on a rule whose
-    node count scales with the top basis frequency, are Q b with Q the
-    Gram of that rule (:func:`_audit_matrix`). Q depends on the array
-    alone; it is built after the solve on a new configuration and kept
-    with the cached Gram.
+    lags of the solution by Chebyshev-Gauss quadrature, on the array's
+    rule (:func:`_rule`), whose node count scales with the top basis
+    frequency, are Q b with Q the Gram of that rule. Q depends on the
+    array alone; it is built after the solve on a new configuration and
+    kept with the cached Gram.
 
     Args:
         lags: CovarianceLags (or raw complex vector) of length cfg.M.
@@ -211,12 +187,11 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     if lags.M != cfg.M:
         raise ValueError(f"lag count {lags.M} does not match array M = {cfg.M}")
     coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
-    tables = _tables(cfg)
-    audit = tables.get("audit")
-    if audit is None:
-        audit = tables["audit"] = _audit_matrix(cfg, *_half_rule(_auto_nodes(cfg)))
-
-    residual = float(np.max(np.abs(_lags_of_coeffs(cfg, audit, coeffs) - lags.r)))
+    # Q b in the measurement layout [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}].
+    y = _gram_product(_rule(cfg).audit, coeffs.b)
+    checked = y[:cfg.M].astype(np.complex128)
+    checked[1:] += 1j * y[cfg.M:]
+    residual = float(np.max(np.abs(checked - lags.r)))
     scale = residual_tol * (1.0 + float(np.max(np.abs(lags.r))))
     if residual > scale:
         warnings.warn(
@@ -235,9 +210,11 @@ def project_onto_nperp(g, cfg):
     The projection coefficients solve G c = v with v the weighted moments
     of ``g`` against the basis. A model's moments are its exact
     synthesized lags, so its projection is :func:`recover` of those lags,
-    bit for bit. A callable's are the kernel's lags of its samples on a
-    Chebyshev-Gauss rule of max(512, n) points, with n the residual
-    audit's count, which follows the top frequency gamma pi (M-1).
+    bit for bit. A callable's are the kernel's lags of its samples at
+    +-x_j on the array's rule (:func:`_rule`), whose node count follows
+    the top frequency gamma pi (M-1): with g_+- = g(+-x_j) and the middle
+    node of an odd rule at half weight, the lags over the whole rule are
+    sum_j w_j ((g_+ + g_-) cos(kappa_m x_j) + i (g_+ - g_-) sin(kappa_m x_j)).
 
     Args:
         g: Vectorized callable on [-1, 1], or an ApsModel with a density.
@@ -249,10 +226,11 @@ def project_onto_nperp(g, cfg):
         if not g.in_l2:
             raise ModelError("model has no square-integrable density to project")
         return solve(assemble_gram(cfg), measurement_vector(synthesize_lags(g, cfg)))
-    points, weights = weighted_quadrature_points(max(512, _auto_nodes(cfg)))
-    samples = weights * np.asarray(g(points), dtype=np.float64)
-    lags = _exp_lags(_exp_table(cfg, points), samples, samples, cfg.M)
-    return solve(assemble_gram(cfg), np.concatenate([lags.real, lags[1:].imag]))
+    gram = assemble_gram(cfg)
+    x, w, table, _ = _rule(cfg)
+    upper, lower = (w * np.asarray(g(points), dtype=np.float64) for points in (x, -x))
+    lags = _exp_lags(table or _exp_table(cfg, x), upper + lower, upper - lower, cfg.M)
+    return solve(gram, np.concatenate([lags.real, lags[1:].imag]))
 
 
 def evaluate_solution(solution, grid, domain=Domain.THETA):
@@ -282,16 +260,14 @@ def negativity_summary(solution):
     value over a dense x grid, and the weighted mass of the negative part
     relative to the total absolute mass (0 for a nonnegative solution).
 
-    The grid is a Chebyshev-Gauss rule of max(2048, n) points, with n the
-    residual audit's count, which follows the top frequency
-    gamma pi (M-1). g is sampled through the kernel table of its half rule
-    (:func:`_summary_table`): g(+-x_j) = e_j +- o_j over the nodes
-    x_j >= 0, with e and o the kernel's even and odd sample parts and the
-    middle node of an odd rule counted once.
+    The grid is the array's rule (:func:`_rule`), whose node count follows
+    the top frequency gamma pi (M-1). g is sampled through the kernel
+    table of its half rule: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0,
+    with e and o the kernel's even and odd sample parts and the middle
+    node of an odd rule counted once.
     """
-    cfg = solution.cfg
-    w, powers = _summary_table(cfg)
-    even, odd = _exp_samples(powers, solution.coeffs.b)
+    x, w, table, _ = _rule(solution.cfg)
+    even, odd = _exp_samples(table or _exp_table(solution.cfg, x), solution.coeffs.b)
     upper, lower = even + odd, even - odd
     grid_min = float(min(upper.min(), lower.min()))
     abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))

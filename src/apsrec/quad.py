@@ -25,15 +25,6 @@ def _read_only(points, weights):
 
 
 @functools.lru_cache(maxsize=64)
-def _chebyshev_gauss(nodes):
-    """Chebyshev-Gauss table: abscissa_k = cos((2k-1)pi/(2n)) ascending,
-    weight pi/n. Exact (up to rounding) for integrals of f(x)/sqrt(1-x^2)
-    over [-1, 1] whenever f is a polynomial of degree below 2n."""
-    k = np.arange(nodes, 0, -1)
-    return _read_only(np.cos((2 * k - 1) * np.pi / (2 * nodes)), np.full(nodes, np.pi / nodes))
-
-
-@functools.lru_cache(maxsize=64)
 def _gauss_legendre(nodes):
     """Gauss-Legendre table on [-1, 1] for unweighted integrals."""
     return _read_only(*np.polynomial.legendre.leggauss(nodes))
@@ -55,6 +46,11 @@ def theta_quadrature_points(nodes, seams=()):
 
 def weighted_quadrature_points(nodes):
     """The read-only Chebyshev-Gauss (points, weights) table for integrals
-    of f(x) w(x) over [-1, 1] with w(x) = 1/sqrt(1 - x^2); ValueError
-    unless ``nodes`` is an integer of at least 1."""
-    return _chebyshev_gauss(_count(nodes, 1, "node count"))
+    of f(x) w(x) over [-1, 1] with w(x) = 1/sqrt(1 - x^2): abscissa_k =
+    cos((2k-1)pi/(2n)) ascending, weight pi/n, exact (up to rounding)
+    whenever f is a polynomial of degree below 2n. Built afresh on each
+    call, so no table outlives its caller; ValueError unless ``nodes`` is
+    an integer of at least 1."""
+    nodes = _count(nodes, 1, "node count")
+    k = np.arange(nodes, 0, -1)
+    return _read_only(np.cos((2 * k - 1) * np.pi / (2 * nodes)), np.full(nodes, np.pi / nodes))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from apsrec import core, plv
 from apsrec import gram as gram_module
 from apsrec.core import ArrayConfig, CovarianceLags, TrigCoeffs, TrigPolynomial, trig_basis
 from apsrec.errors import ConditioningError
@@ -184,6 +185,20 @@ def test_gram_arrays_read_only(m):
     for name in names:
         with pytest.raises(ValueError):
             getattr(gram, name)[...] = 0.0
+
+
+@pytest.mark.parametrize("m", [8, 256, 1024])
+@pytest.mark.parametrize("extra", [-2, 2], ids=["2M-3", "2M+1"])
+def test_quadratic_form_rejects_wrong_length(m, extra):
+    # The Toeplitz path returned a number for 2M - 3 entries (510.74 for
+    # ones(509) at M = 256), and the dense path raised numpy's matmul
+    # error; both now check the length as solve does.
+    gram = assemble_gram(ArrayConfig(m, 1.0))
+    b = np.ones(2 * m - 1 + extra)
+    message = f"coefficient length {b.size} does not match Gram size {2 * m - 1}"
+    for coeffs in (b, TrigCoeffs(b)):
+        with pytest.raises(ValueError, match=message):
+            gram.quadratic_form(coeffs)
 
 
 def test_quadratic_form_matches_norm(rng):
@@ -850,8 +865,8 @@ def test_cache_never_holds_a_failing_config():
 
 def _filled_workspace(cfg, rng):
     """recover, evaluate and summarize at ``cfg``, so the cached Gram
-    keeps the audit's Q (two dense blocks), the summary's weights and
-    kernel table, and a grid and its kernel table."""
+    keeps the rule (its nodes, weights and kernel table, and the audit's
+    Q as two dense blocks), and a grid and its kernel table."""
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
@@ -861,13 +876,16 @@ def _filled_workspace(cfg, rng):
 
 
 def _kept_arrays(entry):
-    """Every array kept with ``entry``: the entries' arrays and their
-    kernel tables' baby rows and giant steps."""
-    arrays = []
-    for kept in entry._kept.values():
-        for item in kept:
-            arrays += [item] if isinstance(item, np.ndarray) else [item.baby, item.giant]
-    return arrays
+    """Every array kept with ``entry``: the entries' arrays and those of
+    the tuples in them (kernel tables' baby rows and giant steps, the
+    rule record and its Q)."""
+
+    def arrays(item):
+        if isinstance(item, np.ndarray):
+            return [item]
+        return [array for part in item for array in arrays(part)] if isinstance(item, tuple) else []
+
+    return arrays(tuple(entry._kept.values()))
 
 
 def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
@@ -875,7 +893,7 @@ def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
     # by the time the next configuration's blocks are built.
     entry = _filled_workspace(ArrayConfig(7, 1.0), rng)
     assert entry.cfg == ArrayConfig(7, 1.0)
-    assert sorted(map(str, entry._kept)) == ["2048", "audit", "grid"]
+    assert sorted(map(str, entry._kept)) == ["grid", "rule"]
     refs = [weakref.ref(entry)]
     refs += [weakref.ref(array) for array in _kept_arrays(entry)]
     del entry
@@ -893,6 +911,38 @@ def test_workspace_drops_gram_and_tables_before_assembly(monkeypatch, rng):
     assert alive_during_assembly == [[False] * len(refs)]
 
 
+def test_cache_miss_stream_keeps_no_earlier_rule_or_table(monkeypatch, rng):
+    # After a stream of fresh-gamma misses at M = 1024, only the last
+    # configuration's rule and tables are alive: no quadrature table,
+    # kernel table or Q of an earlier one outlives its Gram.
+    refs, current = [], [None]
+    points, exp_table = plv.weighted_quadrature_points, core._exp_table
+
+    def recording_points(nodes):
+        table = points(nodes)
+        refs.extend((current[0], weakref.ref(array)) for array in table)
+        return table
+
+    def recording_table(cfg, x):
+        table = exp_table(cfg, x)
+        refs.extend((current[0], weakref.ref(array)) for array in (table.baby, table.giant))
+        return table
+
+    monkeypatch.setattr(plv, "weighted_quadrature_points", recording_points)
+    monkeypatch.setattr(core, "_exp_table", recording_table)
+    monkeypatch.setattr(plv, "_exp_table", recording_table)
+    stream = [ArrayConfig(1024, gamma) for gamma in np.linspace(1.0, 1.25, 6)]
+    for cfg in stream:
+        current[0] = cfg
+        lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+        lags[0] = abs(lags[0]) + cfg.M
+        recover(lags, cfg)
+        refs.extend((cfg, weakref.ref(array)) for array in _kept_arrays(gram_module._cached))
+    gc.collect()
+    assert {cfg for cfg, ref in refs} == set(stream)
+    assert {cfg for cfg, ref in refs if ref() is not None} == {stream[-1]}
+
+
 @pytest.mark.parametrize("failing", [ArrayConfig(12, 0.5), ArrayConfig(8, 1e-6)],
                          ids=["ceiling", "cholesky"])
 def test_failing_config_leaves_no_workspace(failing, rng):
@@ -905,7 +955,7 @@ def test_failing_config_leaves_no_workspace(failing, rng):
 def test_workspace_tables_read_only(rng):
     entry = _filled_workspace(ArrayConfig(9, 1.0), rng)
     arrays = _kept_arrays(entry)
-    assert len(arrays) == 8
+    assert len(arrays) == 9
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -913,23 +963,27 @@ def test_workspace_tables_read_only(rng):
 
 
 def test_workspace_keeps_only_default_counts_and_small_tables(rng):
-    # The audit keeps its Q, never a power table of its rule.
+    # recover and the summary keep one rule: its 2048-node floor, its
+    # kernel table and Q.
     cfg = ArrayConfig(10, 1.0)
     assemble_gram(ArrayConfig(5, 1.0))  # start from an empty slot
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
     negativity_summary(solution)
     assert gram_module._cached.cfg == cfg
-    assert sorted(map(str, gram_module._cached._kept)) == ["2048", "audit"]
-    assert [block.shape for block in gram_module._cached._kept["audit"]] == [(10, 10), (9, 9)]
-    # At M = 1024 the summary's table is 32 baby rows and a giant step of
+    assert sorted(map(str, gram_module._cached._kept)) == ["rule"]
+    rule = gram_module._cached._kept["rule"]
+    assert rule.x.shape == rule.w.shape == rule.table.giant.shape == (1024,)
+    assert [block.shape for block in rule.audit] == [(10, 10), (9, 9)]
+    # At M = 1024 the rule's table is 32 baby rows and a giant step of
     # its 2080 nodes x >= 0, about 1.1 MB, and Q is one FFT row of the
     # 4096-point circulant.
     big = ArrayConfig(1024, 1.0)
     negativity_summary(recover(np.ones(big.M, dtype=complex), big))
     assert gram_module._cached.cfg == big
-    assert sorted(map(str, gram_module._cached._kept)) == ["4160", "audit"]
-    assert gram_module._cached._kept[4160][1].baby.shape == (32, 2080)
-    assert [row.shape for row in gram_module._cached._kept["audit"]] == [(2049,)]
+    assert sorted(map(str, gram_module._cached._kept)) == ["rule"]
+    rule = gram_module._cached._kept["rule"]
+    assert rule.table.baby.shape == (32, 2080)
+    assert [row.shape for row in rule.audit] == [(2049,)]
 
 
 def test_cache_grid_table_over_kept_size_is_not_kept():

@@ -1,7 +1,7 @@
+import contextlib
 import multiprocessing
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,6 +25,7 @@ from apsrec.core import (
     transform_aps,
     trig_basis,
 )
+from apsrec import core
 from apsrec import gram as gram_module
 from apsrec import plv
 from apsrec.errors import (
@@ -118,10 +119,10 @@ def test_recovery_from_threads_matches_serial(rng):
         assert got[3] == expected[3]
     # Each op adds its tables after its own assemble_gram stores the Gram,
     # so a lost update is the only way one could be missing here: the
-    # audit's Q, the summary's power table and the grid's.
+    # grid's table and the rule (its table and the audit's Q).
     entry = gram_module._cached
     assert entry.cfg == cfg
-    assert sorted(map(str, entry._kept)) == ["2048", "audit", "grid"]
+    assert sorted(map(str, entry._kept)) == ["grid", "rule"]
 
 
 def fresh_gamma_stream(rng, m, gammas):
@@ -162,27 +163,20 @@ def test_toeplitz_recovery_from_threads_matches_serial(rng):
 
 def test_split_audit_from_threads_matches_serial(rng):
     # Every recover here misses, so each of the four threads factorizes
-    # its Gram and then builds its own Q on split baby rows and work rows;
-    # B = 37 does not divide 2M - 1 = 1407.
+    # its Gram and then builds its own rule, with Q's 2M - 1 = 1407
+    # moments on the table's B = 26 baby rows and 55 work rows; B does
+    # not divide 1407.
     stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
     assert_threads_match_serial(stream)
 
 
 @pytest.mark.parametrize("failing", [ArrayConfig(10, 0.5), ArrayConfig(300, 0.5)],
                          ids=["dense", "toeplitz"])
-def test_cache_miss_conditioning_error_joins_audit_and_keeps_nothing(failing, rng,
-                                                                    monkeypatch):
-    # The miss raises from the solve, before Q is built (its moments,
-    # were they reached, would be held back here); no thread is left
-    # running, and neither the Gram nor Q may be kept.
+def test_cache_miss_conditioning_error_keeps_nothing(failing, rng):
+    # The miss raises from the solve, before the rule and its Q are built;
+    # no thread is left running, and neither the Gram nor the rule may be
+    # kept.
     recover(rng.normal(size=7) + 7.0, ArrayConfig(7, 1.0))
-    moments = plv._exp_moments
-
-    def slow(*args):
-        time.sleep(0.2)
-        return moments(*args)
-
-    monkeypatch.setattr(plv, "_exp_moments", slow)
     threads = threading.active_count()
     with pytest.raises(ConditioningError):
         recover(np.ones(failing.M, dtype=complex), failing)
@@ -193,7 +187,7 @@ def test_cache_miss_conditioning_error_joins_audit_and_keeps_nothing(failing, rn
 
 def test_cache_miss_audit_error_reaches_caller(monkeypatch):
     # An exception raised while Q is built is raised by recover itself,
-    # the same object, and no Q is kept.
+    # the same object, and no rule is kept.
     cfg = ArrayConfig(300, 1.1)
     assemble_gram(ArrayConfig(5, 1.0))  # a miss
     error = RuntimeError("moments failed")
@@ -201,13 +195,13 @@ def test_cache_miss_audit_error_reaches_caller(monkeypatch):
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(plv, "_exp_moments", failing)
+    monkeypatch.setattr(plv, "_giant_lags", failing)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         recover(np.ones(cfg.M, dtype=complex), cfg)
     assert excinfo.value is error
     assert threading.active_count() == threads
-    assert "audit" not in gram_module._tables(cfg)
+    assert "rule" not in gram_module._tables(cfg)
 
 
 def test_recover_starts_no_thread(monkeypatch, rng):
@@ -223,7 +217,7 @@ def test_recover_starts_no_thread(monkeypatch, rng):
         lags[0] = abs(lags[0]) + m
         monkeypatch.setattr(gram_module, "_cached", None)
         miss = recover(lags, cfg)
-        assert "audit" in gram_module._tables(cfg)
+        assert "rule" in gram_module._tables(cfg)
         hit = recover(lags, cfg)
         assert np.array_equal(hit.coeffs.b, miss.coeffs.b)
         assert hit.constraint_residual == miss.constraint_residual <= DEFAULT_RESIDUAL_TOL
@@ -234,7 +228,7 @@ def _recover_in_child(pipe):
     pipe.send(recover(np.ones(cfg.M, dtype=complex), cfg).constraint_residual)
 
 
-def test_cache_miss_in_forked_child_after_threaded_miss():
+def test_cache_miss_in_forked_child_after_parent_miss():
     # A child forked after the parent's Toeplitz miss misses the cache
     # itself and builds its own Q.
     recover(np.ones(300, dtype=complex), ArrayConfig(300, 1.2))
@@ -446,26 +440,52 @@ def test_recover_rejects_unusable_tolerance(tol):
         recover(lags, cfg, residual_tol=tol)
 
 
-def audit_lags(cfg, coeffs, nodes):
-    # The audit's lags Q b, with Q built on the half rule of ``nodes``.
-    return plv._lags_of_coeffs(cfg, plv._audit_matrix(cfg, *plv._half_rule(nodes)), coeffs)
+def default_nodes(cfg):
+    # The rule's node count, restated: 4 gamma M + 64 with a 2048 floor.
+    return max(2048, int(4 * cfg.gamma * cfg.M) + 64)
+
+
+def rule_nodes(rule):
+    # The node count of a rule's whole Chebyshev-Gauss rule: only an odd
+    # one has its middle node at x = 0.
+    return 2 * rule.x.size - int(rule.x[0] == 0.0)
+
+
+@contextlib.contextmanager
+def rules_on(nodes, monkeypatch):
+    # Within it, every rule is built on ``nodes`` points and none is kept.
+    half_rule = plv._half_rule
+    with monkeypatch.context() as patch:
+        patch.setattr(plv, "_half_rule", lambda _: half_rule(nodes))
+        patch.setattr(plv, "_tables", lambda cfg: {})
+        yield
+
+
+def audit_lags(rule, coeffs):
+    # The audit's lags Q b of the coefficients, formed as recover forms
+    # them.
+    y = gram_module._gram_product(rule.audit, coeffs.b)
+    lags = y[:coeffs.M].astype(np.complex128)
+    lags[1:] += 1j * y[coeffs.M:]
+    return lags
 
 
 @pytest.mark.parametrize("m,gamma", [(1, 1.0), (2, 1.0), (64, 1.0), (1024, 1.21),
                                      (700, 1.25), (1025, 1.0)])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
-def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng):
+def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng, monkeypatch):
     # Q b, the rule's own moments against the coefficients, must reproduce
     # the plain full-rule sum sum_j w_j g(x_j) exp(i kappa_m x_j) over
     # every node: dense blocks at M = 1, 2 and 64, the FFT product from
     # the Toeplitz size up.
     cfg = ArrayConfig(m, gamma)
-    nodes = plv._auto_nodes(cfg) + parity
+    nodes = default_nodes(cfg) + parity
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     points, weights = weighted_quadrature_points(nodes)
     samples = weights * (trig_basis(cfg, points) @ coeffs.b)
     direct = np.exp(1j * np.multiply.outer(cfg.kappas(m), points)) @ samples
-    audit = audit_lags(cfg, coeffs, nodes)
+    with rules_on(nodes, monkeypatch):
+        audit = audit_lags(plv._rule(cfg), coeffs)
     assert audit.shape == (m,)
     assert np.max(np.abs(audit - direct)) <= 1e-11 * (1.0 + np.max(np.abs(direct)))
 
@@ -499,25 +519,21 @@ def whole_table_half_rule(cfg, b, nodes):
 
 
 def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
-    # At M = 64 the summary's table is kept, and it gives the summary of a
+    # At M = 64 the rule's table is kept, and it gives the summary of a
     # table built for the call bit for bit, as the kept Q gives the audit
-    # of a fresh one. The default counts are even at gamma = 1, the
-    # audit's is odd at 1.13, and both are odd (one rule) at 1985/256.
-    # Q b and the baby-row sums regroup the whole-table sums, so they
-    # agree with them to rounding.
-    for gamma, counts in ((1.0, (320, 2048)), (1.13, (353, 2048)), (1985 / 256, (2049, 2049))):
+    # of a fresh one. The count is 2048, even, at gamma = 1 and 1.13, and
+    # 2049, odd, at 1985/256. Q b and the baby-row sums regroup the
+    # whole-table sums, so they agree with them to rounding.
+    for gamma, count in ((1.0, 2048), (1.13, 2048), (1985 / 256, 2049)):
         cfg = ArrayConfig(64, gamma)
         coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
         solution = PlvSolution(coeffs, 0.0, cfg)
-        assemble_gram(ArrayConfig(5, 1.0))  # start from an empty slot
-        assemble_gram(cfg)
-        audit_nodes, summary_nodes = plv._auto_nodes(cfg), plv._negativity_nodes(cfg)
-        assert (audit_nodes, summary_nodes) == counts
-        lags = whole_table_half_rule(cfg, coeffs.b, audit_nodes)[0]
-        summary = whole_table_half_rule(cfg, coeffs.b, summary_nodes)[1]
-        fresh = audit_lags(cfg, coeffs, audit_nodes)
-        assert np.max(np.abs(fresh - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
-        assemble_gram(ArrayConfig(5, 1.0))  # a summary on a table of its own
+        assemble_gram(ArrayConfig(5, 1.0))  # a rule and a summary of their own
+        fresh = plv._rule(cfg)
+        assert rule_nodes(fresh) == count
+        lags, summary = whole_table_half_rule(cfg, coeffs.b, count)
+        audit = audit_lags(fresh, coeffs)
+        assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
         unkept = negativity_summary(solution)
         assert abs(unkept.min_value - summary.min_value) <= 1e-12 * (
             1.0 + abs(summary.min_value))
@@ -525,15 +541,15 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
         assemble_gram(cfg)
         for _ in range(2):  # built, then kept
             assert negativity_summary(solution) == unkept
-        assert sorted(gram_module._cached._kept) == [summary_nodes]
+        assert sorted(gram_module._cached._kept) == ["rule"]
+        kept = gram_module._cached._kept["rule"]
         lags = synthesize_lags(GAUSS_CLUSTER, cfg)
         recovered = recover(lags, cfg)
-        assert sorted(map(str, gram_module._cached._kept)) == [str(summary_nodes), "audit"]
-        kept = gram_module._cached._kept["audit"]
+        assert list(gram_module._cached._kept) == ["rule"]
+        assert gram_module._cached._kept["rule"] is kept
         for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))):
-            assert np.array_equal(plv._lags_of_coeffs(cfg, kept, coeffs),
-                                  audit_lags(cfg, coeffs, audit_nodes))
-        audit = audit_lags(cfg, recovered.coeffs, audit_nodes)
+            assert np.array_equal(audit_lags(kept, coeffs), audit_lags(fresh, coeffs))
+        audit = audit_lags(fresh, recovered.coeffs)
         assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
 
@@ -549,15 +565,15 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     # The kernel runs on baby rows step**r and powers of the giant step
     # step**B, B = isqrt(M), which at M = 700 and 1025 do not tile the M
     # rows exactly; the sums regroup, so agreement is to rounding. The
-    # summary runs on the audit's rule here.
+    # audit and the summary run on one rule.
     cfg = ArrayConfig(m, gamma)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
-    nodes = plv._auto_nodes(cfg) + parity
+    nodes = default_nodes(cfg) + parity
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
-    audit = audit_lags(cfg, coeffs, nodes)
+    with rules_on(nodes, monkeypatch):
+        audit = audit_lags(plv._rule(cfg), coeffs)
+        blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
-    monkeypatch.setattr(plv, "_negativity_nodes", lambda cfg: nodes)
-    blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert abs(blocked.min_value - summary.min_value) <= 1e-12 * (
         1.0 + abs(summary.min_value))
     assert abs(blocked.negative_fraction - summary.negative_fraction) <= 1e-12
@@ -566,14 +582,13 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
 def test_block_wise_kernel_builds_no_whole_table(rng):
     # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB,
     # and Q's moments would take one of 2047 rows, about 85 MB. The miss
-    # builds Q's split table on the heap, so its peak, above 2 MB, shows
-    # that Q was built.
+    # builds the rule's table and Q's work rows on the heap, so its peak,
+    # above 2 MB, shows that Q was built.
     cfg = ArrayConfig(1024, 1.25)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     solution = PlvSolution(coeffs, 0.0, cfg)
-    nodes = plv._auto_nodes(cfg)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
-    for run in (lambda: audit_lags(cfg, coeffs, nodes),
+    for run in (lambda: audit_lags(plv._rule(cfg), coeffs),
                 lambda: negativity_summary(solution),
                 lambda: recover(np.ones(cfg.M, dtype=complex), cfg)):
         tracemalloc.start()
@@ -583,8 +598,51 @@ def test_block_wise_kernel_builds_no_whole_table(rng):
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-    assert "audit" in gram_module._tables(cfg)
+    assert "rule" in gram_module._tables(cfg)
     assert 2 * 2**20 < peak
+
+
+def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
+    # recover, the negativity summary and a callable's projection share
+    # the configuration's one rule and its one kernel table; with a node
+    # count each, they built three.
+    cfg = ArrayConfig(64, 1.07)
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+    built = []
+    exp_table = core._exp_table
+
+    def counting(cfg, x):
+        built.append(x.size)
+        return exp_table(cfg, x)
+
+    monkeypatch.setattr(core, "_exp_table", counting)
+    monkeypatch.setattr(plv, "_exp_table", counting)
+    assemble_gram(ArrayConfig(5, 1.0))  # recover misses
+    solution = recover(lags, cfg)
+    negativity_summary(solution)
+    project_onto_nperp(transform_aps(GAUSS_CLUSTER), cfg)
+    assert built == [1024]
+
+
+def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
+    # Past the cap the rule is kept with its Q and without its table,
+    # which the summary and a callable's projection then build per call,
+    # with the same results as from the kept table.
+    cfg = ArrayConfig(64, 1.0)
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+    g = transform_aps(GAUSS_CLUSTER)
+    assemble_gram(ArrayConfig(5, 1.0))
+    solution = recover(lags, cfg)
+    expected = negativity_summary(solution), project_onto_nperp(g, cfg).b
+    assemble_gram(ArrayConfig(5, 1.0))
+    monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
+    assert np.array_equal(recover(lags, cfg).coeffs.b, solution.coeffs.b)
+    rule = gram_module._tables(cfg)["rule"]
+    assert rule.table is None and len(rule.audit) == 2
+    for _ in range(2):
+        assert negativity_summary(solution) == expected[0]
+        assert np.array_equal(project_onto_nperp(g, cfg).b, expected[1])
+    assert gram_module._tables(cfg)["rule"] is rule
 
 
 def test_residual_audit_catches_wrong_coefficient(monkeypatch):
@@ -594,7 +652,7 @@ def test_residual_audit_catches_wrong_coefficient(monkeypatch):
     bad = good.copy()
     bad[cfg.M + 3] += 1e-6
     scale = DEFAULT_RESIDUAL_TOL * (1.0 + np.max(np.abs(lags.r)))
-    residual = np.max(np.abs(audit_lags(cfg, TrigCoeffs(bad), plv._auto_nodes(cfg)) - lags.r))
+    residual = np.max(np.abs(audit_lags(plv._rule(cfg), TrigCoeffs(bad)) - lags.r))
     assert residual > scale
 
     monkeypatch.setattr(plv, "solve", lambda gram, y: TrigCoeffs(bad))
@@ -713,10 +771,10 @@ class TestProjection:
         exact = project_onto_nperp(model, cfg).b
         projected = project_onto_nperp(transform_aps(model), cfg).b
         assert np.max(np.abs(projected - exact)) <= 1e-12 * np.max(np.abs(exact))
-        # A small array's rule has the 512-node floor: the dense basis's
+        # A small array's rule has the 2048-node floor: the dense basis's
         # moments on it give the same projection.
         small = ArrayConfig(8, 1.0)
-        points, weights = weighted_quadrature_points(512)
+        points, weights = weighted_quadrature_points(2048)
         g = transform_aps(model)
         dense = solve(assemble_gram(small), trig_basis(small, points).T @ (weights * g(points))).b
         projected = project_onto_nperp(g, small).b
@@ -842,11 +900,11 @@ def test_negativity_summary_matches_direct_evaluation(m, gamma, parity, rng, mon
     # g(+-x_j) from the half-rule power table must reproduce g sampled on
     # every node of the full rule, of the default count or one more.
     cfg = ArrayConfig(m, gamma)
-    nodes = plv._negativity_nodes(cfg) + parity
+    nodes = default_nodes(cfg) + parity
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     values, fraction = _dense_negativity(cfg, coeffs.b, nodes)
-    monkeypatch.setattr(plv, "_negativity_nodes", lambda cfg: nodes)
-    summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
+    with rules_on(nodes, monkeypatch):
+        summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert abs(summary.min_value - values.min()) <= 1e-12 * (1.0 + np.max(np.abs(values)))
     assert abs(summary.negative_fraction - fraction) <= 1e-12
 
