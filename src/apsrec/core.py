@@ -186,6 +186,12 @@ def trig_basis(cfg, x):
 # read-only :class:`_ExpTable`. A table whose rows exceed this size is
 # never kept with the cached Gram.
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
+# The work rows of a sum over weighted samples stay in one block of at
+# most this size, under glibc's default 128 KiB mmap threshold: a
+# whole-table work array (2.4 MB at M = 1024) came back from the
+# operating system as fresh pages on every cache miss, about 570 page
+# faults.
+_BLOCK_BYTES = 120 * 2**10
 
 
 def _powers(step, powers):
@@ -238,20 +244,34 @@ def _giant_sum(table, c):
 
 
 def _giant_lags(table, v, M):
-    """Re sum_j v_j step_j**m for m < M, with v complex. Work row s
-    becomes conj(v giant**s), and entry (s, r) of the real product of its
-    float view with baby's is then the sum for m = B s + r."""
+    """Re sum_j v_j step_j**m for m < M, with v complex. Work row s is
+    conj(v giant**s), and entry (s, r) of the real product of its float
+    view with baby's is then the sum for m = B s + r. The work rows pass
+    through one block of ``_BLOCK_BYTES`` a panel of points at a time,
+    with the panel's conj(giant) power in its last row, and each panel's
+    product is added to the (count, B) sums."""
     baby, giant, count = table
-    work = np.empty((count, v.size), dtype=np.complex128)
-    work[0] = v
-    done = 1
-    while done < count:  # rows doubled per product, as in _powers
-        top = min(2 * done, count)
-        np.multiply(work[:top - done], giant, out=work[done:top])
-        giant = giant * giant
-        done = top
-    np.conjugate(work, out=work)
-    return (work.view(np.float64) @ baby.view(np.float64).T).ravel()[:M]
+    width = max(1, min(giant.size, _BLOCK_BYTES // (16 * (count + 1))))
+    block = np.empty((count + 1) * width, dtype=np.complex128)
+    sums = np.zeros((count, len(baby)))
+    product = np.empty_like(sums)
+    floats = baby.view(np.float64)
+    for start in range(0, giant.size, width):
+        stop = min(start + width, giant.size)
+        panel = block[:(count + 1) * (stop - start)].reshape(count + 1, stop - start)
+        work, power = panel[:count], panel[count]
+        np.conjugate(v[start:stop], out=work[0])
+        np.conjugate(giant[start:stop], out=power)
+        done = 1
+        while done < count:  # rows doubled per product, as in _powers
+            top = min(2 * done, count)
+            np.multiply(work[:top - done], power, out=work[done:top])
+            if top < count:
+                np.multiply(power, power, out=power)
+            done = top
+        np.matmul(work.view(np.float64), floats[:, 2 * start:2 * stop].T, out=product)
+        sums += product
+    return sums.ravel()[:M]
 
 
 def _exp_samples(table, b):

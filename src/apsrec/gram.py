@@ -53,33 +53,33 @@ _TOEPLITZ_MIN_M = 256
 
 # From this M up, the Toeplitz path takes x = T^-1 e_1 from preconditioned
 # CG (:func:`_pcg`) instead of Levinson recursion where CG accepts gamma.
-# Milliseconds for x alone, CG / Levinson, the median over three passes of
-# the median of 61 alternating runs, one BLAS thread, 2-vCPU x86-64 host:
+# Milliseconds for x alone with the parity-split CG, CG / Levinson, the
+# median over three passes of the median of 61 alternating runs, one BLAS
+# thread, 2-vCPU x86-64 host:
 #
 #     M      gamma = 1.0    gamma = 1.13   gamma = 1.25
-#     352    1.43 / 1.50    1.14 / 1.07    1.16 / 1.03
-#     384    0.85 / 1.23    1.13 / 1.26    1.18 / 1.23
-#     448    1.13 / 1.71    1.64 / 2.09    2.19 / 2.37
-#     512    1.46 / 2.47    1.45 / 2.13    1.58 / 2.21
-#     513    1.10 / 2.12    1.74 / 2.26    1.76 / 2.23
-#     608    1.90 / 3.81    2.30 / 3.60    1.67 / 2.78
-#     768    2.41 / 7.01    3.02 / 6.46    3.29 / 6.73
-#     1024   2.26 / 9.86    3.37 / 9.49    4.61 / 12.01
+#     352    1.03 / 1.21    0.79 / 0.79    0.78 / 0.79
+#     384    0.64 / 0.93    0.88 / 0.94    0.89 / 0.94
+#     448    0.71 / 1.26    0.97 / 1.28    0.97 / 1.28
+#     512    0.73 / 1.64    0.99 / 1.63    1.00 / 1.65
+#     513    0.75 / 1.65    0.94 / 1.64    0.94 / 1.64
+#     608    0.85 / 2.29    1.16 / 2.29    1.16 / 2.29
+#     768    0.93 / 3.65    1.28 / 3.64    1.37 / 3.63
+#     1024   1.14 / 6.34    1.61 / 6.42    1.72 / 6.42
 #
-# With 5-smooth FFT lengths (:func:`_fft_size`) CG no longer loses just
-# past M = 512, and it was no slower at all three gamma from 384 in two
-# passes and from 448 in the third. The constant is still the 608 that
-# the power-of-two lengths set.
+# CG was no slower at all three gamma from M = 352. The constant is still
+# the 608 that power-of-two FFT lengths and the one-recurrence CG set.
 _PCG_MIN_M = 608
 # CG runs for 1 <= gamma <= this. The symbol's cost grows with gamma, one
 # alias per 2 of it: up to 32 it stayed under half the CG run, and at 128
 # CG lost to Levinson at M = 608.
 _PCG_MAX_GAMMA = 32.0
-# Every run measured stopped in 8-21 steps (156 cases, M = 256 to 8192,
-# gamma = 1 to 3); one not stopped by this count is handed to Levinson.
+# Every run measured stopped in 7-13 steps (108 cases, M = 256 to 8192,
+# gamma = 1 to 3; 8-19 with one recurrence on the whole vector); one not
+# stopped by this count is handed to Levinson.
 _PCG_MAX_STEPS = 64
 # The normwise backward error a run must reach; x then agreed with
-# Levinson's to 7.3e-15 relative over 143 of those cases.
+# Levinson's to 7.7e-15 relative over those cases.
 _PCG_TOL = 1e-16
 
 
@@ -146,8 +146,10 @@ class GramMatrix:
     solves and reads against it are safe.
 
     ``_kept`` maps a key to read-only arrays of the configuration, filled
-    on the cached Gram only (:func:`_tables`). Entries are only added, one
-    dict store each, so they need no lock and go with the Gram.
+    on the cached Gram only (:func:`_tables`). Entries are only added, or
+    replaced by one that adds arrays to the same kept ones (the rule
+    gains its Q), one dict store each, so they need no lock and go with
+    the Gram.
     """
 
     cfg: ArrayConfig
@@ -322,14 +324,24 @@ def _symbol_means(gamma, size):
 def _pcg(column, spectrum, gamma):
     """x = T^-1 e_1 by conjugate gradients preconditioned with P, or None
     when gamma lies outside [1, ``_PCG_MAX_GAMMA``], a step meets
-    p^T T p <= 0 or the run misses its stopping test within
-    ``_PCG_MAX_STEPS``.
+    p^T T p <= 0 in either parity or the run misses its stopping test
+    within ``_PCG_MAX_STEPS``.
 
-    P is the leading n-by-n block of the circulant of length
-    N = ``_fft_size(n)`` with eigenvalues 1 over the cell averages of the
-    symbol (:func:`_symbol_means`), which are at least 2/gamma for
-    gamma >= 1, so P is positive definite. T, through its embedding
-    ``spectrum``, and P are each one real FFT pair of length N. The run
+    P is the leading n-by-n block of the circulant of its own length
+    N_P = ``_fft_size(ceil(0.7 n))``, at least n, with eigenvalues 1 over
+    the cell averages of the symbol (:func:`_symbol_means`), which are at
+    least 2/gamma for gamma >= 1, so P is positive definite. T and P are
+    symmetric Toeplitz, so both commute with the reversal J, and the
+    J-symmetric and J-antisymmetric parts (e_1 +- e_n) / 2 of e_1 run as
+    two CG recurrences in lockstep on one packed vector u = u_s + u_a:
+    each step makes one product with T, through its embedding
+    ``spectrum`` (a real FFT pair of length N = ``_fft_size(n)``), and
+    one with P (a pair of length N_P), and both recurrences share them.
+    A parity's inner products are (u . w +- u . J w) / 2, and its step
+    and direction coefficients c_s, c_a act as
+    ((c_s + c_a) u + (c_s - c_a) J u) / 2. A parity whose residual is
+    exactly zero is frozen with zero coefficients. Each recurrence has
+    half the eigenvalues to resolve, so a run takes fewer steps. The run
     stops once the normwise backward error ||e_1 - T x||_2 /
     (||T|| ||x||_2 + 1), with ||T||_2 <= 2 sum_k |t_k|, falls under
     ``_PCG_TOL``: first for the updated residual, then for the one
@@ -338,31 +350,45 @@ def _pcg(column, spectrum, gamma):
     n, size = column.size, _fft_size(column.size)
     if not 1.0 <= gamma <= _PCG_MAX_GAMMA:
         return None
-    inverse = 1.0 / _symbol_means(gamma, size)
+    size_p = _fft_size(-(-7 * n // 10))
+    inverse = 1.0 / _symbol_means(gamma, size_p)
 
-    def apply(symbol, v):
-        return np.fft.irfft(symbol * np.fft.rfft(v, size), size)[:n]
+    def apply(symbol, v, length):
+        return np.fft.irfft(symbol * np.fft.rfft(v, length), length)[:n]
+
+    def parts(u, w):
+        # [u_s . w_s, u_a . w_a] for the parts u_s, u_a = (u +- J u) / 2.
+        same, mirrored = u @ w, u @ w[::-1]
+        return 0.5 * np.array([same + mirrored, same - mirrored])
+
+    def combine(u, c):
+        # c_s u_s + c_a u_a.
+        return (0.5 * (c[0] + c[1])) * u + (0.5 * (c[0] - c[1])) * u[::-1]
+
+    def ratio(top, bottom):
+        # top / bottom per parity, 0 for a frozen parity (bottom 0).
+        return np.divide(top, bottom, out=np.zeros(2), where=bottom != 0.0)
 
     def converged(r, x):
         return np.sqrt(r @ r) <= _PCG_TOL * (norm * np.sqrt(x @ x) + 1.0)
 
     norm, e_1 = 2.0 * np.abs(column).sum(), np.eye(1, n)[0]
     x, r = np.zeros(n), e_1.copy()
-    p = z = apply(inverse, r)
-    rz = r @ z
+    p = z = apply(inverse, r, size_p)
+    rz = parts(r, z)
     for _ in range(_PCG_MAX_STEPS):
-        q = apply(spectrum, p)
-        curvature = p @ q
-        if not curvature > 0.0:
+        q = apply(spectrum, p, size)
+        curvature = parts(p, q)
+        if not np.all((curvature > 0.0) | (rz == 0.0)):
             return None
-        step = rz / curvature
-        x += step * p
-        r -= step * q
-        if converged(r, x) and converged(e_1 - apply(spectrum, x), x):
+        step = ratio(rz, curvature)
+        x += combine(p, step)
+        r -= combine(q, step)
+        if converged(r, x) and converged(e_1 - apply(spectrum, x, size), x):
             return x
-        z = apply(inverse, r)
-        rz, previous = r @ z, rz
-        p = z + (rz / previous) * p
+        z = apply(inverse, r, size_p)
+        rz, previous = parts(r, z), rz
+        p = z + combine(p, ratio(rz, previous))
     return None
 
 
@@ -374,7 +400,7 @@ def _toeplitz(cfg):
     recursion (``scipy.linalg.solve_toeplitz``).
     For gamma >= 1 the symbol of T is at least 1 on all of [-pi, pi], so
     every eigenvalue of T exceeds 2/gamma at every M (Grenander and Szego)
-    and preconditioned CG converges in about twenty steps; below gamma = 1
+    and preconditioned CG converges in 7-13 steps at gamma <= 3; below gamma = 1
     the symbol vanishes on part of the circle and it need not converge.
     Levinson recursion is only weakly stable: on a numerically indefinite
     T it can break down or return x with x_0 <= 0. Either is raised,

@@ -120,23 +120,25 @@ def _half_rule(nodes):
 
 class _Rule(NamedTuple):
     """:func:`_rule`'s record; ``table`` is None in a kept record whose
-    table exceeds ``_MAX_KEPT_TABLE_BYTES``."""
+    table exceeds ``_MAX_KEPT_TABLE_BYTES``, and ``audit`` is None until
+    :func:`recover` asks for Q."""
 
     x: np.ndarray
     w: np.ndarray
     table: _ExpTable | None
-    audit: tuple
+    audit: tuple | None
 
 
-def _rule(cfg):
+def _rule(cfg, audit=False):
     """The one Chebyshev-Gauss rule by which the residual audit, the
     negativity summary and a callable's projection integrate against
     w(x) = 1/sqrt(1 - x^2) at ``cfg``: the read-only nodes x and weights
     w of :func:`_half_rule` on max(2048, 4 gamma M + 64) points, which
     resolve products of basis functions at the top frequency
-    2 kappa_{M-1}, their kernel table and the audit's Gram form Q, kept
-    with the configuration's Gram under one key (the table only while it
-    fits ``_MAX_KEPT_TABLE_BYTES``).
+    2 kappa_{M-1}, their kernel table and, with ``audit``, the audit's
+    Gram form Q, kept with the configuration's Gram under one key (the
+    table only while it fits ``_MAX_KEPT_TABLE_BYTES``). Q is built once
+    per kept record, and only for a caller that reads it.
 
     Q is the Gram with pi J0(kappa_l) replaced by the rule's own moments
     mu_l = sum_j w_j cos(kappa_l x_j) over the whole rule, l < 2M-1,
@@ -148,14 +150,16 @@ def _rule(cfg):
     """
     tables = _tables(cfg)
     rule = tables.get("rule")
-    if rule is not None:
+    if rule is None:
+        x, w = _half_rule(max(2048, int(4 * cfg.gamma * cfg.M) + 64))
+        rule = _Rule(x, w, _exp_table(cfg, x), None)
+    elif rule.audit is not None or not audit:
         return rule
-    x, w = _half_rule(max(2048, int(4 * cfg.gamma * cfg.M) + 64))
-    table = _exp_table(cfg, x)
-    count = 2 * cfg.M - 1
-    mu = 2.0 * _giant_lags(table._replace(count=-(-count // len(table.baby))), w, count)
-    rule = _Rule(x, w, table, _gram_form(mu))
-    tables["rule"] = rule if _fits(table) else rule._replace(table=None)
+    if audit:
+        table, count = rule.table or _exp_table(cfg, rule.x), 2 * cfg.M - 1
+        mu = 2.0 * _giant_lags(table._replace(count=-(-count // len(table.baby))), rule.w, count)
+        rule = rule._replace(table=table, audit=_gram_form(mu))
+    tables["rule"] = rule if _fits(rule.table) else rule._replace(table=None)
     return rule
 
 
@@ -188,7 +192,7 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
         raise ValueError(f"lag count {lags.M} does not match array M = {cfg.M}")
     coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
     # Q b in the measurement layout [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}].
-    y = _gram_product(_rule(cfg).audit, coeffs.b)
+    y = _gram_product(_rule(cfg, audit=True).audit, coeffs.b)
     checked = y[:cfg.M].astype(np.complex128)
     checked[1:] += 1j * y[cfg.M:]
     residual = float(np.max(np.abs(checked - lags.r)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from apsrec.core import (
 )
 from apsrec import core
 from apsrec.errors import DomainError, ModelError, StructureError
-from apsrec.quad import theta_quadrature_points
+from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
 
@@ -420,6 +421,34 @@ def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
     a, c = rng.uniform(0.0, 1.0, (2, x.size))
     assert close(core._exp_lags(table, a, c, m), (dense @ a).real + 1j * (dense @ c).imag)
     assert close(core._giant_lags(table, a, m), (dense @ a).real)
+
+
+def test_giant_lags_streams_work_rows_through_one_block():
+    # The audit's moments at (1024, 1.25), on the rule's 2592 half-rule
+    # nodes: the 64 work rows of its 2047 sums would take 2.7 MB at once.
+    # Streamed, the kernel's peak beyond its inputs is one block, numpy's
+    # buffer for a product broadcast over half its work rows, the (count,
+    # B) sums and one panel product of that size, with 4 KiB for the
+    # arrays' headers. The moments match the dense sum in long double.
+    cfg = ArrayConfig(1024, 1.25)
+    points, weights = weighted_quadrature_points(int(4 * cfg.gamma * cfg.M) + 64)
+    x, w = points[points.size // 2:], weights[points.size // 2:]
+    count = cfg.n_coeffs
+    table = core._exp_table(cfg, x)
+    table = table._replace(count=-(-count // len(table.baby)))
+    tracemalloc.start()
+    try:
+        moments = core._giant_lags(table, w, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sums = table.count * len(table.baby) * 8
+    assert peak <= core._BLOCK_BYTES * 3 // 2 + 2 * sums + 4096
+    kappas = np.longdouble(cfg.gamma) * np.pi * np.arange(count, dtype=np.longdouble)
+    expected = np.concatenate([np.cos(np.multiply.outer(rows, x.astype(np.longdouble))) @ w
+                               for rows in np.array_split(kappas, 16)])
+    scale = 1.0 + np.max(np.abs(expected))
+    assert np.max(np.abs(moments - expected)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("m", [1, 64, 1024])

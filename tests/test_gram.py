@@ -497,11 +497,24 @@ def test_pcg_matches_levinson(m, gamma):
 @pytest.mark.parametrize("gamma", [1.0, 1.0001, 1.13, 1.25, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("m", [512, 1024, 1025, 2048, 4096, 8192])
 def test_pcg_stops_within_twenty_steps(monkeypatch, m, gamma):
-    # The symbol-averaged preconditioner stops every run on this grid
-    # within 8-19 steps.
-    monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 20)
+    # With its parity-split recurrences the symbol-averaged preconditioner
+    # stops every run on this grid within 7-13 steps (8-19 with one
+    # recurrence on the whole vector); the cap is that maximum plus 2.
+    monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 15)
     column = _toeplitz_column(m, gamma)
     assert gram_module._pcg(column, gram_module._spectrum(column), gamma) is not None
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.25, 3.0, 32.0])
+@pytest.mark.parametrize("m", [PCG_MIN_M, 1024, 4096])
+def test_pcg_raises_no_floating_point_error(m, gamma):
+    # No step of either parity divides by zero, overflows or makes a NaN,
+    # from the crossover to 4096 and up to the gamma cap, and every run
+    # returns x.
+    column = _toeplitz_column(m, gamma)
+    with np.errstate(all="raise"):
+        x = gram_module._pcg(column, gram_module._spectrum(column), gamma)
+    assert x is not None and np.all(np.isfinite(x))
 
 
 def _large_array_lags(rng, cfg):

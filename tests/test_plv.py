@@ -485,7 +485,7 @@ def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng, monkeyp
     samples = weights * (trig_basis(cfg, points) @ coeffs.b)
     direct = np.exp(1j * np.multiply.outer(cfg.kappas(m), points)) @ samples
     with rules_on(nodes, monkeypatch):
-        audit = audit_lags(plv._rule(cfg), coeffs)
+        audit = audit_lags(plv._rule(cfg, audit=True), coeffs)
     assert audit.shape == (m,)
     assert np.max(np.abs(audit - direct)) <= 1e-11 * (1.0 + np.max(np.abs(direct)))
 
@@ -521,7 +521,9 @@ def whole_table_half_rule(cfg, b, nodes):
 def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
     # At M = 64 the rule's table is kept, and it gives the summary of a
     # table built for the call bit for bit, as the kept Q gives the audit
-    # of a fresh one. The count is 2048, even, at gamma = 1 and 1.13, and
+    # of a fresh one. The summary keeps the rule without Q, and recover
+    # adds Q to the same kept nodes, weights and table. The count is 2048,
+    # even, at gamma = 1 and 1.13, and
     # 2049, odd, at 1985/256. Q b and the baby-row sums regroup the
     # whole-table sums, so they agree with them to rounding.
     for gamma, count in ((1.0, 2048), (1.13, 2048), (1985 / 256, 2049)):
@@ -529,7 +531,7 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
         coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
         solution = PlvSolution(coeffs, 0.0, cfg)
         assemble_gram(ArrayConfig(5, 1.0))  # a rule and a summary of their own
-        fresh = plv._rule(cfg)
+        fresh = plv._rule(cfg, audit=True)
         assert rule_nodes(fresh) == count
         lags, summary = whole_table_half_rule(cfg, coeffs.b, count)
         audit = audit_lags(fresh, coeffs)
@@ -543,12 +545,14 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
             assert negativity_summary(solution) == unkept
         assert sorted(gram_module._cached._kept) == ["rule"]
         kept = gram_module._cached._kept["rule"]
+        assert kept.audit is None  # the summary reads no Q
         lags = synthesize_lags(GAUSS_CLUSTER, cfg)
         recovered = recover(lags, cfg)
         assert list(gram_module._cached._kept) == ["rule"]
-        assert gram_module._cached._kept["rule"] is kept
+        audited = gram_module._cached._kept["rule"]
+        assert all(part is kept_part for part, kept_part in zip(audited[:3], kept[:3]))
         for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))):
-            assert np.array_equal(audit_lags(kept, coeffs), audit_lags(fresh, coeffs))
+            assert np.array_equal(audit_lags(audited, coeffs), audit_lags(fresh, coeffs))
         audit = audit_lags(fresh, recovered.coeffs)
         assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
@@ -571,7 +575,7 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     nodes = default_nodes(cfg) + parity
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
     with rules_on(nodes, monkeypatch):
-        audit = audit_lags(plv._rule(cfg), coeffs)
+        audit = audit_lags(plv._rule(cfg, audit=True), coeffs)
         blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
     assert abs(blocked.min_value - summary.min_value) <= 1e-12 * (
@@ -581,25 +585,29 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
 
 def test_block_wise_kernel_builds_no_whole_table(rng):
     # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB,
-    # and Q's moments would take one of 2047 rows, about 85 MB. The miss
-    # builds the rule's table and Q's work rows on the heap, so its peak,
-    # above 2 MB, shows that Q was built.
+    # and Q's moments would take one of 2047 rows, about 85 MB. Each run
+    # holds the rule's 1.4 MB kernel table; Q's 64 work rows, 2.7 MB at
+    # once, stream through one 120 KiB block. The peaks read 1.63 MB for
+    # the audit, 2.84 MB for the summary, whose 1.3 MB of Horner rows are
+    # not streamed, and 1.76 MB for recover; each limit adds 0.3-0.5 MB.
+    # The kept rule holds Q in its Toeplitz form, one spectrum row.
     cfg = ArrayConfig(1024, 1.25)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
     solution = PlvSolution(coeffs, 0.0, cfg)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
-    for run in (lambda: audit_lags(plv._rule(cfg), coeffs),
-                lambda: negativity_summary(solution),
-                lambda: recover(np.ones(cfg.M, dtype=complex), cfg)):
+    size = gram_module._fft_size(cfg.n_coeffs)  # scipy.fft is imported before tracing
+    for run, limit in ((lambda: audit_lags(plv._rule(cfg, audit=True), coeffs), 2.0),
+                       (lambda: negativity_summary(solution), 3.0),
+                       (lambda: recover(np.ones(cfg.M, dtype=complex), cfg), 2.0)):
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
-    assert "rule" in gram_module._tables(cfg)
-    assert 2 * 2**20 < peak
+        assert peak < limit * 2**20
+    (spectrum,) = gram_module._tables(cfg)["rule"].audit
+    assert spectrum.shape == (size // 2 + 1,)
 
 
 def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
@@ -622,6 +630,40 @@ def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
     negativity_summary(solution)
     project_onto_nperp(transform_aps(GAUSS_CLUSTER), cfg)
     assert built == [1024]
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["kept_table", "over_cap"])
+def test_rule_builds_q_only_for_recover(monkeypatch, capped):
+    # Only recover reads Q. A summary on a configuration that is not the
+    # cached Gram's makes no moment pass, and a callable's projection
+    # makes only its own lags' two; then recover builds Q once on the rule
+    # the projection kept, and a repeat builds nothing. Past the kept-table
+    # cap the kept rule has no table, and recover builds one for Q.
+    if capped:
+        monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
+    cfg = ArrayConfig(64, 1.07)
+    lags = synthesize_lags(GAUSS_CLUSTER, cfg)
+    solution = PlvSolution(TrigCoeffs(np.ones(cfg.n_coeffs)), 0.0, cfg)
+    moments = []
+    giant_lags = core._giant_lags
+
+    def counting(table, v, M):
+        moments.append(M)
+        return giant_lags(table, v, M)
+
+    monkeypatch.setattr(core, "_giant_lags", counting)
+    monkeypatch.setattr(plv, "_giant_lags", counting)
+    assemble_gram(ArrayConfig(5, 1.0))
+    negativity_summary(solution)
+    assert moments == []
+    project_onto_nperp(transform_aps(GAUSS_CLUSTER), cfg)
+    assert moments == [cfg.M, cfg.M]
+    assert gram_module._tables(cfg)["rule"].audit is None
+    for _ in range(2):
+        assert recover(lags, cfg).constraint_residual <= DEFAULT_RESIDUAL_TOL
+        negativity_summary(solution)
+    assert moments == [cfg.M, cfg.M, cfg.n_coeffs]
+    assert (gram_module._tables(cfg)["rule"].table is None) == capped
 
 
 def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
@@ -652,7 +694,7 @@ def test_residual_audit_catches_wrong_coefficient(monkeypatch):
     bad = good.copy()
     bad[cfg.M + 3] += 1e-6
     scale = DEFAULT_RESIDUAL_TOL * (1.0 + np.max(np.abs(lags.r)))
-    residual = np.max(np.abs(audit_lags(plv._rule(cfg), TrigCoeffs(bad)) - lags.r))
+    residual = np.max(np.abs(audit_lags(plv._rule(cfg, audit=True), TrigCoeffs(bad)) - lags.r))
     assert residual > scale
 
     monkeypatch.setattr(plv, "solve", lambda gram, y: TrigCoeffs(bad))
