@@ -18,6 +18,10 @@ Typical use::
     solution = recover(lags, cfg)
     report = certify(truth, cfg)
 
+A measured Hermitian Toeplitz covariance matrix enters through
+``lags_from_toeplitz``, which returns its lags. A solution's weighted
+energy is ``assemble_gram(cfg).quadratic_form(solution.coeffs)``.
+
 Synthesis is exact for every built-in model and takes no option, and
 ``certify`` derives its energy rule from the array and the model. No node
 count is settable, and one exponential-sum kernel samples every
@@ -28,7 +32,6 @@ from .analysis import (
     DEFAULT_IDENTIFIABILITY_TOL,
     ErrorCertificate,
     certify,
-    energy_of_solution,
     resolution_sweep,
 )
 from .core import (
@@ -45,9 +48,6 @@ from .core import (
     TrigPolynomial,
     Uniform,
     lags_from_toeplitz,
-    toeplitz_from_lags,
-    transform_aps,
-    trig_basis,
 )
 from .errors import (
     ConditioningError,
@@ -103,7 +103,6 @@ __all__ = [
     "Uniform",
     "assemble_gram",
     "certify",
-    "energy_of_solution",
     "evaluate_solution",
     "lags_from_toeplitz",
     "measurement_vector",
@@ -113,7 +112,4 @@ __all__ = [
     "resolution_sweep",
     "solve",
     "synthesize_lags",
-    "toeplitz_from_lags",
-    "transform_aps",
-    "trig_basis",
 ]

@@ -181,18 +181,6 @@ def certify(model, cfg, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     )
 
 
-def energy_of_solution(solution):
-    """Weighted energy ||g_rec||^2_w of a recovered spectrum, as the Gram
-    quadratic form of its coefficients (no quadrature involved).
-
-    Raises:
-        ConditioningError: From the shared Gram, when the configuration
-            is past the conditioning ceiling (``recover`` rejects such
-            configurations too).
-    """
-    return assemble_gram(solution.cfg).quadratic_form(solution.coeffs)
-
-
 def resolution_sweep(model, gamma, m_values, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     """Reconstruction error versus antenna count at fixed spacing ratio.
 

@@ -319,6 +319,18 @@ def cmd_recover(args):
 def cmd_certify(args):
     config = load_config(args.config)
     certificate = certify(config.aps, config.array, config.identifiability_tol)
+    # The sweep is parsed and run before any file is written, so a bad
+    # --sweep leaves no certificate behind.
+    if args.sweep:
+        try:
+            m_values = [int(part) for part in args.sweep.split(",") if part]
+        except ValueError as exc:
+            raise ConfigError("--sweep", "expected comma-separated integers") from exc
+        try:
+            sweep = resolution_sweep(
+                config.aps, config.array.gamma, m_values, config.identifiability_tol)
+        except ValueError as exc:
+            raise ConfigError("--sweep", str(exc)) from exc
     out = _out_dir(args)
     payload = {
         "schema": "apsrec-certificate/1",
@@ -334,17 +346,7 @@ def cmd_certify(args):
         "margin": _report(certificate.margin),
     }
     _write_json(out / "certificate.json", payload)
-
     if args.sweep:
-        try:
-            m_values = [int(part) for part in args.sweep.split(",") if part]
-        except ValueError as exc:
-            raise ConfigError("--sweep", "expected comma-separated integers") from exc
-        try:
-            sweep = resolution_sweep(
-                config.aps, config.array.gamma, m_values, config.identifiability_tol)
-        except ValueError as exc:
-            raise ConfigError("--sweep", str(exc)) from exc
         rows = [f"{m},{_full(err)}" for m, err in sweep]
         _write_lines(out / "sweep.csv", ["M,reconstruction_error_sq", *rows])
     return EXIT_OK

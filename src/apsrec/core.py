@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import DomainError, ModelError, StructureError
+from .errors import ModelError, StructureError
 
 HALF_PI = 0.5 * np.pi
 # e^{i n pi/2} for n mod 4: the edge phases of the half-range Fourier
@@ -84,11 +84,6 @@ class ArrayConfig:
     def kappas(self, count):
         """Vector of the first ``count`` spatial frequencies gamma*pi*[0..count-1]."""
         return self.gamma * np.pi * np.arange(count)
-
-    @property
-    def n_coeffs(self):
-        """Dimension 2M-1 of the trigonometric coefficient space."""
-        return 2 * self.M - 1
 
 
 @dataclass(frozen=True)
@@ -161,14 +156,14 @@ class TrigCoeffs:
     def __len__(self):
         return self.b.size
 
-    @classmethod
-    def zeros(cls, M):
-        return cls(np.zeros(2 * M - 1))
-
 
 def trig_basis(cfg, x):
     """Evaluate the basis [1, cos(kappa_1 x)..cos(kappa_{M-1} x),
     sin(kappa_1 x)..sin(kappa_{M-1} x)] at the points ``x``.
+
+    No library code calls this dense table: it is the tests' reference
+    for the exponential-sum kernel, and the benchmark's tracer wraps it
+    as the basis site.
 
     Returns:
         Array of shape (len(x), 2M-1); one row per evaluation point.
@@ -547,46 +542,6 @@ def _leaves(model):
     return [model]
 
 
-def transform_aps(model):
-    """Return the transformed density g(x) = rho(arcsin x) on [-1, 1].
-
-    Args:
-        model: An L2 spectrum model. Point sources never pass through
-            g-space and raise ModelError.
-
-    Returns:
-        A vectorized callable g(x). Evaluation outside [-1, 1] raises
-        DomainError.
-    """
-    if not model.in_l2:
-        raise ModelError(
-            "model has no square-integrable density; its transform is undefined"
-        )
-
-    if isinstance(model, TrigPolynomial):
-        native = model.g
-    else:
-        def native(x):
-            return model.rho(np.arcsin(x))
-
-    def g(x):
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.abs(x) <= 1.0):
-            raise DomainError("transformed density is defined on [-1, 1]")
-        return native(x)
-
-    return g
-
-
-def toeplitz_from_lags(lags):
-    """Build the full M-by-M Hermitian Toeplitz covariance matrix whose
-    first column is ``lags.r``; a raw vector is taken as CovarianceLags
-    first, so a non-finite entry or a complex r_0 raises ValueError."""
-    if not isinstance(lags, CovarianceLags):
-        lags = CovarianceLags(lags)
-    return scipy.linalg.toeplitz(lags.r, np.conj(lags.r))
-
-
 def lags_from_toeplitz(matrix, tol=1e-10):
     """Extract the first column of a Hermitian Toeplitz matrix as lags.
 
@@ -610,7 +565,7 @@ def lags_from_toeplitz(matrix, tol=1e-10):
     first = matrix[:, 0].copy()
     first[0] = first[0].real
     lags = CovarianceLags(first)
-    deviation = np.max(np.abs(matrix - toeplitz_from_lags(lags)))
+    deviation = np.max(np.abs(matrix - scipy.linalg.toeplitz(lags.r, lags.r.conj())))
     if deviation > tol:
         raise StructureError(
             f"matrix deviates from Hermitian Toeplitz structure by {deviation:.3e} (tol {tol:.3e})"

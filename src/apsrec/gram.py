@@ -10,12 +10,14 @@ exp(i kappa_k x), k = -(M-1)..M-1, the same Gram is one real symmetric
 Toeplitz matrix T of order 2M-1 with first column pi J0(kappa_k), and the
 two blocks are its even and odd halves. Small arrays factorize the dense
 blocks by Cholesky; large ones keep O(M) numbers of T and solve with the
-Gohberg-Semencul formula for T^-1 (Levinson 1947, Durbin 1960, Gohberg and
-Semencul 1972, Cybenko 1980), whose generator T^-1 e_1 comes from
-conjugate gradients preconditioned with the cell averages of T's symbol
-where that symbol bounds T's spectrum away from zero (Grenander and Szego
-1958). The condition ceiling is settled by an O(M) bound where it can be,
-and otherwise by LAPACK's ``dpocon`` estimate on dense Cholesky factors.
+Gohberg-Semencul formula for T^-1 (Gohberg and Semencul 1972), whose
+generator T^-1 e_1 comes, at every such M, from conjugate gradients
+preconditioned with the cell averages of T's symbol where that symbol
+bounds T's spectrum away from zero (Grenander and Szego 1958), and from
+Levinson recursion (Levinson 1947, Durbin 1960, Cybenko 1980) where it
+does not or CG fails. The condition ceiling is settled by an O(M) bound
+where it can be, and otherwise by LAPACK's ``dpocon`` estimate on dense
+Cholesky factors.
 """
 
 from dataclasses import dataclass, field
@@ -51,25 +53,6 @@ DEFAULT_COND_CEILING = 1e12
 # move it to between 64 and 128.
 _TOEPLITZ_MIN_M = 256
 
-# From this M up, the Toeplitz path takes x = T^-1 e_1 from preconditioned
-# CG (:func:`_pcg`) instead of Levinson recursion where CG accepts gamma.
-# Milliseconds for x alone with the parity-split CG, CG / Levinson, the
-# median over three passes of the median of 61 alternating runs, one BLAS
-# thread, 2-vCPU x86-64 host:
-#
-#     M      gamma = 1.0    gamma = 1.13   gamma = 1.25
-#     352    1.03 / 1.21    0.79 / 0.79    0.78 / 0.79
-#     384    0.64 / 0.93    0.88 / 0.94    0.89 / 0.94
-#     448    0.71 / 1.26    0.97 / 1.28    0.97 / 1.28
-#     512    0.73 / 1.64    0.99 / 1.63    1.00 / 1.65
-#     513    0.75 / 1.65    0.94 / 1.64    0.94 / 1.64
-#     608    0.85 / 2.29    1.16 / 2.29    1.16 / 2.29
-#     768    0.93 / 3.65    1.28 / 3.64    1.37 / 3.63
-#     1024   1.14 / 6.34    1.61 / 6.42    1.72 / 6.42
-#
-# CG was no slower at all three gamma from M = 352. The constant is still
-# the 608 that power-of-two FFT lengths and the one-recurrence CG set.
-_PCG_MIN_M = 608
 # CG runs for 1 <= gamma <= this. The symbol's cost grows with gamma, one
 # alias per 2 of it: up to 32 it stayed under half the CG run, and at 128
 # CG lost to Levinson at M = 608.
@@ -179,10 +162,6 @@ class GramMatrix:
         norms, inverse_norms = zip(_dense_norms(self.g_re, self.chol_re),
                                    _dense_norms(self.g_im, self.chol_im))
         return float(max(norms) * max(inverse_norms))
-
-    def full_matrix(self):
-        """The dense (2M-1)-by-(2M-1) block-diagonal matrix."""
-        return scipy.linalg.block_diag(*gram_blocks(self.cfg))
 
     @property
     def _form(self):
@@ -395,9 +374,9 @@ def _pcg(column, spectrum, gamma):
 def _toeplitz(cfg):
     """The Gohberg-Semencul factorization of the Gram for ``cfg``.
 
-    x = T^-1 e_1 comes from :func:`_pcg` from ``_PCG_MIN_M`` up, and
-    otherwise, or when that run declines or fails, from Levinson
-    recursion (``scipy.linalg.solve_toeplitz``).
+    x = T^-1 e_1 comes from :func:`_pcg` at every M, and from Levinson
+    recursion (``scipy.linalg.solve_toeplitz``) when that run declines
+    gamma or fails.
     For gamma >= 1 the symbol of T is at least 1 on all of [-pi, pi], so
     every eigenvalue of T exceeds 2/gamma at every M (Grenander and Szego)
     and preconditioned CG converges in 7-13 steps at gamma <= 3; below gamma = 1
@@ -415,7 +394,7 @@ def _toeplitz(cfg):
     n = 2 * cfg.M - 1
     column = np.pi * bessel_j0(cfg.gamma * np.pi * np.arange(n))
     spectrum = _spectrum(column)
-    x = _pcg(column, spectrum, cfg.gamma) if cfg.M >= _PCG_MIN_M else None
+    x = _pcg(column, spectrum, cfg.gamma)
     if x is None:
         try:
             x = scipy.linalg.solve_toeplitz(column, np.eye(1, n)[0], check_finite=False)

@@ -9,7 +9,7 @@ and the lag oracle the one on ``synthesize_lags``.
 
 import numpy as np
 
-from apsrec.core import Domain, PointSources, SpectrumSum, transform_aps
+from apsrec.core import Domain, PointSources, SpectrumSum, TrigPolynomial
 from apsrec.errors import QuadratureError
 from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
 
@@ -109,6 +109,14 @@ def dense_exp_sum(cfg, x, v, chunk=4096):
                for i in range(0, x.size, chunk))
 
 
+def transformed_density(model):
+    """The transformed density g(x) = rho(arcsin x) of an L2 model on
+    [-1, 1]; a ``TrigPolynomial`` gives its own ``g``."""
+    if isinstance(model, TrigPolynomial):
+        return model.g
+    return lambda x: model.rho(np.arcsin(x))
+
+
 def _leaves(model):
     if isinstance(model, SpectrumSum):
         return [leaf for term in model.terms for leaf in _leaves(term)]
@@ -146,7 +154,7 @@ def reference_lags(model, cfg, path="theta", order=16, chunk=1024):
     :func:`_composite_rule` at the fastest lag's frequency and summed by
     :func:`dense_exp_sum`: on the theta path over rho(theta) e^{i kappa
     sin(theta)} in theta, on the x path over g(x) e^{i kappa x} w(x) in
-    t = arccos(x), with g from ``transform_aps``.
+    t = arccos(x), with g from :func:`transformed_density`.
     """
     kappas = cfg.kappas(cfg.M)
     r = np.zeros(cfg.M, dtype=np.complex128)
@@ -164,7 +172,7 @@ def reference_lags(model, cfg, path="theta", order=16, chunk=1024):
         x, values = np.sin(nodes), sum(leaf.rho(nodes) for leaf in densities)
     else:
         x = np.cos(nodes)
-        values = sum(transform_aps(leaf)(x) for leaf in densities)
+        values = sum(transformed_density(leaf)(x) for leaf in densities)
     return r + dense_exp_sum(cfg, x, weights * values, chunk)
 
 

@@ -49,7 +49,7 @@ def criterion(number, name, budget_s=None):
 
 def positive_random_trig(m, rng):
     cfg = ArrayConfig(m, 1.0)
-    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
     grid = np.linspace(-1.0, 1.0, 2001)
     b[0] += max(0.0, -np.min(trig_basis(cfg, grid) @ b)) + 0.1
     return TrigPolynomial(cfg, TrigCoeffs(b))

@@ -272,8 +272,13 @@ class TestCertify:
         assert report["pythagoras_gap"] <= floor
 
     def test_bad_sweep_exit_2(self, tmp_path, capsys):
+        # A sweep that does not parse or does not increase fails the
+        # command before any file is written: no certificate is left.
         config = write_config(tmp_path, GAUSS_CONFIG)
-        assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--sweep", "4,x"]) == 2
+        for sweep in ("4,x", "8,4"):
+            out = tmp_path / sweep
+            assert main(["certify", "--config", str(config), "--out", str(out), "--sweep", sweep]) == 2
+            assert not (out / "certificate.json").exists()
         capsys.readouterr()
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from apsrec.core import (
@@ -18,13 +19,12 @@ from apsrec.core import (
     TrigPolynomial,
     Uniform,
     lags_from_toeplitz,
-    toeplitz_from_lags,
-    transform_aps,
     trig_basis,
 )
 from apsrec import core
-from apsrec.errors import DomainError, ModelError, StructureError
+from apsrec.errors import ModelError, StructureError
 from apsrec.quad import theta_quadrature_points, weighted_quadrature_points
+from quad_helpers import transformed_density
 
 PI_J0_PI = -0.9558049901987985  # frozen via the Bessel quadrature oracle
 
@@ -100,7 +100,7 @@ class TestTrigCoeffs:
             TrigCoeffs(np.array([1.0, np.nan, 0.0]))
 
     def test_zeros_constructor(self):
-        assert np.array_equal(TrigCoeffs.zeros(3).b, np.zeros(5))
+        assert np.array_equal(TrigCoeffs(np.zeros(5)).b, np.zeros(5))
 
 
 class TestEvaluateTrig:
@@ -143,7 +143,7 @@ class TestEvaluateTrig:
         # 7e-12 off an extended-precision sum on these points.
         cfg = ArrayConfig(1024, 1.0)
         x = np.sort(rng.uniform(-1.0, 1.0, points))
-        b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+        b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
 
         def dense(b):
             return np.concatenate([trig_basis(cfg, part) @ b for part in np.split(x, 10)])
@@ -168,34 +168,42 @@ class TestEvaluateTrig:
         assert combined == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
+def hermitian_toeplitz(r):
+    r = np.asarray(r, dtype=np.complex128)
+    return scipy.linalg.toeplitz(r, r.conj())
+
+
 class TestToeplitz:
     def test_zero_off_diagonal(self):
-        matrix = toeplitz_from_lags(CovarianceLags(np.array([1.0, 0.0])))
-        assert np.array_equal(matrix, np.eye(2))
+        lags = lags_from_toeplitz(np.eye(2, dtype=complex), tol=0.0)
+        assert np.array_equal(lags.r, np.array([1.0, 0.0]))
 
     def test_uniform_spectrum_matrix(self):
-        matrix = toeplitz_from_lags(CovarianceLags(np.array([np.pi, PI_J0_PI], dtype=complex)))
-        assert matrix[0, 0] == matrix[1, 1] == np.pi
-        assert matrix[0, 1] == pytest.approx(PI_J0_PI, abs=1e-12)
-        assert np.allclose(matrix, matrix.conj().T, atol=0)
+        matrix = hermitian_toeplitz([np.pi, PI_J0_PI])
+        assert np.array_equal(lags_from_toeplitz(matrix, tol=0.0).r, [np.pi, PI_J0_PI])
 
     def test_hermitian_completion(self):
-        matrix = toeplitz_from_lags(CovarianceLags(np.array([2.0, 1.0j])))
-        assert np.array_equal(matrix, np.array([[2.0, -1.0j], [1.0j, 2.0]]))
+        # The lags are read from the first column; the conjugate first row
+        # passes and the unconjugated one is rejected.
+        lags = lags_from_toeplitz(np.array([[2.0, -1.0j], [1.0j, 2.0]]), tol=0.0)
+        assert np.array_equal(lags.r, np.array([2.0, 1.0j]))
+        with pytest.raises(StructureError):
+            lags_from_toeplitz(np.array([[2.0, 1.0j], [1.0j, 2.0]]))
 
     def test_raw_vectors_taken_as_lags(self):
-        # A list raised AttributeError: 'list' object has no attribute 'r'.
-        expected = toeplitz_from_lags(CovarianceLags(np.array([2.0, 0.5 - 0.25j])))
-        for raw in ([2.0, 0.5 - 0.25j], np.array([2.0, 0.5 - 0.25j])):
-            assert np.array_equal(toeplitz_from_lags(raw), expected)
+        # Nested lists are taken as the matrix they spell.
+        matrix = hermitian_toeplitz([2.0, 0.5 - 0.25j])
+        for raw in (matrix.tolist(), matrix):
+            assert np.array_equal(lags_from_toeplitz(raw, tol=0.0).r, [2.0, 0.5 - 0.25j])
 
     @pytest.mark.parametrize("raw,match", [([2.0, np.nan], "finite"),
-                                           ([2.0 + 1e-3j, 0.5], "r\\[0\\]")],
+                                           ([2.0 + 1e-3j, 0.5], "Hermitian Toeplitz")],
                              ids=["nan", "complex_r0"])
     def test_raw_vector_checked_as_lags(self, raw, match):
-        # The same ValueError as recover gives for the same vector.
-        with pytest.raises(ValueError, match=match):
-            toeplitz_from_lags(raw)
+        # A non-finite entry raises StructureError, and so does a diagonal
+        # with an imaginary part, which no covariance has.
+        with pytest.raises(StructureError, match=match):
+            lags_from_toeplitz(scipy.linalg.toeplitz(np.asarray(raw, dtype=complex)))
 
     def test_identity_extraction(self):
         lags = lags_from_toeplitz(np.eye(3, dtype=complex), tol=0.0)
@@ -206,7 +214,7 @@ class TestToeplitz:
             r = rng.normal(size=m) + 1j * rng.normal(size=m)
             r[0] = r[0].real
             lags = CovarianceLags(r)
-            back = lags_from_toeplitz(toeplitz_from_lags(lags), tol=0.0)
+            back = lags_from_toeplitz(hermitian_toeplitz(lags.r), tol=0.0)
             assert np.array_equal(back.r, lags.r)
 
     def test_structure_error(self):
@@ -218,7 +226,7 @@ class TestToeplitz:
                 lags_from_toeplitz(np.ones(shape, dtype=complex))
 
     def test_tolerance_accepts_small_noise(self):
-        matrix = toeplitz_from_lags(CovarianceLags(np.array([1.0, 0.3 + 0.1j])))
+        matrix = hermitian_toeplitz([1.0, 0.3 + 0.1j])
         noisy = matrix + 1e-13 * np.array([[0, 1], [0, 0]])
         lags = lags_from_toeplitz(noisy, tol=1e-12)
         assert lags.M == 2
@@ -236,7 +244,7 @@ class TestToeplitz:
     def test_rejects_unusable_tolerance(self, tol):
         # A NaN tolerance accepted [[2, 5], [0.5, 2]], and a negative one
         # rejected an exact Toeplitz matrix as deviating by 0.
-        exact = toeplitz_from_lags(CovarianceLags(np.array([2.0, 0.5])))
+        exact = hermitian_toeplitz([2.0, 0.5])
         for matrix in (exact, np.array([[2.0, 5.0], [0.5, 2.0]], dtype=complex)):
             with pytest.raises(ValueError, match="tol must be finite"):
                 lags_from_toeplitz(matrix, tol=tol)
@@ -245,19 +253,19 @@ class TestToeplitz:
 class TestModels:
     def test_uniform_constant_in_both_domains(self):
         model = Uniform(-np.pi / 2, np.pi / 2, 1.0)
-        g = transform_aps(model)
+        g = transformed_density(model)
         assert g(0.5) == 1.0
         assert model.rho(0.3) == 1.0
 
     def test_trig_polynomial_constant(self):
         cfg = ArrayConfig(3, 1.0)
         model = TrigPolynomial(cfg, TrigCoeffs(np.array([1.0, 0, 0, 0, 0])))
-        g = transform_aps(model)
+        g = transformed_density(model)
         assert g(-0.2) == pytest.approx(1.0, abs=0)
 
     def test_gaussian_transform_matches_direct_composition(self):
         model = GaussianMixture(components=((0.0, 0.1, 1.0),))
-        g = transform_aps(model)
+        g = transformed_density(model)
         assert g(0.0) == pytest.approx(model.rho(0.0), abs=0)
         assert g(0.0) == pytest.approx(1.0 / (0.1 * np.sqrt(2 * np.pi)), rel=1e-15)
 
@@ -270,30 +278,12 @@ class TestModels:
         ]
         theta = np.linspace(-np.pi / 2, np.pi / 2, 101)
         for model in models:
-            g = transform_aps(model)
+            g = transformed_density(model)
             assert np.allclose(g(np.sin(theta)), model.rho(theta), rtol=1e-13, atol=1e-13)
-
-    def test_transform_domain_error(self):
-        g = transform_aps(Uniform(-1.0, 1.0, 1.0))
-        with pytest.raises(DomainError):
-            g(1.0001)
-        with pytest.raises(DomainError):
-            g(np.array([0.0, -1.5]))
-
-    @pytest.mark.parametrize("x", [[np.nan, 0.5], [0.5, np.nan], [[0.1, 0.2], [np.nan, 0.3]]],
-                             ids=["nan_first", "nan_last", "2d"])
-    def test_transform_nan_is_outside_the_domain(self, x):
-        # np.any(x < -1) or np.any(x > 1) is False for NaN, so [nan, 0.5]
-        # read as density [0, 1] on the full-range segment.
-        g = transform_aps(Uniform(-np.pi / 2, np.pi / 2, 1.0))
-        with pytest.raises(DomainError):
-            g(np.array(x))
 
     def test_point_sources_have_no_transform(self):
         model = PointSources(sources=((0.1, 1.0),))
         assert not model.in_l2
-        with pytest.raises(ModelError):
-            transform_aps(model)
         with pytest.raises(ModelError):
             model.rho(0.0)
 
@@ -370,7 +360,7 @@ def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     table = core._exp_table(cfg, x)
     assert_one_form(table, m, x.size)
     dense = np.exp(1j * np.multiply.outer(cfg.kappas(m), x))
-    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
     even, odd = core._exp_samples(table, b)
     for part, expected in ((even, (b[:m] @ dense).real), (odd, (b[m:] @ dense[1:]).imag)):
         assert np.max(np.abs(part - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1.0)
@@ -412,7 +402,7 @@ def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
         scale = 1.0 + np.max(np.abs(expected))
         return np.max(np.abs(got - expected)) <= 1e-13 * scale
 
-    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
     basis = trig_basis(cfg, x)
     b[0] += max(0.0, -np.min(basis @ b)) + 0.1
     even, odd = core._exp_samples(table, b)
@@ -433,7 +423,7 @@ def test_giant_lags_streams_work_rows_through_one_block():
     cfg = ArrayConfig(1024, 1.25)
     points, weights = weighted_quadrature_points(int(4 * cfg.gamma * cfg.M) + 64)
     x, w = points[points.size // 2:], weights[points.size // 2:]
-    count = cfg.n_coeffs
+    count = 2 * cfg.M - 1
     table = core._exp_table(cfg, x)
     table = table._replace(count=-(-count // len(table.baby)))
     tracemalloc.start()

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from quad_helpers import reference_lags
 
 from apsrec.analysis import certify
@@ -16,7 +17,6 @@ from apsrec.core import (
     TrigPolynomial,
     Uniform,
     _exp_table,
-    toeplitz_from_lags,
 )
 from apsrec.errors import ModelError
 from apsrec.forward import synthesize_lags
@@ -75,7 +75,7 @@ def test_trig_polynomial_lags_equal_gram_product():
     assert np.allclose(lags.r.real, expected_re, atol=1e-12)
     assert np.allclose(lags.r[1:].imag, expected_im, atol=1e-12)
     for own in (ArrayConfig(5, 1.13), ArrayConfig(2, 0.7)):
-        model = TrigPolynomial(own, TrigCoeffs(np.linspace(0.8, -0.4, own.n_coeffs)))
+        model = TrigPolynomial(own, TrigCoeffs(np.linspace(0.8, -0.4, 2 * own.M - 1)))
         expected = reference_lags(model, cfg)
         assert np.max(np.abs(synthesize_lags(model, cfg).r - expected)) <= 1e-12
 
@@ -186,28 +186,33 @@ def test_imaginary_r0_exactly_zero():
         assert lags.r[0].imag == 0.0
 
 
+def covariance(lags):
+    """The Hermitian Toeplitz covariance matrix whose first column is the lags."""
+    return scipy.linalg.toeplitz(lags.r, lags.r.conj())
+
+
 def test_conjugate_symmetry_via_hermitian_covariance():
     cfg = ArrayConfig(5, 1.0)
     lags = synthesize_lags(GaussianMixture(components=((0.4, 0.15, 1.0),)), cfg)
-    matrix = toeplitz_from_lags(lags)
+    matrix = covariance(lags)
     assert np.array_equal(matrix, matrix.conj().T)
 
 
 def test_covariance_of_uniform_has_pi_diagonal():
     lags = synthesize_lags(FULL_RANGE, ArrayConfig(3, 1.0))
-    matrix = toeplitz_from_lags(lags)
+    matrix = covariance(lags)
     assert np.allclose(np.diag(matrix), np.pi, atol=1e-12)
 
 
 def test_covariance_zero_model():
-    matrix = toeplitz_from_lags(synthesize_lags(Uniform(-0.5, 0.5, 0.0), ArrayConfig(3, 1.0)))
+    matrix = covariance(synthesize_lags(Uniform(-0.5, 0.5, 0.0), ArrayConfig(3, 1.0)))
     assert np.array_equal(matrix, np.zeros((3, 3)))
 
 
 def test_point_source_covariance_is_rank_one():
     angle, power = 0.25, 1.7
     cfg = ArrayConfig(4, 1.0)
-    matrix = toeplitz_from_lags(synthesize_lags(PointSources(sources=((angle, power),)), cfg))
+    matrix = covariance(synthesize_lags(PointSources(sources=((angle, power),)), cfg))
     steering = np.exp(1j * cfg.kappas(4) * np.sin(angle))
     assert np.allclose(matrix, power * np.outer(steering, steering.conj()), atol=1e-15)
     eigenvalues = np.linalg.eigvalsh(matrix)
@@ -217,7 +222,7 @@ def test_point_source_covariance_is_rank_one():
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_covariance_positive_semidefinite(model):
-    matrix = toeplitz_from_lags(synthesize_lags(model, ArrayConfig(6, 1.0)))
+    matrix = covariance(synthesize_lags(model, ArrayConfig(6, 1.0)))
     eigenvalues = np.linalg.eigvalsh(matrix)
     assert eigenvalues[0] >= -1e-9 * np.trace(matrix).real
 

@@ -33,8 +33,13 @@ COS1_COS1 = 1.9168064856071338   # (pi/2)(1 + J0(2pi))
 SIN1_SIN1 = 1.2247861679826595   # (pi/2)(1 - J0(2pi))
 
 TOEPLITZ_MIN_M = gram_module._TOEPLITZ_MIN_M
-PCG_MIN_M = gram_module._PCG_MIN_M
 PCG_MAX_GAMMA = gram_module._PCG_MAX_GAMMA
+
+
+def full_matrix(cfg):
+    """The dense (2M-1)-by-(2M-1) block-diagonal Gram."""
+    return scipy.linalg.block_diag(*gram_blocks(cfg))
+
 
 # Configurations whose condition estimate stays well under the ceiling;
 # tightly spaced arrays (gamma = 0.5) degrade fast with M.
@@ -206,7 +211,7 @@ def test_quadratic_form_matches_norm(rng):
     gram = assemble_gram(cfg)
     points, weights = weighted_quadrature_points(512)
     for _ in range(5):
-        b = rng.uniform(-1, 1, cfg.n_coeffs)
+        b = rng.uniform(-1, 1, 2 * cfg.M - 1)
         form = gram.quadratic_form(b)
         samples = trig_basis(cfg, points) @ b
         norm_sq = float(weights @ (samples * samples))
@@ -485,7 +490,7 @@ def _levinson(column):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.0001, 1.13, 1.25, 2.0])
-@pytest.mark.parametrize("m", [PCG_MIN_M, 768, 1024, 1025, 2048])
+@pytest.mark.parametrize("m", [TOEPLITZ_MIN_M, 608, 768, 1024, 1025, 2048])
 def test_pcg_matches_levinson(m, gamma):
     # Preconditioned CG gives Levinson's T^-1 e_1 to rounding.
     column = _toeplitz_column(m, gamma)
@@ -506,11 +511,11 @@ def test_pcg_stops_within_twenty_steps(monkeypatch, m, gamma):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.25, 3.0, 32.0])
-@pytest.mark.parametrize("m", [PCG_MIN_M, 1024, 4096])
+@pytest.mark.parametrize("m", [TOEPLITZ_MIN_M, 608, 1024, 4096])
 def test_pcg_raises_no_floating_point_error(m, gamma):
     # No step of either parity divides by zero, overflows or makes a NaN,
-    # from the crossover to 4096 and up to the gamma cap, and every run
-    # returns x.
+    # from the Toeplitz crossover to 4096 and up to the gamma cap, and
+    # every run returns x.
     column = _toeplitz_column(m, gamma)
     with np.errstate(all="raise"):
         x = gram_module._pcg(column, gram_module._spectrum(column), gamma)
@@ -613,19 +618,20 @@ def test_failed_pcg_falls_back_to_levinson(monkeypatch, failure):
 
 
 @pytest.mark.parametrize("m,gamma,levinson", [
-    (PCG_MIN_M - 1, 1.13, True), (PCG_MIN_M, 0.999, True), (PCG_MIN_M, 1.0, False),
-    (PCG_MIN_M, PCG_MAX_GAMMA, False), (PCG_MIN_M, 2.0 * PCG_MAX_GAMMA, True),
-], ids=["below-crossover", "below-unit-spacing", "at-crossover", "at-gamma-cap",
+    (TOEPLITZ_MIN_M, 1.13, False), (TOEPLITZ_MIN_M, 0.999, True), (TOEPLITZ_MIN_M, 1.0, False),
+    (TOEPLITZ_MIN_M, PCG_MAX_GAMMA, False), (TOEPLITZ_MIN_M, 2.0 * PCG_MAX_GAMMA, True),
+], ids=["cg-from-toeplitz-min", "below-unit-spacing", "at-crossover", "at-gamma-cap",
         "above-gamma-cap"])
 def test_pcg_runs_only_from_crossover_at_unit_spacing(monkeypatch, m, gamma, levinson):
-    # Levinson recursion builds x below the crossover, below gamma = 1 and
-    # above the gamma cap, where the symbol's aliases grow costly.
+    # Every Toeplitz Gram tries CG; Levinson recursion builds x below
+    # gamma = 1 and above the gamma cap, where the symbol's aliases grow
+    # costly.
     runs = []
     pcg = gram_module._pcg
     monkeypatch.setattr(gram_module, "_pcg", lambda *args: runs.append(pcg(*args)) or runs[-1])
     gram = gram_module._factor(ArrayConfig(m, gamma))
     ran = [x is not None for x in runs]
-    assert ran == ([] if m < PCG_MIN_M else [not levinson])
+    assert ran == [not levinson]
     if levinson:
         assert np.array_equal(gram.generators, _levinson_gram(gram.cfg)[0])
 
@@ -754,7 +760,7 @@ def test_assembly_starts_no_thread(monkeypatch):
         monkeypatch.setattr(gram_module, "_cached", None)
         gram = assemble_gram(ArrayConfig(m, 1.0))
         y = np.ones(gram.size)
-        assert np.max(np.abs(gram.full_matrix() @ solve(gram, y).b - y)) <= 1e-10
+        assert np.max(np.abs(full_matrix(gram.cfg) @ solve(gram, y).b - y)) <= 1e-10
 
 
 @pytest.mark.parametrize("affinity,cpu_count", [
@@ -1062,7 +1068,7 @@ def test_toeplitz_solve_matches_cholesky(m, gamma, rng):
         expected = _cholesky_solve(cfg, y)
         b = solve(gram, y).b
         assert np.max(np.abs(b - expected)) <= 1e-12 * np.max(np.abs(expected))
-        form = float(b @ gram.full_matrix() @ b)
+        form = float(b @ full_matrix(gram.cfg) @ b)
         assert gram.quadratic_form(b) == pytest.approx(form, rel=1e-13)
 
 
@@ -1072,7 +1078,7 @@ def test_toeplitz_solve_residual_near_ceiling(rng):
     # Cholesky's.
     cfg = ArrayConfig(512, 0.993)
     gram = assemble_gram(cfg)
-    full = gram.full_matrix()
+    full = full_matrix(gram.cfg)
     for _ in range(3):
         y = _lag_measurements(rng, cfg.M)
         reference = np.linalg.norm(full @ _cholesky_solve(cfg, y) - y)
@@ -1088,7 +1094,7 @@ def test_refined_toeplitz_solve_residual_near_ceiling(gamma, rhs, rng):
     # and for uniform y; unrefined it was up to 1e7x and 200x worse.
     cfg = ArrayConfig(512, gamma)
     gram = assemble_gram(cfg)
-    full = gram.full_matrix()
+    full = full_matrix(gram.cfg)
     for _ in range(4):
         y = rng.uniform(-1, 1, gram.size)
         if rhs == "image":
@@ -1143,7 +1149,7 @@ def test_folded_solve_residual_near_ceiling(m, gamma, rng):
     # most over 40 lag-shaped and uniform right-hand sides).
     cfg = ArrayConfig(m, gamma)
     gram = assemble_gram(cfg)
-    full = gram.full_matrix()
+    full = full_matrix(gram.cfg)
     for _ in range(3):
         y = _lag_measurements(rng, m)
         b = _two_row_solve(gram.generators, y)
@@ -1195,7 +1201,7 @@ class TestSolve:
     @pytest.mark.parametrize("m,gamma", RESIDUAL_BOUND_CONFIGS)
     def test_residual_bound_random_rhs(self, m, gamma, rng):
         gram = assemble_gram(ArrayConfig(m, gamma))
-        full = gram.full_matrix()
+        full = full_matrix(gram.cfg)
         for _ in range(3):
             y = rng.uniform(-1, 1, gram.size)
             b = solve(gram, y).b
@@ -1214,7 +1220,7 @@ class TestSolve:
 
 def test_full_matrix_block_structure():
     gram = assemble_gram(ArrayConfig(3, 1.0))
-    full = gram.full_matrix()
+    full = full_matrix(gram.cfg)
     assert np.array_equal(full[:3, :3], gram.g_re)
     assert np.array_equal(full[3:, 3:], gram.g_im)
     assert np.all(full[:3, 3:] == 0)

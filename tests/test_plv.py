@@ -7,7 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from quad_helpers import reference_lags
+import scipy.linalg
+from quad_helpers import reference_lags, transformed_density
 
 from apsrec.core import (
     ArrayConfig,
@@ -21,8 +22,6 @@ from apsrec.core import (
     Uniform,
     _MAX_KEPT_TABLE_BYTES,
     lags_from_toeplitz,
-    toeplitz_from_lags,
-    transform_aps,
     trig_basis,
 )
 from apsrec import core
@@ -73,7 +72,7 @@ def test_uniform_spectrum_recovers_constant(m):
 
 def test_trig_polynomial_round_trip(rng):
     cfg = ArrayConfig(6, 1.0)
-    b_true = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    b_true = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
     model = TrigPolynomial(cfg, TrigCoeffs(b_true))
     lags = synthesize_lags(model, cfg)
     solution = recover(lags, cfg)
@@ -299,7 +298,7 @@ def test_large_grid_table_from_threads_matches_serial(rng):
     # bit.
     cfg = ArrayConfig(1024, 1.0)
     theta = np.linspace(-np.pi / 2, np.pi / 2, 2001)
-    solutions = [PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs)), 0.0, cfg)
+    solutions = [PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)), 0.0, cfg)
                  for _ in range(8)]
 
     def op(solution):
@@ -325,7 +324,7 @@ def test_kept_table_cap_counts_baby_and_giant_rows():
     # A grid's table is kept exactly when its B baby rows and its giant
     # step fit the cap: 33 rows of 16 bytes a point at M = 1024.
     cfg = ArrayConfig(1024, 1.0)
-    solution = PlvSolution(TrigCoeffs.zeros(cfg.M), 0.0, cfg)
+    solution = PlvSolution(TrigCoeffs(np.zeros(2 * cfg.M - 1)), 0.0, cfg)
     assemble_gram(cfg)
     fits = _MAX_KEPT_TABLE_BYTES // (16 * 33)
     for points, kept in ((fits, True), (fits + 1, False)):
@@ -338,7 +337,7 @@ def test_grid_table_from_threads_matches_serial(rng):
     # Four threads alternate two grids, so the kept grid table is replaced
     # while others read it; each must get the serial samples.
     cfg = ArrayConfig(64, 1.0)
-    coeffs = [TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs)) for _ in range(4)]
+    coeffs = [TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)) for _ in range(4)]
     grids = [np.linspace(-np.pi / 2, np.pi / 2, 181), np.linspace(-1.5, 1.5, 97)]
     cases = [(PlvSolution(coeffs[k % 4], 0.0, cfg), grids[k % 2]) for k in range(16)]
 
@@ -364,7 +363,7 @@ def test_solution_g_matches_trig_polynomial_on_any_shape(shape, rng):
     # The dense basis path took 1-d grids only: a 2-d one raised
     # ValueError from np.concatenate.
     cfg = ArrayConfig(64, 1.0)
-    solution = PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs)), 0.0, cfg)
+    solution = PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)), 0.0, cfg)
     x = rng.uniform(-1.0, 1.0, shape)
     values = solution.g(x)
     assert np.shape(values) == shape
@@ -381,7 +380,7 @@ def test_solution_g_builds_no_dense_table(rng):
     # TestEvaluateTrig::test_large_order_matches_basis.
     cfg = ArrayConfig(1024, 1.0)
     x = np.linspace(-1.0, 1.0, 20_000)
-    b = rng.uniform(-1.0, 1.0, cfg.n_coeffs)
+    b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
 
     def dense(b):
         return np.concatenate([trig_basis(cfg, part) @ b for part in np.split(x, 20)])
@@ -480,7 +479,7 @@ def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng, monkeyp
     # the Toeplitz size up.
     cfg = ArrayConfig(m, gamma)
     nodes = default_nodes(cfg) + parity
-    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     points, weights = weighted_quadrature_points(nodes)
     samples = weights * (trig_basis(cfg, points) @ coeffs.b)
     direct = np.exp(1j * np.multiply.outer(cfg.kappas(m), points)) @ samples
@@ -528,7 +527,7 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
     # whole-table sums, so they agree with them to rounding.
     for gamma, count in ((1.0, 2048), (1.13, 2048), (1985 / 256, 2049)):
         cfg = ArrayConfig(64, gamma)
-        coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+        coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
         solution = PlvSolution(coeffs, 0.0, cfg)
         assemble_gram(ArrayConfig(5, 1.0))  # a rule and a summary of their own
         fresh = plv._rule(cfg, audit=True)
@@ -551,7 +550,7 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
         assert list(gram_module._cached._kept) == ["rule"]
         audited = gram_module._cached._kept["rule"]
         assert all(part is kept_part for part, kept_part in zip(audited[:3], kept[:3]))
-        for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))):
+        for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))):
             assert np.array_equal(audit_lags(audited, coeffs), audit_lags(fresh, coeffs))
         audit = audit_lags(fresh, recovered.coeffs)
         assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
@@ -571,7 +570,7 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     # rows exactly; the sums regroup, so agreement is to rounding. The
     # audit and the summary run on one rule.
     cfg = ArrayConfig(m, gamma)
-    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     nodes = default_nodes(cfg) + parity
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
     with rules_on(nodes, monkeypatch):
@@ -592,10 +591,10 @@ def test_block_wise_kernel_builds_no_whole_table(rng):
     # not streamed, and 1.76 MB for recover; each limit adds 0.3-0.5 MB.
     # The kept rule holds Q in its Toeplitz form, one spectrum row.
     cfg = ArrayConfig(1024, 1.25)
-    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     solution = PlvSolution(coeffs, 0.0, cfg)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
-    size = gram_module._fft_size(cfg.n_coeffs)  # scipy.fft is imported before tracing
+    size = gram_module._fft_size(2 * cfg.M - 1)  # scipy.fft is imported before tracing
     for run, limit in ((lambda: audit_lags(plv._rule(cfg, audit=True), coeffs), 2.0),
                        (lambda: negativity_summary(solution), 3.0),
                        (lambda: recover(np.ones(cfg.M, dtype=complex), cfg), 2.0)):
@@ -628,7 +627,7 @@ def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
     solution = recover(lags, cfg)
     negativity_summary(solution)
-    project_onto_nperp(transform_aps(GAUSS_CLUSTER), cfg)
+    project_onto_nperp(transformed_density(GAUSS_CLUSTER), cfg)
     assert built == [1024]
 
 
@@ -643,7 +642,7 @@ def test_rule_builds_q_only_for_recover(monkeypatch, capped):
         monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
     cfg = ArrayConfig(64, 1.07)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
-    solution = PlvSolution(TrigCoeffs(np.ones(cfg.n_coeffs)), 0.0, cfg)
+    solution = PlvSolution(TrigCoeffs(np.ones(2 * cfg.M - 1)), 0.0, cfg)
     moments = []
     giant_lags = core._giant_lags
 
@@ -656,13 +655,13 @@ def test_rule_builds_q_only_for_recover(monkeypatch, capped):
     assemble_gram(ArrayConfig(5, 1.0))
     negativity_summary(solution)
     assert moments == []
-    project_onto_nperp(transform_aps(GAUSS_CLUSTER), cfg)
+    project_onto_nperp(transformed_density(GAUSS_CLUSTER), cfg)
     assert moments == [cfg.M, cfg.M]
     assert gram_module._tables(cfg)["rule"].audit is None
     for _ in range(2):
         assert recover(lags, cfg).constraint_residual <= DEFAULT_RESIDUAL_TOL
         negativity_summary(solution)
-    assert moments == [cfg.M, cfg.M, cfg.n_coeffs]
+    assert moments == [cfg.M, cfg.M, 2 * cfg.M - 1]
     assert (gram_module._tables(cfg)["rule"].table is None) == capped
 
 
@@ -672,7 +671,7 @@ def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
     # with the same results as from the kept table.
     cfg = ArrayConfig(64, 1.0)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
-    g = transform_aps(GAUSS_CLUSTER)
+    g = transformed_density(GAUSS_CLUSTER)
     assemble_gram(ArrayConfig(5, 1.0))
     solution = recover(lags, cfg)
     expected = negativity_summary(solution), project_onto_nperp(g, cfg).b
@@ -788,7 +787,7 @@ class TestProjection:
         cfg = ArrayConfig(3, 1.0)
         model = GaussianMixture(components=((0.2, 0.3, 1.0),))
         coeffs = project_onto_nperp(model, cfg)
-        g_true = transform_aps(model)
+        g_true = transformed_density(model)
 
         def residual(x):
             return g_true(x) - trig_basis(cfg, x) @ coeffs.b
@@ -811,13 +810,13 @@ class TestProjection:
         cfg = ArrayConfig(512, 1.0)
         model = GaussianMixture(components=((0.3, 0.05, 1.0), (-0.4, 0.1, 0.7)))
         exact = project_onto_nperp(model, cfg).b
-        projected = project_onto_nperp(transform_aps(model), cfg).b
+        projected = project_onto_nperp(transformed_density(model), cfg).b
         assert np.max(np.abs(projected - exact)) <= 1e-12 * np.max(np.abs(exact))
         # A small array's rule has the 2048-node floor: the dense basis's
         # moments on it give the same projection.
         small = ArrayConfig(8, 1.0)
         points, weights = weighted_quadrature_points(2048)
-        g = transform_aps(model)
+        g = transformed_density(model)
         dense = solve(assemble_gram(small), trig_basis(small, points).T @ (weights * g(points))).b
         projected = project_onto_nperp(g, small).b
         assert np.max(np.abs(projected - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -825,7 +824,7 @@ class TestProjection:
     @pytest.mark.parametrize("nodes", [0, 100.5, np.float64(64.0), True, "64"])
     def test_rejects_bad_node_counts(self, nodes):
         # A callable's rule follows the array: no node count is taken.
-        g, cfg = transform_aps(GAUSS_CLUSTER), ArrayConfig(2, 1.0)
+        g, cfg = transformed_density(GAUSS_CLUSTER), ArrayConfig(2, 1.0)
         with pytest.raises(TypeError):
             project_onto_nperp(g, cfg, nodes)
         with pytest.raises(TypeError):
@@ -844,7 +843,7 @@ class TestRecoverFromMatrix:
     def test_point_source_covariance(self):
         cfg = ArrayConfig(3, 1.0)
         lags = synthesize_lags(PointSources(sources=((0.35, 1.0),)), cfg)
-        matrix = toeplitz_from_lags(lags)
+        matrix = scipy.linalg.toeplitz(lags.r, lags.r.conj())
         solution = recover(lags_from_toeplitz(matrix), cfg)
         # oracle: the plain normal-equations route
         expected = solve(assemble_gram(cfg), measurement_vector(lags))
@@ -943,7 +942,7 @@ def test_negativity_summary_matches_direct_evaluation(m, gamma, parity, rng, mon
     # every node of the full rule, of the default count or one more.
     cfg = ArrayConfig(m, gamma)
     nodes = default_nodes(cfg) + parity
-    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, cfg.n_coeffs))
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     values, fraction = _dense_negativity(cfg, coeffs.b, nodes)
     with rules_on(nodes, monkeypatch):
         summary = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
