@@ -187,6 +187,19 @@ _MAX_KEPT_TABLE_BYTES = 16 * 2**20
 # operating system as fresh pages on every cache miss, about 570 page
 # faults.
 _BLOCK_BYTES = 120 * 2**10
+# A table of few points takes more baby rows than isqrt(M), up to this
+# many bytes of them, so its samples take fewer Horner steps in the
+# giant step: each step is two numpy calls on rows of n points, and
+# small rows pay the calls, not the arithmetic. Median op of a cached
+# M = 64 recover, 181-angle evaluation and negativity summary, and
+# _exp_samples on the 1024-node rule (one BLAS thread, 2-vCPU host):
+#   budget      B rule/grid  op      rule samples
+#   isqrt(M)    8 / 8        206 us  52 us
+#   128 KiB     8 / 45       184 us  53 us
+#   256 KiB     16 / 64      166 us  36 us
+#   512 KiB     32 / 64      172 us  34 us
+#   1 MiB       64 / 64      206 us  53 us
+_TABLE_BYTES = 256 * 2**10
 
 
 def _powers(step, powers):
@@ -205,10 +218,10 @@ def _powers(step, powers):
 
 
 class _ExpTable(NamedTuple):
-    """The powers step**m, m < M, as m = B s + r with B = isqrt(M): the B
-    read-only baby rows step**r, the read-only giant step step**B, and
-    the count ceil(M / B) of giant powers. Each sum allocates its own work
-    rows, so one table may be read by any number of threads."""
+    """The powers step**m, m < M, as m = B s + r (B from :func:`_exp_table`):
+    the B read-only baby rows step**r, the read-only giant step step**B,
+    and the count ceil(M / B) of giant powers. Each sum allocates its own
+    work rows, so one table may be read by any number of threads."""
 
     baby: np.ndarray
     giant: np.ndarray
@@ -217,12 +230,18 @@ class _ExpTable(NamedTuple):
 
 def _exp_table(cfg, x):
     """The :class:`_ExpTable` of the points ``x`` (a theta path passes
-    sin(theta)), about sqrt(M) rows."""
+    sin(theta)) with B = max(isqrt(M), min(M, _TABLE_BYTES // (16 n)))
+    baby rows for n points: isqrt(M) rows wherever those already fill
+    the budget (32 on the rule at M = 1024), and otherwise as many rows
+    as it holds, up to M. At M = 64 the rule takes 16 rows (three Horner
+    steps per sample part), and 181 angles take all 64, whose samples
+    are one product each with no Horner step."""
     step = np.exp(1j * cfg.gamma * np.pi * x)
-    baby = _powers(step, np.empty((math.isqrt(cfg.M), step.size), dtype=np.complex128))
+    rows = max(math.isqrt(cfg.M), min(cfg.M, _TABLE_BYTES // (16 * max(step.size, 1))))
+    baby = _powers(step, np.empty((rows, step.size), dtype=np.complex128))
     giant = baby[-1] * step
     giant.setflags(write=False)
-    return _ExpTable(baby, giant, -(-cfg.M // len(baby)))
+    return _ExpTable(baby, giant, -(-cfg.M // rows))
 
 
 # The products with baby rows below are real GEMMs on float64 views of
@@ -588,11 +607,23 @@ class SampledFunction:
         values = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if grid.size != values.size:
             raise ValueError("grid and values must have equal length")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        self._fill(grid, values, Domain(self.domain))
+
+    def _fill(self, grid, values, domain):
+        if not (grid[1:] > grid[:-1]).all():
             raise ValueError("grid must be strictly increasing")
         _readonly(self, "grid", grid)
         _readonly(self, "values", values)
-        object.__setattr__(self, "domain", Domain(self.domain))
+        object.__setattr__(self, "domain", domain)
+
+    @classmethod
+    def _of(cls, grid, values, domain):
+        """The sampled function of 1-d float64 arrays ``grid`` and
+        ``values`` of one size, which no caller writes again, and a
+        ``Domain``, kept as they are: only the grid's order is checked."""
+        sampled = object.__new__(cls)
+        sampled._fill(grid, values, domain)
+        return sampled
 
     def __len__(self):
         return self.grid.size

@@ -243,15 +243,17 @@ def evaluate_solution(solution, grid, domain=Domain.THETA):
     Raises:
         DomainError: Unless the grid lies within [-pi/2, pi/2] (theta) or
             [-1, 1] (x); a NaN point lies in neither.
+        ValueError: Unless the grid, flattened, is strictly increasing.
     """
     domain = Domain(domain)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.array(grid, dtype=np.float64).reshape(-1)
     theta = domain is Domain.THETA
     limit, span = (HALF_PI, "[-pi/2, pi/2]") if theta else (1.0, "[-1, 1]")
-    if not np.all(np.abs(grid) <= limit):
+    if not (np.abs(grid) <= limit).all():
         raise DomainError(f"{domain.value} grid must lie within {span}")
+    # The grid is a copy of the caller's, and the values are new.
     values = solution.rho(grid) if theta else solution.g(grid)
-    return SampledFunction(grid, values, domain)
+    return SampledFunction._of(grid, values, domain)
 
 
 class NegativitySummary(NamedTuple):

@@ -352,8 +352,9 @@ class TestModels:
 @pytest.mark.parametrize("m,gamma", [(1, 1.0), (64, 1.0), (700, 1.25), (1025, 1.0)])
 def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     # Theta-path Gauss-Legendre panels split at a segment's seams are not
-    # symmetric about x = 0. At M = 700 and 1025, B = isqrt(M) does not
-    # divide M, so the zero-padded top giant power is partial.
+    # symmetric about x = 0. Their 2304 points leave the table budget
+    # fewer rows than isqrt(M), so B = isqrt(M); at M = 700 and 1025 it
+    # does not divide M, so the zero-padded top giant power is partial.
     cfg = ArrayConfig(m, gamma)
     theta, _ = theta_quadrature_points(768, Uniform(-0.6, 0.2, 1.4).seams_theta())
     x = np.sin(theta)
@@ -372,9 +373,10 @@ def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
 
 
 def assert_one_form(table, m, points):
-    # B = isqrt(M) read-only baby rows, a read-only giant step and
-    # ceil(M / B) giant powers, at every size.
-    rows = math.isqrt(m)
+    # B read-only baby rows, a read-only giant step and ceil(M / B) giant
+    # powers, at every size. B is isqrt(M) unless more rows of 16 bytes a
+    # point fit the table budget; then it is as many as fit, up to M.
+    rows = max(math.isqrt(m), min(m, core._TABLE_BYTES // (16 * max(points, 1))))
     assert table.baby.shape == (rows, points)
     assert table.giant.shape == (points,)
     assert table.count == -(-m // rows)
@@ -384,9 +386,28 @@ def assert_one_form(table, m, points):
             array[...] = 0
 
 
+@pytest.mark.parametrize("m,points,rows", [
+    (64, 1024, 16), (64, 181, 64), (1024, 2080, 32), (64, 0, 64), (1, 0, 1)])
+def test_exp_table_rows_fill_the_byte_budget(m, points, rows):
+    # At M = 64 the rule's 1024 half-rule nodes take 16 baby rows (four
+    # giant powers, three Horner steps) and the CLI's 181 angles all 64
+    # (one power, no Horner step); the rule at (1024, 1) keeps isqrt(M).
+    # An empty grid takes M rows of no points, and its sums are empty.
+    cfg = ArrayConfig(m, 1.0)
+    table = core._exp_table(cfg, np.linspace(0.0, 1.0, points))
+    assert_one_form(table, m, points)
+    assert len(table.baby) == rows
+    even, odd = core._exp_samples(table, np.ones(2 * m - 1))
+    assert even.shape == odd.shape == (points,)
+    assert core._exp_lags(table, np.ones(points), np.ones(points), m).shape == (m,)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 63, 65, 1025])
 def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
-    # Where B = isqrt(M) need not divide M. Samples of a positive density
+    # On 301 points the budget holds 54 baby rows: B = M at M <= 5 (one
+    # giant power, no Horner step), and B = 54 between isqrt(M) and M at
+    # M = 63, 65 and 1025, where it does not divide M (the unsymmetric
+    # nodes above keep B = isqrt(M)). Samples of a positive density
     # against the dense basis, and lags and moments of positive weights
     # against the direct np.exp sums, as the package's sums of
     # quadrature weights and densities are. At M = 1025, kappa_m x

@@ -358,13 +358,17 @@ def test_grid_table_from_threads_matches_serial(rng):
     assert gram_module._cached.cfg == cfg
 
 
-@pytest.mark.parametrize("shape", [(), (5,), (7, 3), (2, 5, 4)], ids=lambda s: f"{len(s)}d")
-def test_solution_g_matches_trig_polynomial_on_any_shape(shape, rng):
+@pytest.mark.parametrize("shape,count", [((), 1), ((5,), 1), ((7, 3), 1), ((2, 5, 4), 1),
+                                         ((181,), 1), ((3, 400), 5)],
+                         ids=["0d", "1d", "2d", "3d", "cli-grid", "2d-horner"])
+def test_solution_g_matches_trig_polynomial_on_any_shape(shape, count, rng):
     # The dense basis path took 1-d grids only: a 2-d one raised
-    # ValueError from np.concatenate.
+    # ValueError from np.concatenate. Up to 256 points the table holds all
+    # 64 baby rows, one giant power; 1200 points take 13 rows and five.
     cfg = ArrayConfig(64, 1.0)
     solution = PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)), 0.0, cfg)
     x = rng.uniform(-1.0, 1.0, shape)
+    assert plv._exp_table(cfg, x.ravel()).count == count
     values = solution.g(x)
     assert np.shape(values) == shape
     assert np.array_equal(values, TrigPolynomial(cfg, solution.coeffs).g(x))
@@ -900,6 +904,26 @@ class TestEvaluateSolution:
         solution = self.make_solution([1.0, 0, 0, 0, 0])
         sampled = evaluate_solution(solution, np.array([0.0, 0.5]), "x")
         assert sampled.domain is Domain.X
+
+    @pytest.mark.parametrize("domain", [Domain.THETA, Domain.X])
+    def test_sampled_arrays_are_read_only_copies(self, domain):
+        # The values go to the SampledFunction as computed, without a
+        # second copy; the grid is still the caller's, copied.
+        solution = self.make_solution([0.3, -0.2, 0.5, 0.1, -0.4])
+        empty = evaluate_solution(solution, np.array([]), domain)
+        assert len(empty) == 0 and empty.values.shape == (0,) and empty.domain is domain
+        grid = np.linspace(-1.0, 1.0, 7)
+        sampled = evaluate_solution(solution, grid, domain)
+        expected = solution.rho(grid) if domain is Domain.THETA else solution.g(grid)
+        assert np.array_equal(sampled.values, expected)
+        for array in (sampled.grid, sampled.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        grid *= 0.5
+        assert np.array_equal(sampled.grid, np.linspace(-1.0, 1.0, 7))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evaluate_solution(solution, grid[::-1], domain)
 
 
 def test_negative_reconstruction_reported_not_clipped():
