@@ -607,23 +607,11 @@ class SampledFunction:
         values = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if grid.size != values.size:
             raise ValueError("grid and values must have equal length")
-        self._fill(grid, values, Domain(self.domain))
-
-    def _fill(self, grid, values, domain):
         if not (grid[1:] > grid[:-1]).all():
             raise ValueError("grid must be strictly increasing")
         _readonly(self, "grid", grid)
         _readonly(self, "values", values)
-        object.__setattr__(self, "domain", domain)
-
-    @classmethod
-    def _of(cls, grid, values, domain):
-        """The sampled function of 1-d float64 arrays ``grid`` and
-        ``values`` of one size, which no caller writes again, and a
-        ``Domain``, kept as they are: only the grid's order is checked."""
-        sampled = object.__new__(cls)
-        sampled._fill(grid, values, domain)
-        return sampled
+        object.__setattr__(self, "domain", Domain(self.domain))
 
     def __len__(self):
         return self.grid.size

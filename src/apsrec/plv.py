@@ -246,14 +246,13 @@ def evaluate_solution(solution, grid, domain=Domain.THETA):
         ValueError: Unless the grid, flattened, is strictly increasing.
     """
     domain = Domain(domain)
-    grid = np.array(grid, dtype=np.float64).reshape(-1)
+    grid = np.asarray(grid, dtype=np.float64)
     theta = domain is Domain.THETA
     limit, span = (HALF_PI, "[-pi/2, pi/2]") if theta else (1.0, "[-1, 1]")
-    if not (np.abs(grid) <= limit).all():
+    if not np.all(np.abs(grid) <= limit):
         raise DomainError(f"{domain.value} grid must lie within {span}")
-    # The grid is a copy of the caller's, and the values are new.
     values = solution.rho(grid) if theta else solution.g(grid)
-    return SampledFunction._of(grid, values, domain)
+    return SampledFunction(grid, values, domain)
 
 
 class NegativitySummary(NamedTuple):

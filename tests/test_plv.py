@@ -907,8 +907,8 @@ class TestEvaluateSolution:
 
     @pytest.mark.parametrize("domain", [Domain.THETA, Domain.X])
     def test_sampled_arrays_are_read_only_copies(self, domain):
-        # The values go to the SampledFunction as computed, without a
-        # second copy; the grid is still the caller's, copied.
+        # The SampledFunction keeps read-only copies of the caller's grid
+        # and of the sampled values.
         solution = self.make_solution([0.3, -0.2, 0.5, 0.1, -0.4])
         empty = evaluate_solution(solution, np.array([]), domain)
         assert len(empty) == 0 and empty.values.shape == (0,) and empty.domain is domain
