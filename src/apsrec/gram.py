@@ -35,22 +35,10 @@ from .errors import ConditioningError
 DEFAULT_COND_CEILING = 1e12
 
 # From this M up the Gram is factorized as a Toeplitz operator, below it
-# as two dense Cholesky blocks. Milliseconds for a cache miss as
-# ``recover`` pays it (``assemble_gram`` from an empty slot, with the
-# dense path's condition estimate, plus one solve) and for a cached solve,
-# median of 21 alternating runs, gamma = 1.13, one BLAS thread, 2-vCPU
-# x86-64 host:
-#
-#     M                 64    128   192   224   240   256   512   1024
-#     miss, dense      0.46  1.43  3.03  3.99  4.51  5.22  26.1  90.9
-#     miss, Toeplitz   0.54  0.94  1.38  1.68  1.68  1.86  4.57  3.77
-#     solve, dense     .058  .120  .236  .337  .376  .432  1.83  5.54
-#     solve, Toeplitz  .212  .281  .342  .373  .377  .370  .561  .525
-#
-# The cached-solve row sets the constant, the smallest M from which the
-# Toeplitz solve was no slower: at 240 the two solves were within 1 % in
-# one pass and Toeplitz was 9 % ahead in a second. Misses alone would
-# move it to between 64 and 128.
+# as two dense Cholesky blocks: the smallest M measured from which a
+# cached Toeplitz solve was no slower than the dense one (the README's
+# numerical notes tabulate misses and solves from M = 64 to 1024). Misses
+# alone would move it to between 64 and 128.
 _TOEPLITZ_MIN_M = 256
 
 # CG runs for 1 <= gamma <= this. The symbol's cost grows with gamma, one
@@ -79,6 +67,10 @@ def gram_blocks(cfg):
         sine-block matrix with entries
         (pi/2)(J0(kappa_|m-n|) - J0(kappa_{m+n})). Assembles entries only;
         no factorization, so this never raises on ill conditioning.
+
+    For gamma >= 1 every eigenvalue of either block is at least 1/gamma:
+    the blocks are T's parity blocks, c^T G c = v^T T v with ||v||^2 >=
+    ||c||^2 / 2, and every eigenvalue of T exceeds 2/gamma (:func:`_toeplitz`).
     """
     return _blocks(bessel_j0(cfg.gamma * np.pi * np.arange(2 * cfg.M - 1)), np.pi / 2.0)
 
@@ -293,11 +285,12 @@ def _symbol_means(gamma, size):
     """Cell averages of T's symbol f on the real-FFT grid 2 pi k / size,
     k = 0..size/2: alias j of f integrates to 2 pi arcsin((w + 2 pi j) /
     (gamma pi)) on |w + 2 pi j| < gamma pi, so an average is size times a
-    sum of arcsin differences across the cell edges (2k -+ 1) pi / size."""
+    sum of arcsin differences across the cell edges (2k -+ 1) pi / size,
+    added one alias at a time."""
     reach = int(gamma / 2.0) + 1
-    edges = np.add.outer((2 * np.arange(size // 2 + 2) - 1) / (gamma * size),
-                         2 * np.arange(-reach, reach + 1) / gamma)
-    return size * np.diff(np.arcsin(np.clip(edges, -1.0, 1.0)), axis=0).sum(axis=1)
+    edges = (2 * np.arange(size // 2 + 2) - 1) / (gamma * size)
+    return size * sum(np.diff(np.arcsin(np.clip(edges + 2 * j / gamma, -1.0, 1.0)))
+                      for j in range(-reach, reach + 1))
 
 
 def _pcg(column, spectrum, gamma):
@@ -312,19 +305,22 @@ def _pcg(column, spectrum, gamma):
     least 2/gamma for gamma >= 1, so P is positive definite. T and P are
     symmetric Toeplitz, so both commute with the reversal J, and the
     J-symmetric and J-antisymmetric parts (e_1 +- e_n) / 2 of e_1 run as
-    two CG recurrences in lockstep on one packed vector u = u_s + u_a:
-    each step makes one product with T, through its embedding
-    ``spectrum`` (a real FFT pair of length N = ``_fft_size(n)``), and
-    one with P (a pair of length N_P), and both recurrences share them.
-    A parity's inner products are (u . w +- u . J w) / 2, and its step
-    and direction coefficients c_s, c_a act as
-    ((c_s + c_a) u + (c_s - c_a) J u) / 2. A parity whose residual is
-    exactly zero is frozen with zero coefficients. Each recurrence has
-    half the eigenvalues to resolve, so a run takes fewer steps. The run
-    stops once the normwise backward error ||e_1 - T x||_2 /
+    two CG recurrences, each with half the eigenvalues to resolve, in
+    lockstep on one packed vector u = u_s + u_a: each step makes one
+    product with T, through its embedding ``spectrum`` (a real FFT pair
+    of length N = ``_fft_size(n)``), and one with P (a pair of length
+    N_P), which both share. A parity's inner products are
+    (u . w +- u . J w) / 2, and its step and direction coefficients c_s,
+    c_a act as ((c_s + c_a) u + (c_s - c_a) J u) / 2; these are numpy
+    float64 scalars, so ``np.errstate`` sees each division. A parity
+    whose residual is exactly zero is frozen with zero coefficients. The
+    run stops once the normwise backward error ||e_1 - T x||_2 /
     (||T|| ||x||_2 + 1), with ||T||_2 <= 2 sum_k |t_k|, falls under
     ``_PCG_TOL``: first for the updated residual, then for the one
-    recomputed from x.
+    recomputed from x. At (1024, 1.13) a run of 10 steps took 1.39-1.45
+    ms, about 1.1 of it in its 21 FFT products (best of 15 loops); of a
+    3.7-3.9 ms miss at M = 1024 (median of 140) it took 1.6, the audit's
+    rule 1.3 and the solve 0.5 (one BLAS thread, 2-vCPU x86-64 host).
     """
     n, size = column.size, _fft_size(column.size)
     if not 1.0 <= gamma <= _PCG_MAX_GAMMA:
@@ -336,9 +332,9 @@ def _pcg(column, spectrum, gamma):
         return np.fft.irfft(symbol * np.fft.rfft(v, length), length)[:n]
 
     def parts(u, w):
-        # [u_s . w_s, u_a . w_a] for the parts u_s, u_a = (u +- J u) / 2.
+        # u_s . w_s and u_a . w_a for the parts u_s, u_a = (u +- J u) / 2.
         same, mirrored = u @ w, u @ w[::-1]
-        return 0.5 * np.array([same + mirrored, same - mirrored])
+        return 0.5 * (same + mirrored), 0.5 * (same - mirrored)
 
     def combine(u, c):
         # c_s u_s + c_a u_a.
@@ -346,19 +342,20 @@ def _pcg(column, spectrum, gamma):
 
     def ratio(top, bottom):
         # top / bottom per parity, 0 for a frozen parity (bottom 0).
-        return np.divide(top, bottom, out=np.zeros(2), where=bottom != 0.0)
+        return (top[0] / bottom[0] if bottom[0] != 0.0 else zero,
+                top[1] / bottom[1] if bottom[1] != 0.0 else zero)
 
     def converged(r, x):
         return np.sqrt(r @ r) <= _PCG_TOL * (norm * np.sqrt(x @ x) + 1.0)
 
-    norm, e_1 = 2.0 * np.abs(column).sum(), np.eye(1, n)[0]
+    norm, e_1, zero = 2.0 * np.abs(column).sum(), np.eye(1, n)[0], np.float64(0.0)
     x, r = np.zeros(n), e_1.copy()
     p = z = apply(inverse, r, size_p)
     rz = parts(r, z)
     for _ in range(_PCG_MAX_STEPS):
         q = apply(spectrum, p, size)
         curvature = parts(p, q)
-        if not np.all((curvature > 0.0) | (rz == 0.0)):
+        if not ((curvature[0] > 0.0 or rz[0] == 0.0) and (curvature[1] > 0.0 or rz[1] == 0.0)):
             return None
         step = ratio(rz, curvature)
         x += combine(p, step)

@@ -34,13 +34,13 @@ from .core import (
     _exp_table,
     _giant_lags,
 )
-# trig_basis is not called here: perfbench's tracer wraps it as the basis
-# layer, so it stays a module attribute.
+# trig_basis and weighted_quadrature_points are not called here:
+# perfbench's tracer wraps them as layers, so they stay module attributes.
 from .core import trig_basis  # noqa: F401
 from .errors import DomainError, FeasibilityWarning, ModelError
 from .forward import synthesize_lags
 from .gram import _gram_form, _gram_product, _tables, assemble_gram, measurement_vector, solve
-from .quad import weighted_quadrature_points
+from .quad import weighted_quadrature_points  # noqa: F401
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -96,7 +96,8 @@ def _fits(table):
 
 def _half_rule(nodes):
     """Nodes and weights of the upper half of the Chebyshev-Gauss rule of
-    ``nodes`` points, the nodes x_j >= 0.
+    ``nodes`` points, the nodes x_j >= 0, built alone: cos((2k-1) pi /
+    (2 nodes)) for k = ceil(nodes/2)..1, each at weight pi/nodes.
 
     The rule's abscissae ascend and are symmetric about x = 0, so a sum
     over it of an even function is twice the half rule's, and of an odd
@@ -106,10 +107,9 @@ def _half_rule(nodes):
     Returns:
         (x, w): the read-only half-rule nodes and weights.
     """
-    points, weights = weighted_quadrature_points(nodes)
-    half = nodes // 2
-    x = points[half:].copy()
-    w = weights[half:].copy()
+    k = np.arange(-(-nodes // 2), 0, -1)
+    x = np.cos((2 * k - 1) * np.pi / (2 * nodes))
+    w = np.full(k.size, np.pi / nodes)
     if nodes % 2:
         x[0] = 0.0
         w[0] *= 0.5
@@ -269,14 +269,16 @@ def negativity_summary(solution):
     the top frequency gamma pi (M-1). g is sampled through the kernel
     table of its half rule: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0,
     with e and o the kernel's even and odd sample parts and the middle
-    node of an odd rule counted once.
+    node of an odd rule counted once. With a = |o| and m = max(|e|, a),
+    min(e - a) is the minimum over e +- o, |e + o| + |e - o| = 2 m, and
+    the negative parts of e +- o sum to m - e >= 0.
     """
     x, w, table, _ = _rule(solution.cfg)
     even, odd = _exp_samples(table or _exp_table(solution.cfg, x), solution.coeffs.b)
-    upper, lower = even + odd, even - odd
-    grid_min = float(min(upper.min(), lower.min()))
-    abs_mass = float(w @ (np.abs(upper) + np.abs(lower)))
+    spread = np.abs(odd)
+    peak = np.maximum(np.abs(even), spread)
+    grid_min = float((even - spread).min())
+    abs_mass = 2.0 * float(w @ peak)
     if abs_mass == 0.0:
         return NegativitySummary(grid_min, 0.0)
-    neg_mass = float(w @ (np.maximum(-upper, 0.0) + np.maximum(-lower, 0.0)))
-    return NegativitySummary(grid_min, neg_mass / abs_mass)
+    return NegativitySummary(grid_min, float(w @ (peak - even)) / abs_mass)

@@ -522,6 +522,19 @@ def test_pcg_raises_no_floating_point_error(m, gamma):
     assert x is not None and np.all(np.isfinite(x))
 
 
+@pytest.mark.parametrize("m", [1, 2], ids=["length-1", "length-3"])
+def test_pcg_frozen_parity_matches_levinson(m):
+    # At length 1 the antisymmetric half of e_1 is exactly zero from step
+    # 0, so that parity runs frozen with zero coefficients; at length 3
+    # both run. Neither divides by zero or makes a NaN, and x is
+    # Levinson's.
+    column = _toeplitz_column(m, 1.13)
+    with np.errstate(all="raise"):
+        x = gram_module._pcg(column, gram_module._spectrum(column), 1.13)
+    assert x is not None
+    assert np.max(np.abs(x - _levinson(column))) <= 1e-15
+
+
 def _large_array_lags(rng, cfg):
     """Lags shaped as the benchmark's large-array inputs: a few sources
     plus noise, with a raised zero lag."""
@@ -573,6 +586,33 @@ def test_symbol_bounds_toeplitz_spectrum(m, gamma):
     symbol = (2.0 / gamma) * np.sum(inside / np.sqrt(1.0 - np.where(inside, x, 0.0)**2), axis=1)
     clear = np.all(np.abs(np.abs(x) - 1.0) > 0.25, axis=1)
     assert np.all(np.abs(means - symbol)[clear] <= 50.0 / size**2 * symbol[clear])
+
+
+@pytest.mark.parametrize("gamma", [0.9, 1.0, 1.13, 2.0, 5.9, 6.0, 13.0, 32.0])
+def test_symbol_means_match_edge_table(gamma):
+    # The means add their aliases one at a time; summed as the rows of
+    # the whole table of clipped cell edges, which numpy adds pairwise
+    # from 8 aliases (gamma >= 6) on, they agree to the rounding of a sum
+    # of that many nonnegative terms.
+    size = gram_module._fft_size(1433)
+    reach = int(gamma / 2.0) + 1
+    edges = np.add.outer((2 * np.arange(size // 2 + 2) - 1) / (gamma * size),
+                         2 * np.arange(-reach, reach + 1) / gamma)
+    expected = size * np.diff(np.arcsin(np.clip(edges, -1.0, 1.0)), axis=0).sum(axis=1)
+    means = gram_module._symbol_means(gamma, size)
+    tolerance = (2 * reach + 1) * np.finfo(np.float64).eps
+    assert np.all(np.abs(means - expected) <= tolerance * expected)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.0001, 1.13, 1.25, 2.0, 8.0, 32.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 255])
+def test_gram_eigenvalues_at_least_inverse_gamma(m, gamma):
+    # For gamma >= 1 both blocks are bounded below by 1/gamma
+    # (gram_blocks); the worst lambda_min * gamma on this grid is about
+    # 1.000005.
+    for block in gram_blocks(ArrayConfig(m, gamma)):
+        if block.size:
+            assert scipy.linalg.eigvalsh(block)[0] >= (1.0 / gamma) * (1.0 - 1e-9)
 
 
 def test_symbol_bound_fails_below_unit_spacing():
@@ -655,9 +695,20 @@ def test_pcg_generators_independent_of_alignment(monkeypatch):
     assert len(digests) == 2
 
 
+def _run_python(script, **env):
+    """The standard output of ``script`` run in a fresh interpreter that
+    imports this checkout's apsrec, with ``env`` added to the environment."""
+    package_root = str(Path(gram_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_pcg_generators_independent_of_blas_threads():
     # One and two BLAS threads build the same CG generators, bit for bit.
-    script = textwrap.dedent("""
+    script = """
         import hashlib
         from apsrec.core import ArrayConfig
         from apsrec.gram import _factor
@@ -667,18 +718,36 @@ def test_pcg_generators_independent_of_blas_threads():
             for gamma in (1.0, 1.13):
                 digest.update(_factor(ArrayConfig(m, gamma)).generators.tobytes())
         print(digest.hexdigest())
-    """)
-    package_root = str(Path(gram_module.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    digests = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads}
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                text=True, env=env, timeout=120)
-        assert result.returncode == 0, result.stderr
-        digests.add(result.stdout)
+    """
+    digests = {_run_python(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+               for threads in ("1", "2")}
     assert len(digests) == 1
+
+
+def test_dense_pipeline_leaves_scipy_fft_unloaded():
+    # Only a Toeplitz Gram imports scipy.fft (_fft_size), which takes
+    # tens of milliseconds to load: a recovery, grid evaluation and
+    # negativity summary at M = 64 leave it unloaded, and one at M = 256
+    # loads it.
+    loaded = _run_python("""
+        import sys
+        import scipy.linalg, scipy.special
+        if "scipy.fft" in sys.modules:
+            print("preloaded")
+            sys.exit()
+        import numpy as np
+        from apsrec.core import ArrayConfig
+        from apsrec.plv import evaluate_solution, negativity_summary, recover
+
+        for m in (64, 256):
+            solution = recover(np.ones(m, dtype=complex), ArrayConfig(m, 1.0))
+            evaluate_solution(solution, np.linspace(-1.5, 1.5, 181))
+            negativity_summary(solution)
+            print(m, "scipy.fft" in sys.modules)
+    """)
+    if loaded == "preloaded\n":
+        pytest.skip("importing scipy.linalg and scipy.special loads scipy.fft")
+    assert loaded.split() == ["64", "False", "256", "True"]
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.13, 1.25])
@@ -935,19 +1004,19 @@ def test_cache_miss_stream_keeps_no_earlier_rule_or_table(monkeypatch, rng):
     # configuration's rule and tables are alive: no quadrature table,
     # kernel table or Q of an earlier one outlives its Gram.
     refs, current = [], [None]
-    points, exp_table = plv.weighted_quadrature_points, core._exp_table
+    half_rule, exp_table = plv._half_rule, core._exp_table
 
-    def recording_points(nodes):
-        table = points(nodes)
-        refs.extend((current[0], weakref.ref(array)) for array in table)
-        return table
+    def recording_rule(nodes):
+        rule = half_rule(nodes)
+        refs.extend((current[0], weakref.ref(array)) for array in rule)
+        return rule
 
     def recording_table(cfg, x):
         table = exp_table(cfg, x)
         refs.extend((current[0], weakref.ref(array)) for array in (table.baby, table.giant))
         return table
 
-    monkeypatch.setattr(plv, "weighted_quadrature_points", recording_points)
+    monkeypatch.setattr(plv, "_half_rule", recording_rule)
     monkeypatch.setattr(core, "_exp_table", recording_table)
     monkeypatch.setattr(plv, "_exp_table", recording_table)
     stream = [ArrayConfig(1024, gamma) for gamma in np.linspace(1.0, 1.25, 6)]

@@ -454,6 +454,21 @@ def rule_nodes(rule):
     return 2 * rule.x.size - int(rule.x[0] == 0.0)
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 3, 2048, 2049, 4161, 5184])
+def test_half_rule_is_upper_half_of_full_rule(nodes):
+    # The half rule computes only its own nodes: the full rule's x >= 0 to
+    # the rounding of one cosine, with the middle node of an odd rule at
+    # x = 0 and half weight.
+    points, weights = weighted_quadrature_points(nodes)
+    x, w = plv._half_rule(nodes)
+    expected_x, expected_w = points[nodes // 2:].copy(), weights[nodes // 2:].copy()
+    if nodes % 2:
+        expected_x[0], expected_w[0] = 0.0, 0.5 * expected_w[0]
+    np.testing.assert_array_max_ulp(x, expected_x, maxulp=1)
+    assert np.array_equal(w, expected_w)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
 @contextlib.contextmanager
 def rules_on(nodes, monkeypatch):
     # Within it, every rule is built on ``nodes`` points and none is kept.
@@ -942,11 +957,17 @@ def test_negative_reconstruction_reported_not_clipped():
 
 
 def test_negativity_summary_zero_for_nonnegative():
+    # A nonnegative reconstruction reports exactly no negative mass, with
+    # or without an odd part: 1 + 0.5 cos(kappa_1 x) + 0.4 sin(kappa_1 x)
+    # stays above 0.35.
     cfg = ArrayConfig(3, 1.0)
     solution = recover(synthesize_lags(FULL_RANGE, cfg), cfg)
     summary = negativity_summary(solution)
     assert summary.negative_fraction == 0.0
     assert summary.min_value == pytest.approx(1.0, abs=1e-10)
+    tilted = negativity_summary(PlvSolution(TrigCoeffs([1.0, 0.5, 0.0, 0.4, 0.0]), 0.0, cfg))
+    assert tilted.negative_fraction == 0.0
+    assert 0.35 < tilted.min_value < 0.37
 
 
 def _dense_negativity(cfg, b, nodes, chunk=1024):
