@@ -176,6 +176,28 @@ def trig_basis(cfg, x):
     )
 
 
+def _bessel_cut(kappa):
+    """The Jacobi-Anger cut N = floor(kappa + 12 kappa^(1/3)) + 40 for
+    frequencies 0 <= k <= ``kappa``: past it every |J_n(k)| is under
+    1e-17, so a Bessel sum cut at N, or a rule whose first alias has an
+    order past N, is exact to rounding.
+
+    Kapteyn's inequality |J_n(n z)| <= z^n e^{n s} / (1 + s)^n, with
+    s = sqrt(1 - z^2) and 0 < z <= 1, reads |J_n(k)| <= e^{h} with
+    h = n (s - artanh s) at z = k / n. h grows with k (dh/dk = s / z)
+    and falls with n (dh/dn = ln(z / (1 + s)) < 0), so at every k <= kappa
+    and n > N it is at most its value at (N + 1, kappa). There
+    h <= -n s^3 / 3 = -((n - k)(n + k))^{3/2} / (3 n^2), which with
+    n - k = 12 k^{1/3} tends to -24^{3/2} / 3 = -39.19 as k grows; the
+    40 orders added keep h under that limit at every kappa, so
+    |J_n(k)| < 9.6e-18. h is concave in n, so past any order n each
+    further order multiplies the bound by at most z / (1 + s) at n.
+    Computed with ``scipy.special.jv``, the largest |J_{N+1}(kappa)| over
+    kappa = gamma pi (M - 1), M <= 32768, gamma in [0.5, 32], is 3.0e-21.
+    """
+    return int(kappa + 12.0 * np.cbrt(kappa)) + 40
+
+
 # The exponential-sum kernel: every sum_j v_j exp(i kappa_m x_j) in the
 # package runs on the powers step_j**m, step_j = exp(i gamma pi x_j), of a
 # read-only :class:`_ExpTable`. A table whose rows exceed this size is
@@ -218,30 +240,34 @@ def _powers(step, powers):
 
 
 class _ExpTable(NamedTuple):
-    """The powers step**m, m < M, as m = B s + r (B from :func:`_exp_table`):
-    the B read-only baby rows step**r, the read-only giant step step**B,
-    and the count ceil(M / B) of giant powers. Each sum allocates its own
-    work rows, so one table may be read by any number of threads."""
+    """The powers step**m, m < P, as m = B s + r (P and B from
+    :func:`_exp_table`): the B read-only baby rows step**r, the read-only
+    giant step step**B, and the count ceil(P / B) of giant powers. Each
+    sum allocates its own work rows, so one table may be read by any
+    number of threads."""
 
     baby: np.ndarray
     giant: np.ndarray
     count: int
 
 
-def _exp_table(cfg, x):
-    """The :class:`_ExpTable` of the points ``x`` (a theta path passes
-    sin(theta)) with B = max(isqrt(M), min(M, _TABLE_BYTES // (16 n)))
-    baby rows for n points: isqrt(M) rows wherever those already fill
-    the budget (32 on the rule at M = 1024), and otherwise as many rows
-    as it holds, up to M. At M = 64 the rule takes 16 rows (three Horner
-    steps per sample part), and 181 angles take all 64, whose samples
-    are one product each with no Horner step."""
+def _exp_table(cfg, x, powers):
+    """The :class:`_ExpTable` of the first ``powers`` powers of the steps
+    of the points ``x`` (a theta path passes sin(theta)): M for samples
+    and lags, 2M-1 for the audit's moments. It takes B = max(isqrt(P),
+    min(P, _TABLE_BYTES // (16 n))) baby rows for P powers of n points:
+    isqrt(P) rows wherever those already fill the budget (32 on the
+    summary's rule and 45 for the audit's moments at M = 1024), and
+    otherwise as many rows as it holds, up to P. At M = 64 the summary's
+    rule takes 16 rows (three Horner steps per sample part), and 181
+    angles take all 64, whose samples are one product each with no
+    Horner step."""
     step = np.exp(1j * cfg.gamma * np.pi * x)
-    rows = max(math.isqrt(cfg.M), min(cfg.M, _TABLE_BYTES // (16 * max(step.size, 1))))
+    rows = max(math.isqrt(powers), min(powers, _TABLE_BYTES // (16 * max(step.size, 1))))
     baby = _powers(step, np.empty((rows, step.size), dtype=np.complex128))
     giant = baby[-1] * step
     giant.setflags(write=False)
-    return _ExpTable(baby, giant, -(-cfg.M // rows))
+    return _ExpTable(baby, giant, -(-powers // rows))
 
 
 # The products with baby rows below are real GEMMs on float64 views of
@@ -489,7 +515,8 @@ class TrigPolynomial(ApsModel):
         scalar for a 0-d input), by the exponential-sum kernel. Values
         for |x| > 1 are the analytic continuation."""
         x = np.asarray(x, dtype=np.float64)
-        even, odd = _exp_samples(_exp_table(self.config, x.ravel()), self.coeffs.b)
+        even, odd = _exp_samples(_exp_table(self.config, x.ravel(), self.config.M),
+                                 self.coeffs.b)
         values = (even + odd).reshape(x.shape)
         return values[()]
 

@@ -4,9 +4,10 @@ The m-th lag is r_m = integral of rho(theta) e^{i kappa_m sin(theta)} over
 [-pi/2, pi/2]. By Jacobi-Anger, e^{i kappa sin(theta)} = sum_n J_n(kappa)
 e^{i n theta}, so r_m = sum_n J_n(kappa_m) c_n, with c_n the half-range
 Fourier coefficients of the density, which ``Uniform`` and both mixtures
-give in closed form. The sum is cut at |n| <= N = kappa_max +
-6 kappa_max^(1/3) + 40, past which J_n(kappa) is below rounding for every
-kappa <= kappa_max = gamma pi (M-1). The trapezoid rule on L > 2N angles
+give in closed form. The sum is cut at |n| <= N = floor(kappa_max +
+12 kappa_max^(1/3)) + 40, past which |J_n(kappa)| < 1e-17 for every
+kappa <= kappa_max = gamma pi (M-1), by Kapteyn's inequality
+(``core._bessel_cut``). The trapezoid rule on L > 2N angles
 phi_j of the whole circle then reproduces the cut sum, with aliases only
 from past the cut (Trefethen and Weideman, SIAM Rev. 2014): r_m =
 sum_j s_j e^{i kappa_m sin(phi_j)} with s = FFT(c)/L. That is one FFT and
@@ -25,6 +26,7 @@ from .core import (
     PointSources,
     TrigPolynomial,
     Uniform,
+    _bessel_cut,
     _exp_lags,
     _exp_table,
     _leaves,
@@ -56,8 +58,7 @@ def _density_lags(densities, cfg):
     runs on the K + 1 nodes x_j >= 0 with the even and odd parts of the
     folded weights; the two ends, each one angle, were counted twice.
     """
-    kappa = cfg.gamma * np.pi * (cfg.M - 1)
-    cut = int(kappa + 6.0 * np.cbrt(kappa)) + 40
+    cut = _bessel_cut(cfg.kappa(cfg.M - 1))
     quarter = cut // 2 + 1
     n = np.arange(cut + 1)
     c = sum(density._fourier(n) for density in densities)
@@ -67,7 +68,7 @@ def _density_lags(densities, cfg):
     upper, lower = s[j] + s[2 * quarter - j], s[-j] + s[2 * quarter + j]
     upper[[0, quarter]] *= 0.5
     lower[[0, quarter]] *= 0.5
-    table = _exp_table(cfg, np.sin((HALF_PI / quarter) * j))
+    table = _exp_table(cfg, np.sin((HALF_PI / quarter) * j), cfg.M)
     return _exp_lags(table, upper + lower, upper - lower, cfg.M)
 
 

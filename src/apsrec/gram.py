@@ -121,10 +121,10 @@ class GramMatrix:
     solves and reads against it are safe.
 
     ``_kept`` maps a key to read-only arrays of the configuration, filled
-    on the cached Gram only (:func:`_tables`). Entries are only added, or
-    replaced by one that adds arrays to the same kept ones (the rule
-    gains its Q), one dict store each, so they need no lock and go with
-    the Gram.
+    on the cached Gram only (:func:`_tables`). Each entry is stored whole
+    by one dict store, the audit's Q with its table and the summary's
+    rule once each and a grid's table per new grid, so they need no lock
+    and go with the Gram.
     """
 
     cfg: ArrayConfig
@@ -318,9 +318,11 @@ def _pcg(column, spectrum, gamma):
     (||T|| ||x||_2 + 1), with ||T||_2 <= 2 sum_k |t_k|, falls under
     ``_PCG_TOL``: first for the updated residual, then for the one
     recomputed from x. At (1024, 1.13) a run of 10 steps took 1.39-1.45
-    ms, about 1.1 of it in its 21 FFT products (best of 15 loops); of a
-    3.7-3.9 ms miss at M = 1024 (median of 140) it took 1.6, the audit's
-    rule 1.3 and the solve 0.5 (one BLAS thread, 2-vCPU x86-64 host).
+    ms, about 1.1 of it in its 21 FFT products (best of 15 loops, one
+    BLAS thread, 2-vCPU x86-64 host). Of a 5.4-6.2 ms miss at M = 1024,
+    gamma in [1, 1.25] (median of 140, on the same host shared with
+    other work and then about 1.6 times slower), it took 2.5-2.9, the
+    audit 1.6-1.8 and the solve 0.7-0.8.
     """
     n, size = column.size, _fft_size(column.size)
     if not 1.0 <= gamma <= _PCG_MAX_GAMMA:

@@ -29,6 +29,7 @@ from .core import (
     TrigCoeffs,
     _ExpTable,
     _MAX_KEPT_TABLE_BYTES,
+    _bessel_cut,
     _exp_lags,
     _exp_samples,
     _exp_table,
@@ -80,7 +81,7 @@ def _grid_table(cfg, x):
     kept = tables.get("grid")
     if kept is not None and np.array_equal(kept[0], x):
         return kept[1]
-    table = _exp_table(cfg, x)
+    table = _exp_table(cfg, x, cfg.M)
     if _fits(table):
         grid = x.copy()
         grid.setflags(write=False)
@@ -120,58 +121,98 @@ def _half_rule(nodes):
 
 class _Rule(NamedTuple):
     """:func:`_rule`'s record; ``table`` is None in a kept record whose
-    table exceeds ``_MAX_KEPT_TABLE_BYTES``, and ``audit`` is None until
-    :func:`recover` asks for Q."""
+    table exceeds ``_MAX_KEPT_TABLE_BYTES``."""
 
     x: np.ndarray
     w: np.ndarray
     table: _ExpTable | None
-    audit: tuple | None
 
 
-def _rule(cfg, audit=False):
-    """The one Chebyshev-Gauss rule by which the residual audit, the
-    negativity summary and a callable's projection integrate against
-    w(x) = 1/sqrt(1 - x^2) at ``cfg``: the read-only nodes x and weights
-    w of :func:`_half_rule` on max(2048, 4 gamma M + 64) points, which
-    resolve products of basis functions at the top frequency
-    2 kappa_{M-1}, their kernel table and, with ``audit``, the audit's
-    Gram form Q, kept with the configuration's Gram under one key (the
-    table only while it fits ``_MAX_KEPT_TABLE_BYTES``). Q is built once
-    per kept record, and only for a caller that reads it.
-
-    Q is the Gram with pi J0(kappa_l) replaced by the rule's own moments
-    mu_l = sum_j w_j cos(kappa_l x_j) over the whole rule, l < 2M-1,
-    from the table's baby rows and giant step with ceil((2M-1)/B) giant
-    powers; the rule is symmetric, so its products of a cosine and a sine
-    sum to zero and Q b equals the lags sum_j w_j g(x_j) exp(i kappa_m x_j)
-    of the coefficients b, with g sampled on the rule. Never built from
-    J0 or from the Gram's factors, it checks the solve independently.
-    """
+def _rule(cfg):
+    """The Chebyshev-Gauss rule by which the negativity summary and a
+    callable's projection integrate against w(x) = 1/sqrt(1 - x^2) at
+    ``cfg``: the read-only nodes x and weights w of :func:`_half_rule` on
+    max(2048, 4 gamma M + 64) points, a grid set by resolution that
+    resolves products of basis functions at the top frequency
+    2 kappa_{M-1}, and their kernel table of M powers, kept with the
+    configuration's Gram under one key (the table only while it fits
+    ``_MAX_KEPT_TABLE_BYTES``). The residual audit has a rule of its own
+    (:func:`_audit`)."""
     tables = _tables(cfg)
     rule = tables.get("rule")
     if rule is None:
         x, w = _half_rule(max(2048, int(4 * cfg.gamma * cfg.M) + 64))
-        rule = _Rule(x, w, _exp_table(cfg, x), None)
-    elif rule.audit is not None or not audit:
-        return rule
-    if audit:
-        table, count = rule.table or _exp_table(cfg, rule.x), 2 * cfg.M - 1
-        mu = 2.0 * _giant_lags(table._replace(count=-(-count // len(table.baby))), rule.w, count)
-        rule = rule._replace(table=table, audit=_gram_form(mu))
-    tables["rule"] = rule if _fits(rule.table) else rule._replace(table=None)
+        rule = _Rule(x, w, _exp_table(cfg, x, cfg.M))
+        tables["rule"] = rule if _fits(rule.table) else rule._replace(table=None)
     return rule
+
+
+class _Audit(NamedTuple):
+    """:func:`_audit`'s record: Q and the kernel table it was built from;
+    ``table`` is None in a kept record whose table exceeds
+    ``_MAX_KEPT_TABLE_BYTES``."""
+
+    q: tuple
+    table: _ExpTable | None
+
+
+def _audit(cfg):
+    """The residual audit's Gram form Q at ``cfg``, on a Chebyshev-Gauss
+    rule of its own. Q is the Gram with pi J0(kappa_l) replaced by the
+    rule's moments mu_l = sum_j w_j cos(kappa_l x_j), l < 2M-1, over the
+    whole rule, from the weights of :func:`_half_rule` against their
+    kernel table of 2M-1 powers. The rule is symmetric, so its products
+    of a cosine and a sine sum to zero, and Q b equals the lags
+    sum_j w_j g(x_j) exp(i kappa_m x_j) of the coefficients b, with g
+    sampled on the rule. Never built from J0 or from the Gram's factors,
+    Q checks the solve independently.
+
+    The rule's N = ``_bessel_cut``(kappa_{2M-2}) // 2 + 1 nodes make every
+    moment exact to rounding. At x_j = cos(t_j), t_j = (2j - 1) pi / (2N),
+    Jacobi-Anger gives cos(k cos t) = J0(k) + 2 sum_{n>=1} (-1)^n J_{2n}(k)
+    cos(2 n t), and the rule sums cos(2 n t_j) to zero unless N divides
+    n, so mu(k) = pi J0(k) + 2 pi sum_{q>=1} (-1)^{q(N+1)} J_{2qN}(k).
+    2N passes the cut of the top frequency, so Kapteyn's inequality
+    (:func:`core._bessel_cut`) puts |J_{2N}(k)| under 9.6e-18 for every
+    k <= kappa_{2M-2}, and each further alias's bound under
+    (z / (1 + s))^{2N} times the one before, z = k / 2N, s = sqrt(1 - z^2),
+    which is under 1e-88 there: |mu_l - pi J0(kappa_l)| < 6.1e-17.
+    Computed with ``scipy.special.jv``, the largest |J_{2N}(kappa_{2M-2})|
+    over M <= 16384, gamma in [0.5, 32] is 3.0e-21.
+    N is 262 at M = 64 and 3346, 3768 and 4158 at M = 1024 with gamma
+    = 1, 1.13 and 1.25, against the summary's 2048 and 4160-5184; the
+    table takes about sqrt(2M-1) baby rows (45 at M = 1024).
+
+    Q and its table are kept as one record with the configuration's
+    Gram, the table only while it fits ``_MAX_KEPT_TABLE_BYTES``. The
+    table is not read again, but one freed right after Q was built
+    (1.2-1.5 MB at M = 1024) cost about 320 minor page faults on each
+    M = 1024 miss of a stream, against none in the median when kept. Q is
+    built once per kept record, and only :func:`recover` reads it.
+    """
+    tables = _tables(cfg)
+    audit = tables.get("audit")
+    if audit is None:
+        x, w = _half_rule(_bessel_cut(cfg.kappa(2 * cfg.M - 2)) // 2 + 1)
+        count = 2 * cfg.M - 1
+        table = _exp_table(cfg, x, count)
+        audit = _Audit(_gram_form(2.0 * _giant_lags(table, w, count)),
+                       table if _fits(table) else None)
+        tables["audit"] = audit
+    return audit.q
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Recover the minimum-norm spectrum consistent with ``lags``.
 
     Feasibility is re-checked independently of the closed-form Gram: the
-    lags of the solution by Chebyshev-Gauss quadrature, on the array's
-    rule (:func:`_rule`), whose node count scales with the top basis
-    frequency, are Q b with Q the Gram of that rule. Q depends on the
-    array alone; it is built after the solve on a new configuration and
-    kept with the cached Gram.
+    lags of the solution by Chebyshev-Gauss quadrature, on the audit's
+    own rule (:func:`_audit`), whose node count clears the Bessel
+    transition of the top moment frequency, are Q b with Q the Gram of
+    that rule. Q depends on the array alone; it is built after the solve
+    on a new configuration and kept with the cached Gram. Of a cache miss
+    at M = 1024, gamma in [1, 1.25], the Gram's CG generator takes about
+    47 %, Q about 29 % and the refined solve about 14 %.
 
     Args:
         lags: CovarianceLags (or raw complex vector) of length cfg.M.
@@ -192,7 +233,7 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
         raise ValueError(f"lag count {lags.M} does not match array M = {cfg.M}")
     coeffs = solve(assemble_gram(cfg), measurement_vector(lags))
     # Q b in the measurement layout [Re r_0 .. Re r_{M-1}, Im r_1 .. Im r_{M-1}].
-    y = _gram_product(_rule(cfg, audit=True).audit, coeffs.b)
+    y = _gram_product(_audit(cfg), coeffs.b)
     checked = y[:cfg.M].astype(np.complex128)
     checked[1:] += 1j * y[cfg.M:]
     residual = float(np.max(np.abs(checked - lags.r)))
@@ -215,7 +256,7 @@ def project_onto_nperp(g, cfg):
     of ``g`` against the basis. A model's moments are its exact
     synthesized lags, so its projection is :func:`recover` of those lags,
     bit for bit. A callable's are the kernel's lags of its samples at
-    +-x_j on the array's rule (:func:`_rule`), whose node count follows
+    +-x_j on the resolution rule (:func:`_rule`), whose node count follows
     the top frequency gamma pi (M-1): with g_+- = g(+-x_j) and the middle
     node of an odd rule at half weight, the lags over the whole rule are
     sum_j w_j ((g_+ + g_-) cos(kappa_m x_j) + i (g_+ - g_-) sin(kappa_m x_j)).
@@ -231,9 +272,9 @@ def project_onto_nperp(g, cfg):
             raise ModelError("model has no square-integrable density to project")
         return solve(assemble_gram(cfg), measurement_vector(synthesize_lags(g, cfg)))
     gram = assemble_gram(cfg)
-    x, w, table, _ = _rule(cfg)
+    x, w, table = _rule(cfg)
     upper, lower = (w * np.asarray(g(points), dtype=np.float64) for points in (x, -x))
-    lags = _exp_lags(table or _exp_table(cfg, x), upper + lower, upper - lower, cfg.M)
+    lags = _exp_lags(table or _exp_table(cfg, x, cfg.M), upper + lower, upper - lower, cfg.M)
     return solve(gram, np.concatenate([lags.real, lags[1:].imag]))
 
 
@@ -265,7 +306,7 @@ def negativity_summary(solution):
     value over a dense x grid, and the weighted mass of the negative part
     relative to the total absolute mass (0 for a nonnegative solution).
 
-    The grid is the array's rule (:func:`_rule`), whose node count follows
+    The grid is the resolution rule (:func:`_rule`), whose node count follows
     the top frequency gamma pi (M-1). g is sampled through the kernel
     table of its half rule: g(+-x_j) = e_j +- o_j over the nodes x_j >= 0,
     with e and o the kernel's even and odd sample parts and the middle
@@ -273,8 +314,9 @@ def negativity_summary(solution):
     min(e - a) is the minimum over e +- o, |e + o| + |e - o| = 2 m, and
     the negative parts of e +- o sum to m - e >= 0.
     """
-    x, w, table, _ = _rule(solution.cfg)
-    even, odd = _exp_samples(table or _exp_table(solution.cfg, x), solution.coeffs.b)
+    cfg = solution.cfg
+    x, w, table = _rule(cfg)
+    even, odd = _exp_samples(table or _exp_table(cfg, x, cfg.M), solution.coeffs.b)
     spread = np.abs(odd)
     peak = np.maximum(np.abs(even), spread)
     grid_min = float((even - spread).min())

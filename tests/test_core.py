@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from apsrec.core import (
@@ -358,7 +359,7 @@ def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     cfg = ArrayConfig(m, gamma)
     theta, _ = theta_quadrature_points(768, Uniform(-0.6, 0.2, 1.4).seams_theta())
     x = np.sin(theta)
-    table = core._exp_table(cfg, x)
+    table = core._exp_table(cfg, x, m)
     assert_one_form(table, m, x.size)
     dense = np.exp(1j * np.multiply.outer(cfg.kappas(m), x))
     b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
@@ -394,7 +395,7 @@ def test_exp_table_rows_fill_the_byte_budget(m, points, rows):
     # (one power, no Horner step); the rule at (1024, 1) keeps isqrt(M).
     # An empty grid takes M rows of no points, and its sums are empty.
     cfg = ArrayConfig(m, 1.0)
-    table = core._exp_table(cfg, np.linspace(0.0, 1.0, points))
+    table = core._exp_table(cfg, np.linspace(0.0, 1.0, points), m)
     assert_one_form(table, m, points)
     assert len(table.baby) == rows
     even, odd = core._exp_samples(table, np.ones(2 * m - 1))
@@ -416,7 +417,7 @@ def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
     # on this data); random-sign coefficients read about 2e-13.
     cfg = ArrayConfig(m, 1.13)
     x = np.sort(rng.uniform(-1.0, 1.0, 301))
-    table = core._exp_table(cfg, x)
+    table = core._exp_table(cfg, x, m)
     assert_one_form(table, m, x.size)
 
     def close(got, expected):
@@ -435,18 +436,20 @@ def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
 
 
 def test_giant_lags_streams_work_rows_through_one_block():
-    # The audit's moments at (1024, 1.25), on the rule's 2592 half-rule
-    # nodes: the 64 work rows of its 2047 sums would take 2.7 MB at once.
-    # Streamed, the kernel's peak beyond its inputs is one block, numpy's
-    # buffer for a product broadcast over half its work rows, the (count,
-    # B) sums and one panel product of that size, with 4 KiB for the
-    # arrays' headers. The moments match the dense sum in long double.
+    # The audit's moments at (1024, 1.25), on its own rule's 2079 half-rule
+    # nodes and a table of 2M - 1 powers in 45 baby rows: the 46 work rows
+    # of its 2047 sums would take 1.5 MB at once. Streamed, the kernel's
+    # peak beyond its inputs is one block, numpy's buffer for a product
+    # broadcast over half its work rows, the (count, B) sums and one panel
+    # product of that size, with 4 KiB for the arrays' headers. The
+    # moments match the dense sum in long double.
     cfg = ArrayConfig(1024, 1.25)
-    points, weights = weighted_quadrature_points(int(4 * cfg.gamma * cfg.M) + 64)
-    x, w = points[points.size // 2:], weights[points.size // 2:]
     count = 2 * cfg.M - 1
-    table = core._exp_table(cfg, x)
-    table = table._replace(count=-(-count // len(table.baby)))
+    nodes = core._bessel_cut(cfg.kappa(count - 1)) // 2 + 1
+    points, weights = weighted_quadrature_points(nodes)
+    x, w = points[nodes // 2:], weights[nodes // 2:]
+    table = core._exp_table(cfg, x, count)
+    assert (nodes, table.baby.shape, table.count) == (4158, (45, 2079), 46)
     tracemalloc.start()
     try:
         moments = core._giant_lags(table, w, count)
@@ -462,6 +465,36 @@ def test_giant_lags_streams_work_rows_through_one_block():
     assert np.max(np.abs(moments - expected)) <= 1e-13 * scale
 
 
+# Array sizes up to 32768 and spacings 0.5 to 32, log-spaced.
+CUT_SIZES = np.unique(np.geomspace(1, 32768, 120).round().astype(int))
+CUT_GAMMAS = np.geomspace(0.5, 32.0, 40)
+
+
+def test_bessel_cut_clears_the_bessel_transition():
+    # Past the cut of kappa = gamma pi (M - 1) the first omitted order's
+    # J_n(kappa), from scipy's jv, is below 1e-20 (3.0e-21 at worst, at
+    # M = 32768, gamma = 32). The former cut kappa + 6 kappa^(1/3) + 40
+    # left 5.3e-10 on this grid.
+    kappas = np.multiply.outer(CUT_GAMMAS, np.pi * (CUT_SIZES - 1)).ravel()
+    cuts = np.array([core._bessel_cut(kappa) for kappa in kappas])
+    assert np.max(np.abs(scipy.special.jv(cuts + 1, kappas))) <= 1e-20
+    former = (kappas + 6.0 * np.cbrt(kappas)).astype(int) + 40
+    assert np.max(np.abs(scipy.special.jv(former + 1, kappas))) > 1e-10
+
+
+def test_bessel_cut_kapteyn_bound():
+    # Kapteyn's bound on |J_n(kappa)| at the first order past the cut,
+    # exp(n (s - artanh s)) with s = sqrt(1 - (kappa/n)^2), written with
+    # d = n - kappa so that it keeps its digits at large kappa: under its
+    # large-kappa limit exp(-24^(3/2) / 3) < 9.6e-18 from kappa = 0 to 1e13.
+    for kappa in np.concatenate([[0.0], np.geomspace(1e-3, 1e13, 2000)]):
+        n = core._bessel_cut(kappa) + 1
+        d = n - kappa
+        s = np.sqrt(d * (n + kappa)) / n
+        exponent = n * (np.log1p(-d / n) + s - np.log1p(s)) if kappa else -np.inf
+        assert exponent < -24.0**1.5 / 3.0 < np.log(9.6e-18)
+
+
 @pytest.mark.parametrize("m", [1, 64, 1024])
 def test_exp_lags_of_one_vector_is_one_product(m, rng):
     # Synthesis and projection pass one vector as both parts; its lags are
@@ -469,7 +502,7 @@ def test_exp_lags_of_one_vector_is_one_product(m, rng):
     # whether or not the two parts are the same array.
     cfg = ArrayConfig(m, 1.13)
     x = np.sort(rng.uniform(-1.0, 1.0, 256))
-    table = core._exp_table(cfg, x)
+    table = core._exp_table(cfg, x, m)
     v = rng.uniform(-1.0, 1.0, x.size)
     lags = core._exp_lags(table, v, v, m)
     assert np.array_equal(lags, core._exp_lags(table, v, v.copy(), m))

@@ -147,8 +147,8 @@ def test_exact_lags_at_large_arrays(model, m, gamma):
 
 
 def test_large_synthesis_builds_no_dense_table():
-    # At M = 1024, gamma = 1.25 the Jacobi-Anger rule has 2077 nodes
-    # x >= 0, whose M-row power table would take 34 MB: the kernel's 32
+    # At M = 1024, gamma = 1.25 the Jacobi-Anger rule has 2126 nodes
+    # x >= 0, whose M-row power table would take 35 MB: the kernel's 32
     # baby rows and the 32 work rows of each part take about 1 MB each.
     cfg = ArrayConfig(1024, 1.25)
     tracemalloc.start()
@@ -158,7 +158,7 @@ def test_large_synthesis_builds_no_dense_table():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-    assert _exp_table(cfg, np.linspace(0.0, 1.0, 2077)).baby.shape == (32, 2077)
+    assert _exp_table(cfg, np.linspace(0.0, 1.0, 2126), cfg.M).baby.shape == (32, 2126)
     assert_matches_reference(lags, reference_lags(TWO_GAUSSIANS, cfg))
 
 

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from quad_helpers import reference_lags, transformed_density
 
 from apsrec.core import (
@@ -118,10 +119,10 @@ def test_recovery_from_threads_matches_serial(rng):
         assert got[3] == expected[3]
     # Each op adds its tables after its own assemble_gram stores the Gram,
     # so a lost update is the only way one could be missing here: the
-    # grid's table and the rule (its table and the audit's Q).
+    # audit's Q with its table, the grid's table and the summary's rule.
     entry = gram_module._cached
     assert entry.cfg == cfg
-    assert sorted(map(str, entry._kept)) == ["grid", "rule"]
+    assert sorted(map(str, entry._kept)) == ["audit", "grid", "rule"]
 
 
 def fresh_gamma_stream(rng, m, gammas):
@@ -162,8 +163,8 @@ def test_toeplitz_recovery_from_threads_matches_serial(rng):
 
 def test_split_audit_from_threads_matches_serial(rng):
     # Every recover here misses, so each of the four threads factorizes
-    # its Gram and then builds its own rule, with Q's 2M - 1 = 1407
-    # moments on the table's B = 26 baby rows and 55 work rows; B does
+    # its Gram and then builds its own audit rule, with Q's 2M - 1 = 1407
+    # moments on the table's B = 37 baby rows and 39 work rows; B does
     # not divide 1407.
     stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
     assert_threads_match_serial(stream)
@@ -186,7 +187,7 @@ def test_cache_miss_conditioning_error_keeps_nothing(failing, rng):
 
 def test_cache_miss_audit_error_reaches_caller(monkeypatch):
     # An exception raised while Q is built is raised by recover itself,
-    # the same object, and no rule is kept.
+    # the same object, and no audit is kept.
     cfg = ArrayConfig(300, 1.1)
     assemble_gram(ArrayConfig(5, 1.0))  # a miss
     error = RuntimeError("moments failed")
@@ -200,7 +201,7 @@ def test_cache_miss_audit_error_reaches_caller(monkeypatch):
         recover(np.ones(cfg.M, dtype=complex), cfg)
     assert excinfo.value is error
     assert threading.active_count() == threads
-    assert "rule" not in gram_module._tables(cfg)
+    assert "audit" not in gram_module._tables(cfg)
 
 
 def test_recover_starts_no_thread(monkeypatch, rng):
@@ -216,7 +217,7 @@ def test_recover_starts_no_thread(monkeypatch, rng):
         lags[0] = abs(lags[0]) + m
         monkeypatch.setattr(gram_module, "_cached", None)
         miss = recover(lags, cfg)
-        assert "rule" in gram_module._tables(cfg)
+        assert list(gram_module._tables(cfg)) == ["audit"]
         hit = recover(lags, cfg)
         assert np.array_equal(hit.coeffs.b, miss.coeffs.b)
         assert hit.constraint_residual == miss.constraint_residual <= DEFAULT_RESIDUAL_TOL
@@ -248,7 +249,7 @@ def test_cache_miss_in_forked_child_after_parent_miss():
 @pytest.mark.parametrize("m", [16, 300], ids=["dense", "toeplitz"])
 def test_cache_miss_audit_independent_of_j0(m, monkeypatch):
     # A Gram built from a wrong J0 value solves consistently with itself;
-    # the audit's Q comes from the rule's own moments, so it sees the
+    # the audit's Q comes from its rule's own moments, so it sees the
     # wrong lags. Were Q built from the same J0 column, nothing would warn.
     cfg = ArrayConfig(m, 1.0)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
@@ -368,7 +369,7 @@ def test_solution_g_matches_trig_polynomial_on_any_shape(shape, count, rng):
     cfg = ArrayConfig(64, 1.0)
     solution = PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)), 0.0, cfg)
     x = rng.uniform(-1.0, 1.0, shape)
-    assert plv._exp_table(cfg, x.ravel()).count == count
+    assert plv._exp_table(cfg, x.ravel(), cfg.M).count == count
     values = solution.g(x)
     assert np.shape(values) == shape
     assert np.array_equal(values, TrigPolynomial(cfg, solution.coeffs).g(x))
@@ -444,8 +445,17 @@ def test_recover_rejects_unusable_tolerance(tol):
 
 
 def default_nodes(cfg):
-    # The rule's node count, restated: 4 gamma M + 64 with a 2048 floor.
+    # The summary's rule's node count, restated: 4 gamma M + 64 with a
+    # 2048 floor.
     return max(2048, int(4 * cfg.gamma * cfg.M) + 64)
+
+
+def audit_nodes(cfg):
+    # The audit rule's node count, restated: half the Bessel cut
+    # kappa + 12 kappa^(1/3) + 40 of the top moment frequency
+    # kappa = 2 gamma pi (M - 1), plus one, with no floor.
+    kappa = cfg.kappa(2 * cfg.M - 2)
+    return (int(kappa + 12.0 * np.cbrt(kappa)) + 40) // 2 + 1
 
 
 def rule_nodes(rule):
@@ -479,10 +489,10 @@ def rules_on(nodes, monkeypatch):
         yield
 
 
-def audit_lags(rule, coeffs):
+def audit_lags(q, coeffs):
     # The audit's lags Q b of the coefficients, formed as recover forms
     # them.
-    y = gram_module._gram_product(rule.audit, coeffs.b)
+    y = gram_module._gram_product(q, coeffs.b)
     lags = y[:coeffs.M].astype(np.complex128)
     lags[1:] += 1j * y[coeffs.M:]
     return lags
@@ -492,18 +502,18 @@ def audit_lags(rule, coeffs):
                                      (700, 1.25), (1025, 1.0)])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even_nodes", "odd_nodes"])
 def test_residual_audit_matches_direct_quadrature(m, gamma, parity, rng, monkeypatch):
-    # Q b, the rule's own moments against the coefficients, must reproduce
-    # the plain full-rule sum sum_j w_j g(x_j) exp(i kappa_m x_j) over
-    # every node: dense blocks at M = 1, 2 and 64, the FFT product from
-    # the Toeplitz size up.
+    # Q b, the audit rule's own moments against the coefficients, must
+    # reproduce the plain full-rule sum sum_j w_j g(x_j) exp(i kappa_m x_j)
+    # over every node of that rule, of its count or one more: dense blocks
+    # at M = 1, 2 and 64, the FFT product from the Toeplitz size up.
     cfg = ArrayConfig(m, gamma)
-    nodes = default_nodes(cfg) + parity
+    nodes = audit_nodes(cfg) + parity
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     points, weights = weighted_quadrature_points(nodes)
     samples = weights * (trig_basis(cfg, points) @ coeffs.b)
     direct = np.exp(1j * np.multiply.outer(cfg.kappas(m), points)) @ samples
     with rules_on(nodes, monkeypatch):
-        audit = audit_lags(plv._rule(cfg, audit=True), coeffs)
+        audit = audit_lags(plv._audit(cfg), coeffs)
     assert audit.shape == (m,)
     assert np.max(np.abs(audit - direct)) <= 1e-11 * (1.0 + np.max(np.abs(direct)))
 
@@ -537,23 +547,26 @@ def whole_table_half_rule(cfg, b, nodes):
 
 
 def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
-    # At M = 64 the rule's table is kept, and it gives the summary of a
-    # table built for the call bit for bit, as the kept Q gives the audit
-    # of a fresh one. The summary keeps the rule without Q, and recover
-    # adds Q to the same kept nodes, weights and table. The count is 2048,
-    # even, at gamma = 1 and 1.13, and
-    # 2049, odd, at 1985/256. Q b and the baby-row sums regroup the
-    # whole-table sums, so they agree with them to rounding.
-    for gamma, count in ((1.0, 2048), (1.13, 2048), (1985 / 256, 2049)):
+    # At M = 64 both tables are kept: the summary's rule's gives the
+    # summary of a table built for the call bit for bit, and the kept Q
+    # gives the audit of a fresh one. The summary keeps its rule alone,
+    # and recover adds the audit's record beside it, leaving the rule
+    # as it was. The summary's count is 2048, even, at gamma = 1 and
+    # 1.07, and 2049, odd, at 1985/256; the audit's is 262, 277 and
+    # 1642. Q b and the baby-row sums regroup the whole-table sums, so
+    # they agree with them to rounding.
+    for gamma, count, audit_count in ((1.0, 2048, 262), (1.07, 2048, 277),
+                                      (1985 / 256, 2049, 1642)):
         cfg = ArrayConfig(64, gamma)
+        assert (default_nodes(cfg), audit_nodes(cfg)) == (count, audit_count)
         coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
         solution = PlvSolution(coeffs, 0.0, cfg)
-        assemble_gram(ArrayConfig(5, 1.0))  # a rule and a summary of their own
-        fresh = plv._rule(cfg, audit=True)
-        assert rule_nodes(fresh) == count
-        lags, summary = whole_table_half_rule(cfg, coeffs.b, count)
+        assemble_gram(ArrayConfig(5, 1.0))  # a rule, Q and a summary of their own
+        fresh = plv._audit(cfg)
+        lags, _ = whole_table_half_rule(cfg, coeffs.b, audit_count)
         audit = audit_lags(fresh, coeffs)
         assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
+        _, summary = whole_table_half_rule(cfg, coeffs.b, count)
         unkept = negativity_summary(solution)
         assert abs(unkept.min_value - summary.min_value) <= 1e-12 * (
             1.0 + abs(summary.min_value))
@@ -561,16 +574,17 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
         assemble_gram(cfg)
         for _ in range(2):  # built, then kept
             assert negativity_summary(solution) == unkept
-        assert sorted(gram_module._cached._kept) == ["rule"]
+        assert list(gram_module._cached._kept) == ["rule"]
         kept = gram_module._cached._kept["rule"]
-        assert kept.audit is None  # the summary reads no Q
+        assert rule_nodes(kept) == count and kept.table is not None
         lags = synthesize_lags(GAUSS_CLUSTER, cfg)
         recovered = recover(lags, cfg)
-        assert list(gram_module._cached._kept) == ["rule"]
-        audited = gram_module._cached._kept["rule"]
-        assert all(part is kept_part for part, kept_part in zip(audited[:3], kept[:3]))
+        assert sorted(gram_module._cached._kept) == ["audit", "rule"]
+        assert gram_module._cached._kept["rule"] is kept
+        audited = gram_module._cached._kept["audit"]
+        assert audited.table is not None
         for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))):
-            assert np.array_equal(audit_lags(audited, coeffs), audit_lags(fresh, coeffs))
+            assert np.array_equal(audit_lags(audited.q, coeffs), audit_lags(fresh, coeffs))
         audit = audit_lags(fresh, recovered.coeffs)
         assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
@@ -587,13 +601,13 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     # The kernel runs on baby rows step**r and powers of the giant step
     # step**B, B = isqrt(M), which at M = 700 and 1025 do not tile the M
     # rows exactly; the sums regroup, so agreement is to rounding. The
-    # audit and the summary run on one rule.
+    # audit and the summary run on one rule here.
     cfg = ArrayConfig(m, gamma)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     nodes = default_nodes(cfg) + parity
     lags, summary = whole_table_half_rule(cfg, coeffs.b, nodes)
     with rules_on(nodes, monkeypatch):
-        audit = audit_lags(plv._rule(cfg, audit=True), coeffs)
+        audit = audit_lags(plv._audit(cfg), coeffs)
         blocked = negativity_summary(PlvSolution(coeffs, 0.0, cfg))
     assert np.max(np.abs(audit - lags)) <= 1e-12 * (1.0 + np.max(np.abs(lags)))
     assert abs(blocked.min_value - summary.min_value) <= 1e-12 * (
@@ -602,19 +616,21 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
 
 
 def test_block_wise_kernel_builds_no_whole_table(rng):
-    # The whole (1024, 1.25) table is 1024 x 2592 complex, about 42 MB,
-    # and Q's moments would take one of 2047 rows, about 85 MB. Each run
-    # holds the rule's 1.4 MB kernel table; Q's 64 work rows, 2.7 MB at
-    # once, stream through one 120 KiB block. The peaks read 1.63 MB for
-    # the audit, 2.84 MB for the summary, whose 1.3 MB of Horner rows are
-    # not streamed, and 1.76 MB for recover; each limit adds 0.3-0.5 MB.
-    # The kept rule holds Q in its Toeplitz form, one spectrum row.
+    # The whole (1024, 1.25) table of the summary's rule is 1024 x 2592
+    # complex, about 42 MB, and Q's moments on the audit's rule would
+    # take one of 2047 x 2079, about 68 MB. The audit holds its rule's
+    # 1.5 MB kernel table, and Q's 46 work rows, 1.5 MB at once, stream
+    # through one 120 KiB block; the summary holds its rule's 1.4 MB
+    # table. The peaks read 1.68 MB for the audit, 2.71 MB for the
+    # summary, whose 1.3 MB of Horner rows are not streamed, and 1.81 MB
+    # for recover; each limit adds 0.2-0.3 MB. The kept audit holds Q in
+    # its Toeplitz form, one spectrum row.
     cfg = ArrayConfig(1024, 1.25)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     solution = PlvSolution(coeffs, 0.0, cfg)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
     size = gram_module._fft_size(2 * cfg.M - 1)  # scipy.fft is imported before tracing
-    for run, limit in ((lambda: audit_lags(plv._rule(cfg, audit=True), coeffs), 2.0),
+    for run, limit in ((lambda: audit_lags(plv._audit(cfg), coeffs), 2.0),
                        (lambda: negativity_summary(solution), 3.0),
                        (lambda: recover(np.ones(cfg.M, dtype=complex), cfg), 2.0)):
         tracemalloc.start()
@@ -624,22 +640,23 @@ def test_block_wise_kernel_builds_no_whole_table(rng):
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20
-    (spectrum,) = gram_module._tables(cfg)["rule"].audit
+    (spectrum,) = gram_module._tables(cfg)["audit"].q
     assert spectrum.shape == (size // 2 + 1,)
 
 
 def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
-    # recover, the negativity summary and a callable's projection share
-    # the configuration's one rule and its one kernel table; with a node
-    # count each, they built three.
+    # The negativity summary and a callable's projection share the
+    # configuration's one rule and its one kernel table, of 1024 nodes
+    # x >= 0; with a node count each, they built two. recover builds the
+    # audit's own, of 139 nodes and 2M - 1 powers, before them.
     cfg = ArrayConfig(64, 1.07)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     built = []
     exp_table = core._exp_table
 
-    def counting(cfg, x):
-        built.append(x.size)
-        return exp_table(cfg, x)
+    def counting(cfg, x, powers):
+        built.append((x.size, powers))
+        return exp_table(cfg, x, powers)
 
     monkeypatch.setattr(core, "_exp_table", counting)
     monkeypatch.setattr(plv, "_exp_table", counting)
@@ -647,16 +664,16 @@ def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
     solution = recover(lags, cfg)
     negativity_summary(solution)
     project_onto_nperp(transformed_density(GAUSS_CLUSTER), cfg)
-    assert built == [1024]
+    assert built == [(139, 2 * cfg.M - 1), (1024, cfg.M)]
 
 
 @pytest.mark.parametrize("capped", [False, True], ids=["kept_table", "over_cap"])
 def test_rule_builds_q_only_for_recover(monkeypatch, capped):
     # Only recover reads Q. A summary on a configuration that is not the
     # cached Gram's makes no moment pass, and a callable's projection
-    # makes only its own lags' two; then recover builds Q once on the rule
-    # the projection kept, and a repeat builds nothing. Past the kept-table
-    # cap the kept rule has no table, and recover builds one for Q.
+    # makes only its own lags' two; then recover builds Q once on its own
+    # rule, and a repeat builds nothing. Past the kept-table cap neither
+    # kept record has its table.
     if capped:
         monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
     cfg = ArrayConfig(64, 1.07)
@@ -676,18 +693,20 @@ def test_rule_builds_q_only_for_recover(monkeypatch, capped):
     assert moments == []
     project_onto_nperp(transformed_density(GAUSS_CLUSTER), cfg)
     assert moments == [cfg.M, cfg.M]
-    assert gram_module._tables(cfg)["rule"].audit is None
+    assert list(gram_module._tables(cfg)) == ["rule"]
     for _ in range(2):
         assert recover(lags, cfg).constraint_residual <= DEFAULT_RESIDUAL_TOL
         negativity_summary(solution)
     assert moments == [cfg.M, cfg.M, 2 * cfg.M - 1]
-    assert (gram_module._tables(cfg)["rule"].table is None) == capped
+    tables = gram_module._tables(cfg)
+    assert (tables["rule"].table is None) == (tables["audit"].table is None) == capped
 
 
 def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
-    # Past the cap the rule is kept with its Q and without its table,
-    # which the summary and a callable's projection then build per call,
-    # with the same results as from the kept table.
+    # Past the cap the audit is kept with its Q and without its table, and
+    # the summary's rule without its table, which the summary and a
+    # callable's projection then build per call, with the same results as
+    # from the kept table.
     cfg = ArrayConfig(64, 1.0)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     g = transformed_density(GAUSS_CLUSTER)
@@ -697,12 +716,130 @@ def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
     assemble_gram(ArrayConfig(5, 1.0))
     monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
     assert np.array_equal(recover(lags, cfg).coeffs.b, solution.coeffs.b)
-    rule = gram_module._tables(cfg)["rule"]
-    assert rule.table is None and len(rule.audit) == 2
+    audit = gram_module._tables(cfg)["audit"]
+    assert audit.table is None and len(audit.q) == 2
     for _ in range(2):
         assert negativity_summary(solution) == expected[0]
         assert np.array_equal(project_onto_nperp(g, cfg).b, expected[1])
+    rule = gram_module._tables(cfg)["rule"]
+    assert rule.table is None
+    assert recover(lags, cfg).constraint_residual == solution.constraint_residual
     assert gram_module._tables(cfg)["rule"] is rule
+    assert gram_module._tables(cfg)["audit"] is audit
+
+
+@pytest.mark.parametrize("m,gamma", [(8, 1.0), (64, 1.0), (1024, 1.25)])
+def test_audit_moments_match_pi_j0(m, gamma, monkeypatch):
+    # The audit's rule clears the Bessel transition of its top frequency,
+    # so its moments are pi J0(kappa_l) to rounding (1.7e-15, 1.5e-14 and
+    # 9.3e-14 here), although Q never comes from J0.
+    cfg = ArrayConfig(m, gamma)
+    columns = []
+    gram_form = plv._gram_form
+
+    def recording(column):
+        columns.append(column)
+        return gram_form(column)
+
+    monkeypatch.setattr(plv, "_gram_form", recording)
+    assemble_gram(ArrayConfig(5, 1.0))  # a miss
+    plv._audit(cfg)
+    (moments,) = columns
+    expected = np.pi * scipy.special.j0(cfg.gamma * np.pi * np.arange(2 * m - 1))
+    assert np.max(np.abs(moments - expected)) <= 2e-13
+
+
+def test_audit_rule_clears_the_bessel_transition():
+    # The audit's first alias J_{2N}(kappa_{2M-2}), from scipy's jv, is
+    # below 1e-20 (3.0e-21 at worst) over M <= 16384, gamma in [0.5, 32].
+    sizes = np.unique(np.geomspace(1, 16384, 120).round().astype(int))
+    gammas = np.geomspace(0.5, 32.0, 40)
+    configs = [ArrayConfig(int(m), float(gamma)) for m in sizes for gamma in gammas]
+    orders = np.array([2 * audit_nodes(cfg) for cfg in configs])
+    kappas = np.array([cfg.kappa(2 * cfg.M - 2) for cfg in configs])
+    assert np.max(np.abs(scipy.special.jv(orders, kappas))) <= 1e-20
+    assert [audit_nodes(ArrayConfig(1024, gamma)) for gamma in (1.0, 1.13, 1.25)] == [
+        3346, 3768, 4158]
+    assert audit_nodes(ArrayConfig(64, 1.0)) == 262
+
+
+def test_cache_miss_builds_audit_rule_then_summary_rule(monkeypatch, rng):
+    # A recover-only miss builds one half rule, the audit's; a summary
+    # after it builds the summary's own, of the resolution count.
+    cfg = ArrayConfig(1024, 1.13)
+    counts = []
+    half_rule = plv._half_rule
+
+    def recording(nodes):
+        counts.append(nodes)
+        return half_rule(nodes)
+
+    monkeypatch.setattr(plv, "_half_rule", recording)
+    assemble_gram(ArrayConfig(5, 1.0))  # a miss
+    lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
+    lags[0] = abs(lags[0]) + cfg.M
+    solution = recover(lags, cfg)
+    assert counts == [audit_nodes(cfg)] == [3768]
+    negativity_summary(solution)
+    recover(lags, cfg)
+    assert counts == [3768, default_nodes(cfg)] == [3768, 4692]
+
+
+@pytest.mark.parametrize("m,gamma", [(1, 1.0), (8, 1.0), (64, 1.0), (64, 1.13), (300, 1.07),
+                                     (1024, 1.25)])
+def test_summary_evaluation_projection_keep_the_resolution_rule(m, gamma, rng):
+    # The audit's rule changes nothing else: the summary and a callable's
+    # projection are, bit for bit, the kernel's on the half rule of
+    # max(2048, 4 gamma M + 64) nodes and its table of M powers, and an
+    # evaluation is TrigPolynomial's, built afresh and kept alike.
+    cfg = ArrayConfig(m, gamma)
+    g = transformed_density(GAUSS_CLUSTER)
+    x, w = plv._half_rule(default_nodes(cfg))
+    table = core._exp_table(cfg, x, cfg.M)
+    theta = np.linspace(-np.pi / 2, np.pi / 2, 181)
+    coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * m - 1))
+    even, odd = core._exp_samples(table, coeffs.b)
+    spread = np.abs(odd)
+    peak = np.maximum(np.abs(even), spread)
+    summary = NegativitySummary(float((even - spread).min()),
+                                float(w @ (peak - even)) / (2.0 * float(w @ peak)))
+    upper, lower = w * g(x), w * g(-x)
+    lags = core._exp_lags(table, upper + lower, upper - lower, m)
+    projection = solve(assemble_gram(cfg), np.concatenate([lags.real, lags[1:].imag])).b
+    values = TrigPolynomial(cfg, coeffs).rho(theta)
+    solution = PlvSolution(coeffs, 0.0, cfg)
+    for cached in (False, True):
+        assemble_gram(ArrayConfig(5, 1.0))
+        if cached:
+            recover(np.ones(m, dtype=complex), cfg)
+        for _ in range(2):  # built, then kept when cached
+            assert negativity_summary(solution) == summary
+            assert np.array_equal(project_onto_nperp(g, cfg).b, projection)
+            assert np.array_equal(evaluate_solution(solution, theta).values, values)
+
+
+def test_audit_and_summary_from_threads_match_serial(rng):
+    # Four threads miss the cache on every op (a fresh gamma each), so
+    # each builds the audit's record and the summary's rule for its own
+    # configuration while others replace the cached Gram; each must get
+    # the serial answers.
+    stream = fresh_gamma_stream(rng, 300, np.linspace(1.0, 1.2, 12))
+
+    def op(case):
+        solution = recover(*case)
+        return solution.coeffs.b, solution.constraint_residual, negativity_summary(solution)
+
+    serial = [op(case) for case in stream]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(op, stream, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(serial, threaded):
+        assert np.array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:]
 
 
 def test_residual_audit_catches_wrong_coefficient(monkeypatch):
@@ -712,7 +849,7 @@ def test_residual_audit_catches_wrong_coefficient(monkeypatch):
     bad = good.copy()
     bad[cfg.M + 3] += 1e-6
     scale = DEFAULT_RESIDUAL_TOL * (1.0 + np.max(np.abs(lags.r)))
-    residual = np.max(np.abs(audit_lags(plv._rule(cfg, audit=True), TrigCoeffs(bad)) - lags.r))
+    residual = np.max(np.abs(audit_lags(plv._audit(cfg), TrigCoeffs(bad)) - lags.r))
     assert residual > scale
 
     monkeypatch.setattr(plv, "solve", lambda gram, y: TrigCoeffs(bad))
