@@ -8,16 +8,15 @@ parts, so the full (2M-1)-dimensional system decouples into two
 independent symmetric positive-definite blocks. In the exponential basis
 exp(i kappa_k x), k = -(M-1)..M-1, the same Gram is one real symmetric
 Toeplitz matrix T of order 2M-1 with first column pi J0(kappa_k), and the
-two blocks are its even and odd halves. Small arrays factorize the dense
-blocks by Cholesky; large ones keep O(M) numbers of T and solve with the
+two blocks are its even and odd halves. There are two ways to factorize
+it. Large arrays at gamma >= 1 keep O(M) numbers of T and solve with the
 Gohberg-Semencul formula for T^-1 (Gohberg and Semencul 1972), whose
-generator T^-1 e_1 comes, at every such M, from conjugate gradients
-preconditioned with the cell averages of T's symbol where that symbol
-bounds T's spectrum away from zero (Grenander and Szego 1958), and from
-Levinson recursion (Levinson 1947, Durbin 1960, Cybenko 1980) where it
-does not or CG fails. The condition ceiling is settled by an O(M) bound
-where it can be, and otherwise by LAPACK's ``dpocon`` estimate on dense
-Cholesky factors.
+generator T^-1 e_1 comes from preconditioned conjugate gradients: there
+T's symbol bounds its spectrum below by 2/gamma (Grenander and Szego
+1958), so CG converges in a few steps and the condition number has a
+closed-form O(M) bound that settles the ceiling. Every other Gram, and
+one whose CG run fails, is two dense blocks factorized by Cholesky, and
+LAPACK's ``dpocon`` estimate on those factors settles the ceiling.
 """
 
 from dataclasses import dataclass, field
@@ -41,16 +40,17 @@ DEFAULT_COND_CEILING = 1e12
 # alone would move it to between 64 and 128.
 _TOEPLITZ_MIN_M = 256
 
-# CG runs for 1 <= gamma <= this. The symbol's cost grows with gamma, one
-# alias per 2 of it: up to 32 it stayed under half the CG run, and at 128
-# CG lost to Levinson at M = 608.
+# CG is preconditioned with the symbol's cell averages for gamma up to
+# this, and with the scalar 1 / t_0 above it. The averages cost one alias
+# per 2 of gamma: up to 32 they stayed under half the CG run.
 _PCG_MAX_GAMMA = 32.0
 # Every run measured stopped in 7-13 steps (108 cases, M = 256 to 8192,
-# gamma = 1 to 3; 8-19 with one recurrence on the whole vector); one not
-# stopped by this count is handed to Levinson.
+# gamma = 1 to 3; 8-19 with one recurrence on the whole vector), and in
+# at most 40 with the scalar preconditioner (M = 256 to 16384, gamma = 33
+# to 1e4); a run not stopped by this count leaves the Gram dense.
 _PCG_MAX_STEPS = 64
 # The normwise backward error a run must reach; x then agreed with
-# Levinson's to 7.7e-15 relative over those cases.
+# Levinson recursion's to 7.7e-15 relative over those cases.
 _PCG_TOL = 1e-16
 
 
@@ -98,13 +98,14 @@ def _blocks(values, scale):
 class GramMatrix:
     """Factorized Gram matrix for one array configuration.
 
-    Below ``_TOEPLITZ_MIN_M`` it holds the dense blocks ``g_re``, ``g_im``
-    and their lower Cholesky factors ``chol_re``, ``chol_im`` from LAPACK's
-    ``dpotrf``, bit-identical to ``scipy.linalg.cholesky``'s. From it up
-    those are None, and it holds T's circulant ``spectrum`` and
-    ``generators``, the real FFTs of the Gohberg-Semencul generators of
-    T^-1, plus ``_cond_bound``, a rigorous O(M) upper bound on the
-    condition number that settles the ceiling without an estimate while
+    A dense Gram holds the blocks ``g_re``, ``g_im`` and their lower
+    Cholesky factors ``chol_re``, ``chol_im`` from LAPACK's ``dpotrf``,
+    bit-identical to ``scipy.linalg.cholesky``'s. A Toeplitz Gram (from
+    ``_TOEPLITZ_MIN_M`` up at gamma >= 1, :func:`_factor`) has those None,
+    and holds T's circulant ``spectrum`` and ``generators``, the real FFTs
+    of the Gohberg-Semencul generators of T^-1, plus ``_cond_bound``, a
+    rigorous closed-form upper bound on the condition number
+    (:func:`_toeplitz`) that settles the ceiling without an estimate while
     below it (infinite on the dense path).
 
     ``cond_estimate`` is the 1-norm condition number of the full matrix,
@@ -172,18 +173,15 @@ class GramMatrix:
         return float(b @ _gram_product(self._form, b))
 
 
-def _indefinite(cfg, detail):
-    return ConditioningError(f"Gram factorization failed for M={cfg.M}, "
-                             f"gamma={cfg.gamma:g}: matrix is numerically indefinite ({detail})")
-
-
 def _cholesky(cfg, block):
     """Lower Cholesky factor of one block."""
     if block.shape[0] == 0:
         return np.zeros((0, 0))
     factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, clean=1)
     if info > 0:
-        raise _indefinite(cfg, f"leading minor {info} is not positive definite")
+        raise ConditioningError(f"Gram factorization failed for M={cfg.M}, gamma={cfg.gamma:g}: "
+                                f"matrix is numerically indefinite (leading minor {info} is not "
+                                "positive definite)")
     return factor
 
 
@@ -268,10 +266,11 @@ def _toeplitz_solve(generators, y):
     c = [0, x_{n-1} .. x_1] / sqrt(x_0) and L(g) lower triangular
     Toeplitz with first column g. Re s + Im s goes through the four
     triangular FFT products as one row, and the solution c maps back to
-    b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m. Alone, near the
-    ceiling (M = 512, gamma = 0.993), its residual was up to 8e6x refined
-    Cholesky's for y = G b and 30x for uniform y, so :func:`solve` follows
-    it with one refinement step.
+    b_0 = Re c_0, cosine 2 Re c_m, sine -2 Im c_m. Alone, its residual
+    was up to 25x refined Cholesky's for y = G b and 3x for lag-shaped y
+    (M = 256 to 1024, gamma = 1 to 1.25; 5x for both at gamma = 33 and
+    64), and one refinement step brought both within 2x (3.6x), so
+    :func:`solve` follows it with that step.
     """
     n, size = y.size, _fft_size(y.size)
     spectrum = np.fft.rfft(_to_exponential(y), size)
@@ -294,44 +293,45 @@ def _symbol_means(gamma, size):
 
 
 def _pcg(column, spectrum, gamma):
-    """x = T^-1 e_1 by conjugate gradients preconditioned with P, or None
-    when gamma lies outside [1, ``_PCG_MAX_GAMMA``], a step meets
-    p^T T p <= 0 in either parity or the run misses its stopping test
-    within ``_PCG_MAX_STEPS``.
+    """x = T^-1 e_1 by conjugate gradients preconditioned with P, for
+    gamma >= 1, or None when a step meets p^T T p <= 0 in either parity or
+    the run misses its stopping test within ``_PCG_MAX_STEPS``.
 
-    P is the leading n-by-n block of the circulant of its own length
-    N_P = ``_fft_size(ceil(0.7 n))``, at least n, with eigenvalues 1 over
-    the cell averages of the symbol (:func:`_symbol_means`), which are at
-    least 2/gamma for gamma >= 1, so P is positive definite. T and P are
-    symmetric Toeplitz, so both commute with the reversal J, and the
-    J-symmetric and J-antisymmetric parts (e_1 +- e_n) / 2 of e_1 run as
-    two CG recurrences, each with half the eigenvalues to resolve, in
-    lockstep on one packed vector u = u_s + u_a: each step makes one
+    Up to ``_PCG_MAX_GAMMA``, P is the leading n-by-n block of the
+    circulant of its own length N_P = ``_fft_size(ceil(0.7 n))``, at least
+    n, with eigenvalues 1 over the cell averages of the symbol
+    (:func:`_symbol_means`), which are at least 2/gamma for gamma >= 1, so
+    P is positive definite. Above it P is the scalar 1 / t_0: runs then
+    stopped in 9-40 steps (M = 256 to 16384, gamma = 33 to 1e4), with x
+    within 2e-14 of Levinson recursion's, relative to its largest entry.
+    T and P are symmetric Toeplitz, so both commute with the reversal J,
+    and the J-symmetric and J-antisymmetric parts (e_1 +- e_n) / 2 of e_1
+    run as two CG recurrences, each with half the eigenvalues to resolve,
+    in lockstep on one packed vector u = u_s + u_a: each step makes one
     product with T, through its embedding ``spectrum`` (a real FFT pair
-    of length N = ``_fft_size(n)``), and one with P (a pair of length
-    N_P), which both share. A parity's inner products are
-    (u . w +- u . J w) / 2, and its step and direction coefficients c_s,
-    c_a act as ((c_s + c_a) u + (c_s - c_a) J u) / 2; these are numpy
-    float64 scalars, so ``np.errstate`` sees each division. A parity
-    whose residual is exactly zero is frozen with zero coefficients. The
-    run stops once the normwise backward error ||e_1 - T x||_2 /
-    (||T|| ||x||_2 + 1), with ||T||_2 <= 2 sum_k |t_k|, falls under
-    ``_PCG_TOL``: first for the updated residual, then for the one
-    recomputed from x. At (1024, 1.13) a run of 10 steps took 1.39-1.45
-    ms, about 1.1 of it in its 21 FFT products (best of 15 loops, one
-    BLAS thread, 2-vCPU x86-64 host). Of a 5.4-6.2 ms miss at M = 1024,
-    gamma in [1, 1.25] (median of 140, on the same host shared with
-    other work and then about 1.6 times slower), it took 2.5-2.9, the
-    audit 1.6-1.8 and the solve 0.7-0.8.
+    of length N = ``_fft_size(n)``), and one with P, which both parities
+    share. A parity's inner products are (u . w +- u . J w) / 2, and its
+    step and direction coefficients c_s, c_a act as ((c_s + c_a) u +
+    (c_s - c_a) J u) / 2; these are numpy float64 scalars, so
+    ``np.errstate`` sees each division. A parity whose residual is
+    exactly zero is frozen with zero coefficients. The run stops once the
+    normwise backward error ||e_1 - T x||_2 / (||T|| ||x||_2 + 1), with
+    ||T||_2 <= 2 sum_k |t_k|, falls under ``_PCG_TOL``: first for the
+    updated residual, then for the one recomputed from x. At (1024, 1.13)
+    a run of 10 steps took 1.39-1.45 ms, about 1.1 of it in its 21 FFT
+    products (best of 15 loops, one BLAS thread, 2-vCPU x86-64 host).
     """
     n, size = column.size, _fft_size(column.size)
-    if not 1.0 <= gamma <= _PCG_MAX_GAMMA:
-        return None
-    size_p = _fft_size(-(-7 * n // 10))
-    inverse = 1.0 / _symbol_means(gamma, size_p)
 
     def apply(symbol, v, length):
         return np.fft.irfft(symbol * np.fft.rfft(v, length), length)[:n]
+
+    if gamma <= _PCG_MAX_GAMMA:
+        size_p = _fft_size(-(-7 * n // 10))
+        inverse = 1.0 / _symbol_means(gamma, size_p)
+
+    def precondition(r):
+        return apply(inverse, r, size_p) if gamma <= _PCG_MAX_GAMMA else r / column[0]
 
     def parts(u, w):
         # u_s . w_s and u_a . w_a for the parts u_s, u_a = (u +- J u) / 2.
@@ -352,7 +352,7 @@ def _pcg(column, spectrum, gamma):
 
     norm, e_1, zero = 2.0 * np.abs(column).sum(), np.eye(1, n)[0], np.float64(0.0)
     x, r = np.zeros(n), e_1.copy()
-    p = z = apply(inverse, r, size_p)
+    p = z = precondition(r)
     rz = parts(r, z)
     for _ in range(_PCG_MAX_STEPS):
         q = apply(spectrum, p, size)
@@ -364,51 +364,39 @@ def _pcg(column, spectrum, gamma):
         r -= combine(q, step)
         if converged(r, x) and converged(e_1 - apply(spectrum, x, size), x):
             return x
-        z = apply(inverse, r, size_p)
+        z = precondition(r)
         rz, previous = parts(r, z), rz
         p = z + combine(p, ratio(rz, previous))
     return None
 
 
 def _toeplitz(cfg):
-    """The Gohberg-Semencul factorization of the Gram for ``cfg``.
+    """The Gohberg-Semencul factorization of the Gram for ``cfg`` at
+    gamma >= 1, or None when its :func:`_pcg` run for x = T^-1 e_1 fails.
 
-    x = T^-1 e_1 comes from :func:`_pcg` at every M, and from Levinson
-    recursion (``scipy.linalg.solve_toeplitz``) when that run declines
-    gamma or fails.
     For gamma >= 1 the symbol of T is at least 1 on all of [-pi, pi], so
-    every eigenvalue of T exceeds 2/gamma at every M (Grenander and Szego)
-    and preconditioned CG converges in 7-13 steps at gamma <= 3; below gamma = 1
-    the symbol vanishes on part of the circle and it need not converge.
-    Levinson recursion is only weakly stable: on a numerically indefinite
-    T it can break down or return x with x_0 <= 0. Either is raised,
-    never solved through. Otherwise the numbers at hand bound cond_1(G)
-    from above in O(M): each block column is (pi/2)(Toeplitz + Hankel) in
-    J0, so ||G||_1 <= 1.5 sum_k |column_k|; the maps y -> s and c -> b
-    give ||G^-1||_1 <= 4 ||T^-1||_1, and ||L(g)||_1 = ||L(g)^T||_1 =
-    ||g||_1 in the Gohberg-Semencul formula gives ||T^-1||_1 <= ||a||_1^2
-    + ||c||_1^2 = (||x||_1^2 + (||x||_1 - x_0)^2) / x_0. A factor 2 covers
-    rounding. For gamma in [1, 1.3] it is 16-43x the condition number.
+    every eigenvalue of T exceeds 2/gamma at every M (Grenander and
+    Szego), and preconditioned CG converges in a few steps. The same fact
+    bounds cond_1(G) in closed form, from the column alone: each block
+    column is (pi/2)(Toeplitz + Hankel) in J0, so ||G||_1 <= 1.5 sum_k
+    |t_k|, and every eigenvalue of either block is at least 1/gamma
+    (:func:`gram_blocks`) on at most M rows, so ||G^-1||_1 <= sqrt(M)
+    ||G^-1||_2 <= sqrt(M) gamma. A factor 2 covers rounding. It read
+    2.2e3 at (256, 1), 8.8e3 at (1024, 1) and 4.2e5 at (8192, 32), and
+    passes the default ceiling only from gamma of about 1e9 up.
     """
     n = 2 * cfg.M - 1
     column = np.pi * bessel_j0(cfg.gamma * np.pi * np.arange(n))
     spectrum = _spectrum(column)
     x = _pcg(column, spectrum, cfg.gamma)
     if x is None:
-        try:
-            x = scipy.linalg.solve_toeplitz(column, np.eye(1, n)[0], check_finite=False)
-        except np.linalg.LinAlgError as error:
-            raise _indefinite(cfg, f"Levinson recursion failed: {error}") from error
-    if not (np.all(np.isfinite(x)) and x[0] > 0.0):
-        raise _indefinite(cfg, f"Levinson recursion gave (T^-1)_00 = {x[0]:.3g}")
-    x_norm = np.abs(x).sum()
-    # A bound past the float range is inf, and the estimate decides.
-    with np.errstate(over="ignore"):
-        bound = 2.0 * 1.5 * np.abs(column).sum() * 4.0 * (x_norm**2 + (x_norm - x[0])**2) / x[0]
+        return None
     generators = np.zeros((2, _fft_size(n)))
     generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
     generators = np.fft.rfft(generators / np.sqrt(x[0]))
-    return GramMatrix(cfg, spectrum=spectrum, generators=generators, _cond_bound=float(bound))
+    # In Python floats a bound past the float range is inf, and the estimate decides.
+    bound = 2.0 * 1.5 * float(np.abs(column).sum()) * cfg.gamma * cfg.M**0.5
+    return GramMatrix(cfg, spectrum=spectrum, generators=generators, _cond_bound=bound)
 
 
 def _dense(cfg):
@@ -421,8 +409,15 @@ def _dense(cfg):
 
 
 def _factor(cfg):
-    """Assemble and factorize the Gram for ``cfg``."""
-    return _toeplitz(cfg) if cfg.M >= _TOEPLITZ_MIN_M else _dense(cfg)
+    """The Toeplitz Gram for ``cfg`` from ``_TOEPLITZ_MIN_M`` up at
+    gamma >= 1, unless its CG run fails, and the dense one otherwise.
+    Below gamma = 1 T's symbol vanishes on part of the circle, so its
+    spectrum has no floor and CG need not converge."""
+    if cfg.M >= _TOEPLITZ_MIN_M and cfg.gamma >= 1.0:
+        gram = _toeplitz(cfg)
+        if gram is not None:
+            return gram
+    return _dense(cfg)
 
 
 # The Gram of the last assemble_gram call that passed the ceiling, or
@@ -445,7 +440,7 @@ def assemble_gram(cfg):
     time) on the 1-norm condition number the closed-form solve is
     meaningless, and assembly fails loudly rather than regularize. The
     ceiling is checked on every call, and a configuration that raises is
-    not cached. A Toeplitz Gram whose O(M)
+    not cached. A Toeplitz Gram whose closed-form
     condition bound lies under the ceiling passes without its condition
     estimate. Otherwise the estimate decides, which on a Toeplitz Gram
     costs a dense Cholesky factorization (O(M^3)); it never exceeds the
@@ -453,9 +448,9 @@ def assemble_gram(cfg):
     counts as over the ceiling.
 
     Raises:
-        ConditioningError: If a Cholesky or Levinson factorization finds
-            the matrix numerically indefinite, or the condition estimate
-            is not under the ceiling.
+        ConditioningError: If a Cholesky factorization finds the matrix
+            numerically indefinite, or the condition estimate is not under
+            the ceiling.
     """
     global _cached
     gram = _cached

@@ -327,10 +327,9 @@ class TestGram:
         assert report["cond_estimate"] == float(f"{cond:.12g}")
 
     def test_factorizes_once(self, tmp_path, monkeypatch):
-        # Past the Toeplitz crossover and the O(M) bound, the blocks of one
+        # Past the Toeplitz crossover, below gamma = 1, the blocks of one
         # dense factorization give the file, the pivots and the ceiling's
-        # estimate: two dpotrf calls, where the assembled Gram's estimate
-        # took two more.
+        # estimate: two dpotrf calls.
         calls = []
         dpotrf = scipy.linalg.lapack.dpotrf
 
@@ -352,9 +351,10 @@ class TestGram:
         assert "conditioning" in err
 
     def test_singular_toeplitz_size_exit_4(self, tmp_path, capsys):
-        # Levinson passes at (1024, 0.01), but the Gram is numerically
-        # singular: exit 4 with a conditioning message, no traceback and no
-        # files.
+        # Below gamma = 1 a Toeplitz-sized Gram is dense, and at
+        # (1024, 0.01) its Cholesky factorization finds it numerically
+        # indefinite: exit 4 with a conditioning message, no traceback and
+        # no files.
         payload = dict(UNIFORM_CONFIG, array={"M": 1024, "gamma": 0.01})
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"

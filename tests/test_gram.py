@@ -367,34 +367,36 @@ def test_indefinite_block_errors_on_both_paths(monkeypatch, m, gamma, failing, m
     (512, 1e-6, True),
 ])
 def test_toeplitz_conditioning_fails_loudly(m, gamma, levinson):
-    # Levinson recursion is only weakly stable: at (512, 0.9) and
-    # (256, 0.8) it returns T^-1 e_1 with a non-positive first entry, and
-    # at (512, 1e-6) it breaks down. Each is raised as an indefinite
-    # matrix, as the Cholesky path raises them. (512, 0.95) passes
-    # Levinson, its bound exceeds the ceiling, and the dense Cholesky
-    # behind its estimate finds the matrix indefinite.
+    # Below gamma = 1 a Toeplitz-sized Gram is dense, and its Cholesky
+    # factorization raises these as numerically indefinite, naming the
+    # first failing minor of the cosine block. Levinson recursion, only
+    # weakly stable, would not settle them alone: on T at (512, 0.9) and
+    # (256, 0.8) it returns T^-1 e_1 with a non-positive first entry, at
+    # (512, 1e-6) it breaks down, and at (512, 0.95) it returns a finite
+    # x with x_0 > 0.
+    with np.errstate(all="ignore"):
+        try:
+            x = _levinson(_toeplitz_column(m, gamma))
+            broke_down = not (np.all(np.isfinite(x)) and x[0] > 0.0)
+        except np.linalg.LinAlgError:
+            broke_down = True
+    assert broke_down == levinson
     with pytest.raises(ConditioningError) as excinfo:
         assemble_gram(ArrayConfig(m, gamma))
-    message = str(excinfo.value)
-    assert f"M={m}, gamma={gamma:g}" in message
-    assert "numerically indefinite" in message
+    minor = {(512, 0.9): 64, (512, 0.95): 122, (256, 0.8): 34, (512, 1e-6): 3}[m, gamma]
+    assert str(excinfo.value) == _indefinite_message(m, gamma, minor)
     assert excinfo.value.cond_estimate is None
-    if levinson:
-        assert message.startswith(f"Gram factorization failed for M={m}, gamma={gamma:g}: "
-                                  "matrix is numerically indefinite (Levinson recursion ")
-    else:
-        assert gram_module._factor(ArrayConfig(m, gamma))._cond_bound > 1e12
-        assert message == _indefinite_message(m, gamma, 122)
     assert gram_module._cached is None
 
 
 def test_toeplitz_estimate_trips_ceiling():
-    # At (1024, 0.995) Levinson and the dense Cholesky both pass, and the
-    # error carries the dpocon estimate, not the O(M) bound.
+    # At (1024, 0.995) the dense Cholesky passes, and the error carries
+    # its dpocon estimate; the dense Gram has no closed-form bound.
     cfg = ArrayConfig(1024, 0.995)
     gram = gram_module._factor(cfg)
+    assert gram.generators is None and gram._cond_bound == np.inf
     estimate = gram.cond_estimate
-    assert 1e12 < estimate < gram._cond_bound
+    assert estimate > 1e12
     with pytest.raises(ConditioningError) as excinfo:
         assemble_gram(cfg)
     assert excinfo.value.cond_estimate == pytest.approx(estimate, rel=1e-15, abs=0)
@@ -404,15 +406,18 @@ def test_toeplitz_estimate_trips_ceiling():
 
 @pytest.mark.parametrize("m,gamma", [(512, 3e-6), (512, 1e-5), (1024, 0.01), (1024, 0.02)])
 def test_singular_toeplitz_gram_raises(m, gamma):
-    # Levinson returns a finite x with x_0 > 0 here, but the bound
-    # overflows to inf (without a warning) and the dense Cholesky behind
-    # the estimate fails. Assembly and recovery raise ConditioningError
-    # rather than accept the Gram with a NaN estimate.
+    # Levinson recursion returns a finite x with x_0 > 0 here, so no check
+    # on x would catch these numerically singular T; the dense Cholesky
+    # does. Factorization, assembly and recovery raise ConditioningError,
+    # without a warning, rather than accept the Gram.
     cfg = ArrayConfig(m, gamma)
     lags = np.ones(m, dtype=complex)
+    x = _levinson(_toeplitz_column(m, gamma))
+    assert np.all(np.isfinite(x)) and x[0] > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert gram_module._toeplitz(cfg)._cond_bound == np.inf
+        with pytest.raises(ConditioningError, match="numerically indefinite"):
+            gram_module._factor(cfg)
         with pytest.raises(ConditioningError, match="numerically indefinite"):
             assemble_gram(cfg)
         with pytest.raises(ConditioningError, match="numerically indefinite"):
@@ -423,7 +428,7 @@ def test_singular_toeplitz_gram_raises(m, gamma):
 @pytest.mark.parametrize("m,ceiling", [(8, 1e12), (TOEPLITZ_MIN_M, 100.0)])
 def test_ceiling_fails_closed_on_nan_estimate(monkeypatch, m, ceiling):
     # A NaN estimate is not under any ceiling. The dense Gram has no
-    # bound; the Toeplitz one's (854) is over the ceiling here, and its
+    # bound; the Toeplitz one's (2.2e3) is over the ceiling here, and its
     # real estimate (49) under it.
     cfg = ArrayConfig(m, 1.0)
     monkeypatch.setattr(gram_module, "_cached", None)
@@ -439,20 +444,19 @@ def test_ceiling_fails_closed_on_nan_estimate(monkeypatch, m, ceiling):
 
 @pytest.mark.parametrize("m", [TOEPLITZ_MIN_M, 300, 513, 1024])
 def test_toeplitz_cond_bound_covers_estimate(m):
-    # The O(M) bound from the column and T^-1 e_1 never undercuts the
-    # estimate, so a ceiling it clears is one the estimate clears too; up
-    # to M = 513 it also covers the explicit-inverse condition number. At
-    # (1024, 0.99) the dense Cholesky behind the estimate fails, and
-    # reading it raises.
-    for gamma in np.linspace(0.99, 1.3, 8):
-        gram = gram_module._factor(ArrayConfig(m, float(gamma)))
-        if (m, gamma) == (1024, 0.99):
-            with pytest.raises(ConditioningError, match="numerically indefinite"):
-                gram.cond_estimate
-            continue
+    # The closed-form bound 2 * 1.5 sum_k |t_k| * gamma * sqrt(M) covers
+    # the explicit-inverse 1-norm condition number of G, max ||G_b||_1
+    # times max ||G_b^-1||_1 over the blocks G_b and so at least each
+    # block's, and never undercuts the estimate, so a ceiling it clears is
+    # one the estimate clears too. On this grid it is 27-56000x the
+    # condition number.
+    for gamma in (1.0, 1.0001, 1.13, 1.25, 2.0, 8.0, 32.0, 33.0, 64.0, 512.0):
+        gram = gram_module._factor(ArrayConfig(m, gamma))
+        column = _toeplitz_column(m, gamma)
+        bound = 2.0 * 1.5 * np.abs(column).sum() * gamma * np.sqrt(m)
+        assert gram._cond_bound == pytest.approx(bound, rel=1e-15, abs=0)
+        assert gram._cond_bound >= exact_one_norm_cond(gram)
         assert gram._cond_bound >= gram.cond_estimate
-        if m <= 513:
-            assert gram._cond_bound >= exact_one_norm_cond(gram)
 
 
 @pytest.mark.parametrize("m,gamma", [(TOEPLITZ_MIN_M, 1.0), (1024, 1.13)])
@@ -510,16 +514,34 @@ def test_pcg_stops_within_twenty_steps(monkeypatch, m, gamma):
     assert gram_module._pcg(column, gram_module._spectrum(column), gamma) is not None
 
 
-@pytest.mark.parametrize("gamma", [1.0, 1.25, 3.0, 32.0])
+@pytest.mark.parametrize("gamma", [1.0, 1.25, 3.0, 32.0, 64.0])
 @pytest.mark.parametrize("m", [TOEPLITZ_MIN_M, 608, 1024, 4096])
 def test_pcg_raises_no_floating_point_error(m, gamma):
     # No step of either parity divides by zero, overflows or makes a NaN,
-    # from the Toeplitz crossover to 4096 and up to the gamma cap, and
-    # every run returns x.
+    # from the Toeplitz crossover to 4096, with either preconditioner,
+    # and every run returns x.
     column = _toeplitz_column(m, gamma)
     with np.errstate(all="raise"):
         x = gram_module._pcg(column, gram_module._spectrum(column), gamma)
     assert x is not None and np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("gamma", [33.0, 64.0, 512.0, 1e4])
+@pytest.mark.parametrize("m", [TOEPLITZ_MIN_M, 1024, 4096])
+def test_pcg_above_gamma_cap_matches_levinson(monkeypatch, m, gamma):
+    # Above the gamma cap the scalar preconditioner 1 / t_0 gives
+    # Levinson's T^-1 e_1 to rounding, never pays for the symbol's cell
+    # averages, and stops every run on this grid within 9-31 steps; the
+    # cap is that maximum plus 2.
+    def refuse(gamma, size):
+        raise AssertionError("symbol means computed above the gamma cap")
+
+    monkeypatch.setattr(gram_module, "_symbol_means", refuse)
+    monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 33)
+    column = _toeplitz_column(m, gamma)
+    x = gram_module._pcg(column, gram_module._spectrum(column), gamma)
+    expected = _levinson(column)
+    assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("m", [1, 2], ids=["length-1", "length-3"])
@@ -548,15 +570,16 @@ def _large_array_lags(rng, cfg):
 
 
 def test_pcg_recovery_matches_levinson(monkeypatch, rng):
-    # A recovery through the CG generators gives the Levinson build's
-    # coefficients to rounding, and meets the same feasibility tolerance.
+    # A recovery through the CG generators gives the coefficients of one
+    # through generators built from Levinson's x to rounding, and meets
+    # the same feasibility tolerance.
     for _ in range(20):
         cfg = ArrayConfig(1024, float(rng.uniform(1.0, 1.25)))
         lags = _large_array_lags(rng, cfg)
         monkeypatch.setattr(gram_module, "_cached", None)
         solution = recover(lags, cfg)
         with monkeypatch.context() as levinson:
-            levinson.setattr(gram_module, "_pcg", lambda column, spectrum, gamma: None)
+            levinson.setattr(gram_module, "_pcg", lambda column, *args: _levinson(column))
             levinson.setattr(gram_module, "_cached", None)
             expected = recover(lags, cfg).coeffs.b
         b = solution.coeffs.b
@@ -615,65 +638,82 @@ def test_gram_eigenvalues_at_least_inverse_gamma(m, gamma):
             assert scipy.linalg.eigvalsh(block)[0] >= (1.0 / gamma) * (1.0 - 1e-9)
 
 
-def test_symbol_bound_fails_below_unit_spacing():
+def test_symbol_bound_fails_below_unit_spacing(monkeypatch):
     # Below gamma = 1 the symbol vanishes on part of the circle, and the
     # smallest eigenvalue falls far below 2/gamma (0.12 at (128, 0.99)),
-    # which is why those arrays stay on Levinson recursion. Some cell
-    # averages there are zero, and CG declines such gamma before dividing.
+    # which is why those arrays stay dense at every M. Some cell averages
+    # there are zero, and CG never runs to divide by them: the dense
+    # Cholesky finds these Grams indefinite.
     full = scipy.linalg.toeplitz(_toeplitz_column(128, 0.99))
     assert scipy.linalg.eigvalsh(full)[0] < 2.0 / 0.99 / 10.0
+
+    def refuse(column, spectrum, gamma):
+        raise AssertionError("CG run below gamma = 1")
+
+    monkeypatch.setattr(gram_module, "_pcg", refuse)
     for m, gamma in [(512, 0.9), (1024, 0.99)]:
         column = _toeplitz_column(m, gamma)
         assert np.min(gram_module._symbol_means(gamma, gram_module._fft_size(column.size))) == 0.0
         with np.errstate(all="raise"):
-            assert gram_module._pcg(column, gram_module._spectrum(column), gamma) is None
+            with pytest.raises(ConditioningError, match="numerically indefinite"):
+                gram_module._factor(ArrayConfig(m, gamma))
 
 
 def _levinson_gram(cfg):
-    """The Toeplitz Gram's generators and condition bound, built from
-    Levinson recursion alone."""
+    """The Toeplitz Gram for ``cfg`` with its generators built from
+    Levinson's x, at any gamma."""
     column = _toeplitz_column(cfg.M, cfg.gamma)
     n = column.size
     x = _levinson(column)
-    x_norm = np.abs(x).sum()
-    bound = 2.0 * 1.5 * np.abs(column).sum() * 4.0 * (x_norm**2 + (x_norm - x[0])**2) / x[0]
     generators = np.zeros((2, gram_module._fft_size(n)))
     generators[0, :n], generators[1, 1:n] = x, x[:0:-1]
-    return np.fft.rfft(generators / np.sqrt(x[0])), float(bound)
+    return GramMatrix(cfg, spectrum=gram_module._spectrum(column),
+                      generators=np.fft.rfft(generators / np.sqrt(x[0])))
+
+
+def _assert_dense_gram(gram):
+    """``gram`` is the dense Gram of its configuration, bit for bit."""
+    expected = gram_module._dense(gram.cfg)
+    assert gram.spectrum is None and gram.generators is None
+    assert gram._cond_bound == np.inf
+    for name in ("g_re", "g_im", "chol_re", "chol_im"):
+        assert np.array_equal(getattr(gram, name), getattr(expected, name))
 
 
 @pytest.mark.parametrize("failure", ["reported", "step cap"])
-def test_failed_pcg_falls_back_to_levinson(monkeypatch, failure):
+def test_failed_pcg_falls_back_to_dense(monkeypatch, failure):
     # A CG run that fails, whether reported so or cut off by its step
-    # cap, leaves the Gram to Levinson recursion, bit for bit.
+    # cap, leaves the Gram to the dense Cholesky factors, bit for bit.
     cfg = ArrayConfig(1024, 1.13)
     if failure == "reported":
         monkeypatch.setattr(gram_module, "_pcg", lambda column, spectrum, gamma: None)
     else:
         monkeypatch.setattr(gram_module, "_PCG_MAX_STEPS", 3)
-    gram = gram_module._factor(cfg)
-    generators, bound = _levinson_gram(cfg)
-    assert np.array_equal(gram.generators, generators)
-    assert gram._cond_bound == bound
+    _assert_dense_gram(gram_module._factor(cfg))
 
 
-@pytest.mark.parametrize("m,gamma,levinson", [
+@pytest.mark.parametrize("m,gamma,dense", [
     (TOEPLITZ_MIN_M, 1.13, False), (TOEPLITZ_MIN_M, 0.999, True), (TOEPLITZ_MIN_M, 1.0, False),
-    (TOEPLITZ_MIN_M, PCG_MAX_GAMMA, False), (TOEPLITZ_MIN_M, 2.0 * PCG_MAX_GAMMA, True),
+    (TOEPLITZ_MIN_M, PCG_MAX_GAMMA, False), (TOEPLITZ_MIN_M, 2.0 * PCG_MAX_GAMMA, False),
 ], ids=["cg-from-toeplitz-min", "below-unit-spacing", "at-crossover", "at-gamma-cap",
         "above-gamma-cap"])
-def test_pcg_runs_only_from_crossover_at_unit_spacing(monkeypatch, m, gamma, levinson):
-    # Every Toeplitz Gram tries CG; Levinson recursion builds x below
-    # gamma = 1 and above the gamma cap, where the symbol's aliases grow
-    # costly.
-    runs = []
-    pcg = gram_module._pcg
+def test_pcg_runs_only_from_crossover_at_unit_spacing(monkeypatch, m, gamma, dense):
+    # From the Toeplitz crossover up, CG builds x at every gamma >= 1: with
+    # the symbol's cell averages up to the gamma cap, and with the scalar
+    # 1 / t_0 above it, where the averages' aliases grow costly. Below
+    # gamma = 1 no CG runs and the Gram is dense.
+    runs, means = [], []
+    pcg, symbol_means = gram_module._pcg, gram_module._symbol_means
     monkeypatch.setattr(gram_module, "_pcg", lambda *args: runs.append(pcg(*args)) or runs[-1])
+    monkeypatch.setattr(gram_module, "_symbol_means",
+                        lambda *args: means.append(args) or symbol_means(*args))
     gram = gram_module._factor(ArrayConfig(m, gamma))
-    ran = [x is not None for x in runs]
-    assert ran == [not levinson]
-    if levinson:
-        assert np.array_equal(gram.generators, _levinson_gram(gram.cfg)[0])
+    assert [x is not None for x in runs] == ([] if dense else [True])
+    assert len(means) == int(not dense and gamma <= PCG_MAX_GAMMA)
+    if dense:
+        _assert_dense_gram(gram)
+    else:
+        assert gram.chol_re is None and gram.generators is not None
 
 
 def test_pcg_generators_independent_of_alignment(monkeypatch):
@@ -752,13 +792,17 @@ def test_dense_pipeline_leaves_scipy_fft_unloaded():
 
 @pytest.mark.parametrize("gamma", [1.0, 1.13, 1.25])
 def test_pcg_keeps_condition_bound(gamma):
-    # The ceiling bound from CG's x is Levinson's to rounding, and so is
-    # every generator.
+    # Every generator from CG's x is the one from Levinson's to rounding,
+    # and the ceiling bound depends on the J0 column alone: it is the
+    # closed form 2 * 1.5 sum_k |t_k| * gamma * sqrt(M), 8.6e3-8.8e3 here.
     cfg = ArrayConfig(1024, gamma)
     gram = gram_module._factor(cfg)
-    generators, bound = _levinson_gram(cfg)
-    assert gram._cond_bound == pytest.approx(bound, rel=1e-13, abs=0)
+    generators = _levinson_gram(cfg).generators
     assert np.max(np.abs(gram.generators - generators)) <= 1e-13 * np.max(np.abs(generators))
+    column = _toeplitz_column(1024, gamma)
+    assert gram._cond_bound == pytest.approx(2.0 * 1.5 * np.abs(column).sum() * gamma * 32.0,
+                                             rel=1e-15, abs=0)
+    assert 8.5e3 < gram._cond_bound < 8.9e3
 
 
 def test_recover_runs_no_condition_estimate(monkeypatch, rng):
@@ -1148,11 +1192,12 @@ def test_toeplitz_solve_matches_cholesky(m, gamma, rng):
 
 
 def test_toeplitz_solve_residual_near_ceiling(rng):
-    # cond ~ 9e8 at (512, 0.993). On lag-shaped right-hand sides the
-    # Gohberg-Semencul solve's residual stays within 4x of refined
-    # Cholesky's.
+    # cond ~ 9e8 at (512, 0.993). Below gamma = 1 the library's Gram is
+    # dense; the Toeplitz Gram built here from Levinson's x puts the
+    # Gohberg-Semencul solve itself near the ceiling. On lag-shaped
+    # right-hand sides its residual stays within 4x of refined Cholesky's.
     cfg = ArrayConfig(512, 0.993)
-    gram = assemble_gram(cfg)
+    gram = _levinson_gram(cfg)
     full = full_matrix(gram.cfg)
     for _ in range(3):
         y = _lag_measurements(rng, cfg.M)
@@ -1166,9 +1211,11 @@ def test_toeplitz_solve_residual_near_ceiling(rng):
 def test_refined_toeplitz_solve_residual_near_ceiling(gamma, rhs, rng):
     # One refinement step with an FFT residual brings the Gohberg-Semencul
     # solve to refined Cholesky's residual near the ceiling, for y = G b
-    # and for uniform y; unrefined it was up to 1e7x and 200x worse.
+    # and for uniform y; unrefined it was up to 1e7x and 200x worse. The
+    # Toeplitz Gram is built from Levinson's x, as the library builds none
+    # below gamma = 1.
     cfg = ArrayConfig(512, gamma)
-    gram = assemble_gram(cfg)
+    gram = _levinson_gram(cfg)
     full = full_matrix(gram.cfg)
     for _ in range(4):
         y = rng.uniform(-1, 1, gram.size)
@@ -1221,9 +1268,10 @@ def test_folded_row_matches_two_rows(m, gamma, rng):
 def test_folded_solve_residual_near_ceiling(m, gamma, rng):
     # Near the ceiling the refined solve through the folded row leaves a
     # residual within 1.5x of the same solve through two rows (1.18x at
-    # most over 40 lag-shaped and uniform right-hand sides).
+    # most over 40 lag-shaped and uniform right-hand sides), on a Toeplitz
+    # Gram built from Levinson's x.
     cfg = ArrayConfig(m, gamma)
-    gram = assemble_gram(cfg)
+    gram = _levinson_gram(cfg)
     full = full_matrix(gram.cfg)
     for _ in range(3):
         y = _lag_measurements(rng, m)
