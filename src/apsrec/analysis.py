@@ -156,7 +156,7 @@ def certify(model, cfg, identifiability_tol=DEFAULT_IDENTIFIABILITY_TOL):
     quadratic_form = float(y @ coeffs.b)
     error_sq = energy_truth - quadratic_form
 
-    even, odd = _exp_samples(_exp_table(cfg, np.sin(points), cfg.M), coeffs.b)
+    even, odd = _exp_samples(_exp_table(cfg, np.sin(points)), coeffs.b)
     diff = truth_samples - (even + odd)
     diff_energy = float(weights @ (diff * diff))
     pythagoras_gap = abs(energy_truth - energy_plv - diff_energy)

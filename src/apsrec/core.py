@@ -198,16 +198,17 @@ def _bessel_cut(kappa):
     return int(kappa + 12.0 * np.cbrt(kappa)) + 40
 
 
-# The exponential-sum kernel: every sum_j v_j exp(i kappa_m x_j) in the
-# package runs on the powers step_j**m, step_j = exp(i gamma pi x_j), of a
-# read-only :class:`_ExpTable`. A table whose rows exceed this size is
-# never kept with the cached Gram.
+# The exponential-sum kernel: every sample and lag sum_j v_j exp(i kappa_m
+# x_j), m < M, in the package runs on the powers step_j**m, step_j =
+# exp(i gamma pi x_j), of a read-only :class:`_ExpTable`; the residual
+# audit's 2M-1 moments take a nonuniform FFT instead (``plv._moments``).
+# A table whose rows exceed this size is never kept with the cached Gram.
 _MAX_KEPT_TABLE_BYTES = 16 * 2**20
-# The work rows of a sum over weighted samples stay in one block of at
-# most this size, under glibc's default 128 KiB mmap threshold: a
-# whole-table work array (2.4 MB at M = 1024) came back from the
-# operating system as fresh pages on every cache miss, about 570 page
-# faults.
+# The work rows of a sum over weighted samples, and the audit's spread
+# points, stay in blocks of at most this size, under glibc's default
+# 128 KiB mmap threshold: a whole-table work array (2.4 MB at M = 1024)
+# came back from the operating system as fresh pages on every cache
+# miss, about 570 page faults.
 _BLOCK_BYTES = 120 * 2**10
 # A table of few points takes more baby rows than isqrt(M), up to this
 # many bytes of them, so its samples take fewer Horner steps in the
@@ -240,9 +241,9 @@ def _powers(step, powers):
 
 
 class _ExpTable(NamedTuple):
-    """The powers step**m, m < P, as m = B s + r (P and B from
+    """The powers step**m, m < M, as m = B s + r (B from
     :func:`_exp_table`): the B read-only baby rows step**r, the read-only
-    giant step step**B, and the count ceil(P / B) of giant powers. Each
+    giant step step**B, and the count ceil(M / B) of giant powers. Each
     sum allocates its own work rows, so one table may be read by any
     number of threads."""
 
@@ -251,23 +252,21 @@ class _ExpTable(NamedTuple):
     count: int
 
 
-def _exp_table(cfg, x, powers):
-    """The :class:`_ExpTable` of the first ``powers`` powers of the steps
-    of the points ``x`` (a theta path passes sin(theta)): M for samples
-    and lags, 2M-1 for the audit's moments. It takes B = max(isqrt(P),
-    min(P, _TABLE_BYTES // (16 n))) baby rows for P powers of n points:
-    isqrt(P) rows wherever those already fill the budget (32 on the
-    summary's rule and 45 for the audit's moments at M = 1024), and
-    otherwise as many rows as it holds, up to P. At M = 64 the summary's
-    rule takes 16 rows (three Horner steps per sample part), and 181
-    angles take all 64, whose samples are one product each with no
-    Horner step."""
+def _exp_table(cfg, x):
+    """The :class:`_ExpTable` of the first M powers of the steps of the
+    points ``x`` (a theta path passes sin(theta)), for samples and lags.
+    It takes B = max(isqrt(M), min(M, _TABLE_BYTES // (16 n))) baby rows
+    for n points: isqrt(M) rows wherever those already fill the budget
+    (32 on the summary's rule at M = 1024), and otherwise as many rows as
+    it holds, up to M. At M = 64 the summary's rule takes 16 rows (three
+    Horner steps per sample part), and 181 angles take all 64, whose
+    samples are one product each with no Horner step."""
     step = np.exp(1j * cfg.gamma * np.pi * x)
-    rows = max(math.isqrt(powers), min(powers, _TABLE_BYTES // (16 * max(step.size, 1))))
+    rows = max(math.isqrt(cfg.M), min(cfg.M, _TABLE_BYTES // (16 * max(step.size, 1))))
     baby = _powers(step, np.empty((rows, step.size), dtype=np.complex128))
     giant = baby[-1] * step
     giant.setflags(write=False)
-    return _ExpTable(baby, giant, -(-powers // rows))
+    return _ExpTable(baby, giant, -(-cfg.M // rows))
 
 
 # The products with baby rows below are real GEMMs on float64 views of
@@ -515,8 +514,7 @@ class TrigPolynomial(ApsModel):
         scalar for a 0-d input), by the exponential-sum kernel. Values
         for |x| > 1 are the analytic continuation."""
         x = np.asarray(x, dtype=np.float64)
-        even, odd = _exp_samples(_exp_table(self.config, x.ravel(), self.config.M),
-                                 self.coeffs.b)
+        even, odd = _exp_samples(_exp_table(self.config, x.ravel()), self.coeffs.b)
         values = (even + odd).reshape(x.shape)
         return values[()]
 

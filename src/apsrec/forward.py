@@ -68,7 +68,7 @@ def _density_lags(densities, cfg):
     upper, lower = s[j] + s[2 * quarter - j], s[-j] + s[2 * quarter + j]
     upper[[0, quarter]] *= 0.5
     lower[[0, quarter]] *= 0.5
-    table = _exp_table(cfg, np.sin((HALF_PI / quarter) * j), cfg.M)
+    table = _exp_table(cfg, np.sin((HALF_PI / quarter) * j))
     return _exp_lags(table, upper + lower, upper - lower, cfg.M)
 
 

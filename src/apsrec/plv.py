@@ -13,6 +13,7 @@ reported verbatim with a negativity summary rather than clipped, since
 clipping would silently break every energy identity downstream.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,13 +28,13 @@ from .core import (
     HALF_PI,
     SampledFunction,
     TrigCoeffs,
+    _BLOCK_BYTES,
     _ExpTable,
     _MAX_KEPT_TABLE_BYTES,
     _bessel_cut,
     _exp_lags,
     _exp_samples,
     _exp_table,
-    _giant_lags,
 )
 # trig_basis and weighted_quadrature_points are not called here:
 # perfbench's tracer wraps them as layers, so they stay module attributes.
@@ -81,7 +82,7 @@ def _grid_table(cfg, x):
     kept = tables.get("grid")
     if kept is not None and np.array_equal(kept[0], x):
         return kept[1]
-    table = _exp_table(cfg, x, cfg.M)
+    table = _exp_table(cfg, x)
     if _fits(table):
         grid = x.copy()
         grid.setflags(write=False)
@@ -142,27 +143,134 @@ def _rule(cfg):
     rule = tables.get("rule")
     if rule is None:
         x, w = _half_rule(max(2048, int(4 * cfg.gamma * cfg.M) + 64))
-        rule = _Rule(x, w, _exp_table(cfg, x, cfg.M))
+        rule = _Rule(x, w, _exp_table(cfg, x))
         tables["rule"] = rule if _fits(rule.table) else rule._replace(table=None)
     return rule
 
 
-class _Audit(NamedTuple):
-    """:func:`_audit`'s record: Q and the kernel table it was built from;
-    ``table`` is None in a kept record whose table exceeds
-    ``_MAX_KEPT_TABLE_BYTES``."""
+# The audit's moments are a type-1 nonuniform FFT (Dutt and Rokhlin, SIAM
+# J. Sci. Comput. 14, 1993) with the "exponential of semicircle" kernel
+# exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1 (Barnett, Magland and af
+# Klinteberg, SIAM J. Sci. Comput. 41, 2019): each weight is spread over
+# this many grid points, with beta = 2.30 times that width, the shape
+# whose error their analysis puts near 1e-15 of the weights' sum at
+# twofold oversampling.
+_SPREAD = 16
+_BETA = 2.30 * _SPREAD
 
-    q: tuple
-    table: _ExpTable | None
+
+@functools.cache
+def _kernel_rule():
+    """The nodes z in (0, 1) of the 62-point Gauss-Legendre rule, and
+    _SPREAD times their weights times the kernel at z: the rule of the
+    kernel's Fourier transform, built once. The nodes are the roots of
+    P_62 by four Newton steps from cos(pi (i - 1/4) / 62.5), in the
+    three-term recurrence, and the weights 2 (1 - z^2) / (62 P_61(z))^2.
+    ``np.polynomial.legendre.leggauss(62)`` gives the same products to
+    3e-15, but its eigenvalue solve raised a first M = 64 recovery's peak
+    RSS by about 0.7 MB."""
+    n = 62
+
+    def legendre(z):
+        previous, value = np.ones_like(z), z
+        for k in range(2, n + 1):
+            previous, value = value, ((2 * k - 1) * z * value - (k - 1) * previous) / k
+        return value, previous
+
+    z = np.cos(np.pi * (np.arange(n // 2, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(4):
+        value, previous = legendre(z)
+        z = z - value * (1.0 - z) * (1.0 + z) / (n * (previous - z * value))
+    _, previous = legendre(z)
+    weights = 2.0 * (1.0 - z) * (1.0 + z) / (n * previous) ** 2
+    weights *= _SPREAD * np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+    return tuple(zip(z.tolist(), weights.tolist()))
+
+
+@functools.lru_cache(maxsize=4)
+def _deconvolution(count):
+    """The audit's grid length n for ``count`` moments, the power of two
+    at least 4 ``count`` (twofold oversampling of the modes -+``count``),
+    and the read-only Fourier transform of the spread kernel at the modes
+    k < ``count``: _SPREAD times the integral of the kernel times
+    cos(pi _SPREAD k z / n) over z in (0, 1), by :func:`_kernel_rule`,
+    one node at a time, so its memory is linear in ``count``. It depends
+    on the moment count alone, which a stream of fresh gamma at one M
+    keeps."""
+    size = 1 << (4 * count - 1).bit_length()
+    modes = (np.pi * _SPREAD / size) * np.arange(count)
+    transform = np.zeros(count)
+    for z, weight in _kernel_rule():
+        transform += weight * np.cos(z * modes)
+    transform.setflags(write=False)
+    return size, transform
+
+
+def _moments(cfg, x, w):
+    """mu_l = sum_j w_j cos(kappa_l x_j), l < 2M-1, over the whole
+    rule from its half (x, w) of :func:`_half_rule`, by a type-1 NUFFT.
+
+    On a periodic grid of n points over theta in [0, 2 pi), the point x_j
+    sits at u_j = gamma n x_j / 2 (mod n), theta_j = kappa_1 x_j, with no
+    rounding of pi. Its weight w_j is spread by the kernel at
+    z = (p - u_j) / (_SPREAD / 2) onto the _SPREAD grid points p it
+    covers, modulo n, a panel of points at a time through two blocks of
+    a quarter of ``_BLOCK_BYTES`` each, each panel's ``np.bincount``
+    added to the grid. The real part of the grid's ``rfft`` at mode l is
+    sum_j w_j cos(l theta_j) times the kernel's Fourier transform at l,
+    up to the aliases at l +- n, which the ES kernel keeps near 1e-15
+    relative; twice it (the whole rule's two nodes +-x_j) divided by the
+    transform (:func:`_deconvolution`) is mu_l. The cosine is even, so
+    theta_j may wrap the circle any number of times (16 at gamma = 32).
+
+    The blocks are small, and the per-point arrays are freed before the
+    FFT, because each page of the pass's peak above what the rest of a miss
+    uses was faulted afresh on every M = 1024 miss of a loop shaped like
+    the ``large_array`` benchmark, whose checks between misses shrink
+    the heap: with blocks of ``_BLOCK_BYTES`` each and a padded grid
+    folded into a copy, about 80 minor faults per miss; 16 as here, the
+    pages of the FFT's buffers for the 8192-point grid.
+    """
+    count = 2 * cfg.M - 1
+    size, transform = _deconvolution(count)
+    half = _SPREAD // 2
+    u = x * (0.5 * cfg.gamma * size)
+    np.fmod(u, size, out=u)
+    first = np.ceil(u - half)
+    offset = np.subtract(first, u, out=u)
+    offset /= half  # each point's first z, in [-1, 1 - 1/half)
+    first = first.astype(np.intp)
+    steps = np.arange(_SPREAD)[:, None]
+    shifts = steps / half
+    width = max(1, _BLOCK_BYTES // (32 * _SPREAD))
+    values, indices = np.empty(width * _SPREAD), np.empty(width * _SPREAD, dtype=np.intp)
+    grid = np.zeros(size)
+    for start in range(0, x.size, width):  # row m of a panel: each point's m-th grid point
+        stop = min(start + width, x.size)
+        z = values[:_SPREAD * (stop - start)].reshape(_SPREAD, stop - start)
+        index = indices[:z.size].reshape(z.shape)
+        np.add(shifts, offset[start:stop], out=z)
+        np.multiply(z, z, out=z)
+        np.subtract(1.0, z, out=z)
+        np.sqrt(z, out=z)
+        np.subtract(z, 1.0, out=z)
+        np.multiply(z, _BETA, out=z)
+        np.exp(z, out=z)
+        np.multiply(z, w[start:stop], out=z)
+        np.add(steps, first[start:stop], out=index)
+        np.bitwise_and(index, size - 1, out=index)
+        grid += np.bincount(index.ravel(), z.ravel(), minlength=size)
+    del u, offset, first, values, indices
+    return 2.0 * np.fft.rfft(grid)[:count].real / transform
 
 
 def _audit(cfg):
     """The residual audit's Gram form Q at ``cfg``, on a Chebyshev-Gauss
     rule of its own. Q is the Gram with pi J0(kappa_l) replaced by the
     rule's moments mu_l = sum_j w_j cos(kappa_l x_j), l < 2M-1, over the
-    whole rule, from the weights of :func:`_half_rule` against their
-    kernel table of 2M-1 powers. The rule is symmetric, so its products
-    of a cosine and a sine sum to zero, and Q b equals the lags
+    whole rule, from the weights of :func:`_half_rule` by a nonuniform
+    FFT (:func:`_moments`). The rule is symmetric, so its products of a
+    cosine and a sine sum to zero, and Q b equals the lags
     sum_j w_j g(x_j) exp(i kappa_m x_j) of the coefficients b, with g
     sampled on the rule. Never built from J0 or from the Gram's factors,
     Q checks the solve independently.
@@ -180,26 +288,17 @@ def _audit(cfg):
     Computed with ``scipy.special.jv``, the largest |J_{2N}(kappa_{2M-2})|
     over M <= 16384, gamma in [0.5, 32] is 3.0e-21.
     N is 262 at M = 64 and 3346, 3768 and 4158 at M = 1024 with gamma
-    = 1, 1.13 and 1.25, against the summary's 2048 and 4160-5184; the
-    table takes about sqrt(2M-1) baby rows (45 at M = 1024).
+    = 1, 1.13 and 1.25, against the summary's 2048 and 4160-5184.
 
-    Q and its table are kept as one record with the configuration's
-    Gram, the table only while it fits ``_MAX_KEPT_TABLE_BYTES``. The
-    table is not read again, but one freed right after Q was built
-    (1.2-1.5 MB at M = 1024) cost about 320 minor page faults on each
-    M = 1024 miss of a stream, against none in the median when kept. Q is
-    built once per kept record, and only :func:`recover` reads it.
+    Q alone is kept with the configuration's Gram, built once per kept
+    record; only :func:`recover` reads it.
     """
     tables = _tables(cfg)
-    audit = tables.get("audit")
-    if audit is None:
+    q = tables.get("audit")
+    if q is None:
         x, w = _half_rule(_bessel_cut(cfg.kappa(2 * cfg.M - 2)) // 2 + 1)
-        count = 2 * cfg.M - 1
-        table = _exp_table(cfg, x, count)
-        audit = _Audit(_gram_form(2.0 * _giant_lags(table, w, count)),
-                       table if _fits(table) else None)
-        tables["audit"] = audit
-    return audit.q
+        q = tables["audit"] = _gram_form(_moments(cfg, x, w))
+    return q
 
 
 def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
@@ -211,8 +310,8 @@ def recover(lags, cfg, residual_tol=DEFAULT_RESIDUAL_TOL):
     transition of the top moment frequency, are Q b with Q the Gram of
     that rule. Q depends on the array alone; it is built after the solve
     on a new configuration and kept with the cached Gram. Of a cache miss
-    at M = 1024, gamma in [1, 1.25], the Gram's CG generator takes about
-    47 %, Q about 29 % and the refined solve about 14 %.
+    at M = 1024, gamma in [1, 1.25], the Gram with its CG generator takes
+    about 62 %, Q about 17 % and the refined solve about 17 %.
 
     Args:
         lags: CovarianceLags (or raw complex vector) of length cfg.M.
@@ -274,7 +373,7 @@ def project_onto_nperp(g, cfg):
     gram = assemble_gram(cfg)
     x, w, table = _rule(cfg)
     upper, lower = (w * np.asarray(g(points), dtype=np.float64) for points in (x, -x))
-    lags = _exp_lags(table or _exp_table(cfg, x, cfg.M), upper + lower, upper - lower, cfg.M)
+    lags = _exp_lags(table or _exp_table(cfg, x), upper + lower, upper - lower, cfg.M)
     return solve(gram, np.concatenate([lags.real, lags[1:].imag]))
 
 
@@ -316,7 +415,7 @@ def negativity_summary(solution):
     """
     cfg = solution.cfg
     x, w, table = _rule(cfg)
-    even, odd = _exp_samples(table or _exp_table(cfg, x, cfg.M), solution.coeffs.b)
+    even, odd = _exp_samples(table or _exp_table(cfg, x), solution.coeffs.b)
     spread = np.abs(odd)
     peak = np.maximum(np.abs(even), spread)
     grid_min = float((even - spread).min())

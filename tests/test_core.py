@@ -359,7 +359,7 @@ def test_exp_kernel_on_unsymmetric_nodes(m, gamma, rng):
     cfg = ArrayConfig(m, gamma)
     theta, _ = theta_quadrature_points(768, Uniform(-0.6, 0.2, 1.4).seams_theta())
     x = np.sin(theta)
-    table = core._exp_table(cfg, x, m)
+    table = core._exp_table(cfg, x)
     assert_one_form(table, m, x.size)
     dense = np.exp(1j * np.multiply.outer(cfg.kappas(m), x))
     b = rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)
@@ -395,7 +395,7 @@ def test_exp_table_rows_fill_the_byte_budget(m, points, rows):
     # (one power, no Horner step); the rule at (1024, 1) keeps isqrt(M).
     # An empty grid takes M rows of no points, and its sums are empty.
     cfg = ArrayConfig(m, 1.0)
-    table = core._exp_table(cfg, np.linspace(0.0, 1.0, points), m)
+    table = core._exp_table(cfg, np.linspace(0.0, 1.0, points))
     assert_one_form(table, m, points)
     assert len(table.baby) == rows
     even, odd = core._exp_samples(table, np.ones(2 * m - 1))
@@ -417,7 +417,7 @@ def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
     # on this data); random-sign coefficients read about 2e-13.
     cfg = ArrayConfig(m, 1.13)
     x = np.sort(rng.uniform(-1.0, 1.0, 301))
-    table = core._exp_table(cfg, x, m)
+    table = core._exp_table(cfg, x)
     assert_one_form(table, m, x.size)
 
     def close(got, expected):
@@ -436,33 +436,32 @@ def test_exp_kernel_matches_direct_sums_at_every_order(m, rng):
 
 
 def test_giant_lags_streams_work_rows_through_one_block():
-    # The audit's moments at (1024, 1.25), on its own rule's 2079 half-rule
-    # nodes and a table of 2M - 1 powers in 45 baby rows: the 46 work rows
-    # of its 2047 sums would take 1.5 MB at once. Streamed, the kernel's
-    # peak beyond its inputs is one block, numpy's buffer for a product
-    # broadcast over half its work rows, the (count, B) sums and one panel
-    # product of that size, with 4 KiB for the arrays' headers. The
-    # moments match the dense sum in long double.
+    # Lags of positive weights at (1024, 1.25) on 2079 half-rule nodes, a
+    # table of M powers in 32 baby rows: the 32 work rows of its 1024
+    # sums would take 1.1 MB at once. Streamed, the kernel's peak beyond
+    # its inputs is one block, numpy's buffer for a product broadcast
+    # over half its work rows, the (count, B) sums and one panel product
+    # of that size, with 4 KiB for the arrays' headers. The sums match
+    # the dense sum in long double.
     cfg = ArrayConfig(1024, 1.25)
-    count = 2 * cfg.M - 1
-    nodes = core._bessel_cut(cfg.kappa(count - 1)) // 2 + 1
+    nodes = 4158
     points, weights = weighted_quadrature_points(nodes)
     x, w = points[nodes // 2:], weights[nodes // 2:]
-    table = core._exp_table(cfg, x, count)
-    assert (nodes, table.baby.shape, table.count) == (4158, (45, 2079), 46)
+    table = core._exp_table(cfg, x)
+    assert (table.baby.shape, table.count) == ((32, 2079), 32)
     tracemalloc.start()
     try:
-        moments = core._giant_lags(table, w, count)
+        lags = core._giant_lags(table, w, cfg.M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     sums = table.count * len(table.baby) * 8
     assert peak <= core._BLOCK_BYTES * 3 // 2 + 2 * sums + 4096
-    kappas = np.longdouble(cfg.gamma) * np.pi * np.arange(count, dtype=np.longdouble)
+    kappas = np.longdouble(cfg.gamma) * np.pi * np.arange(cfg.M, dtype=np.longdouble)
     expected = np.concatenate([np.cos(np.multiply.outer(rows, x.astype(np.longdouble))) @ w
                                for rows in np.array_split(kappas, 16)])
     scale = 1.0 + np.max(np.abs(expected))
-    assert np.max(np.abs(moments - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(lags - expected)) <= 1e-13 * scale
 
 
 # Array sizes up to 32768 and spacings 0.5 to 32, log-spaced.
@@ -502,7 +501,7 @@ def test_exp_lags_of_one_vector_is_one_product(m, rng):
     # whether or not the two parts are the same array.
     cfg = ArrayConfig(m, 1.13)
     x = np.sort(rng.uniform(-1.0, 1.0, 256))
-    table = core._exp_table(cfg, x, m)
+    table = core._exp_table(cfg, x)
     v = rng.uniform(-1.0, 1.0, x.size)
     lags = core._exp_lags(table, v, v, m)
     assert np.array_equal(lags, core._exp_lags(table, v, v.copy(), m))

@@ -158,7 +158,7 @@ def test_large_synthesis_builds_no_dense_table():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-    assert _exp_table(cfg, np.linspace(0.0, 1.0, 2126), cfg.M).baby.shape == (32, 2126)
+    assert _exp_table(cfg, np.linspace(0.0, 1.0, 2126)).baby.shape == (32, 2126)
     assert_matches_reference(lags, reference_lags(TWO_GAUSSIANS, cfg))
 
 

@@ -997,9 +997,8 @@ def test_cache_never_holds_a_failing_config():
 
 def _filled_workspace(cfg, rng):
     """recover, evaluate and summarize at ``cfg``, so the cached Gram
-    keeps the audit's record (Q as two dense blocks and its kernel
-    table), a grid and its kernel table, and the summary's rule (its
-    nodes, weights and kernel table)."""
+    keeps the audit's Q (two dense blocks), a grid and its kernel table,
+    and the summary's rule (its nodes, weights and kernel table)."""
     lags = rng.normal(size=cfg.M) + 1j * rng.normal(size=cfg.M)
     lags[0] = abs(lags[0]) + cfg.M
     solution = recover(lags, cfg)
@@ -1011,7 +1010,7 @@ def _filled_workspace(cfg, rng):
 def _kept_arrays(entry):
     """Every array kept with ``entry``: the entries' arrays and those of
     the tuples in them (kernel tables' baby rows and giant steps, the
-    audit's record and its Q, the rule record)."""
+    audit's Q, the rule record)."""
 
     def arrays(item):
         if isinstance(item, np.ndarray):
@@ -1056,8 +1055,8 @@ def test_cache_miss_stream_keeps_no_earlier_rule_or_table(monkeypatch, rng):
         refs.extend((current[0], weakref.ref(array)) for array in rule)
         return rule
 
-    def recording_table(cfg, x, powers):
-        table = exp_table(cfg, x, powers)
+    def recording_table(cfg, x):
+        table = exp_table(cfg, x)
         refs.extend((current[0], weakref.ref(array)) for array in (table.baby, table.giant))
         return table
 
@@ -1088,7 +1087,7 @@ def test_failing_config_leaves_no_workspace(failing, rng):
 def test_workspace_tables_read_only(rng):
     entry = _filled_workspace(ArrayConfig(9, 1.0), rng)
     arrays = _kept_arrays(entry)
-    assert len(arrays) == 11
+    assert len(arrays) == 9
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -1096,9 +1095,10 @@ def test_workspace_tables_read_only(rng):
 
 
 def test_workspace_keeps_only_default_counts_and_small_tables(rng):
-    # recover keeps the audit's record: Q and the kernel table of its own
-    # rule, 72 nodes at M = 10 with 2M - 1 = 19 baby rows. The summary
-    # keeps its rule: the 2048-node floor and its kernel table.
+    # recover keeps the audit's Q alone, built by a nonuniform FFT on the
+    # 36 nodes x >= 0 of its own 72-node rule at M = 10, with no kernel
+    # table. The summary keeps its rule: the 2048-node floor and its
+    # kernel table.
     cfg = ArrayConfig(10, 1.0)
     assemble_gram(ArrayConfig(5, 1.0))  # start from an empty slot
     solution = recover(np.ones(cfg.M, dtype=complex), cfg)
@@ -1107,20 +1107,18 @@ def test_workspace_keeps_only_default_counts_and_small_tables(rng):
     assert gram_module._cached.cfg == cfg
     assert sorted(map(str, gram_module._cached._kept)) == ["audit", "rule"]
     audit, rule = gram_module._cached._kept["audit"], gram_module._cached._kept["rule"]
-    assert [block.shape for block in audit.q] == [(10, 10), (9, 9)]
-    assert audit.table.baby.shape == (19, 36) and audit.table.count == 1
+    assert [block.shape for block in audit] == [(10, 10), (9, 9)]
     assert rule.x.shape == rule.w.shape == rule.table.giant.shape == (1024,)
-    # At M = 1024 the audit's table is 45 baby rows and a giant step of
-    # its rule's 1673 nodes x >= 0, about 1.2 MB, and Q is one FFT row of
-    # the 4096-point circulant; the summary's rule's table is 32 baby rows
-    # and a giant step of its 2080 nodes, about 1.1 MB.
+    # At M = 1024 the audit keeps Q alone, one FFT row of the 4096-point
+    # circulant, 33 KB, where its record held a 1.2 MB kernel table
+    # beside it; the summary's rule's table is 32 baby rows and a giant
+    # step of its 2080 nodes, about 1.1 MB.
     big = ArrayConfig(1024, 1.0)
     negativity_summary(recover(np.ones(big.M, dtype=complex), big))
     assert gram_module._cached.cfg == big
     assert sorted(map(str, gram_module._cached._kept)) == ["audit", "rule"]
     audit, rule = gram_module._cached._kept["audit"], gram_module._cached._kept["rule"]
-    assert audit.table.baby.shape == (45, 1673) and audit.table.count == 46
-    assert [row.shape for row in audit.q] == [(2049,)]
+    assert [row.shape for row in audit] == [(2049,)]
     assert rule.table.baby.shape == (32, 2080)
 
 

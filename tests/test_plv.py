@@ -164,8 +164,8 @@ def test_toeplitz_recovery_from_threads_matches_serial(rng):
 def test_split_audit_from_threads_matches_serial(rng):
     # Every recover here misses, so each of the four threads factorizes
     # its Gram and then builds its own audit rule, with Q's 2M - 1 = 1407
-    # moments on the table's B = 37 baby rows and 39 work rows; B does
-    # not divide 1407.
+    # moments from a nonuniform FFT of its own, in several panels of
+    # spread points, while the others do the same.
     stream = fresh_gamma_stream(rng, 704, np.linspace(1.1, 1.25, 16))
     assert_threads_match_serial(stream)
 
@@ -186,8 +186,8 @@ def test_cache_miss_conditioning_error_keeps_nothing(failing, rng):
 
 
 def test_cache_miss_audit_error_reaches_caller(monkeypatch):
-    # An exception raised while Q is built is raised by recover itself,
-    # the same object, and no audit is kept.
+    # An exception raised by the moment pass while Q is built is raised
+    # by recover itself, the same object, and no audit is kept.
     cfg = ArrayConfig(300, 1.1)
     assemble_gram(ArrayConfig(5, 1.0))  # a miss
     error = RuntimeError("moments failed")
@@ -195,7 +195,7 @@ def test_cache_miss_audit_error_reaches_caller(monkeypatch):
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(plv, "_giant_lags", failing)
+    monkeypatch.setattr(plv, "_moments", failing)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         recover(np.ones(cfg.M, dtype=complex), cfg)
@@ -369,7 +369,7 @@ def test_solution_g_matches_trig_polynomial_on_any_shape(shape, count, rng):
     cfg = ArrayConfig(64, 1.0)
     solution = PlvSolution(TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1)), 0.0, cfg)
     x = rng.uniform(-1.0, 1.0, shape)
-    assert plv._exp_table(cfg, x.ravel(), cfg.M).count == count
+    assert plv._exp_table(cfg, x.ravel()).count == count
     values = solution.g(x)
     assert np.shape(values) == shape
     assert np.array_equal(values, TrigPolynomial(cfg, solution.coeffs).g(x))
@@ -547,14 +547,14 @@ def whole_table_half_rule(cfg, b, nodes):
 
 
 def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
-    # At M = 64 both tables are kept: the summary's rule's gives the
-    # summary of a table built for the call bit for bit, and the kept Q
-    # gives the audit of a fresh one. The summary keeps its rule alone,
-    # and recover adds the audit's record beside it, leaving the rule
-    # as it was. The summary's count is 2048, even, at gamma = 1 and
-    # 1.07, and 2049, odd, at 1985/256; the audit's is 262, 277 and
-    # 1642. Q b and the baby-row sums regroup the whole-table sums, so
-    # they agree with them to rounding.
+    # At M = 64 the summary's rule's table is kept and gives the summary
+    # of a table built for the call bit for bit; the audit keeps Q alone,
+    # no table, and the kept Q gives the audit of a fresh one. The
+    # summary keeps its rule alone, and recover adds Q beside it, leaving
+    # the rule as it was. The summary's count is 2048, even, at gamma = 1
+    # and 1.07, and 2049, odd, at 1985/256; the audit's is 262, 277 and
+    # 1642. Q b, from the nonuniform FFT's moments, and the baby-row sums
+    # regroup the whole-table sums, so they agree with them to rounding.
     for gamma, count, audit_count in ((1.0, 2048, 262), (1.07, 2048, 277),
                                       (1985 / 256, 2049, 1642)):
         cfg = ArrayConfig(64, gamma)
@@ -582,9 +582,9 @@ def test_kept_table_kernel_bit_identical_to_fresh_table(rng):
         assert sorted(gram_module._cached._kept) == ["audit", "rule"]
         assert gram_module._cached._kept["rule"] is kept
         audited = gram_module._cached._kept["audit"]
-        assert audited.table is not None
+        assert [block.shape for block in audited] == [(64, 64), (63, 63)]
         for coeffs in (recovered.coeffs, TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))):
-            assert np.array_equal(audit_lags(audited.q, coeffs), audit_lags(fresh, coeffs))
+            assert np.array_equal(audit_lags(audited, coeffs), audit_lags(fresh, coeffs))
         audit = audit_lags(fresh, recovered.coeffs)
         assert recovered.constraint_residual == float(np.max(np.abs(audit - lags.r)))
 
@@ -601,7 +601,8 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
     # The kernel runs on baby rows step**r and powers of the giant step
     # step**B, B = isqrt(M), which at M = 700 and 1025 do not tile the M
     # rows exactly; the sums regroup, so agreement is to rounding. The
-    # audit and the summary run on one rule here.
+    # audit, whose moments come from a nonuniform FFT, and the summary
+    # run on one rule here.
     cfg = ArrayConfig(m, gamma)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     nodes = default_nodes(cfg) + parity
@@ -618,21 +619,21 @@ def test_block_wise_kernel_matches_whole_table(m, gamma, parity, rng, monkeypatc
 def test_block_wise_kernel_builds_no_whole_table(rng):
     # The whole (1024, 1.25) table of the summary's rule is 1024 x 2592
     # complex, about 42 MB, and Q's moments on the audit's rule would
-    # take one of 2047 x 2079, about 68 MB. The audit holds its rule's
-    # 1.5 MB kernel table, and Q's 46 work rows, 1.5 MB at once, stream
-    # through one 120 KiB block; the summary holds its rule's 1.4 MB
-    # table. The peaks read 1.68 MB for the audit, 2.71 MB for the
-    # summary, whose 1.3 MB of Horner rows are not streamed, and 1.81 MB
-    # for recover; each limit adds 0.2-0.3 MB. The kept audit holds Q in
-    # its Toeplitz form, one spectrum row.
+    # take one of 2047 x 2079, about 68 MB. The audit's nonuniform FFT
+    # spreads its 2079 points through 120 KiB blocks onto an 8192-point
+    # grid; the summary holds its rule's 1.4 MB table. The peaks read
+    # 0.52-0.54 MB for the audit (the higher with the kernel's transform
+    # built), 2.71 MB for the summary, whose 1.3 MB of Horner rows are not
+    # streamed, and 0.65 MB for recover; each limit adds 0.2-0.3 MB. The
+    # kept audit is Q alone in its Toeplitz form, one spectrum row.
     cfg = ArrayConfig(1024, 1.25)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * cfg.M - 1))
     solution = PlvSolution(coeffs, 0.0, cfg)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
     size = gram_module._fft_size(2 * cfg.M - 1)  # scipy.fft is imported before tracing
-    for run, limit in ((lambda: audit_lags(plv._audit(cfg), coeffs), 2.0),
+    for run, limit in ((lambda: audit_lags(plv._audit(cfg), coeffs), 0.8),
                        (lambda: negativity_summary(solution), 3.0),
-                       (lambda: recover(np.ones(cfg.M, dtype=complex), cfg), 2.0)):
+                       (lambda: recover(np.ones(cfg.M, dtype=complex), cfg), 0.9)):
         tracemalloc.start()
         try:
             run()
@@ -640,54 +641,66 @@ def test_block_wise_kernel_builds_no_whole_table(rng):
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20
-    (spectrum,) = gram_module._tables(cfg)["audit"].q
+    (spectrum,) = gram_module._tables(cfg)["audit"]
     assert spectrum.shape == (size // 2 + 1,)
 
 
 def test_fresh_configuration_builds_one_kernel_table(monkeypatch):
     # The negativity summary and a callable's projection share the
     # configuration's one rule and its one kernel table, of 1024 nodes
-    # x >= 0; with a node count each, they built two. recover builds the
-    # audit's own, of 139 nodes and 2M - 1 powers, before them.
+    # x >= 0; with a node count each, they built two. recover builds no
+    # kernel table: one nonuniform FFT gives its audit's 2M - 1 moments
+    # on the 139 nodes x >= 0 of its own rule.
     cfg = ArrayConfig(64, 1.07)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
-    built = []
-    exp_table = core._exp_table
+    built, moments = [], []
+    exp_table, nufft = core._exp_table, plv._moments
 
-    def counting(cfg, x, powers):
-        built.append((x.size, powers))
-        return exp_table(cfg, x, powers)
+    def counting(cfg, x):
+        built.append(x.size)
+        return exp_table(cfg, x)
+
+    def counting_moments(cfg, x, w):
+        moments.append(x.size)
+        return nufft(cfg, x, w)
 
     monkeypatch.setattr(core, "_exp_table", counting)
     monkeypatch.setattr(plv, "_exp_table", counting)
+    monkeypatch.setattr(plv, "_moments", counting_moments)
     assemble_gram(ArrayConfig(5, 1.0))  # recover misses
     solution = recover(lags, cfg)
+    assert (built, moments) == ([], [139])
     negativity_summary(solution)
     project_onto_nperp(transformed_density(GAUSS_CLUSTER), cfg)
-    assert built == [(139, 2 * cfg.M - 1), (1024, cfg.M)]
+    assert (built, moments) == ([1024], [139])
 
 
 @pytest.mark.parametrize("capped", [False, True], ids=["kept_table", "over_cap"])
 def test_rule_builds_q_only_for_recover(monkeypatch, capped):
     # Only recover reads Q. A summary on a configuration that is not the
     # cached Gram's makes no moment pass, and a callable's projection
-    # makes only its own lags' two; then recover builds Q once on its own
-    # rule, and a repeat builds nothing. Past the kept-table cap neither
-    # kept record has its table.
+    # makes only its own lags' two kernel passes; then recover builds Q
+    # by one nonuniform FFT on its own rule, and a repeat builds nothing.
+    # The kept audit is Q alone; past the kept-table cap the rule is kept
+    # without its table.
     if capped:
         monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
     cfg = ArrayConfig(64, 1.07)
     lags = synthesize_lags(GAUSS_CLUSTER, cfg)
     solution = PlvSolution(TrigCoeffs(np.ones(2 * cfg.M - 1)), 0.0, cfg)
     moments = []
-    giant_lags = core._giant_lags
+    giant_lags, nufft = core._giant_lags, plv._moments
 
     def counting(table, v, M):
         moments.append(M)
         return giant_lags(table, v, M)
 
+    def counting_moments(cfg, x, w):
+        moments.append("nufft")
+        return nufft(cfg, x, w)
+
     monkeypatch.setattr(core, "_giant_lags", counting)
-    monkeypatch.setattr(plv, "_giant_lags", counting)
+    monkeypatch.setattr(plv, "_moments", counting_moments)
     assemble_gram(ArrayConfig(5, 1.0))
     negativity_summary(solution)
     assert moments == []
@@ -697,13 +710,14 @@ def test_rule_builds_q_only_for_recover(monkeypatch, capped):
     for _ in range(2):
         assert recover(lags, cfg).constraint_residual <= DEFAULT_RESIDUAL_TOL
         negativity_summary(solution)
-    assert moments == [cfg.M, cfg.M, 2 * cfg.M - 1]
+    assert moments == [cfg.M, cfg.M, "nufft"]
     tables = gram_module._tables(cfg)
-    assert (tables["rule"].table is None) == (tables["audit"].table is None) == capped
+    assert (tables["rule"].table is None) == capped
+    assert [block.shape for block in tables["audit"]] == [(64, 64), (63, 63)]
 
 
 def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
-    # Past the cap the audit is kept with its Q and without its table, and
+    # Past the cap the audit is kept as its Q, which has no table, and
     # the summary's rule without its table, which the summary and a
     # callable's projection then build per call, with the same results as
     # from the kept table.
@@ -717,7 +731,7 @@ def test_rule_over_kept_size_keeps_q_without_table(monkeypatch, rng):
     monkeypatch.setattr(plv, "_MAX_KEPT_TABLE_BYTES", 1024)
     assert np.array_equal(recover(lags, cfg).coeffs.b, solution.coeffs.b)
     audit = gram_module._tables(cfg)["audit"]
-    assert audit.table is None and len(audit.q) == 2
+    assert len(audit) == 2
     for _ in range(2):
         assert negativity_summary(solution) == expected[0]
         assert np.array_equal(project_onto_nperp(g, cfg).b, expected[1])
@@ -747,6 +761,66 @@ def test_audit_moments_match_pi_j0(m, gamma, monkeypatch):
     (moments,) = columns
     expected = np.pi * scipy.special.j0(cfg.gamma * np.pi * np.arange(2 * m - 1))
     assert np.max(np.abs(moments - expected)) <= 2e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 24])
+@pytest.mark.parametrize("gamma", [0.5, 1.13, 32.0])
+@pytest.mark.parametrize("parity", [0, 1], ids=["audit_nodes", "one_more"])
+def test_audit_moments_match_direct_sum(m, gamma, parity):
+    # The nonuniform FFT's moments against the rule's own sum
+    # sum_j 2 w_j cos(kappa_l x_j) over its half, in 30-digit arithmetic
+    # at the rule's float nodes, on the audit's node count and one more
+    # (odd and even rules). Measured: at most 3.0e-15.
+    mpmath = pytest.importorskip("mpmath")
+    cfg = ArrayConfig(m, gamma)
+    x, w = plv._half_rule(audit_nodes(cfg) + parity)
+    moments = plv._moments(cfg, x, w)
+    with mpmath.workdps(30):
+        theta = [mpmath.mpf(gamma) * mpmath.pi * mpmath.mpf(xj) for xj in x.tolist()]
+        weights = [2 * mpmath.mpf(wj) for wj in w.tolist()]
+        expected = [float(mpmath.fsum(wj * mpmath.cos(l * tj) for tj, wj in zip(theta, weights)))
+                    for l in range(2 * m - 1)]
+    assert np.max(np.abs(moments - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 257, 1024, 4096])
+def test_audit_moments_match_pi_j0_at_every_spacing(m):
+    # On the audit's rule and on one node more, at spacings where
+    # theta_j = gamma pi x_j stays within one period (gamma <= 2) and
+    # where it wraps the grid (up to 16 times at gamma = 32), the moments
+    # are pi J0(kappa_l) to 2e-13, or to the rule's own rounding where
+    # that is larger: the float nodes x_j move kappa_l x_j by up to
+    # eps kappa_{2M-2}, which moves a moment by about
+    # eps kappa_{2M-2} pi / sqrt(N) for N nodes, for any way of summing
+    # (the exponential-sum kernel read 4.7e-13 at M = 1024, gamma = 32).
+    # Measured: at most 1.6 times that, 1.5e-12 at M = 4096, gamma = 32.
+    for gamma in (0.5, 0.999, 1.0, 1.13, 1.25, 3.0, 32.0):
+        cfg = ArrayConfig(m, gamma)
+        expected = np.pi * scipy.special.j0(cfg.kappas(2 * m - 1))
+        for nodes in (audit_nodes(cfg), audit_nodes(cfg) + 1):
+            x, w = plv._half_rule(nodes)
+            rounding = 3.0 * np.finfo(float).eps * cfg.kappa(2 * m - 2) * np.pi / np.sqrt(nodes)
+            error = np.max(np.abs(plv._moments(cfg, x, w) - expected))
+            assert error <= max(2e-13, rounding), (gamma, nodes)
+
+
+def test_recover_peak_memory_grows_linearly():
+    # A miss at gamma = 1 holds no kernel table: the audit spreads its
+    # points in blocks and builds the kernel's transform one quadrature
+    # node at a time, so doubling M from 8192 to 16384 doubles the peak
+    # (3.48 to 6.73 MiB measured), where the audit's table made it grow
+    # as M^1.5 (27 to 68 MiB). The transform is rebuilt for each size.
+    peaks = []
+    for m in (8192, 16384):
+        assemble_gram(ArrayConfig(5, 1.0))  # a miss
+        plv._deconvolution.cache_clear()
+        tracemalloc.start()
+        try:
+            recover(np.ones(m, dtype=complex), ArrayConfig(m, 1.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0]
 
 
 def test_audit_rule_clears_the_bessel_transition():
@@ -795,7 +869,7 @@ def test_summary_evaluation_projection_keep_the_resolution_rule(m, gamma, rng):
     cfg = ArrayConfig(m, gamma)
     g = transformed_density(GAUSS_CLUSTER)
     x, w = plv._half_rule(default_nodes(cfg))
-    table = core._exp_table(cfg, x, cfg.M)
+    table = core._exp_table(cfg, x)
     theta = np.linspace(-np.pi / 2, np.pi / 2, 181)
     coeffs = TrigCoeffs(rng.uniform(-1.0, 1.0, 2 * m - 1))
     even, odd = core._exp_samples(table, coeffs.b)
